@@ -19,6 +19,7 @@ the power (N-1) instead; both are kept selectable because they penalize
 extra blocks in opposite directions.
 """
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -277,6 +278,129 @@ def block_cost_for_pes(pes: Sequence["PeStats"], params: CostParams) -> float:
     n = len(occupied)
     members = [(pe.mean, sigma_estimate(pe, n, params)) for pe in occupied]
     return block_cost(members, params)
+
+
+class BlockCosts:
+    """Cached block costs of one map under one cost setting.
+
+    A block is a bitmask over the map's row-major cells.  The first request
+    for a block computes its size n (non-empty cells) and, per attribute,
+    the width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
+    with the operations of block_stat and block_cost; the range prior is
+    added last and the terms are summed in block_cost's order, so cost(mask)
+    equals block_cost_for_pes of the same cells bit for bit.  The width
+    terms do not depend on R, f_R or the range exponent, so at() hands out
+    an engine for another range setting that shares them.
+    """
+
+    def __init__(self, som_map: "SomMap", params: CostParams):
+        m = params.n_attributes
+        if som_map.n_attributes != m:
+            raise CostError(f"map has {som_map.n_attributes} attributes, "
+                            f"cost params have {m}")
+        zeros = np.zeros(m)
+        means, stds, occupied = [], [], 0
+        for k, pe in enumerate(som_map.pes):
+            if pe.n > 0:
+                if np.shape(pe.mean) != (m,) or np.shape(pe.std) != (m,):
+                    raise CostError(f"cell ({pe.r}, {pe.c}) mean or std is not "
+                                    f"{m} attributes wide")
+                means.append(pe.mean)
+                stds.append(pe.std)
+                occupied |= 1 << k
+            else:
+                means.append(zeros)
+                stds.append(zeros)
+        self.som_map = som_map
+        self._means = np.array(means, dtype=float)
+        self._stds = np.array(stds, dtype=float)
+        self._occupied = occupied
+        self._n_cells = len(som_map.pes)
+        self._nbytes = (self._n_cells + 7) // 8
+        self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
+        self._terms: dict[int, tuple] = {}          # mask -> (n, width terms per attribute)
+        self._set_range(params)
+
+    def _set_range(self, params: CostParams) -> None:
+        self.params = params
+        self._costs: dict[int, float] = {}
+        log_R = np.log(params.effective_R())
+        log_pi = math.log(math.pi)
+        self._per_block = params.range_exponent == "per_block"
+        if self._per_block:
+            self._prior = list(log_R)
+        else:
+            self._prior = [v + 0.5 * log_pi for v in log_R]
+
+    def at(self, som_map: "SomMap", params: CostParams) -> "BlockCosts":
+        """Engine for the same map and cell widths under params' range setting.
+
+        Returns self when params is this engine's own; otherwise a new engine
+        that shares the cached width terms.  Raises CostError when the map or
+        anything that sets the cell widths differs.
+        """
+        if som_map is not self.som_map:
+            raise CostError("block costs were cached for another map")
+        if params is self.params:
+            return self
+        own = self.params
+        if not (params.f_sigma == own.f_sigma and params.sigma_const == own.sigma_const
+                and params.n_scale_rule is own.n_scale_rule
+                and np.array_equal(params.sigma_floor, own.sigma_floor)):
+            raise CostError("block costs were cached under another cell-width setting")
+        engine = copy.copy(self)
+        engine._set_range(params)
+        return engine
+
+    def _table(self, n: int) -> np.ndarray:
+        """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, for
+        blocks of n non-empty cells; w = 1 / sigma^2."""
+        p = self.params
+        scale = p.f_sigma * p.sigma_const * p.n_scale_rule(n)
+        table = self._tables.get(scale)
+        if table is None:
+            sigmas = np.maximum(p.sigma_floor, scale * self._stds)
+            w = 1.0 / sigmas**2
+            log_sigmas = [[math.log(s) for s in row] for row in sigmas.tolist()]
+            table = self._tables[scale] = np.hstack([w, w * self._means, log_sigmas,
+                                                     self._means])
+        return table
+
+    def _width_terms(self, mask: int) -> tuple:
+        hit = self._terms.get(mask)
+        if hit is None:
+            occupied = mask & self._occupied
+            n = occupied.bit_count()
+            if n == 0:
+                hit = (0, ())
+            else:
+                bits = np.frombuffer(occupied.to_bytes(self._nbytes, "little"), dtype=np.uint8)
+                cells = np.unpackbits(bits, count=self._n_cells, bitorder="little").view(bool)
+                block = self._table(n)[cells]
+                m = block.shape[1] // 4
+                sums = [math.fsum(col) for col in block[:, :3 * m].T.tolist()]
+                X = np.array(sums[m:2 * m]) / np.array(sums[:m])
+                w, means = block[:, :m], block[:, 3 * m:]
+                resid = [math.fsum(col) for col in (w * (means - X) ** 2).T.tolist()]
+                hit = (n, [sums[2 * m + j] + 0.5 * math.log(sums[j]) + resid[j]
+                           for j in range(m)])
+            self._terms[mask] = hit
+        return hit
+
+    def cost(self, mask: int) -> float:
+        """Cost of the cells in mask as one block; 0 when none is occupied."""
+        hit = self._costs.get(mask)
+        if hit is None:
+            n, terms = self._width_terms(mask)
+            if n == 0:
+                hit = 0.0
+            elif self._per_block:
+                occam = 0.5 * (n - 1) * math.log(math.pi)
+                hit = math.fsum([prior + occam + t for prior, t in zip(self._prior, terms)])
+            else:
+                hit = math.fsum([(n - 1) * prior + t for prior, t in zip(self._prior, terms)])
+            self._costs[mask] = hit
+        return hit
 
 
 def partition_cost(partition: "Partition", som_map: "SomMap", params: CostParams) -> float:

@@ -214,6 +214,15 @@ def _load_labeled(settings: RunConfig, need_labels: bool):
     return dataset
 
 
+def _check_map_data(som_map: SomMap, dataset) -> None:
+    """A map can only be costed or scored against data of the shape it was trained on."""
+    if som_map.n_attributes != dataset.n_attributes:
+        raise CliError(f"map has {som_map.n_attributes} attributes, "
+                       f"data has {dataset.n_attributes}")
+    if som_map.n_samples != dataset.n_samples:
+        raise CliError(f"map holds {som_map.n_samples} samples, data has {dataset.n_samples}")
+
+
 def cmd_train(args) -> int:
     settings = resolve_settings(args)
     dataset = _load_labeled(settings, need_labels=False)
@@ -227,6 +236,7 @@ def cmd_partition(args) -> int:
     settings = resolve_settings(args)
     som_map = load_map(args.map)
     dataset = _load_labeled(settings, need_labels=False)
+    _check_map_data(som_map, dataset)
     params = cost_params_from(settings, dataset)
     part = partition_som(som_map, params)
     save_partition(part, args.out, params_echo=params.echo(),
@@ -265,6 +275,7 @@ def cmd_evaluate(args) -> int:
     som_map = load_map(args.map)
     part = load_partition(args.partition)
     dataset = _load_labeled(settings, need_labels=True)
+    _check_map_data(som_map, dataset)
     report = score(part, som_map, dataset.labels)
     if args.format == "json":
         text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
@@ -296,6 +307,7 @@ def cmd_sweep(args) -> int:
     settings = resolve_settings(args)
     som_map = load_map(args.map)
     dataset = _load_labeled(settings, need_labels=False)
+    _check_map_data(som_map, dataset)
     params = cost_params_from(settings, dataset).scaled()   # factors reset to 1
     grid = default_grid(settings["sweep_points"], settings["sweep_decades"])
     stability = sweep(som_map, SweepSpec(base=params, f_R_grid=grid, f_sigma_grid=grid))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_cost import CostParams, block_cost_for_pes, partition_cost
+from .bayes_cost import BlockCosts, CostParams
 from .som import SomMap
 
 
@@ -123,31 +123,40 @@ def _subdivide(region: Region) -> list[Region]:
             Region(rm, region.r1, cm, region.c1)]
 
 
-def _region_pes(som_map: SomMap, cells) -> list:
-    return [som_map.pe(r, c) for r, c in cells]
+def _costs_for(som_map: SomMap, params: CostParams, costs: BlockCosts | None) -> BlockCosts:
+    return BlockCosts(som_map, params) if costs is None else costs.at(som_map, params)
 
 
-def quadtree_split(som_map: SomMap, params: CostParams) -> list[Region]:
+def _region_mask(region: Region, cols: int) -> int:
+    """Row-major cell bitmask of a region."""
+    row = ((1 << (region.c1 - region.c0)) - 1) << region.c0
+    return sum(row << (r * cols) for r in range(region.r0, region.r1))
+
+
+def quadtree_split(som_map: SomMap, params: CostParams,
+                   costs: BlockCosts | None = None) -> list[Region]:
     """Recursively split regions whose subregions are jointly cheaper.
 
     A region is split iff its one-block cost strictly exceeds the summed
-    one-block costs of its quadrants; 1x1 regions are leaves.
+    one-block costs of its quadrants; 1x1 regions are leaves.  costs, when
+    given, is a BlockCosts of this map whose cached block terms are reused.
     """
-    def rec(region: Region) -> list[Region]:
-        if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
-            return [region]
-        subs = _subdivide(region)
-        whole = block_cost_for_pes(_region_pes(som_map, region.cells()), params)
-        parts = math.fsum(
-            block_cost_for_pes(_region_pes(som_map, s.cells()), params) for s in subs)
-        if whole > parts:
-            out = []
-            for s in subs:
-                out.extend(rec(s))
-            return out
-        return [region]
+    costs = _costs_for(som_map, params, costs)
+    return _split(Region(0, som_map.rows, 0, som_map.cols), costs.cost, som_map.cols)
 
-    return rec(Region(0, som_map.rows, 0, som_map.cols))
+
+def _split(region: Region, cost, cols: int) -> list[Region]:
+    if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
+        return [region]
+    subs = _subdivide(region)
+    whole = cost(_region_mask(region, cols))
+    parts = math.fsum(cost(_region_mask(s, cols)) for s in subs)
+    if whole > parts:
+        out = []
+        for s in subs:
+            out.extend(_split(s, cost, cols))
+        return out
+    return [region]
 
 
 def _check_tiling(regions, rows: int, cols: int) -> None:
@@ -161,67 +170,82 @@ def _check_tiling(regions, rows: int, cols: int) -> None:
         raise PartitionError("regions must tile the grid exactly once")
 
 
-def _adjacent(a: frozenset, b: frozenset) -> bool:
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    for r, c in small:
-        if ((r - 1, c) in big or (r + 1, c) in big
-                or (r, c - 1) in big or (r, c + 1) in big):
-            return True
-    return False
-
-
-def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams) -> Partition:
+def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
+                  costs: BlockCosts | None = None) -> Partition:
     """Greedy pairwise merging of a region tiling.
 
     Regions are ordered by top-left corner (column first, then row).  Each
     pass scans regions in that order and, for every later edge-adjacent
     region, merges the pair iff the joined cost is strictly below the sum of
     the separate costs, renumbering as it goes.  Passes repeat until one
-    completes with no merge; ties keep regions separate.
+    completes with no merge; ties keep regions separate.  costs, when given,
+    is a BlockCosts of this map whose cached block terms are reused.
     """
-    _check_tiling(regions, som_map.rows, som_map.cols)
-    sets: list[frozenset] = [frozenset(region.cells()) for region in regions]
+    rows, cols = som_map.rows, som_map.cols
+    _check_tiling(regions, rows, cols)
+    cost = _costs_for(som_map, params, costs).cost
+    left = sum(1 << (r * cols) for r in range(rows))
+    right = left << (cols - 1)
+    grid = (1 << (rows * cols)) - 1
 
-    cost_cache: dict[frozenset, float] = {}
-
-    def cost(cells: frozenset) -> float:
-        if cells not in cost_cache:
-            cost_cache[cells] = block_cost_for_pes(_region_pes(som_map, sorted(cells)), params)
-        return cost_cache[cells]
-
-    def order_key(cells: frozenset):
-        return (min(c for _, c in cells), min(r for r, _ in cells))
+    # (order key, cell mask, mask of the cells edge-adjacent to the block);
+    # a union's key is the componentwise minimum of the two keys.
+    blocks = []
+    for region in regions:
+        mask = _region_mask(region, cols)
+        near = (mask << cols | mask >> cols
+                | (mask & ~right) << 1 | (mask & ~left) >> 1) & grid
+        blocks.append(((region.c0, region.r0), mask, near))
 
     changed = True
     while changed:
         changed = False
-        sets.sort(key=order_key)
+        blocks.sort(key=lambda block: block[0])
         i = 0
-        while i < len(sets):
+        while i < len(blocks):
+            key, mask, near = blocks[i]
             j = i + 1
-            while j < len(sets):
-                if _adjacent(sets[i], sets[j]):
-                    joined = sets[i] | sets[j]
-                    if cost(joined) < cost(sets[i]) + cost(sets[j]):
-                        sets[i] = joined
-                        del sets[j]
+            while j < len(blocks):
+                other_key, other, other_near = blocks[j]
+                if near & other:
+                    joined = mask | other
+                    if cost(joined) < cost(mask) + cost(other):
+                        key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
+                        mask, near = joined, near | other_near
+                        blocks[i] = (key, mask, near)
+                        del blocks[j]
                         changed = True
                         continue
                 j += 1
             i += 1
 
-    labels = np.empty((som_map.rows, som_map.cols), dtype=int)
-    for b, cells in enumerate(sets):
-        for r, c in cells:
-            labels[r, c] = b
-    partition = Partition.from_labels(labels)
+    labels = np.empty(rows * cols, dtype=int)
+    for b, (_, mask, _) in enumerate(blocks):
+        labels[_mask_cells(mask)] = b
+    partition = Partition.from_labels(labels.reshape(rows, cols))
     return Partition(block_of=partition.block_of, n_blocks=partition.n_blocks,
-                     cost=partition_cost(partition, som_map, params))
+                     cost=math.fsum(cost(mask) for _, mask, _ in blocks))
 
 
-def partition_som(som_map: SomMap, params: CostParams) -> Partition:
-    """Quadtree split followed by greedy merging."""
-    return merge_regions(quadtree_split(som_map, params), som_map, params)
+def _mask_cells(mask: int) -> list[int]:
+    cells = []
+    while mask:
+        low = mask & -mask
+        cells.append(low.bit_length() - 1)
+        mask ^= low
+    return cells
+
+
+def partition_som(som_map: SomMap, params: CostParams,
+                  costs: BlockCosts | None = None) -> Partition:
+    """Quadtree split followed by greedy merging.
+
+    The split and the merge share one BlockCosts; costs, when given, is one
+    already built for this map under the same cell widths (any range
+    setting), such as one stability-sweep column's.
+    """
+    costs = _costs_for(som_map, params, costs)
+    return merge_regions(quadtree_split(som_map, params, costs), som_map, params, costs)
 
 
 def _flood(mask: int, seed: int, nbr: list[int]) -> int:
@@ -332,6 +356,9 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
         parts.pop()
 
     rec(0)
+    # rec refers to itself through its closure; unbinding it frees visit
+    # (and the block costs it holds) now instead of at a full collection.
+    rec = None
 
 
 def enumerate_connected_partitions(rows: int, cols: int):
@@ -355,25 +382,11 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     if rows * cols > cell_limit:
         raise PartitionError(f"grid {rows}x{cols} exceeds cell_limit={cell_limit}")
 
-    pe_list = list(som_map.pes)
-    cost_cache: dict[int, float] = {}
-
-    def mask_cost(mask: int) -> float:
-        hit = cost_cache.get(mask)
-        if hit is None:
-            pes = []
-            mm = mask
-            while mm:
-                low = mm & -mm
-                pes.append(pe_list[low.bit_length() - 1])
-                mm ^= low
-            hit = cost_cache[mask] = block_cost_for_pes(pes, params)
-        return hit
-
+    mask_cost = BlockCosts(som_map, params).cost
     state = {"cost": math.inf, "labels": None}
 
     def visit(labels, parts):
-        total = math.fsum(mask_cost(mask) for mask in parts)
+        total = math.fsum(map(mask_cost, parts))
         if total < state["cost"] or (total == state["cost"] and tuple(labels) < state["labels"]):
             state["cost"] = total
             state["labels"] = tuple(labels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_cost import CostParams
+from .bayes_cost import BlockCosts, CostParams
 from .partition import partition_som
 from .som import SomMap
 
@@ -76,9 +76,13 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
     signatures = [[None] * n_s for _ in range(n_r)]
     n_blocks = np.zeros((n_r, n_s), dtype=int)
-    for i, f_R in enumerate(spec.f_R_grid):
-        for j, f_sigma in enumerate(spec.f_sigma_grid):
-            p = partition_som(som_map, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)))
+    for j, f_sigma in enumerate(spec.f_sigma_grid):
+        # f_R moves only the range prior, so one column's cached block terms
+        # serve every f_R in it.
+        costs = BlockCosts(som_map, spec.base.scaled(f_sigma=float(f_sigma)))
+        for i, f_R in enumerate(spec.f_R_grid):
+            p = partition_som(som_map, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)),
+                              costs)
             signatures[i][j] = p.signature()
             n_blocks[i, j] = p.n_blocks
     reference = signatures[i_ref][j_ref]

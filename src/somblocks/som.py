@@ -280,8 +280,14 @@ def load_map(path) -> SomMap:
         raise SomError(f"{path}: unsupported map format version")
     try:
         config = _config_from_dict(doc["config"])
+        rows, cols, records = doc["rows"], doc["cols"], doc["pes"]
+        if (rows, cols) != (config.rows, config.cols):
+            raise SomError(f"{path}: grid {rows}x{cols} differs from the config's "
+                           f"{config.rows}x{config.cols}")
+        if len(records) != rows * cols:
+            raise SomError(f"{path}: cell list does not tile the grid")
         pes = []
-        for rec in doc["pes"]:
+        for k, rec in enumerate(records):
             pes.append(PeStats(
                 r=rec["r"], c=rec["c"],
                 weight=np.array(rec["weight"], dtype=float),
@@ -290,9 +296,56 @@ def load_map(path) -> SomMap:
                 mean=None if rec["mean"] is None else np.array(rec["mean"], dtype=float),
                 std=None if rec["std"] is None else np.array(rec["std"], dtype=float),
             ))
-        som_map = SomMap(rows=doc["rows"], cols=doc["cols"], pes=tuple(pes), config=config)
-    except (KeyError, TypeError) as e:
+            _check_cell(pes[-1], k, cols, pes[0].weight.shape, f"{path}: cell {k}")
+        _check_finite(pes, path)
+        som_map = SomMap(rows=rows, cols=cols, pes=tuple(pes), config=config)
+    except SomError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise SomError(f"{path}: malformed map file: {e}") from None
-    if len(som_map.pes) != som_map.rows * som_map.cols:
-        raise SomError(f"{path}: cell list does not tile the grid")
+    _check_member_ids(som_map, path)
     return som_map
+
+
+def _check_cell(pe: PeStats, k: int, cols: int, shape: tuple, where: str) -> None:
+    """Per-cell consistency of a loaded map; shape is the map's weight shape."""
+    if (pe.r, pe.c) != divmod(k, cols):
+        raise SomError(f"{where}: r/c ({pe.r}, {pe.c}) do not match its position "
+                       f"{divmod(k, cols)}")
+    if pe.weight.ndim != 1 or pe.weight.shape != shape or not shape[0]:
+        raise SomError(f"{where}: weight has shape {pe.weight.shape}, expected {shape}")
+    if not isinstance(pe.n, int) or pe.n < 0:
+        raise SomError(f"{where}: n must be a non-negative integer, got {pe.n!r}")
+    if pe.n != len(pe.member_ids):
+        raise SomError(f"{where}: n is {pe.n} but member_ids lists {len(pe.member_ids)}")
+    for name in ("mean", "std"):
+        value = getattr(pe, name)
+        if pe.n == 0 and value is not None:
+            raise SomError(f"{where}: {name} must be null for an empty cell")
+        if pe.n > 0 and (value is None or value.shape != shape):
+            got = None if value is None else value.shape
+            raise SomError(f"{where}: {name} has shape {got}, expected the weight's {shape}")
+
+
+def _check_finite(pes: list[PeStats], path) -> None:
+    """Weights, means and stds hold finite values only; shapes already agree."""
+    for name in ("weight", "mean", "std"):
+        cells = [k for k, pe in enumerate(pes) if getattr(pe, name) is not None]
+        if cells:
+            finite = np.isfinite([getattr(pes[k], name) for k in cells]).all(axis=1)
+            if not finite.all():
+                k = cells[int(np.argmin(finite))]
+                raise SomError(f"{path}: cell {k}: {name} has a non-finite value")
+
+
+def _check_member_ids(som_map: SomMap, path) -> None:
+    """Member ids must cover 0..n-1 exactly once across the cells."""
+    total = som_map.n_samples
+    owner = [-1] * total
+    for k, pe in enumerate(som_map.pes):
+        for i in pe.member_ids:
+            if not isinstance(i, int) or not 0 <= i < total:
+                raise SomError(f"{path}: cell {k}: member id {i!r} is outside 0..{total - 1}")
+            if owner[i] >= 0:
+                raise SomError(f"{path}: cell {k}: member id {i} is also in cell {owner[i]}")
+            owner[i] = k

@@ -167,3 +167,22 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["partition", "evaluate", "sweep"])
+def test_map_and_data_attribute_counts_must_agree(tmp_path, capsys, command):
+    part = tmp_path / "p.json"
+    run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
+    # two attributes and the class column: the 4-attribute map cannot use it
+    data = tmp_path / "two.csv"
+    with open(sb.iris_path()) as f:
+        rows = [l.strip().split(",") for l in f if l.strip()]
+    data.write_text("\n".join(",".join(r[:2] + r[4:]) for r in rows) + "\n")
+    capsys.readouterr()
+    extra = {"partition": ["--out", str(tmp_path / "q.json")],
+             "evaluate": ["--partition", str(part)],
+             "sweep": ["--out", str(tmp_path / "s.csv")]}[command]
+    rc = run_cli(command, "--map", fixture_path("iris_map_seed2.json"),
+                 "--data", str(data), *extra)
+    assert rc == 1
+    assert "map has 4 attributes, data has 2" in capsys.readouterr().err

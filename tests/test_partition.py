@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import somblocks as sb
+import somblocks.partition as partition_module
 from somblocks.partition import (Partition, PartitionError, Region, _walk_partitions,
                                  enumerate_connected_partitions, load_partition,
                                  save_partition, validate_partition)
@@ -134,13 +135,20 @@ def test_exhaustive_rejects_large_grids(fixture_map, iris_params):
         sb.exhaustive_partition(fixture_map, iris_params)
 
 
-def test_exhaustive_matches_quadrants_and_greedy_4x4():
+def test_exhaustive_matches_quadrants_and_greedy_4x4(monkeypatch):
     # one shared enumeration pass: count check + optimality check
     m, params = quadrant_map()
     count = [0]
-    _walk_partitions(4, 4, lambda l, p: count.__setitem__(0, count[0] + 1))
-    assert count[0] == 1691690
+
+    def counting_walk(rows, cols, visit):
+        def counted(labels, parts):
+            count[0] += 1
+            visit(labels, parts)
+        _walk_partitions(rows, cols, counted)
+
+    monkeypatch.setattr(partition_module, "_walk_partitions", counting_walk)
     best = sb.exhaustive_partition(m, params, cell_limit=16)
+    assert count[0] == 1691690
     assert np.array_equal(best.block_of,
                           [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
     greedy = sb.partition_som(m, params)

@@ -155,3 +155,59 @@ def test_config_validation():
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (0.5, 2)))
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.2, 1),))
+
+
+def _broken_map(tmp_path, edit):
+    import json
+    doc = json.load(open(fixture_path("iris_map_seed2.json")))
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _first_occupied(doc):
+    return next(k for k, pe in enumerate(doc["pes"]) if pe["n"] > 1)
+
+
+def _set(field, value, cell=None):
+    def edit(doc):
+        k = _first_occupied(doc) if cell is None else cell
+        doc["pes"][k][field] = value(doc["pes"][k]) if callable(value) else value
+    return edit
+
+
+def _duplicate_member(doc):
+    k = _first_occupied(doc)
+    ids = doc["pes"][k]["member_ids"]
+    ids[1] = ids[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("mean", [1.0, 2.0, 3.0]), r"cell \d+: mean has shape \(3,\)"),
+    (_set("std", [0.1]), r"cell \d+: std has shape \(1,\)"),
+    (_set("weight", [0.0, 1.0], cell=7), r"cell 7: weight has shape \(2,\), expected \(4,\)"),
+    (_set("n", -5), r"cell \d+: n must be a non-negative integer"),
+    (_set("n", lambda pe: pe["n"] + 1), r"cell \d+: n is \d+ but member_ids lists \d+"),
+    (_set("r", 4, cell=0), r"cell 0: r/c \(4, 0\) do not match its position \(0, 0\)"),
+    (_set("c", 3, cell=7), r"cell 7: r/c \(1, 3\) do not match its position \(1, 2\)"),
+    (_set("mean", None), r"cell \d+: mean has shape None"),
+    (_set("mean", [float("nan")] * 4), r"cell \d+: mean has a non-finite value"),
+    (_duplicate_member, r"cell \d+: member id \d+ is also in cell \d+"),
+    (_set("member_ids", lambda pe: [999] + pe["member_ids"][1:]),
+     r"cell \d+: member id 999 is outside 0..149"),
+    (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
+])
+def test_load_rejects_inconsistent_cells(tmp_path, edit, message):
+    with pytest.raises(SomError, match=message):
+        sb.load_map(_broken_map(tmp_path, edit))
+
+
+def test_load_rejects_the_wide_mean_negative_count_map(tmp_path):
+    # such a map used to load and only fail inside numpy when partitioned
+    def edit(doc):
+        pe = doc["pes"][_first_occupied(doc)]
+        pe["mean"] = [1.0, 2.0, 3.0]
+        pe["n"] = -5
+    with pytest.raises(SomError, match="cell"):
+        sb.load_map(_broken_map(tmp_path, edit))

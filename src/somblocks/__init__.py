@@ -9,7 +9,7 @@ from .som import (PeStats, SomConfig, SomMap, initialize, load_map,
                   quantization_error, save_map, train)
 from .bayes_cost import (BlockCosts, BlockStat, CostParams, block_cost, block_cost_for_pes,
                          block_stat, params_from_summary, partition_cost,
-                         range_estimate, sigma_estimate)
+                         sigma_estimate)
 from .partition import (Partition, Region, enumerate_connected_partitions,
                         exhaustive_partition, load_partition, merge_regions,
                         partition_som, quadtree_split, save_partition,
@@ -25,7 +25,7 @@ __all__ = [
     "PeStats", "SomConfig", "SomMap", "initialize", "load_map",
     "quantization_error", "save_map", "train",
     "BlockCosts", "BlockStat", "CostParams", "block_cost", "block_cost_for_pes", "block_stat",
-    "params_from_summary", "partition_cost", "range_estimate", "sigma_estimate",
+    "params_from_summary", "partition_cost", "sigma_estimate",
     "Partition", "Region", "enumerate_connected_partitions", "exhaustive_partition",
     "load_partition", "merge_regions", "partition_som", "quadtree_split",
     "save_partition", "validate_partition",

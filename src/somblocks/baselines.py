@@ -8,13 +8,12 @@ class labels to give each cell its majority class, then groups same-class
 neighbors; it is the best any cell-constant labeling can do.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import encode_labels
-from .partition import Partition
+from .partition import Partition, component_labels
 from .som import SomMap
 
 
@@ -74,35 +73,9 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
     if not T >= 0:
         raise BaselineError("threshold must be non-negative")
     bounds = umatrix_boundaries(som_map)
-    rows, cols = som_map.rows, som_map.cols
-    labels = np.full((rows, cols), -1, dtype=int)
-
-    def kept(s: float) -> bool:
-        return not math.isnan(s) and s <= T
-
-    next_label = 0
-    for r in range(rows):
-        for c in range(cols):
-            if labels[r, c] >= 0:
-                continue
-            stack = [(r, c)]
-            labels[r, c] = next_label
-            while stack:
-                rr, cc = stack.pop()
-                if cc + 1 < cols and labels[rr, cc + 1] < 0 and kept(bounds.h[rr, cc]):
-                    labels[rr, cc + 1] = next_label
-                    stack.append((rr, cc + 1))
-                if cc - 1 >= 0 and labels[rr, cc - 1] < 0 and kept(bounds.h[rr, cc - 1]):
-                    labels[rr, cc - 1] = next_label
-                    stack.append((rr, cc - 1))
-                if rr + 1 < rows and labels[rr + 1, cc] < 0 and kept(bounds.v[rr, cc]):
-                    labels[rr + 1, cc] = next_label
-                    stack.append((rr + 1, cc))
-                if rr - 1 >= 0 and labels[rr - 1, cc] < 0 and kept(bounds.v[rr - 1, cc]):
-                    labels[rr - 1, cc] = next_label
-                    stack.append((rr - 1, cc))
-            next_label += 1
-    return Partition.from_labels(labels)
+    # NaN compares false, so an edge with absent strength stays cut.
+    cells = np.ones((som_map.rows, som_map.cols), dtype=bool)
+    return Partition.from_labels(component_labels(cells, bounds.h <= T, bounds.v <= T))
 
 
 def pe_majority_class(pe, label_ids: np.ndarray, n_classes: int) -> int:
@@ -130,24 +103,12 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
         if pe.n > 0:
             cell_class[pe.r, pe.c] = pe_majority_class(pe, label_ids, len(classes))
 
-    block = np.full((rows, cols), -1, dtype=int)
-    next_block = 0
-    for r in range(rows):
-        for c in range(cols):
-            if block[r, c] >= 0 or cell_class[r, c] < 0:
-                continue
-            stack = [(r, c)]
-            block[r, c] = next_block
-            while stack:
-                rr, cc = stack.pop()
-                for r2, c2 in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
-                    if (0 <= r2 < rows and 0 <= c2 < cols and block[r2, c2] < 0
-                            and cell_class[r2, c2] == cell_class[rr, cc]):
-                        block[r2, c2] = next_block
-                        stack.append((r2, c2))
-            next_block += 1
-    if next_block == 0:
+    occupied = cell_class >= 0
+    if not occupied.any():
         raise BaselineError("map has no non-empty cells")
+    block = component_labels(occupied,
+                             occupied[:, :-1] & (cell_class[:, :-1] == cell_class[:, 1:]),
+                             occupied[:-1] & (cell_class[:-1] == cell_class[1:]))
 
     while np.any(block < 0):
         assigned_any = False

@@ -155,6 +155,10 @@ def params_from_summary(
             raise CostError("two_span range rule needs positive span on every attribute")
         base_R = 2.0 * summary.spans
     elif range_rule == "two_max":
+        for j, top in enumerate(summary.maxs):
+            if not top > 0:
+                raise CostError(f"two_max range rule needs a positive maximum, but attribute "
+                                f"{j} has maximum {float(top)!r}; use range_rule=\"two_span\"")
         base_R = 2.0 * summary.maxs
     else:
         raise CostError(f"range_rule must be one of {RANGE_RULES}")
@@ -220,15 +224,6 @@ def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.nda
         raise CostError("block_size must be a positive integer")
     scale = params.f_sigma * params.sigma_const * params.n_scale_rule(block_size)
     return np.maximum(params.sigma_floor, scale * pe.std)
-
-
-def range_estimate(summary: AttributeSummary, params: CostParams) -> np.ndarray:
-    """Effective per-attribute range under the params' rule and sweep factor."""
-    if params.range_rule == "two_span":
-        if np.any(summary.spans <= 0):
-            raise CostError("two_span range rule needs positive span on every attribute")
-        return params.f_R * 2.0 * summary.spans
-    return params.f_R * 2.0 * summary.maxs
 
 
 def block_cost(members: Sequence[tuple[np.ndarray, np.ndarray]], params: CostParams) -> float:

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bayes_cost import N_SCALE_RULES, params_from_summary
 from .baselines import threshold_partition, umatrix_boundaries
-from .data_model import encode_labels, iris_path, load_csv, summarize
+from .data_model import encode_labels, iris_path, load_csv, summarize, write_text_atomic
 from .evaluate import render_report, report_to_dict, score
 from .partition import Partition, load_partition, partition_som, save_partition
 from .sensitivity import StabilityMap, SweepSpec, default_grid, stable_region, sweep
@@ -152,13 +151,6 @@ def cost_params_from(settings: RunConfig, dataset):
 def provenance(settings: RunConfig, seed) -> dict:
     echo = {k: v for k, v in sorted(settings.values.items())}
     return {"version": __version__, "seed": seed, "config": echo}
-
-
-def write_text_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def render_map(som_map: SomMap, partition: Partition | None = None, labels=None) -> str:

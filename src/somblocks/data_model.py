@@ -6,6 +6,7 @@ in their source units; any scaling happens downstream.
 """
 
 import csv
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -134,6 +135,22 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         labels=labels if label_idx is not None else None,
         attribute_names=names,
     )
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temp file and a rename.
+
+    On any failure the temp file is removed and path keeps its old contents.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def summarize(dataset: Dataset) -> AttributeSummary:

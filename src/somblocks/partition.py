@@ -9,12 +9,12 @@ edge-connected blocks and returns a cheapest one.
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes_cost import BlockCosts, CostParams
+from .data_model import write_text_atomic
 from .som import SomMap
 
 
@@ -90,20 +90,67 @@ def validate_partition(partition: Partition) -> None:
     ids = set(int(v) for v in block_of.ravel())
     if ids != set(range(partition.n_blocks)):
         raise PartitionError("block ids are not dense 0..K-1")
-    for b in range(partition.n_blocks):
-        cells = set(partition.block_cells(b))
-        seen = set()
-        stack = [next(iter(cells))]
-        while stack:
-            r, c = stack.pop()
-            if (r, c) in seen:
-                continue
-            seen.add((r, c))
-            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if (rr, cc) in cells and (rr, cc) not in seen:
-                    stack.append((rr, cc))
-        if seen != cells:
+    rows, cols = block_of.shape
+    inner = _inner_cells(rows, cols)
+    masks = [0] * partition.n_blocks
+    for k, b in enumerate(block_of.ravel().tolist()):
+        masks[b] |= 1 << k
+    for b, mask in enumerate(masks):
+        if flood(mask & -mask, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
             raise PartitionError(f"block {b} is not edge-connected")
+
+
+def flood(comp: int, h: int, v: int, cols: int) -> int:
+    """Grow the cell set comp across open edges until it stops changing.
+
+    Cells are bits of a row-major bitmask.  Bit k of h opens the edge from
+    cell k to k+1 and bit k of v the edge from cell k to k+cols; an open
+    edge joins two cells in both directions.
+    """
+    while True:
+        grown = comp | (comp & h) << 1 | (comp >> 1) & h | (comp & v) << cols | (comp >> cols) & v
+        if grown == comp:
+            return comp
+        comp = grown
+
+
+def component_labels(cells: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label the edge-connected components of a set of grid cells.
+
+    cells is a (rows, cols) boolean array.  h (rows, cols-1) opens the edge
+    between (r, c) and (r, c+1), v (rows-1, cols) the edge between (r, c)
+    and (r+1, c); an open edge must join two cells.  Components are numbered
+    in order of their lowest row-major cell; other cells get -1.
+    """
+    rows, cols = cells.shape
+    h_bits = _bits(np.pad(h, ((0, 0), (0, 1))))
+    v_bits = _bits(np.pad(v, ((0, 1), (0, 0))))
+    rest = _bits(cells)
+    found = []
+    while rest:
+        comp = flood(rest & -rest, h_bits, v_bits, cols)
+        found.append(comp)
+        rest &= ~comp
+    return _label_grid(found, rows, cols)
+
+
+def _inner_cells(rows: int, cols: int) -> int:
+    """Bitmask of the cells that are not in the last column."""
+    row = (1 << (cols - 1)) - 1
+    return sum(row << (r * cols) for r in range(rows))
+
+
+def _bits(flags: np.ndarray) -> int:
+    """Row-major bitmask of the true entries of a boolean array."""
+    return int.from_bytes(np.packbits(flags.ravel(), bitorder="little").tobytes(), "little")
+
+
+def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) array giving each cell the index of its mask, -1 for none."""
+    labels = np.full(rows * cols, -1)
+    for b, mask in enumerate(masks):
+        labels[_mask_cells(mask)] = b
+    return labels.reshape(rows, cols)
 
 
 def _subdivide(region: Region) -> list[Region]:
@@ -184,8 +231,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     rows, cols = som_map.rows, som_map.cols
     _check_tiling(regions, rows, cols)
     cost = _costs_for(som_map, params, costs).cost
-    left = sum(1 << (r * cols) for r in range(rows))
-    right = left << (cols - 1)
+    inner = _inner_cells(rows, cols)
     grid = (1 << (rows * cols)) - 1
 
     # (order key, cell mask, mask of the cells edge-adjacent to the block);
@@ -194,7 +240,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     for region in regions:
         mask = _region_mask(region, cols)
         near = (mask << cols | mask >> cols
-                | (mask & ~right) << 1 | (mask & ~left) >> 1) & grid
+                | (mask & inner) << 1 | (mask >> 1) & inner) & grid
         blocks.append(((region.c0, region.r0), mask, near))
 
     changed = True
@@ -219,10 +265,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
                 j += 1
             i += 1
 
-    labels = np.empty(rows * cols, dtype=int)
-    for b, (_, mask, _) in enumerate(blocks):
-        labels[_mask_cells(mask)] = b
-    partition = Partition.from_labels(labels.reshape(rows, cols))
+    partition = Partition.from_labels(_label_grid((mask for _, mask, _ in blocks), rows, cols))
     return Partition(block_of=partition.block_of, n_blocks=partition.n_blocks,
                      cost=math.fsum(cost(mask) for _, mask, _ in blocks))
 
@@ -246,36 +289,6 @@ def partition_som(som_map: SomMap, params: CostParams,
     """
     costs = _costs_for(som_map, params, costs)
     return merge_regions(quadtree_split(som_map, params, costs), som_map, params, costs)
-
-
-def _flood(mask: int, seed: int, nbr: list[int]) -> int:
-    comp = seed
-    while True:
-        grow = 0
-        mm = comp
-        while mm:
-            low = mm & -mm
-            grow |= nbr[low.bit_length() - 1]
-            mm ^= low
-        new = (grow & mask) | comp
-        if new == comp:
-            return comp
-        comp = new
-
-
-def _components_touch(mask: int, required: int, nbr: list[int]) -> bool:
-    """True iff every connected component of mask intersects required."""
-    rest = mask
-    while rest:
-        comp = _flood(mask, rest & -rest, nbr)
-        if not comp & required:
-            return False
-        rest &= ~comp
-    return True
-
-
-def _is_connected(mask: int, nbr: list[int]) -> bool:
-    return _flood(mask, mask & -mask, nbr) == mask
 
 
 def _grid_masks(rows: int, cols: int):
@@ -310,6 +323,7 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
     """
     n = rows * cols
     nbr, row_mask, frontier = _grid_masks(rows, cols)
+    inner = _inner_cells(rows, cols)
     labels = [0] * n
     parts: list[int] = []
 
@@ -317,18 +331,17 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
         # Only meaningful when k completes a row.  A block with no cell in
         # that row can never grow again, so it must already be connected; one
         # that still touches the row may stay split only if every component
-        # reaches the row.  Blocks untouched since before the previous row
-        # were verified when they closed and are skipped.
+        # reaches the row, that is if the flood from its row cells fills it.
+        # Blocks untouched since before the previous row were verified when
+        # they closed and are skipped.
         if (k + 1) % cols:
             return True
         r = k // cols
         rm = row_mask[r]
         prev = row_mask[r - 1] if r else 0
         for mask in parts:
-            if mask & rm:
-                if not _components_touch(mask, rm, nbr):
-                    return False
-            elif mask & prev and not _is_connected(mask, nbr):
+            seed = mask & rm or (mask & prev and mask & -mask)
+            if seed and flood(seed, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
                 return False
         return True
 
@@ -336,8 +349,11 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
 
     def rec(k: int) -> None:
         if k == n:
-            if all(_is_connected(mask, nbr) for mask in parts if mask & last):
-                visit(labels, parts)
+            for mask in parts:
+                if mask & last and flood(mask & -mask, mask & mask >> 1 & inner,
+                                         mask & mask >> cols, cols) != mask:
+                    return
+            visit(labels, parts)
             return
         bit = 1 << k
         reachable = nbr[k] | frontier[k]
@@ -361,15 +377,15 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
     rec = None
 
 
-def enumerate_connected_partitions(rows: int, cols: int):
+def enumerate_connected_partitions(rows: int, cols: int) -> list[tuple]:
     """All partitions of the rows x cols grid into edge-connected blocks.
 
-    Materializes the full set before yielding; meant for small grids (the
+    Returns a list of row-major block-id tuples; meant for small grids (the
     count grows like the connected-partition numbers 2, 12, 1434, ...).
     """
     found: list[tuple] = []
     _walk_partitions(rows, cols, lambda labels, _: found.append(tuple(labels)))
-    yield from found
+    return found
 
 
 def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 9) -> Partition:
@@ -419,10 +435,7 @@ def partition_to_json(partition: Partition, params_echo: dict | None = None,
 
 def save_partition(partition: Partition, path, params_echo: dict | None = None,
                    provenance: dict | None = None) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(partition_to_json(partition, params_echo, provenance))
-    os.replace(tmp, path)
+    write_text_atomic(path, partition_to_json(partition, params_echo, provenance))
 
 
 def load_partition(path) -> Partition:

@@ -10,12 +10,11 @@ generator, so a (dataset, config) pair fully determines the result.
 """
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, write_text_atomic
 
 MAP_FORMAT_VERSION = 1
 
@@ -43,8 +42,8 @@ class SomConfig:
             raise SomError("grid must have at least 2 cells")
         if self.epochs < 1:
             raise SomError("epochs must be positive")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise SomError("need lr_start >= lr_end > 0")
+        if not (1 >= self.lr_start >= self.lr_end > 0):
+            raise SomError("need 1 >= lr_start >= lr_end > 0")
         if self.conscience_beta < 0 or self.conscience_gamma < 0:
             raise SomError("conscience constants must be non-negative")
         if not (0 <= int(self.seed) < 2**64):
@@ -264,10 +263,7 @@ def map_to_json(som_map: SomMap) -> str:
 
 
 def save_map(som_map: SomMap, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(map_to_json(som_map))
-    os.replace(tmp, path)
+    write_text_atomic(path, map_to_json(som_map))
 
 
 def load_map(path) -> SomMap:

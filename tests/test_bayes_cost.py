@@ -66,15 +66,25 @@ def test_sigma_estimate_rejects_empty_cell():
 def test_range_estimate_iris(iris):
     summ = sb.summarize(iris)
     two_max = sb.params_from_summary(summ, range_rule="two_max")
-    assert sb.range_estimate(summ, two_max) == pytest.approx([15.8, 8.8, 13.8, 5.0])
-    two_span = sb.params_from_summary(summ, range_rule="two_span")
-    assert sb.range_estimate(summ, two_span) == pytest.approx([7.2, 4.8, 11.8, 4.8])
+    assert two_max.R == pytest.approx([15.8, 8.8, 13.8, 5.0])
+    assert two_max.effective_R() == pytest.approx([15.8, 8.8, 13.8, 5.0])
+    two_span = sb.params_from_summary(summ, range_rule="two_span", f_R=3.0)
+    assert two_span.R == pytest.approx([7.2, 4.8, 11.8, 4.8])
+    assert two_span.effective_R() == pytest.approx([21.6, 14.4, 35.4, 14.4])
 
 
 def test_range_estimate_zero_span_errors():
     summ = sb.AttributeSummary(mins=np.array([1.0, 0.0]), maxs=np.array([1.0, 2.0]))
     with pytest.raises(CostError):
         sb.params_from_summary(summ, range_rule="two_span", sigma_floor=np.array([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("top, shown", [(0.0, "0.0"), (-1.5, "-1.5")])
+def test_two_max_names_the_attribute_without_a_positive_maximum(top, shown):
+    summ = sb.AttributeSummary(mins=np.array([1.0, -3.0]), maxs=np.array([2.0, top]))
+    message = f'attribute 1 has maximum {shown}; use range_rule="two_span"'
+    with pytest.raises(CostError, match=message):
+        sb.params_from_summary(summ, sigma_floor=np.array([0.1, 0.1]))
 
 
 def test_singleton_block_cost_per_block():

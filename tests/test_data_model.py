@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import somblocks as sb
-from somblocks.data_model import DataError, encode_labels
+from somblocks.data_model import DataError, encode_labels, write_text_atomic
+
+from conftest import fixture_path
 
 
 def test_iris_shape_and_classes(iris):
@@ -105,3 +107,43 @@ def test_encode_labels_sorted_order():
     classes, ids = encode_labels(["b", "a", "b", "c"])
     assert classes == ["a", "b", "c"]
     assert ids.tolist() == [1, 0, 1, 2]
+
+
+
+def old_artifact(tmp_path):
+    target = tmp_path / "artifact.json"
+    target.write_text("old contents\n")
+    return target
+
+
+def assert_untouched(tmp_path, target):
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_failed_save_partition_keeps_the_old_file(tmp_path):
+    target = old_artifact(tmp_path)
+    p = sb.Partition.from_labels(np.array([[0, 1]]))
+    with pytest.raises(TypeError):
+        sb.save_partition(p, target, params_echo={"f": object()})
+    assert_untouched(tmp_path, target)
+
+
+def test_failed_save_map_keeps_the_old_file(tmp_path, monkeypatch):
+    target = old_artifact(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("somblocks.data_model.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        sb.save_map(sb.load_map(fixture_path("iris_map_seed2.json")), target)
+    assert_untouched(tmp_path, target)
+
+
+def test_write_onto_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "keep").write_text("")
+    with pytest.raises(OSError):
+        write_text_atomic(tmp_path / "out", "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

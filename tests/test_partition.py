@@ -111,6 +111,7 @@ def test_fixture_map_partitions_into_three_blocks(fixture_map, iris_params):
 
 
 def test_enumeration_counts():
+    assert isinstance(enumerate_connected_partitions(2, 2), list)
     assert sum(1 for _ in enumerate_connected_partitions(1, 2)) == 2
     assert sum(1 for _ in enumerate_connected_partitions(2, 2)) == 12
     assert sum(1 for _ in enumerate_connected_partitions(3, 3)) == 1434

@@ -149,6 +149,10 @@ def test_config_validation():
         sb.SomConfig(rows=1, cols=1)
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, lr_start=0.1, lr_end=0.5)
+    for lr_start, lr_end in ((3.0, 0.01), (1.5, 1.2), (0.5, 0.0), (0.5, -0.1)):
+        with pytest.raises(SomError, match="1 >= lr_start >= lr_end > 0"):
+            sb.SomConfig(rows=3, cols=3, lr_start=lr_start, lr_end=lr_end)
+    assert sb.SomConfig(rows=2, cols=2, lr_start=1.0, lr_end=1.0).lr_start == 1.0
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, epochs=0)
     with pytest.raises(SomError):

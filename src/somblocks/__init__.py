@@ -16,9 +16,8 @@ from .partition import (Partition, Region, enumerate_connected_partitions,
                         validate_partition)
 from .baselines import (BoundaryMap, oracle_partition, threshold_partition,
                         umatrix_boundaries)
-from .evaluate import EvalReport, render_report, score
+from .evaluate import EvalReport, render_map, render_report, score
 from .sensitivity import StabilityMap, SweepSpec, default_grid, stable_region, sweep
-from .cli import render_map
 
 __all__ = [
     "AttributeSummary", "Dataset", "iris_path", "load_csv", "summarize",
@@ -30,7 +29,6 @@ __all__ = [
     "load_partition", "merge_regions", "partition_som", "quadtree_split",
     "save_partition", "validate_partition",
     "BoundaryMap", "oracle_partition", "threshold_partition", "umatrix_boundaries",
-    "EvalReport", "render_report", "score",
+    "EvalReport", "render_map", "render_report", "score",
     "StabilityMap", "SweepSpec", "default_grid", "stable_region", "sweep",
-    "render_map",
 ]

@@ -18,9 +18,9 @@ import numpy as np
 from . import __version__
 from .bayes_cost import N_SCALE_RULES, params_from_summary
 from .baselines import threshold_partition, umatrix_boundaries
-from .data_model import encode_labels, iris_path, load_csv, summarize, write_text_atomic
-from .evaluate import render_report, report_to_dict, score
-from .partition import Partition, load_partition, partition_som, save_partition
+from .data_model import iris_path, load_csv, summarize, write_text_atomic
+from .evaluate import render_map, render_report, report_to_dict, score
+from .partition import load_partition, partition_som, save_partition
 from .sensitivity import StabilityMap, SweepSpec, default_grid, stable_region, sweep
 from .som import SomConfig, SomMap, load_map, save_map, train
 
@@ -151,51 +151,6 @@ def cost_params_from(settings: RunConfig, dataset):
 def provenance(settings: RunConfig, seed) -> dict:
     echo = {k: v for k, v in sorted(settings.values.items())}
     return {"version": __version__, "seed": seed, "config": echo}
-
-
-def render_map(som_map: SomMap, partition: Partition | None = None, labels=None) -> str:
-    """ASCII grid: block ids, per-class cell populations, block boundaries."""
-    if labels is not None:
-        _, label_ids = encode_labels(labels)
-        n_classes = int(label_ids.max()) + 1
-
-    def cell_text(pe) -> str:
-        parts = []
-        if partition is not None:
-            parts.append(str(int(partition.block_of[pe.r, pe.c])))
-        if labels is not None:
-            counts = np.bincount(label_ids[list(pe.member_ids)], minlength=n_classes)
-            parts.append("(" + ",".join(str(int(v)) for v in counts) + ")")
-        else:
-            parts.append(f"({pe.n})")
-        return " ".join(parts)
-
-    texts = [[cell_text(som_map.pe(r, c)) for c in range(som_map.cols)]
-             for r in range(som_map.rows)]
-    width = max(len(t) for row in texts for t in row)
-
-    def differs(r1, c1, r2, c2) -> bool:
-        return partition is not None and (
-            partition.block_of[r1, c1] != partition.block_of[r2, c2])
-
-    lines = []
-    for r in range(som_map.rows):
-        row = ""
-        for c in range(som_map.cols):
-            row += f"{texts[r][c]:<{width}}"
-            if c + 1 < som_map.cols:
-                row += " │ " if differs(r, c, r, c + 1) else "   "
-        lines.append(row.rstrip())
-        if r + 1 < som_map.rows:
-            gap = ""
-            for c in range(som_map.cols):
-                gap += ("─" * width) if differs(r, c, r + 1, c) else (" " * width)
-                if c + 1 < som_map.cols:
-                    joint = differs(r, c, r + 1, c) or differs(r, c + 1, r + 1, c + 1)
-                    gap += "───" if joint else "   "
-            if gap.strip():
-                lines.append(gap.rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def _load_labeled(settings: RunConfig, need_labels: bool):

@@ -1,4 +1,5 @@
-"""Scoring of partitions against ground-truth class labels.
+"""Scoring of partitions against ground-truth class labels, and text views of
+a score report and of a partitioned map.
 
 A partition is scored by giving every block the majority class of the
 samples its cells hold, predicting each sample through its block, and
@@ -108,4 +109,49 @@ def render_report(report: EvalReport) -> str:
     lines.append(f"p_e: {report.p_e:.6f}")
     lines.append(f"kappa: {report.kappa:.6f}")
     lines.append("#json " + json.dumps(report_to_dict(report), sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def render_map(som_map: SomMap, partition: Partition | None = None, labels=None) -> str:
+    """ASCII grid: block ids, per-class cell populations, block boundaries."""
+    if labels is not None:
+        _, label_ids = encode_labels(labels)
+        n_classes = int(label_ids.max()) + 1
+
+    def cell_text(pe) -> str:
+        parts = []
+        if partition is not None:
+            parts.append(str(int(partition.block_of[pe.r, pe.c])))
+        if labels is not None:
+            counts = np.bincount(label_ids[list(pe.member_ids)], minlength=n_classes)
+            parts.append("(" + ",".join(str(int(v)) for v in counts) + ")")
+        else:
+            parts.append(f"({pe.n})")
+        return " ".join(parts)
+
+    texts = [[cell_text(som_map.pe(r, c)) for c in range(som_map.cols)]
+             for r in range(som_map.rows)]
+    width = max(len(t) for row in texts for t in row)
+
+    def differs(r1, c1, r2, c2) -> bool:
+        return partition is not None and (
+            partition.block_of[r1, c1] != partition.block_of[r2, c2])
+
+    lines = []
+    for r in range(som_map.rows):
+        row = ""
+        for c in range(som_map.cols):
+            row += f"{texts[r][c]:<{width}}"
+            if c + 1 < som_map.cols:
+                row += " │ " if differs(r, c, r, c + 1) else "   "
+        lines.append(row.rstrip())
+        if r + 1 < som_map.rows:
+            gap = ""
+            for c in range(som_map.cols):
+                gap += ("─" * width) if differs(r, c, r + 1, c) else (" " * width)
+                if c + 1 < som_map.cols:
+                    joint = differs(r, c, r + 1, c) or differs(r, c + 1, r + 1, c + 1)
+                    gap += "───" if joint else "   "
+            if gap.strip():
+                lines.append(gap.rstrip())
     return "\n".join(lines) + "\n"

@@ -104,6 +104,18 @@ class SomMap:
     pes: tuple[PeStats, ...]   # row-major
     config: SomConfig
 
+    def __post_init__(self):
+        if (self.rows, self.cols) != (self.config.rows, self.config.cols):
+            raise SomError(f"grid {self.rows}x{self.cols} differs from the config's "
+                           f"{self.config.rows}x{self.config.cols}")
+        if len(self.pes) != self.rows * self.cols:
+            raise SomError(f"{len(self.pes)} cells do not tile the "
+                           f"{self.rows}x{self.cols} grid")
+        for k, pe in enumerate(self.pes):
+            if (pe.r, pe.c) != divmod(k, self.cols):
+                raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
+                               f"position {divmod(k, self.cols)}")
+
     def pe(self, r: int, c: int) -> PeStats:
         return self.pes[r * self.cols + c]
 
@@ -159,6 +171,21 @@ def initialize(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
+def _neighborhoods(grid: np.ndarray, hw: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per winner (row-major): its neighborhood as a view of the (rows, cols, M)
+    weight grid, the square of half-width hw clamped at the grid edges, and a
+    same-shaped view of one step buffer shared by all winners."""
+    rows, cols, m = grid.shape
+    step = np.empty((min(rows, 2 * hw + 1), min(cols, 2 * hw + 1), m))
+    hoods = []
+    for r in range(rows):
+        r0, r1 = max(r - hw, 0), min(r + hw + 1, rows)
+        for c in range(cols):
+            c0, c1 = max(c - hw, 0), min(c + hw + 1, cols)
+            hoods.append((grid[r0:r1, c0:c1], step[:r1 - r0, :c1 - c0]))
+    return hoods
+
+
 def train(dataset: Dataset, config: SomConfig) -> SomMap:
     """Train the map on the dataset; deterministic in (dataset, config).
 
@@ -172,29 +199,51 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
     """
     samples = dataset.samples
     n, m = samples.shape
-    n_pes = config.rows * config.cols
+    rows, cols = config.rows, config.cols
+    n_pes = rows * cols
     rng = np.random.default_rng(config.seed)
 
     weights = _initial_weights(rng, samples, n_pes)
-    pe_r = np.arange(n_pes) // config.cols
-    pe_c = np.arange(n_pes) % config.cols
-    freq = np.full(n_pes, 1.0 / n_pes)
+    grid = weights.reshape(rows, cols, m)          # a view: slices update weights
+    inv_pes = 1.0 / n_pes
+    freq = np.full(n_pes, inv_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
+    xs = list(samples)
+    # Every step writes into these buffers instead of allocating temporaries;
+    # each ufunc is the one the plain expression in the comment beside it
+    # calls, with the same operands in the same order, so the weights stay
+    # bit-identical to that expression's.
+    diff = np.empty((n_pes, m))
+    d2 = np.empty(n_pes)
+    bias = np.empty(n_pes)
+    decay = np.empty(n_pes)
+    hw, hoods = None, None
 
     for epoch in range(config.epochs):
         if config.epochs > 1:
             lr = config.lr_start + (config.lr_end - config.lr_start) * epoch / (config.epochs - 1)
         else:
             lr = config.lr_start
-        hw = config.half_width_at(epoch)
-        for idx in rng.permutation(n):
-            x = samples[idx]
-            d2 = ((weights - x) ** 2).sum(axis=1)
-            winner = int(np.argmin(d2 - gamma * (1.0 / n_pes - freq)))
-            freq += beta * (-freq)
+        if config.half_width_at(epoch) != hw:          # once per schedule phase
+            hw = config.half_width_at(epoch)
+            hoods = _neighborhoods(grid, hw)
+        for idx in rng.permutation(n).tolist():
+            x = xs[idx]
+            np.subtract(weights, x, out=diff)           # d2 = ((weights - x) ** 2)
+            np.square(diff, out=diff)                   #      .sum(axis=1)
+            np.add.reduce(diff, axis=1, out=d2)
+            np.subtract(inv_pes, freq, out=bias)        # d2 - gamma * (1/P - freq)
+            np.multiply(gamma, bias, out=bias)
+            np.subtract(d2, bias, out=d2)
+            winner = int(d2.argmin())
+            np.negative(freq, out=decay)                # freq += beta * (-freq)
+            np.multiply(beta, decay, out=decay)
+            np.add(freq, decay, out=freq)
             freq[winner] += beta
-            hood = (np.abs(pe_r - pe_r[winner]) <= hw) & (np.abs(pe_c - pe_c[winner]) <= hw)
-            weights[hood] += lr * (x - weights[hood])
+            box, step = hoods[winner]                   # box += lr * (x - box)
+            np.subtract(x, box, out=step)
+            np.multiply(lr, step, out=step)
+            np.add(box, step, out=box)
 
     if not np.all(np.isfinite(weights)):
         raise SomError("non-finite weight encountered; learning rate diverged")

@@ -1,6 +1,9 @@
 """The cached block-cost engine is exact: it reproduces the reference costs bit
 for bit, so partitions built through it make the same decisions."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,35 @@ def test_sweep_points_match_fresh_partitions(seed, rule, exponent, r_decades, s_
             fresh = sb.partition_som(m, base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)))
             assert st_map.signatures[i][j] == fresh.signature()
             assert st_map.n_blocks[i, j] == fresh.n_blocks
+
+
+def project(m, j):
+    """The map restricted to attribute j, a one-attribute map."""
+    pes = tuple(dataclasses.replace(
+        pe, weight=pe.weight[j:j + 1],
+        mean=None if pe.mean is None else pe.mean[j:j + 1],
+        std=None if pe.std is None else pe.std[j:j + 1]) for pe in m.pes)
+    return dataclasses.replace(m, pes=pes)
+
+
+@exact(150)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), f_R=factors, f_sigma=factors)
+def test_block_cost_adds_up_over_attributes(seed, rule, exponent, f_R, f_sigma):
+    rng, m, base = random_case(seed, rule, exponent)
+    params = base.scaled(f_R=f_R, f_sigma=f_sigma)
+    M, n_cells = params.n_attributes, m.rows * m.cols
+    single = [BlockCosts(project(m, j), dataclasses.replace(
+        params, R=params.R[j:j + 1], sigma_floor=params.sigma_floor[j:j + 1]))
+        for j in range(M)]
+    whole = BlockCosts(m, params)
+    masks = [(1 << n_cells) - 1] + [1 << k for k in range(n_cells)]
+    for _ in range(20):
+        masks.append(sum(1 << int(k) for k in np.flatnonzero(rng.random(n_cells) < 0.5)))
+    for mask in masks:
+        parts = [costs.cost(mask) for costs in single]
+        scale = math.fsum(abs(c) for c in parts)
+        assert abs(whole.cost(mask) - math.fsum(parts)) <= 1e-12 * scale
 
 
 def test_attribute_count_mismatch_names_both_counts(fixture_map):

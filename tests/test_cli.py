@@ -1,13 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import somblocks as sb
 from somblocks.cli import DEFAULTS, main, parse_config_file, render_map, resolve_settings
-from somblocks.som import SomConfig, SomMap
 
-from conftest import fixture_path, make_map, make_pe
+from conftest import fixture_path, make_map
 
 
 def run_cli(*argv):
@@ -141,11 +143,10 @@ def test_sweep_command_writes_csv(tmp_path):
     assert center[0][2] == "true"
 
 
-def test_render_single_cell_map():
-    pe = make_pe(1.0, 0.1, n=3)
-    m = SomMap(rows=1, cols=1, pes=(pe,), config=SomConfig(rows=1, cols=2, seed=0))
+def test_render_single_row_map():
+    m = make_map([[1.0, 9.0]], s=0.1, n_members=3)
     text = render_map(m)
-    assert text == "(3)\n"
+    assert text == "(3)   (3)\n"
     assert "│" not in text and "─" not in text
 
 
@@ -167,6 +168,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sb.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "somblocks.cli",
+                           "--version"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"somblocks {sb.__version__}\n"
 
 
 @pytest.mark.parametrize("command", ["partition", "evaluate", "sweep"])

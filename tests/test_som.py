@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks.som import SomError
+from somblocks.som import PeStats, SomError, _stats_from_weights, map_to_json
 
-from conftest import fixture_path
+from conftest import fixture_path, make_map
 
 
 def flat_dataset(v, n):
@@ -113,6 +117,69 @@ def test_gamma_zero_is_plain_nearest_pe():
     assert np.allclose(got, ref, atol=1e-12)
 
 
+def _reference_train(dataset, config):
+    """The training loop written with plain array expressions: a boolean
+    neighborhood mask and a fancy-index gather and scatter per presentation."""
+    samples = dataset.samples
+    n, m = samples.shape
+    n_pes = config.rows * config.cols
+    rng = np.random.default_rng(config.seed)
+
+    weights = samples[rng.integers(0, n, size=n_pes)].astype(float).copy()
+    pe_r = np.arange(n_pes) // config.cols
+    pe_c = np.arange(n_pes) % config.cols
+    freq = np.full(n_pes, 1.0 / n_pes)
+    beta, gamma = config.conscience_beta, config.conscience_gamma
+
+    for epoch in range(config.epochs):
+        if config.epochs > 1:
+            lr = config.lr_start + (config.lr_end - config.lr_start) * epoch / (config.epochs - 1)
+        else:
+            lr = config.lr_start
+        hw = config.half_width_at(epoch)
+        for idx in rng.permutation(n):
+            x = samples[idx]
+            d2 = ((weights - x) ** 2).sum(axis=1)
+            winner = int(np.argmin(d2 - gamma * (1.0 / n_pes - freq)))
+            freq += beta * (-freq)
+            freq[winner] += beta
+            hood = (np.abs(pe_r - pe_r[winner]) <= hw) & (np.abs(pe_c - pe_c[winner]) <= hw)
+            weights[hood] += lr * (x - weights[hood])
+    return _stats_from_weights(dataset, config, weights)
+
+
+@st.composite
+def training_cases(draw):
+    n = draw(st.integers(1, 30))
+    M = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(0.0, draw(st.sampled_from([0.3, 1.0, 5.0])), size=(n, M))
+    if draw(st.booleans()):
+        samples = np.round(samples)             # repeated values: distance ties
+    rows, cols = draw(st.tuples(st.integers(1, 6), st.integers(1, 7))
+                      .filter(lambda shape: shape[0] * shape[1] >= 2))
+    widths = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)), reverse=True)
+    fracs = [0.0] + sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(widths) - 1,
+                                         max_size=len(widths) - 1)))
+    lr_start = draw(st.floats(0.01, 1.0))
+    config = sb.SomConfig(
+        rows=rows, cols=cols, epochs=draw(st.integers(1, 6)),
+        lr_start=lr_start, lr_end=draw(st.floats(0.001, lr_start)),
+        neighborhood_schedule=tuple(zip(fracs, widths)),
+        conscience_beta=draw(st.sampled_from([0.0, 1e-4]) | st.floats(0.0, 0.5)),
+        conscience_gamma=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)),
+        seed=draw(st.integers(0, 2**64 - 1)))
+    names = [f"a{j}" for j in range(M)]
+    return sb.Dataset(samples=samples, labels=None, attribute_names=names), config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=training_cases())
+def test_train_matches_reference_loop_bit_for_bit(case):
+    dataset, config = case
+    assert map_to_json(sb.train(dataset, config)) == map_to_json(_reference_train(dataset, config))
+
+
 def test_save_load_round_trip(tmp_path, iris):
     m = sb.train(iris, sb.SomConfig(rows=3, cols=3, epochs=20, seed=11))
     path = tmp_path / "m.json"
@@ -215,3 +282,18 @@ def test_load_rejects_the_wide_mean_negative_count_map(tmp_path):
         pe["n"] = -5
     with pytest.raises(SomError, match="cell"):
         sb.load_map(_broken_map(tmp_path, edit))
+
+
+def test_map_checks_its_grid_on_construction():
+    m = make_map([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    with pytest.raises(SomError, match="grid 3x2 differs from the config's 2x3"):
+        dataclasses.replace(m, rows=3, cols=2)
+    with pytest.raises(SomError, match="5 cells do not tile the 2x3 grid"):
+        dataclasses.replace(m, pes=m.pes[:5])
+    pes = list(m.pes)
+    pes[4] = dataclasses.replace(pes[4], r=0, c=1)
+    with pytest.raises(SomError, match=r"cell 4: r/c \(0, 1\) do not match its position \(1, 1\)"):
+        dataclasses.replace(m, pes=tuple(pes))
+    one = PeStats(r=0, c=0, weight=np.zeros(1), member_ids=(), n=0, mean=None, std=None)
+    with pytest.raises(SomError, match="grid 1x1 differs from the config's 1x2"):
+        sb.SomMap(rows=1, cols=1, pes=(one,), config=sb.SomConfig(rows=1, cols=2))

@@ -24,7 +24,7 @@ som_map = sb.train(iris, config)
 print(f"\nquantization error: {sb.quantization_error(untrained, iris):.4f} untrained "
       f"-> {sb.quantization_error(som_map, iris):.4f} trained")
 
-populations = np.array([pe.n for pe in som_map.pes]).reshape(5, 5)
+populations = som_map.counts.reshape(5, 5)
 print("\ncell populations (conscience keeps them balanced):")
 print(populations)
 

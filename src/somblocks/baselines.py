@@ -43,25 +43,21 @@ class BoundaryMap:
 
 def umatrix_boundaries(som_map: SomMap) -> BoundaryMap:
     """Mean-vector distances across all adjacent cell pairs."""
-    if sum(pe.n > 0 for pe in som_map.pes) < 2:
+    if np.count_nonzero(som_map.counts) < 2:
         raise BaselineError("need at least 2 non-empty cells")
     rows, cols = som_map.rows, som_map.cols
-    h = np.full((rows, max(cols - 1, 0)), np.nan)
-    v = np.full((max(rows - 1, 0), cols), np.nan)
-    for r in range(rows):
-        for c in range(cols):
-            a = som_map.pe(r, c)
-            if a.n == 0:
-                continue
-            if c + 1 < cols:
-                b = som_map.pe(r, c + 1)
-                if b.n > 0:
-                    h[r, c] = np.linalg.norm(a.mean - b.mean)
-            if r + 1 < rows:
-                b = som_map.pe(r + 1, c)
-                if b.n > 0:
-                    v[r, c] = np.linalg.norm(a.mean - b.mean)
-    return BoundaryMap(h=h, v=v)
+    means = som_map.means.reshape(rows, cols, -1)
+    occupied = (som_map.counts > 0).reshape(rows, cols)
+
+    def strengths(a, b, both):
+        # vecdot computes each pair's dot product as np.linalg.norm of that
+        # pair does, so the strengths keep their bits
+        d = a - b
+        return np.where(both, np.sqrt(np.vecdot(d, d)), np.nan)
+
+    return BoundaryMap(
+        h=strengths(means[:, :-1], means[:, 1:], occupied[:, :-1] & occupied[:, 1:]),
+        v=strengths(means[:-1], means[1:], occupied[:-1] & occupied[1:]))
 
 
 def threshold_partition(som_map: SomMap, T: float) -> Partition:
@@ -79,7 +75,10 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
 
 
 def pe_majority_class(pe, label_ids: np.ndarray, n_classes: int) -> int:
-    """Majority class id among a cell's members; ties go to the lowest id."""
+    """Majority class id among a cell's members; ties go to the lowest id.
+
+    One cell at a time, the reference for the oracle's array computation.
+    """
     counts = np.bincount(label_ids[list(pe.member_ids)], minlength=n_classes)
     return int(np.argmax(counts))
 
@@ -98,10 +97,9 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
         raise BaselineError("labels do not cover the map's samples")
 
     rows, cols = som_map.rows, som_map.cols
-    cell_class = np.full((rows, cols), -1, dtype=int)
-    for pe in som_map.pes:
-        if pe.n > 0:
-            cell_class[pe.r, pe.c] = pe_majority_class(pe, label_ids, len(classes))
+    # majority class per non-empty cell, ties to the lowest class id
+    majority = som_map.class_counts(label_ids, len(classes)).argmax(axis=1)
+    cell_class = np.where(som_map.counts > 0, majority, -1).reshape(rows, cols)
 
     occupied = cell_class >= 0
     if not occupied.any():

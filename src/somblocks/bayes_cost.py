@@ -289,28 +289,13 @@ class BlockCosts:
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
-        m = params.n_attributes
-        if som_map.n_attributes != m:
+        if som_map.n_attributes != params.n_attributes:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
-                            f"cost params have {m}")
-        zeros = np.zeros(m)
-        means, stds, occupied = [], [], 0
-        for k, pe in enumerate(som_map.pes):
-            if pe.n > 0:
-                if np.shape(pe.mean) != (m,) or np.shape(pe.std) != (m,):
-                    raise CostError(f"cell ({pe.r}, {pe.c}) mean or std is not "
-                                    f"{m} attributes wide")
-                means.append(pe.mean)
-                stds.append(pe.std)
-                occupied |= 1 << k
-            else:
-                means.append(zeros)
-                stds.append(zeros)
+                            f"cost params have {params.n_attributes}")
         self.som_map = som_map
-        self._means = np.array(means, dtype=float)
-        self._stds = np.array(stds, dtype=float)
-        self._occupied = occupied
-        self._n_cells = len(som_map.pes)
+        self._n_cells = len(som_map.counts)
+        self._occupied = int.from_bytes(
+            np.packbits(som_map.counts > 0, bitorder="little").tobytes(), "little")
         self._nbytes = (self._n_cells + 7) // 8
         self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
         self._terms: dict[int, tuple] = {}          # mask -> (n, width terms per attribute)
@@ -354,11 +339,11 @@ class BlockCosts:
         scale = p.f_sigma * p.sigma_const * p.n_scale_rule(n)
         table = self._tables.get(scale)
         if table is None:
-            sigmas = np.maximum(p.sigma_floor, scale * self._stds)
+            sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
             w = 1.0 / sigmas**2
             log_sigmas = [[math.log(s) for s in row] for row in sigmas.tolist()]
-            table = self._tables[scale] = np.hstack([w, w * self._means, log_sigmas,
-                                                     self._means])
+            means = self.som_map.means
+            table = self._tables[scale] = np.hstack([w, w * means, log_sigmas, means])
         return table
 
     def _width_terms(self, mask: int) -> tuple:

@@ -37,6 +37,14 @@ class EvalReport:
         return self.p_o
 
 
+def _check_fit(som_map: SomMap, partition: Partition | None, label_ids) -> None:
+    """Labels must name each of the map's samples, and a partition its grid."""
+    if label_ids is not None and len(label_ids) != som_map.n_samples:
+        raise EvaluateError("labels do not cover the map's samples")
+    if partition is not None and partition.block_of.shape != (som_map.rows, som_map.cols):
+        raise EvaluateError("partition shape does not match the map")
+
+
 def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
     """Label blocks by majority class and score the induced prediction.
 
@@ -46,26 +54,18 @@ def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
     if labels is None:
         raise EvaluateError("scoring needs class labels")
     classes, label_ids = encode_labels(labels)
-    if len(label_ids) != som_map.n_samples:
-        raise EvaluateError("labels do not cover the map's samples")
-    if partition.block_of.shape != (som_map.rows, som_map.cols):
-        raise EvaluateError("partition shape does not match the map")
+    _check_fit(som_map, partition, label_ids)
     if partition.n_blocks < 1:
         raise EvaluateError("empty partition")
     n_classes = len(classes)
 
     block_counts = np.zeros((partition.n_blocks, n_classes), dtype=int)
-    for pe in som_map.pes:
-        b = int(partition.block_of[pe.r, pe.c])
-        for i in pe.member_ids:
-            block_counts[b, label_ids[i]] += 1
-    block_labels = {b: int(np.argmax(block_counts[b])) for b in range(partition.n_blocks)}
-
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    for pe in som_map.pes:
-        pred = block_labels[int(partition.block_of[pe.r, pe.c])]
-        for i in pe.member_ids:
-            confusion[label_ids[i], pred] += 1
+    np.add.at(block_counts, partition.block_of.ravel(),
+              som_map.class_counts(label_ids, n_classes))
+    predicted = block_counts.argmax(axis=1)
+    block_labels = {b: int(c) for b, c in enumerate(predicted)}
+    # confusion[t, p] counts class-t samples in blocks labelled p
+    confusion = block_counts.T @ np.eye(n_classes, dtype=int)[predicted]
 
     n = int(confusion.sum())
     p_o = float(np.trace(confusion)) / n
@@ -114,24 +114,18 @@ def render_report(report: EvalReport) -> str:
 
 def render_map(som_map: SomMap, partition: Partition | None = None, labels=None) -> str:
     """ASCII grid: block ids, per-class cell populations, block boundaries."""
+    label_ids = None
     if labels is not None:
-        _, label_ids = encode_labels(labels)
-        n_classes = int(label_ids.max()) + 1
-
-    def cell_text(pe) -> str:
-        parts = []
-        if partition is not None:
-            parts.append(str(int(partition.block_of[pe.r, pe.c])))
-        if labels is not None:
-            counts = np.bincount(label_ids[list(pe.member_ids)], minlength=n_classes)
-            parts.append("(" + ",".join(str(int(v)) for v in counts) + ")")
-        else:
-            parts.append(f"({pe.n})")
-        return " ".join(parts)
-
-    texts = [[cell_text(som_map.pe(r, c)) for c in range(som_map.cols)]
-             for r in range(som_map.rows)]
-    width = max(len(t) for row in texts for t in row)
+        classes, label_ids = encode_labels(labels)
+    _check_fit(som_map, partition, label_ids)
+    if label_ids is None:
+        texts = [f"({n})" for n in som_map.counts.tolist()]
+    else:
+        texts = ["(" + ",".join(map(str, row)) + ")"
+                 for row in som_map.class_counts(label_ids, len(classes)).tolist()]
+    if partition is not None:
+        texts = [f"{b} {t}" for b, t in zip(partition.block_of.ravel().tolist(), texts)]
+    width = max(len(t) for t in texts)
 
     def differs(r1, c1, r2, c2) -> bool:
         return partition is not None and (
@@ -141,7 +135,7 @@ def render_map(som_map: SomMap, partition: Partition | None = None, labels=None)
     for r in range(som_map.rows):
         row = ""
         for c in range(som_map.cols):
-            row += f"{texts[r][c]:<{width}}"
+            row += f"{texts[r * som_map.cols + c]:<{width}}"
             if c + 1 < som_map.cols:
                 row += " │ " if differs(r, c, r, c + 1) else "   "
         lines.append(row.rstrip())

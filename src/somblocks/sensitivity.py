@@ -53,9 +53,14 @@ class SweepSpec:
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
-    """Log-spaced factors over [10^-decades, 10^decades], centered on 1."""
+    """Log-spaced factors over [10^-decades, 10^decades], centered on 1; one
+    point is the grid [1.0] whatever decades is."""
     if points < 1 or points % 2 == 0:
         raise SweepError("need an odd number of grid points so 1.0 is included")
+    if points == 1:
+        return np.ones(1)
+    if not decades > 0:
+        raise SweepError(f"decades must be positive for {points} grid points, got {decades!r}")
     return np.logspace(-decades, decades, points)
 
 

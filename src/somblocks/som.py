@@ -10,7 +10,7 @@ generator, so a (dataset, config) pair fully determines the result.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,10 @@ class SomConfig:
 
 @dataclass(frozen=True, eq=False)
 class PeStats:
-    """One grid cell: weight vector plus statistics of the samples it won."""
+    """One grid cell: weight vector plus statistics of the samples it won.
+
+    The record a SomMap is built from, one per cell in row-major order.
+    """
 
     r: int
     c: int
@@ -80,29 +83,29 @@ class PeStats:
     mean: np.ndarray | None   # absent when the cell is empty
     std: np.ndarray | None    # per-attribute sample std, 0 when n <= 1
 
-    def __eq__(self, other):
-        if not isinstance(other, PeStats):
-            return NotImplemented
-        return (
-            (self.r, self.c, self.member_ids, self.n) == (other.r, other.c, other.member_ids, other.n)
-            and np.array_equal(self.weight, other.weight)
-            and _opt_array_equal(self.mean, other.mean)
-            and _opt_array_equal(self.std, other.std)
-        )
-
-
-def _opt_array_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return np.array_equal(a, b)
-
 
 @dataclass(frozen=True, eq=False)
 class SomMap:
+    """A map's cells and, stacked from them on construction, its per-cell tables.
+
+    Construction checks the cells against each other and the config, raising
+    SomError naming the cell and field, and then keeps read-only arrays, with P
+    cells, M attributes and n samples: weights, means and stds (P, M), where
+    means and stds hold zero rows on empty cells; counts (P,); member_ids (n,),
+    each cell's members in cell order; and assignment (n,), the cell of each
+    sample id.
+    """
+
     rows: int
     cols: int
     pes: tuple[PeStats, ...]   # row-major
     config: SomConfig
+    weights: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    means: np.ndarray = field(init=False, repr=False)
+    stds: np.ndarray = field(init=False, repr=False)
+    member_ids: np.ndarray = field(init=False, repr=False)
+    assignment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.rows, self.cols) != (self.config.rows, self.config.cols):
@@ -111,28 +114,75 @@ class SomMap:
         if len(self.pes) != self.rows * self.cols:
             raise SomError(f"{len(self.pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
+        shape = np.shape(self.pes[0].weight)
         for k, pe in enumerate(self.pes):
             if (pe.r, pe.c) != divmod(k, self.cols):
                 raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
                                f"position {divmod(k, self.cols)}")
+            if np.ndim(pe.weight) != 1 or np.shape(pe.weight) != shape or not shape[0]:
+                raise SomError(f"cell {k}: weight has shape {np.shape(pe.weight)}, "
+                               f"expected {shape}")
+            if not isinstance(pe.n, (int, np.integer)) or pe.n < 0:
+                raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
+            if pe.n != len(pe.member_ids):
+                raise SomError(f"cell {k}: n is {pe.n} but member_ids lists "
+                               f"{len(pe.member_ids)}")
+            for name in ("mean", "std"):
+                value = getattr(pe, name)
+                if pe.n == 0 and value is not None:
+                    raise SomError(f"cell {k}: {name} must be null for an empty cell")
+                if pe.n > 0 and (value is None or np.shape(value) != shape):
+                    got = None if value is None else np.shape(value)
+                    raise SomError(f"cell {k}: {name} has shape {got}, "
+                                   f"expected the weight's {shape}")
+        zeros = np.zeros(shape)
+        weights = np.array([pe.weight for pe in self.pes], dtype=float)
+        means = np.array([zeros if pe.n == 0 else pe.mean for pe in self.pes], dtype=float)
+        stds = np.array([zeros if pe.n == 0 else pe.std for pe in self.pes], dtype=float)
+        for name, table in (("weight", weights), ("mean", means), ("std", stds)):
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                raise SomError(f"cell {int(np.argmin(finite))}: {name} has a non-finite value")
+        ids = [i for pe in self.pes for i in pe.member_ids]
+        owner = [-1] * len(ids)
+        for k, pe in enumerate(self.pes):
+            for i in pe.member_ids:
+                if not isinstance(i, (int, np.integer)) or not 0 <= i < len(ids):
+                    raise SomError(f"cell {k}: member id {i!r} is outside 0..{len(ids) - 1}")
+                if owner[i] >= 0:
+                    raise SomError(f"cell {k}: member id {i} is also in cell {owner[i]}")
+                owner[i] = k
+        for name, table in (("weights", weights), ("means", means), ("stds", stds),
+                            ("counts", np.array([pe.n for pe in self.pes], dtype=np.intp)),
+                            ("member_ids", np.array(ids, dtype=np.intp)),
+                            ("assignment", np.array(owner, dtype=np.intp))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def pe(self, r: int, c: int) -> PeStats:
         return self.pes[r * self.cols + c]
 
     @property
     def n_attributes(self) -> int:
-        return self.pes[0].weight.shape[0]
+        return self.weights.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return sum(pe.n for pe in self.pes)
+        return len(self.assignment)
+
+    def class_counts(self, label_ids: np.ndarray, n_classes: int) -> np.ndarray:
+        """(P, n_classes) member count of each class in each cell; label_ids
+        holds one class id per sample id."""
+        flat = self.assignment * n_classes + label_ids
+        return np.bincount(flat, minlength=len(self.pes) * n_classes).reshape(-1, n_classes)
 
     def __eq__(self, other):
         if not isinstance(other, SomMap):
             return NotImplemented
         return (
             (self.rows, self.cols, self.config) == (other.rows, other.cols, other.config)
-            and all(a == b for a, b in zip(self.pes, other.pes))
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("weights", "counts", "means", "stds", "member_ids"))
         )
 
 
@@ -256,11 +306,8 @@ def quantization_error(som_map: SomMap, dataset: Dataset) -> float:
         raise SomError("map and dataset attribute counts differ")
     if som_map.n_samples != dataset.n_samples:
         raise SomError("map was not built from a dataset of this size")
-    total = 0.0
-    for pe in som_map.pes:
-        for i in pe.member_ids:
-            total += float(np.linalg.norm(dataset.samples[i] - pe.weight))
-    return total / dataset.n_samples
+    d = dataset.samples - som_map.weights[som_map.assignment]
+    return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
 def _config_to_dict(config: SomConfig) -> dict:
@@ -316,6 +363,7 @@ def save_map(som_map: SomMap, path) -> None:
 
 
 def load_map(path) -> SomMap:
+    """Read a map file; every check is SomMap's, its messages prefixed with the path."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -324,73 +372,20 @@ def load_map(path) -> SomMap:
     if not isinstance(doc, dict) or doc.get("format_version") != MAP_FORMAT_VERSION:
         raise SomError(f"{path}: unsupported map format version")
     try:
-        config = _config_from_dict(doc["config"])
-        rows, cols, records = doc["rows"], doc["cols"], doc["pes"]
-        if (rows, cols) != (config.rows, config.cols):
-            raise SomError(f"{path}: grid {rows}x{cols} differs from the config's "
-                           f"{config.rows}x{config.cols}")
-        if len(records) != rows * cols:
-            raise SomError(f"{path}: cell list does not tile the grid")
-        pes = []
-        for k, rec in enumerate(records):
-            pes.append(PeStats(
+        pes = tuple(
+            PeStats(
                 r=rec["r"], c=rec["c"],
                 weight=np.array(rec["weight"], dtype=float),
                 member_ids=tuple(rec["member_ids"]),
                 n=rec["n"],
                 mean=None if rec["mean"] is None else np.array(rec["mean"], dtype=float),
                 std=None if rec["std"] is None else np.array(rec["std"], dtype=float),
-            ))
-            _check_cell(pes[-1], k, cols, pes[0].weight.shape, f"{path}: cell {k}")
-        _check_finite(pes, path)
-        som_map = SomMap(rows=rows, cols=cols, pes=tuple(pes), config=config)
-    except SomError:
-        raise
+            )
+            for rec in doc["pes"]
+        )
+        return SomMap(rows=doc["rows"], cols=doc["cols"], pes=pes,
+                      config=_config_from_dict(doc["config"]))
+    except SomError as e:
+        raise SomError(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
         raise SomError(f"{path}: malformed map file: {e}") from None
-    _check_member_ids(som_map, path)
-    return som_map
-
-
-def _check_cell(pe: PeStats, k: int, cols: int, shape: tuple, where: str) -> None:
-    """Per-cell consistency of a loaded map; shape is the map's weight shape."""
-    if (pe.r, pe.c) != divmod(k, cols):
-        raise SomError(f"{where}: r/c ({pe.r}, {pe.c}) do not match its position "
-                       f"{divmod(k, cols)}")
-    if pe.weight.ndim != 1 or pe.weight.shape != shape or not shape[0]:
-        raise SomError(f"{where}: weight has shape {pe.weight.shape}, expected {shape}")
-    if not isinstance(pe.n, int) or pe.n < 0:
-        raise SomError(f"{where}: n must be a non-negative integer, got {pe.n!r}")
-    if pe.n != len(pe.member_ids):
-        raise SomError(f"{where}: n is {pe.n} but member_ids lists {len(pe.member_ids)}")
-    for name in ("mean", "std"):
-        value = getattr(pe, name)
-        if pe.n == 0 and value is not None:
-            raise SomError(f"{where}: {name} must be null for an empty cell")
-        if pe.n > 0 and (value is None or value.shape != shape):
-            got = None if value is None else value.shape
-            raise SomError(f"{where}: {name} has shape {got}, expected the weight's {shape}")
-
-
-def _check_finite(pes: list[PeStats], path) -> None:
-    """Weights, means and stds hold finite values only; shapes already agree."""
-    for name in ("weight", "mean", "std"):
-        cells = [k for k, pe in enumerate(pes) if getattr(pe, name) is not None]
-        if cells:
-            finite = np.isfinite([getattr(pes[k], name) for k in cells]).all(axis=1)
-            if not finite.all():
-                k = cells[int(np.argmin(finite))]
-                raise SomError(f"{path}: cell {k}: {name} has a non-finite value")
-
-
-def _check_member_ids(som_map: SomMap, path) -> None:
-    """Member ids must cover 0..n-1 exactly once across the cells."""
-    total = som_map.n_samples
-    owner = [-1] * total
-    for k, pe in enumerate(som_map.pes):
-        for i in pe.member_ids:
-            if not isinstance(i, int) or not 0 <= i < total:
-                raise SomError(f"{path}: cell {k}: member id {i!r} is outside 0..{total - 1}")
-            if owner[i] >= 0:
-                raise SomError(f"{path}: cell {k}: member id {i} is also in cell {owner[i]}")
-            owner[i] = k

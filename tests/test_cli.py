@@ -143,6 +143,22 @@ def test_sweep_command_writes_csv(tmp_path):
     assert center[0][2] == "true"
 
 
+def test_sweep_command_with_one_point(tmp_path):
+    out = tmp_path / "stability.csv"
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
+                 "--sweep-points", "1", "--out", str(out))
+    assert rc == 0
+    rows = out.read_text().splitlines()[3:]
+    assert [r.split(",")[:3] for r in rows] == [["1.0", "1.0", "true"]]
+
+
+def test_sweep_command_refuses_zero_decades(tmp_path, capsys):
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "3",
+                 "--sweep-decades", "0", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    assert "decades must be positive" in capsys.readouterr().err
+
+
 def test_render_single_row_map():
     m = make_map([[1.0, 9.0]], s=0.1, n_members=3)
     text = render_map(m)

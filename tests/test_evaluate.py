@@ -78,6 +78,24 @@ def test_score_errors(fixture_map, iris):
         sb.score(good, fixture_map, None)
 
 
+@pytest.mark.parametrize("n_labels", [100, 155])
+def test_render_map_refuses_labels_of_another_size(fixture_map, iris, n_labels):
+    # 100 labels used to raise IndexError, 155 to draw a phantom fourth class
+    labels = (list(iris.labels) + ["phantom"] * 5)[:n_labels]
+    p = Partition.from_labels(np.zeros((5, 5), dtype=int))
+    with pytest.raises(EvaluateError, match="labels do not cover the map's samples"):
+        sb.render_map(fixture_map, p, labels)
+    with pytest.raises(EvaluateError, match="labels do not cover the map's samples"):
+        sb.render_map(fixture_map, labels=labels)
+
+
+def test_render_map_refuses_a_partition_of_another_shape(fixture_map, iris):
+    p = Partition.from_labels(np.zeros((4, 5), dtype=int))
+    for labels in (None, iris.labels):
+        with pytest.raises(EvaluateError, match="partition shape does not match the map"):
+            sb.render_map(fixture_map, p, labels)
+
+
 def test_kappa_never_exceeds_observed_agreement():
     rng = np.random.default_rng(17)
     for _ in range(20):

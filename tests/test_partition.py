@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import somblocks as sb
 import somblocks.partition as partition_module
@@ -58,6 +60,20 @@ def test_merge_joins_equal_singletons():
     assert separate == pytest.approx(4.605, abs=1e-3)
     p = sb.merge_regions([Region(0, 1, 0, 1), Region(0, 1, 1, 2)], m, params)
     assert p.n_blocks == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS))
+def test_merge_ignores_the_order_of_its_regions(seed, exponent):
+    rng = np.random.default_rng(seed)
+    m = random_map(rng, M=int(rng.integers(1, 4)), empty_prob=0.2)
+    params = plain_params(M=m.n_attributes, R=float(rng.uniform(2.0, 40.0)), exponent=exponent)
+    singletons = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
+    for tiling in (sb.quadtree_split(m, params), singletons):
+        expected = sb.merge_regions(tiling, m, params)
+        for _ in range(3):
+            shuffled = [tiling[i] for i in rng.permutation(len(tiling))]
+            assert sb.merge_regions(shuffled, m, params) == expected   # cost included
 
 
 def test_merge_respects_gap_criterion():

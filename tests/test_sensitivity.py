@@ -24,6 +24,22 @@ def test_grid_validation():
         sb.default_grid(points=12)
 
 
+def test_one_point_grid_is_one():
+    for decades in (1.5, 0.0, -2.0):
+        assert sb.default_grid(1, decades).tolist() == [1.0]
+    m = make_map([[0.0, 0.2], [4.0, 4.3]], s=0.5)
+    st = sb.sweep(m, sb.SweepSpec(base=plain_params(R=10.0), f_R_grid=sb.default_grid(1),
+                                  f_sigma_grid=sb.default_grid(1)))
+    assert st.equal.tolist() == [[True]]
+    assert sb.stable_region(st) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("decades", [0.0, -1.0, float("nan")])
+def test_several_points_need_positive_decades(decades):
+    with pytest.raises(SweepError, match="decades must be positive"):
+        sb.default_grid(3, decades)
+
+
 def test_reference_point_always_equal():
     m = make_map([[0.0, 0.2], [4.0, 4.3]], s=0.5)
     spec = sb.SweepSpec(base=plain_params(R=10.0),

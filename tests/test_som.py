@@ -187,6 +187,25 @@ def test_save_load_round_trip(tmp_path, iris):
     assert sb.load_map(path) == m
 
 
+def test_map_stacks_its_cells_into_read_only_arrays(fixture_map):
+    m = fixture_map
+    assert any(pe.n == 0 for pe in m.pes)
+    for k, pe in enumerate(m.pes):
+        assert np.array_equal(m.weights[k], pe.weight)
+        assert m.counts[k] == pe.n
+        assert np.array_equal(m.means[k], pe.mean if pe.n else np.zeros(4))
+        assert np.array_equal(m.stds[k], pe.std if pe.n else np.zeros(4))
+        assert (m.assignment[list(pe.member_ids)] == k).all()
+    assert m.member_ids.tolist() == [i for pe in m.pes for i in pe.member_ids]
+    with pytest.raises(ValueError):
+        m.means[0, 0] = 1.0
+    k = next(k for k, pe in enumerate(m.pes) if pe.n > 1)
+    pes = list(m.pes)
+    pes[k] = dataclasses.replace(pes[k], member_ids=pes[k].member_ids[::-1])
+    assert dataclasses.replace(m, pes=tuple(pes)) != m     # member order counts
+    assert dataclasses.replace(m, pes=m.pes) == m
+
+
 def test_load_rejects_truncated_file(tmp_path):
     src = fixture_path("iris_map_seed2.json")
     dst = tmp_path / "trunc.json"
@@ -254,7 +273,7 @@ def _duplicate_member(doc):
     ids[1] = ids[0]
 
 
-@pytest.mark.parametrize("edit, message", [
+CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_set("mean", [1.0, 2.0, 3.0]), r"cell \d+: mean has shape \(3,\)"),
     (_set("std", [0.1]), r"cell \d+: std has shape \(1,\)"),
     (_set("weight", [0.0, 1.0], cell=7), r"cell 7: weight has shape \(2,\), expected \(4,\)"),
@@ -269,9 +288,30 @@ def _duplicate_member(doc):
      r"cell \d+: member id 999 is outside 0..149"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
 ])
+
+
+@CELL_FAULTS
 def test_load_rejects_inconsistent_cells(tmp_path, edit, message):
     with pytest.raises(SomError, match=message):
         sb.load_map(_broken_map(tmp_path, edit))
+
+
+@CELL_FAULTS
+def test_map_built_in_memory_rejects_inconsistent_cells(tmp_path, edit, message):
+    import json
+    path = _broken_map(tmp_path, edit)
+    doc = json.load(open(path))
+    pes = tuple(PeStats(r=rec["r"], c=rec["c"], weight=np.array(rec["weight"]),
+                        member_ids=tuple(rec["member_ids"]), n=rec["n"],
+                        mean=None if rec["mean"] is None else np.array(rec["mean"]),
+                        std=None if rec["std"] is None else np.array(rec["std"]))
+                for rec in doc["pes"])
+    with pytest.raises(SomError, match=message) as built:
+        sb.SomMap(rows=doc["rows"], cols=doc["cols"], pes=pes,
+                  config=sb.SomConfig(**doc["config"]))
+    with pytest.raises(SomError) as loaded:
+        sb.load_map(path)
+    assert str(loaded.value) == f"{path}: {built.value}"
 
 
 def test_load_rejects_the_wide_mean_negative_count_map(tmp_path):

@@ -367,6 +367,28 @@ class BlockCosts:
             self._terms[mask] = hit
         return hit
 
+    def least_increments(self) -> list[float] | None:
+        """Per cell, a lower bound on what placing it adds to a partition's cost.
+
+        Placing an occupied cell either opens a block, which adds
+        sum_j ln(f_R R_j) under per_block and 0 under per_pe, or joins a block
+        that has an occupied cell.  Joining never lowers the block's ln(S)/2
+        or its resid, so it adds at least sum_j (ln sigma_j + ln(pi)/2), plus
+        sum_j ln(f_R R_j) under per_pe.  Each cell's entry is the smaller of
+        the two, and 0 on empty cells.  None unless widths follow unit_scale:
+        a width that grows with block size moves every member's ln sigma.
+        """
+        if self.params.n_scale_rule is not unit_scale:
+            return None
+        m = self.params.n_attributes
+        log_sigmas = self._table(1)[:, 2 * m:3 * m].sum(axis=1)
+        prior = math.fsum(self._prior)
+        if self._per_block:
+            least = np.minimum(prior, log_sigmas + 0.5 * m * math.log(math.pi))
+        else:
+            least = np.minimum(0.0, log_sigmas + prior)
+        return np.where(self.som_map.counts > 0, least, 0.0).tolist()
+
     def cost(self, mask: int) -> float:
         """Cost of the cells in mask as one block; 0 when none is occupied."""
         hit = self._costs.get(mask)

@@ -3,8 +3,9 @@
 partition_som first splits the grid recursively wherever four quadrants are
 jointly cheaper than the region as a whole, then greedily merges adjacent
 regions while each merge strictly lowers the cost.  exhaustive_partition is
-the small-grid oracle: it enumerates every partition of the grid into
-edge-connected blocks and returns a cheapest one.
+the small-grid oracle: it walks the partitions of the grid into
+edge-connected blocks, cutting branches that cannot beat the best found,
+and returns a cheapest one.
 """
 
 import json
@@ -312,14 +313,19 @@ def _grid_masks(rows: int, cols: int):
     return nbr, row_mask, frontier
 
 
-def _walk_partitions(rows: int, cols: int, visit) -> None:
+def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
     """Call visit(labels, part_masks) for every partition into connected blocks.
 
     labels and part_masks are shared scratch state, valid only during the
     call; part ids are dense in first-occurrence order, so each partition is
-    visited exactly once.  Branches are pruned when a cell joins a block it
-    can no longer reach and whenever a completed row strands a block
-    component above the frontier.
+    visited exactly once, in lexicographic order of labels.  Branches are
+    pruned when a cell joins a block it can no longer reach and whenever a
+    completed row strands a block component above the frontier.
+
+    grow, when given, prunes further: each time cell k moves its part from
+    mask old to mask new (old is 0 for a new part), grow(acc, k, old, new)
+    returns the value acc takes in the branch below, or None to skip that
+    branch.  acc starts at 0.0.
     """
     n = rows * cols
     nbr, row_mask, frontier = _grid_masks(rows, cols)
@@ -347,7 +353,7 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
 
     last = row_mask[rows - 1]
 
-    def rec(k: int) -> None:
+    def rec(k: int, acc) -> None:
         if k == n:
             for mask in parts:
                 if mask & last and flood(mask & -mask, mask & mask >> 1 & inner,
@@ -363,15 +369,19 @@ def _walk_partitions(rows: int, cols: int, visit) -> None:
                 labels[k] = p
                 parts[p] = mask | bit
                 if row_ok(k):
-                    rec(k + 1)
+                    below = acc if grow is None else grow(acc, k, mask, mask | bit)
+                    if below is not None:
+                        rec(k + 1, below)
                 parts[p] = mask
         labels[k] = len(parts)
         parts.append(bit)
         if row_ok(k):
-            rec(k + 1)
+            below = acc if grow is None else grow(acc, k, 0, bit)
+            if below is not None:
+                rec(k + 1, below)
         parts.pop()
 
-    rec(0)
+    rec(0, 0.0)
     # rec refers to itself through its closure; unbinding it frees visit
     # (and the block costs it holds) now instead of at a full collection.
     rec = None
@@ -392,22 +402,47 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     """Cheapest partition over the full connected-partition set.
 
     Cost ties break toward the lexicographically smallest row-major block
-    assignment.  Scales exponentially with cell count, hence cell_limit.
+    assignment, and the cost is the exact sum of the blocks' costs.  Under
+    the unit width rule the walk is a branch and bound: a branch is skipped
+    when the exact cost of its partial blocks plus each unplaced cell's
+    least possible increment (BlockCosts.least_increments) exceeds the best
+    cost found so far by more than a rounding tolerance.  The walk visits
+    labelings in lexicographic order, so that returns the same partition
+    and cost as scoring every partition, which is what happens under a
+    width rule that depends on block size.  The worst case still grows
+    exponentially with cell count, hence cell_limit.
     """
     rows, cols = som_map.rows, som_map.cols
     if rows * cols > cell_limit:
         raise PartitionError(f"grid {rows}x{cols} exceeds cell_limit={cell_limit}")
 
-    mask_cost = BlockCosts(som_map, params).cost
-    state = {"cost": math.inf, "labels": None}
+    costs = BlockCosts(som_map, params)
+    mask_cost = costs.cost
+    state = {"cost": math.inf, "labels": None, "limit": math.inf}
 
     def visit(labels, parts):
         total = math.fsum(map(mask_cost, parts))
         if total < state["cost"] or (total == state["cost"] and tuple(labels) < state["labels"]):
             state["cost"] = total
             state["labels"] = tuple(labels)
+            # the bound sums in plain floats; the margin covers its rounding,
+            # so no branch that could tie the best is cut
+            state["limit"] = total + 1e-9 * max(1.0, abs(total))
 
-    _walk_partitions(rows, cols, visit)
+    grow = None
+    least = costs.least_increments()
+    if least is not None:
+        # rest[k]: the least the cells from k on can add to any completion.
+        rest = [0.0] * (len(least) + 1)
+        for k in range(len(least) - 1, -1, -1):
+            rest[k] = rest[k + 1] + least[k]
+
+        def grow(partial, k, old, new):
+            # partial: the cost of the placed cells' blocks, by running sum
+            partial += mask_cost(new) - mask_cost(old)
+            return None if partial + rest[k + 1] > state["limit"] else partial
+
+    _walk_partitions(rows, cols, visit, grow)
     best_cost, best_labels = state["cost"], state["labels"]
 
     block_of = np.array(best_labels, dtype=int).reshape(rows, cols)

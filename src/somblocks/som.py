@@ -143,19 +143,10 @@ class SomMap:
             finite = np.isfinite(table).all(axis=1)
             if not finite.all():
                 raise SomError(f"cell {int(np.argmin(finite))}: {name} has a non-finite value")
-        ids = [i for pe in self.pes for i in pe.member_ids]
-        owner = [-1] * len(ids)
-        for k, pe in enumerate(self.pes):
-            for i in pe.member_ids:
-                if not isinstance(i, (int, np.integer)) or not 0 <= i < len(ids):
-                    raise SomError(f"cell {k}: member id {i!r} is outside 0..{len(ids) - 1}")
-                if owner[i] >= 0:
-                    raise SomError(f"cell {k}: member id {i} is also in cell {owner[i]}")
-                owner[i] = k
+        counts = np.array([pe.n for pe in self.pes], dtype=np.intp)
+        ids, owner = _member_owners(self.pes, counts)
         for name, table in (("weights", weights), ("means", means), ("stds", stds),
-                            ("counts", np.array([pe.n for pe in self.pes], dtype=np.intp)),
-                            ("member_ids", np.array(ids, dtype=np.intp)),
-                            ("assignment", np.array(owner, dtype=np.intp))):
+                            ("counts", counts), ("member_ids", ids), ("assignment", owner)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -184,6 +175,41 @@ class SomMap:
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name in ("weights", "counts", "means", "stds", "member_ids"))
         )
+
+
+def _member_owners(pes, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells' member ids stacked in cell order, and the cell of each id.
+
+    Raises SomError naming the first id, in cell order, that is not an
+    integer in 0..n-1 or repeats an earlier one, and for a repeat the cell
+    that holds it first.
+    """
+    flat = [i for pe in pes for i in pe.member_ids]
+    n = len(flat)
+    cell_of = np.repeat(np.arange(len(pes)), counts)
+    ids = np.array(flat)
+    if ids.dtype.kind in "iu":
+        outside = (ids < 0) | (ids >= n)
+        end = int(np.argmax(outside)) if outside.any() else n
+        ids = ids[:end].astype(np.intp)
+    else:   # an id that is no integer, or no id at all: look for it in Python
+        end = next((pos for pos, i in enumerate(flat)
+                    if not isinstance(i, (int, np.integer)) or not 0 <= i < n), n)
+        ids = np.array(flat[:end], dtype=np.intp)
+    # every id before end is in range, so a repeat among them comes first
+    order = np.arange(end)
+    first = np.full(n, end)
+    np.minimum.at(first, ids, order)
+    repeat = first[ids] != order
+    if repeat.any():
+        pos = int(np.argmax(repeat))
+        raise SomError(f"cell {cell_of[pos]}: member id {flat[pos]} is also in cell "
+                       f"{cell_of[first[ids[pos]]]}")
+    if end < n:
+        raise SomError(f"cell {cell_of[end]}: member id {flat[end]!r} is outside 0..{n - 1}")
+    owner = np.empty(n, dtype=np.intp)
+    owner[ids] = cell_of
+    return ids, owner
 
 
 def _initial_weights(rng: np.random.Generator, samples: np.ndarray, n_pes: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import somblocks as sb
 from somblocks.bayes_cost import N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError
 
-from conftest import random_map
+from conftest import make_map, random_map
 
 def exact(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -109,6 +109,32 @@ def test_block_cost_adds_up_over_attributes(seed, rule, exponent, f_R, f_sigma):
         parts = [costs.cost(mask) for costs in single]
         scale = math.fsum(abs(c) for c in parts)
         assert abs(whole.cost(mask) - math.fsum(parts)) <= 1e-12 * scale
+
+
+@exact(100)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(RANGE_EXPONENTS),
+       spread=st.floats(0.0, 3.0), f_R=factors, f_sigma=factors)
+def test_least_increments_bound_every_placement(seed, exponent, spread, f_R, f_sigma):
+    # the bound the exact oracle prunes with: adding cell k to any set of cells
+    # raises its cost by at least least[k]; near-equal means make it nearly tight
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    grid = [[None if (r or c) and rng.random() < 0.2 else rng.normal(0.0, spread, M)
+             for c in range(3)] for r in range(2)]
+    m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (2, 3, M)).tolist())
+    params = sb.CostParams(
+        R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+        sigma_const=float(rng.uniform(0.5, 12.0)), range_exponent=exponent,
+        f_R=f_R, f_sigma=f_sigma)
+    costs = BlockCosts(m, params)
+    least = costs.least_increments()
+    for mask in range(1 << 6):
+        for k in range(6):
+            if not mask >> k & 1:
+                base = costs.cost(mask)
+                assert costs.cost(mask | 1 << k) - base >= least[k] - 1e-9 * max(1.0, abs(base))
+    sqrt_widths = dataclasses.replace(params, n_scale_rule=N_SCALE_RULES["sqrt"])
+    assert BlockCosts(m, sqrt_widths).least_increments() is None
 
 
 def test_attribute_count_mismatch_names_both_counts(fixture_map):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-import somblocks.partition as partition_module
+from somblocks.bayes_cost import BlockCosts
 from somblocks.partition import (Partition, PartitionError, Region, _walk_partitions,
                                  enumerate_connected_partitions, load_partition,
                                  save_partition, validate_partition)
@@ -152,25 +152,111 @@ def test_exhaustive_rejects_large_grids(fixture_map, iris_params):
         sb.exhaustive_partition(fixture_map, iris_params)
 
 
-def test_exhaustive_matches_quadrants_and_greedy_4x4(monkeypatch):
-    # one shared enumeration pass: count check + optimality check
-    m, params = quadrant_map()
+def _count_connected_partitions(rows: int, cols: int) -> int:
+    """Connected-partition count of a grid, by a transfer matrix.
+
+    Cells are added in row-major order.  A state is the last cols cells, each
+    as (block, piece), a piece being a connected part of its block so far,
+    both numbered by first occurrence.  A block may lie in several pieces
+    while each still has a cell in the state; a piece that leaves the state
+    must be its whole block.
+    """
+    states = {(): 1}
+    for k in range(rows * cols):
+        following = {}
+        for front, ways in states.items():
+            near = front[:1] if len(front) == cols else ()   # the cell above
+            near += front[-1:] if k % cols else ()           # the cell to the left
+            for block in {b for b, _ in front} | {"new"}:
+                joined = {piece for b, piece in near if b == block}
+                piece = min(joined) if joined else "new"
+                cells = [(b, piece if q in joined else q) for b, q in front] + [(block, piece)]
+                if len(cells) > cols:
+                    gone_block, gone_piece = cells.pop(0)
+                    if (all(q != gone_piece for _, q in cells)
+                            and any(b == gone_block for b, _ in cells)):
+                        continue
+                blocks, pieces = {}, {}
+                key = tuple((blocks.setdefault(b, len(blocks)), pieces.setdefault(q, len(pieces)))
+                            for b, q in cells)
+                following[key] = following.get(key, 0) + ways
+        states = following
+    # at the end every block must be one piece: as many pieces as blocks
+    return sum(ways for front, ways in states.items()
+               if len(set(front)) == len({b for b, _ in front}))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 5), (2, 3), (3, 3), (2, 5), (3, 4),
+                                   (4, 3), (2, 6)], ids="{0[0]}x{0[1]}".format)
+def test_transfer_matrix_count_matches_the_walk(shape):
     count = [0]
+    _walk_partitions(*shape, lambda labels, parts: count.__setitem__(0, count[0] + 1))
+    assert _count_connected_partitions(*shape) == count[0]
 
-    def counting_walk(rows, cols, visit):
-        def counted(labels, parts):
-            count[0] += 1
-            visit(labels, parts)
-        _walk_partitions(rows, cols, counted)
 
-    monkeypatch.setattr(partition_module, "_walk_partitions", counting_walk)
+def test_exhaustive_matches_quadrants_and_greedy_4x4():
+    # 1,691,690 partitions; the bounded search visits a few thousand of them
+    assert _count_connected_partitions(4, 4) == 1691690
+    m, params = quadrant_map()
     best = sb.exhaustive_partition(m, params, cell_limit=16)
-    assert count[0] == 1691690
     assert np.array_equal(best.block_of,
                           [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
     greedy = sb.partition_som(m, params)
     assert np.array_equal(greedy.block_of, best.block_of)
     assert greedy.cost == pytest.approx(best.cost, abs=1e-9)
+
+
+def _reference_exhaustive(som_map, params):
+    """exhaustive_partition as it was before it bounded its walk: score every
+    connected partition and keep the first cheapest."""
+    rows, cols = som_map.rows, som_map.cols
+    mask_cost = BlockCosts(som_map, params).cost
+    state = {"cost": math.inf, "labels": None}
+
+    def visit(labels, parts):
+        total = math.fsum(map(mask_cost, parts))
+        if total < state["cost"] or (total == state["cost"] and tuple(labels) < state["labels"]):
+            state["cost"] = total
+            state["labels"] = tuple(labels)
+
+    _walk_partitions(rows, cols, visit)
+    best_cost, best_labels = state["cost"], state["labels"]
+
+    block_of = np.array(best_labels, dtype=int).reshape(rows, cols)
+    return Partition(block_of=block_of, n_blocks=len(set(best_labels)), cost=best_cost)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(1, 2), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3), (3, 2), (3, 3)]),
+       seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), empty=st.floats(0.0, 0.3),
+       spread=st.floats(0.01, 3.0), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
+       rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)),
+       f_R=st.floats(0.1, 10.0), f_sigma=st.floats(0.2, 5.0))
+@example(shape=(3, 4), seed=1, M=2, empty=0.1, spread=2.0, exponent="per_block", rule="unit",
+         f_R=1.0, f_sigma=1.0)
+@example(shape=(3, 4), seed=2, M=1, empty=0.0, spread=0.5, exponent="per_pe", rule="unit",
+         f_R=0.3, f_sigma=2.0)
+@example(shape=(3, 4), seed=3, M=3, empty=0.3, spread=1.0, exponent="per_block", rule="sqrt",
+         f_R=8.0, f_sigma=0.5)
+@example(shape=(2, 5), seed=4, M=2, empty=0.2, spread=0.05, exponent="per_block", rule="unit",
+         f_R=0.1, f_sigma=1.5)
+@example(shape=(2, 5), seed=5, M=1, empty=0.0, spread=3.0, exponent="per_pe", rule="sqrt",
+         f_R=10.0, f_sigma=0.8)
+def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, exponent, rule,
+                                                f_R, f_sigma):
+    # spread sets how far cell means scatter against cell stds of 0.1-0.8:
+    # small spreads make joins nearly free, where a loose bound would cut
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    means = rng.normal(0.0, spread, (rows, cols, M))
+    grid = [[None if (r or c) and rng.random() < empty else means[r, c] for c in range(cols)]
+            for r in range(rows)]
+    m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
+    params = sb.CostParams(R=rng.uniform(2.0, 40.0, M), sigma_floor=np.full(M, 1e-9),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+    best = sb.exhaustive_partition(m, params, cell_limit=12)
+    assert best == _reference_exhaustive(m, params)   # cost bits included
 
 
 def synthetic_families(rng):

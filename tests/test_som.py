@@ -337,3 +337,17 @@ def test_map_checks_its_grid_on_construction():
     one = PeStats(r=0, c=0, weight=np.zeros(1), member_ids=(), n=0, mean=None, std=None)
     with pytest.raises(SomError, match="grid 1x1 differs from the config's 1x2"):
         sb.SomMap(rows=1, cols=1, pes=(one,), config=sb.SomConfig(rows=1, cols=2))
+
+
+@pytest.mark.parametrize("ids, message", [
+    (((0, 1), (1, "x"), (4, 5)), "cell 1: member id 1 is also in cell 0"),
+    (((0, 1), (2.0, 1), (4, 5)), r"cell 1: member id 2\.0 is outside 0\.\.5"),
+    (((0, 1), (2, 3), (9, 0)), r"cell 2: member id 9 is outside 0\.\.5"),
+    (((0, 1), (2, 3), (4, np.int64(-1))), r"cell 2: member id np\.int64\(-1\) is outside"),
+    (((3, 1), (2, 3), (4, 5)), "cell 1: member id 3 is also in cell 0"),
+])
+def test_member_id_faults_name_the_first_in_cell_order(ids, message):
+    m = make_map([[0.0, 1.0, 2.0]], n_members=2)
+    pes = tuple(dataclasses.replace(pe, member_ids=cell_ids) for pe, cell_ids in zip(m.pes, ids))
+    with pytest.raises(SomError, match=f"^{message}"):
+        dataclasses.replace(m, pes=pes)

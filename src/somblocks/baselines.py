@@ -32,14 +32,6 @@ class BoundaryMap:
     h: np.ndarray
     v: np.ndarray
 
-    def strength(self, a: tuple[int, int], b: tuple[int, int]) -> float:
-        (r1, c1), (r2, c2) = sorted((a, b))
-        if r1 == r2 and c2 == c1 + 1:
-            return float(self.h[r1, c1])
-        if c1 == c2 and r2 == r1 + 1:
-            return float(self.v[r1, c1])
-        raise BaselineError(f"cells {a} and {b} are not edge-adjacent")
-
 
 def umatrix_boundaries(som_map: SomMap) -> BoundaryMap:
     """Mean-vector distances across all adjacent cell pairs."""
@@ -70,17 +62,10 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
         raise BaselineError("threshold must be non-negative")
     bounds = umatrix_boundaries(som_map)
     # NaN compares false, so an edge with absent strength stays cut.
+    # component_labels numbers components by lowest cell, as Partition does
     cells = np.ones((som_map.rows, som_map.cols), dtype=bool)
-    return Partition.from_labels(component_labels(cells, bounds.h <= T, bounds.v <= T))
-
-
-def pe_majority_class(pe, label_ids: np.ndarray, n_classes: int) -> int:
-    """Majority class id among a cell's members; ties go to the lowest id.
-
-    One cell at a time, the reference for the oracle's array computation.
-    """
-    counts = np.bincount(label_ids[list(pe.member_ids)], minlength=n_classes)
-    return int(np.argmax(counts))
+    block_of = component_labels(cells, bounds.h <= T, bounds.v <= T)
+    return Partition(block_of=block_of, n_blocks=int(block_of.max()) + 1)
 
 
 def oracle_partition(som_map: SomMap, labels) -> Partition:

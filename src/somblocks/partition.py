@@ -266,9 +266,11 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
                 j += 1
             i += 1
 
-    partition = Partition.from_labels(_label_grid((mask for _, mask, _ in blocks), rows, cols))
-    return Partition(block_of=partition.block_of, n_blocks=partition.n_blocks,
-                     cost=math.fsum(cost(mask) for _, mask, _ in blocks))
+    masks = [mask for _, mask, _ in blocks]
+    total = math.fsum(cost(mask) for mask in masks)     # in merge order
+    # numbered by lowest cell: first occurrence in row-major order
+    masks.sort(key=lambda mask: mask & -mask)
+    return Partition(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=total)
 
 
 def _mask_cells(mask: int) -> list[int]:

@@ -10,7 +10,7 @@ generator, so a (dataset, config) pair fully determines the result.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class SomConfig:
 class PeStats:
     """One grid cell: weight vector plus statistics of the samples it won.
 
-    The record a SomMap is built from, one per cell in row-major order.
+    The record a SomMap is built from, one per cell in row-major order, and
+    the one SomMap.pe derives from the map's arrays.
     """
 
     r: int
@@ -86,19 +87,19 @@ class PeStats:
 
 @dataclass(frozen=True, eq=False)
 class SomMap:
-    """A map's cells and, stacked from them on construction, its per-cell tables.
+    """A map's per-cell tables, stacked once from the cells it is built from.
 
-    Construction checks the cells against each other and the config, raising
-    SomError naming the cell and field, and then keeps read-only arrays, with P
-    cells, M attributes and n samples: weights, means and stds (P, M), where
-    means and stds hold zero rows on empty cells; counts (P,); member_ids (n,),
-    each cell's members in cell order; and assignment (n,), the cell of each
-    sample id.
+    Construction checks the PeStats records, one per cell in row-major order,
+    against each other and the config, raising SomError naming the cell and
+    field.  It then keeps only read-only arrays, with P cells, M attributes and
+    n samples: weights, means and stds (P, M), where means and stds hold zero
+    rows on empty cells; counts (P,); member_ids (n,), each cell's members in
+    cell order; and assignment (n,), the cell of each sample id.
     """
 
     rows: int
     cols: int
-    pes: tuple[PeStats, ...]   # row-major
+    pes: InitVar[tuple[PeStats, ...]]   # row-major; dropped once stacked
     config: SomConfig
     weights: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
@@ -107,15 +108,15 @@ class SomMap:
     member_ids: np.ndarray = field(init=False, repr=False)
     assignment: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, pes):
         if (self.rows, self.cols) != (self.config.rows, self.config.cols):
             raise SomError(f"grid {self.rows}x{self.cols} differs from the config's "
                            f"{self.config.rows}x{self.config.cols}")
-        if len(self.pes) != self.rows * self.cols:
-            raise SomError(f"{len(self.pes)} cells do not tile the "
+        if len(pes) != self.rows * self.cols:
+            raise SomError(f"{len(pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
-        shape = np.shape(self.pes[0].weight)
-        for k, pe in enumerate(self.pes):
+        shape = np.shape(pes[0].weight)
+        for k, pe in enumerate(pes):
             if (pe.r, pe.c) != divmod(k, self.cols):
                 raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
                                f"position {divmod(k, self.cols)}")
@@ -136,22 +137,29 @@ class SomMap:
                     raise SomError(f"cell {k}: {name} has shape {got}, "
                                    f"expected the weight's {shape}")
         zeros = np.zeros(shape)
-        weights = np.array([pe.weight for pe in self.pes], dtype=float)
-        means = np.array([zeros if pe.n == 0 else pe.mean for pe in self.pes], dtype=float)
-        stds = np.array([zeros if pe.n == 0 else pe.std for pe in self.pes], dtype=float)
+        weights = np.array([pe.weight for pe in pes], dtype=float)
+        means = np.array([zeros if pe.n == 0 else pe.mean for pe in pes], dtype=float)
+        stds = np.array([zeros if pe.n == 0 else pe.std for pe in pes], dtype=float)
         for name, table in (("weight", weights), ("mean", means), ("std", stds)):
             finite = np.isfinite(table).all(axis=1)
             if not finite.all():
                 raise SomError(f"cell {int(np.argmin(finite))}: {name} has a non-finite value")
-        counts = np.array([pe.n for pe in self.pes], dtype=np.intp)
-        ids, owner = _member_owners(self.pes, counts)
+        counts = np.array([pe.n for pe in pes], dtype=np.intp)
+        ids, owner = _member_owners(pes, counts)
         for name, table in (("weights", weights), ("means", means), ("stds", stds),
                             ("counts", counts), ("member_ids", ids), ("assignment", owner)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
     def pe(self, r: int, c: int) -> PeStats:
-        return self.pes[r * self.cols + c]
+        """Cell (r, c) as a PeStats record derived from the arrays; mean and
+        std are None on an empty cell."""
+        k = r * self.cols + c
+        n = int(self.counts[k])
+        start = int(self.counts[:k].sum())
+        return PeStats(r=r, c=c, weight=self.weights[k],
+                       member_ids=tuple(self.member_ids[start:start + n].tolist()), n=n,
+                       mean=self.means[k] if n else None, std=self.stds[k] if n else None)
 
     @property
     def n_attributes(self) -> int:
@@ -165,7 +173,7 @@ class SomMap:
         """(P, n_classes) member count of each class in each cell; label_ids
         holds one class id per sample id."""
         flat = self.assignment * n_classes + label_ids
-        return np.bincount(flat, minlength=len(self.pes) * n_classes).reshape(-1, n_classes)
+        return np.bincount(flat, minlength=len(self.counts) * n_classes).reshape(-1, n_classes)
 
     def __eq__(self, other):
         if not isinstance(other, SomMap):
@@ -235,7 +243,7 @@ def _stats_from_weights(dataset: Dataset, config: SomConfig, weights: np.ndarray
             std = member.std(axis=0, ddof=1) if n > 1 else np.zeros(samples.shape[1])
         pes.append(PeStats(
             r=p // config.cols, c=p % config.cols,
-            weight=weights[p].copy(), member_ids=ids, n=n, mean=mean, std=std,
+            weight=weights[p], member_ids=ids, n=n, mean=mean, std=std,
         ))
     return SomMap(rows=config.rows, cols=config.cols, pes=tuple(pes), config=config)
 
@@ -372,13 +380,14 @@ def map_to_json(som_map: SomMap) -> str:
             {
                 "r": pe.r,
                 "c": pe.c,
-                "weight": [float(v) for v in pe.weight],
+                "weight": pe.weight.tolist(),
                 "member_ids": list(pe.member_ids),
                 "n": pe.n,
-                "mean": None if pe.mean is None else [float(v) for v in pe.mean],
-                "std": None if pe.std is None else [float(v) for v in pe.std],
+                "mean": None if pe.mean is None else pe.mean.tolist(),
+                "std": None if pe.std is None else pe.std.tolist(),
             }
-            for pe in som_map.pes
+            for pe in (som_map.pe(r, c)
+                       for r in range(som_map.rows) for c in range(som_map.cols))
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -61,6 +61,11 @@ def make_map(mean_grid, s=1.0, n_members=5, stds=None) -> SomMap:
     return SomMap(rows=rows, cols=cols, pes=tuple(pes), config=cfg)
 
 
+def map_cells(m: SomMap) -> list[PeStats]:
+    """The map's cells as PeStats records, row-major, derived by SomMap.pe."""
+    return [m.pe(r, c) for r in range(m.rows) for c in range(m.cols)]
+
+
 def make_pe(mean, s, n=5, r=0, c=0) -> PeStats:
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
     return PeStats(r=r, c=c, weight=mu.copy(), member_ids=tuple(range(n)), n=n,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import somblocks as sb
-from somblocks.baselines import BaselineError, pe_majority_class
+from somblocks.baselines import BaselineError
 from somblocks.data_model import encode_labels
 from somblocks.partition import validate_partition
 
@@ -21,7 +21,7 @@ def test_unit_vector_strength():
     m = make_map([[np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])]], s=0.2)
     b = sb.umatrix_boundaries(m)
     assert b.h[0, 0] == pytest.approx(math.sqrt(2))
-    assert b.strength((0, 0), (0, 1)) == b.strength((0, 1), (0, 0))
+    assert b.h.shape == (1, 1) and b.v.shape == (0, 2)
 
 
 def test_empty_pe_edges_are_absent():
@@ -41,9 +41,11 @@ def test_fixture_max_strength_separates_setosa(fixture_map, iris):
     classes, ids = encode_labels(iris.labels)
     setosa = classes.index("setosa")
 
+    majority_of = fixture_map.class_counts(ids, len(classes)).argmax(axis=1)
+
     def majority(r, c):
-        pe = fixture_map.pe(r, c)
-        return pe_majority_class(pe, ids, len(classes)) if pe.n else None
+        k = r * fixture_map.cols + c
+        return int(majority_of[k]) if fixture_map.counts[k] else None
 
     edges = []
     for r in range(fixture_map.rows):
@@ -112,9 +114,11 @@ def test_oracle_single_class_map(iris):
 
 
 def test_oracle_tie_goes_to_lowest_class():
-    from conftest import make_pe
-    # counts (2, 2, 0) over classes a, b, c
-    assert pe_majority_class(make_pe(0.0, 0.1, n=4), np.array([0, 0, 1, 1]), 3) == 0
+    # cell (0, 0) holds members a, a, b, b: a tie that goes to class a
+    m = make_map([[0.0, 1.0]], s=0.2, n_members=4)
+    assert sb.oracle_partition(m, list("aabb") + list("aaaa")).n_blocks == 1
+    assert sb.oracle_partition(m, list("aabb") + list("bbbb")).n_blocks == 2
+    assert sb.oracle_partition(m, list("ccbb") + list("bbbb")).n_blocks == 1
 
 
 def test_oracle_fixture_quality(fixture_map, iris):

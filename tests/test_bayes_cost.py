@@ -8,7 +8,7 @@ import somblocks as sb
 from somblocks.bayes_cost import CostError, block_stat, sqrt_scale
 from somblocks.partition import Partition
 
-from conftest import make_map, make_pe, plain_params
+from conftest import make_map, make_pe, map_cells, plain_params
 
 
 def integration_cost(members, R, exponent="per_block"):
@@ -179,8 +179,8 @@ def test_equal_sigma_merge_threshold_in_map_costs():
     # merging equal-mean cells wins iff sigma*sqrt(2*pi) < R
     for sigma, should_merge in ((1.0, True), (5.0, False)):
         m = make_map([[0.0, 0.0]], s=sigma)
-        pair = sb.block_cost_for_pes(list(m.pes), plain_params(R=10.0))
-        singles = sum(sb.block_cost_for_pes([pe], plain_params(R=10.0)) for pe in m.pes)
+        pair = sb.block_cost_for_pes(map_cells(m), plain_params(R=10.0))
+        singles = sum(sb.block_cost_for_pes([pe], plain_params(R=10.0)) for pe in map_cells(m))
         assert (pair < singles) == should_merge
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import somblocks as sb
 from somblocks.bayes_cost import N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError
 
-from conftest import make_map, random_map
+from conftest import make_map, map_cells, random_map
 
 def exact(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -34,7 +34,7 @@ def random_case(seed, rule, exponent):
 
 
 def cells_of(m, mask):
-    return [pe for k, pe in enumerate(m.pes) if mask >> k & 1]
+    return [pe for k, pe in enumerate(map_cells(m)) if mask >> k & 1]
 
 
 @exact(200)
@@ -87,7 +87,7 @@ def project(m, j):
     pes = tuple(dataclasses.replace(
         pe, weight=pe.weight[j:j + 1],
         mean=None if pe.mean is None else pe.mean[j:j + 1],
-        std=None if pe.std is None else pe.std[j:j + 1]) for pe in m.pes)
+        std=None if pe.std is None else pe.std[j:j + 1]) for pe in map_cells(m))
     return dataclasses.replace(m, pes=pes)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_train_reproduces_committed_golden(tmp_path):
     rc = run_cli("train", "--data", sb.iris_path(), "--label-col", "class",
                  "--rows", "5", "--cols", "5", "--seed", "1", "--out", str(out))
     assert rc == 0
-    assert out.read_bytes() == open(fixture_path("iris_map_seed1.json"), "rb").read()
+    assert out.read_bytes() == Path(fixture_path("iris_map_seed1.json")).read_bytes()
 
 
 def test_partition_outputs_are_byte_identical(tmp_path):
@@ -177,7 +178,7 @@ def test_render_vertical_split_draws_one_boundary():
 def test_render_fixture_golden(fixture_map, iris, iris_params):
     p = sb.partition_som(fixture_map, iris_params)
     text = render_map(fixture_map, p, iris.labels)
-    assert text == open(fixture_path("iris_render_seed2.txt")).read()
+    assert text == Path(fixture_path("iris_render_seed2.txt")).read_text()
 
 
 def test_version_flag(capsys):

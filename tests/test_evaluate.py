@@ -7,7 +7,7 @@ import somblocks as sb
 from somblocks.evaluate import EvalReport, EvaluateError, report_to_dict
 from somblocks.partition import Partition
 
-from conftest import make_map
+from conftest import make_map, map_cells
 
 
 def labeled_line_map(counts_per_cell):
@@ -30,7 +30,7 @@ def labeled_line_map(counts_per_cell):
     from somblocks.som import PeStats, SomMap
     pes = [PeStats(r=pe.r, c=pe.c, weight=pe.weight, member_ids=pes_members[i],
                    n=len(pes_members[i]), mean=pe.mean, std=pe.std)
-           for i, pe in enumerate(m.pes)]
+           for i, pe in enumerate(map_cells(m))]
     return SomMap(rows=m.rows, cols=m.cols, pes=tuple(pes), config=m.config), labels
 
 

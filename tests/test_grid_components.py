@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks.baselines import pe_majority_class
 from somblocks.data_model import encode_labels
 from somblocks.partition import Partition, PartitionError
 
-from conftest import random_map
+from conftest import map_cells, random_map
 
 
 def exact(examples):
@@ -46,19 +45,21 @@ def first_occurrence(values):
 def test_threshold_blocks_are_the_kept_edge_components(seed, quantile):
     rng = np.random.default_rng(seed)
     m = random_map(rng, M=int(rng.integers(1, 4)), empty_prob=0.25)
-    if sum(pe.n > 0 for pe in m.pes) < 2:
+    if np.count_nonzero(m.counts) < 2:
         return
     bounds = sb.umatrix_boundaries(m)
     strengths = np.concatenate([bounds.h.ravel(), bounds.v.ravel()])
     strengths = strengths[~np.isnan(strengths)]
     T = float(np.quantile(strengths, quantile)) if strengths.size else 1.0
 
-    def kept(a, b):
-        s = bounds.strength(a, b)
+    def kept(a, b):     # b is a's right or lower neighbour
+        (r, c), (r2, _) = a, b
+        s = bounds.h[r, c] if r2 == r else bounds.v[r, c]
         return not np.isnan(s) and s <= T
 
     p = sb.threshold_partition(m, T)
     assert np.array_equal(p.block_of, union_find_labels(m.rows, m.cols, kept))
+    assert Partition.from_labels(p.block_of) == p
 
 
 @exact(150)
@@ -68,8 +69,11 @@ def test_oracle_blocks_are_the_equal_class_components(seed, n_classes):
     m = random_map(rng, M=1, empty_prob=0.3)
     labels = [f"c{int(v)}" for v in rng.integers(0, n_classes, m.n_samples)]
     classes, label_ids = encode_labels(labels)
-    cls = {(pe.r, pe.c): pe_majority_class(pe, label_ids, len(classes))
-           for pe in m.pes if pe.n > 0}
+    # majority class of each occupied cell, one cell at a time; ties go to
+    # the lowest class id
+    cls = {(pe.r, pe.c): int(np.bincount(label_ids[list(pe.member_ids)],
+                                         minlength=len(classes)).argmax())
+           for pe in map_cells(m) if pe.n > 0}
 
     def same_class(a, b):
         return a in cls and b in cls and cls[a] == cls[b]

@@ -11,7 +11,7 @@ from somblocks.partition import (Partition, PartitionError, Region, _walk_partit
                                  enumerate_connected_partitions, load_partition,
                                  save_partition, validate_partition)
 
-from conftest import make_map, plain_params, random_map
+from conftest import make_map, map_cells, plain_params, random_map
 
 
 def test_region_validation():
@@ -22,7 +22,7 @@ def test_region_validation():
 def test_quadtree_keeps_uniform_2x2_whole():
     m = make_map([[1.0, 1.0], [1.0, 1.0]], s=1.0)
     params = plain_params(R=10.0)
-    whole = sb.block_cost_for_pes(list(m.pes), params)
+    whole = sb.block_cost_for_pes(map_cells(m), params)
     singletons = 4 * math.log(10.0)
     assert whole == pytest.approx(4.713, abs=1e-3)
     assert singletons == pytest.approx(9.210, abs=1e-3)
@@ -54,7 +54,7 @@ def test_quadtree_splits_four_quadrants_once():
 def test_merge_joins_equal_singletons():
     m = make_map([[0.0, 0.0]], s=1.0)
     params = plain_params(R=10.0)
-    joined = sb.block_cost_for_pes(list(m.pes), params)
+    joined = sb.block_cost_for_pes(map_cells(m), params)
     separate = 2 * math.log(10.0)
     assert joined == pytest.approx(3.222, abs=1e-3)
     assert separate == pytest.approx(4.605, abs=1e-3)
@@ -69,6 +69,8 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
     m = random_map(rng, M=int(rng.integers(1, 4)), empty_prob=0.2)
     params = plain_params(M=m.n_attributes, R=float(rng.uniform(2.0, 40.0)), exponent=exponent)
     singletons = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
+    p = sb.partition_som(m, params)
+    assert Partition.from_labels(p.block_of, p.cost) == p      # blocks in canonical order
     for tiling in (sb.quadtree_split(m, params), singletons):
         expected = sb.merge_regions(tiling, m, params)
         for _ in range(3):

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 import somblocks as sb
 from somblocks.som import PeStats, SomError, _stats_from_weights, map_to_json
 
-from conftest import fixture_path, make_map
+from conftest import fixture_path, make_map, map_cells, random_map
 
 
 def flat_dataset(v, n):
@@ -19,13 +22,12 @@ def flat_dataset(v, n):
 def test_identical_samples_fixed_point():
     ds = flat_dataset([1.0, 2.0, 3.0], 10)
     m = sb.train(ds, sb.SomConfig(rows=2, cols=2, epochs=40, seed=3))
-    winner = [pe for pe in m.pes if pe.n > 0]
-    assert len(winner) == 1 and winner[0].n == 10
+    winner = m.counts[m.counts > 0]
+    assert len(winner) == 1 and winner[0] == 10
     # every cell that was ever updated converged onto the sample value
-    updated = [pe for pe in m.pes
-               if np.linalg.norm(pe.weight - ds.samples[0]) < 2.0]
-    for pe in updated:
-        assert np.linalg.norm(pe.weight - ds.samples[0]) < 1e-6
+    updated = [w for w in m.weights if np.linalg.norm(w - ds.samples[0]) < 2.0]
+    for w in updated:
+        assert np.linalg.norm(w - ds.samples[0]) < 1e-6
     assert sb.quantization_error(m, ds) < 1e-6
 
 
@@ -57,7 +59,7 @@ def test_two_clusters_match_two_means_oracle():
     samples = np.vstack([a, b])
     ds = sb.Dataset(samples=samples, labels=None, attribute_names=["x", "y"])
     m = sb.train(ds, sb.SomConfig(rows=1, cols=2, epochs=60, seed=5))
-    som_groups = {frozenset(pe.member_ids) for pe in m.pes if pe.n > 0}
+    som_groups = {frozenset(pe.member_ids) for pe in map_cells(m) if pe.n > 0}
     assign = kmeans_oracle(samples, 2)
     km_groups = {frozenset(np.nonzero(assign == i)[0].tolist()) for i in range(2)}
     assert som_groups == km_groups
@@ -78,7 +80,7 @@ def test_quantization_error_properties(iris):
 
 def test_member_lists_partition_the_dataset(iris):
     m = sb.train(iris, sb.SomConfig(rows=4, cols=4, epochs=40, seed=7))
-    seen = [i for pe in m.pes for i in pe.member_ids]
+    seen = [i for pe in map_cells(m) for i in pe.member_ids]
     assert sorted(seen) == list(range(iris.n_samples))
     assert m.n_samples == iris.n_samples
 
@@ -113,8 +115,7 @@ def test_gamma_zero_is_plain_nearest_pe():
     cfg = sb.SomConfig(rows=2, cols=2, epochs=3, conscience_gamma=0.0, seed=4)
     m = sb.train(ds, cfg)
     ref = reference_plain_som(samples, cfg)
-    got = np.stack([pe.weight for pe in m.pes])
-    assert np.allclose(got, ref, atol=1e-12)
+    assert np.allclose(m.weights, ref, atol=1e-12)
 
 
 def _reference_train(dataset, config):
@@ -187,36 +188,73 @@ def test_save_load_round_trip(tmp_path, iris):
     assert sb.load_map(path) == m
 
 
+def _fixture_text(name):
+    with open(fixture_path(name)) as f:
+        return f.read()
+
+
+def _fixture_doc():
+    return json.loads(_fixture_text("iris_map_seed2.json"))
+
+
 def test_map_stacks_its_cells_into_read_only_arrays(fixture_map):
     m = fixture_map
-    assert any(pe.n == 0 for pe in m.pes)
-    for k, pe in enumerate(m.pes):
-        assert np.array_equal(m.weights[k], pe.weight)
-        assert m.counts[k] == pe.n
-        assert np.array_equal(m.means[k], pe.mean if pe.n else np.zeros(4))
-        assert np.array_equal(m.stds[k], pe.std if pe.n else np.zeros(4))
-        assert (m.assignment[list(pe.member_ids)] == k).all()
-    assert m.member_ids.tolist() == [i for pe in m.pes for i in pe.member_ids]
+    cells = _fixture_doc()["pes"]      # the records the map was built from
+    assert any(pe["n"] == 0 for pe in cells)
+    for k, pe in enumerate(cells):
+        assert m.weights[k].tolist() == pe["weight"]
+        assert m.counts[k] == pe["n"]
+        assert m.means[k].tolist() == (pe["mean"] if pe["n"] else [0.0] * 4)
+        assert m.stds[k].tolist() == (pe["std"] if pe["n"] else [0.0] * 4)
+        assert (m.assignment[pe["member_ids"]] == k).all()
+    assert m.member_ids.tolist() == [i for pe in cells for i in pe["member_ids"]]
     with pytest.raises(ValueError):
         m.means[0, 0] = 1.0
-    k = next(k for k, pe in enumerate(m.pes) if pe.n > 1)
-    pes = list(m.pes)
+    k = next(k for k, pe in enumerate(cells) if pe["n"] > 1)
+    pes = map_cells(m)
     pes[k] = dataclasses.replace(pes[k], member_ids=pes[k].member_ids[::-1])
     assert dataclasses.replace(m, pes=tuple(pes)) != m     # member order counts
-    assert dataclasses.replace(m, pes=m.pes) == m
+    assert dataclasses.replace(m, pes=map_cells(m)) == m
+
+
+def test_map_keeps_none_of_its_input_records():
+    m = make_map([[0.0, 1.0], [None, 3.0]])
+    pes = map_cells(m)
+    probe = weakref.ref(pes[0])
+    rebuilt = sb.SomMap(rows=m.rows, cols=m.cols, pes=tuple(pes), config=m.config)
+    del pes
+    gc.collect()
+    assert probe() is None
+    assert rebuilt == m and not hasattr(rebuilt, "pes")
+
+
+def _round_trips(m):
+    rebuilt = sb.SomMap(rows=m.rows, cols=m.cols, pes=tuple(map_cells(m)), config=m.config)
+    assert rebuilt == m
+    assert map_to_json(rebuilt) == map_to_json(m)
+
+
+def test_map_rebuilt_from_its_own_cells_is_equal(fixture_map, seed1_map):
+    for m, name in ((fixture_map, "iris_map_seed2.json"), (seed1_map, "iris_map_seed1.json")):
+        _round_trips(m)
+        assert map_to_json(m) == _fixture_text(name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 4))
+def test_random_map_rebuilt_from_its_own_cells_is_equal(seed, M):
+    _round_trips(random_map(np.random.default_rng(seed), M=M, empty_prob=0.3))
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    src = fixture_path("iris_map_seed2.json")
     dst = tmp_path / "trunc.json"
-    dst.write_text(open(src).read()[:500])
+    dst.write_text(_fixture_text("iris_map_seed2.json")[:500])
     with pytest.raises(SomError, match="malformed"):
         sb.load_map(dst)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
-    import json
-    doc = json.load(open(fixture_path("iris_map_seed2.json")))
+    doc = _fixture_doc()
     doc["format_version"] = 999
     p = tmp_path / "v.json"
     p.write_text(json.dumps(doc))
@@ -248,8 +286,7 @@ def test_config_validation():
 
 
 def _broken_map(tmp_path, edit):
-    import json
-    doc = json.load(open(fixture_path("iris_map_seed2.json")))
+    doc = _fixture_doc()
     edit(doc)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -298,9 +335,8 @@ def test_load_rejects_inconsistent_cells(tmp_path, edit, message):
 
 @CELL_FAULTS
 def test_map_built_in_memory_rejects_inconsistent_cells(tmp_path, edit, message):
-    import json
     path = _broken_map(tmp_path, edit)
-    doc = json.load(open(path))
+    doc = json.loads(path.read_text())
     pes = tuple(PeStats(r=rec["r"], c=rec["c"], weight=np.array(rec["weight"]),
                         member_ids=tuple(rec["member_ids"]), n=rec["n"],
                         mean=None if rec["mean"] is None else np.array(rec["mean"]),
@@ -327,10 +363,10 @@ def test_load_rejects_the_wide_mean_negative_count_map(tmp_path):
 def test_map_checks_its_grid_on_construction():
     m = make_map([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     with pytest.raises(SomError, match="grid 3x2 differs from the config's 2x3"):
-        dataclasses.replace(m, rows=3, cols=2)
+        dataclasses.replace(m, rows=3, cols=2, pes=tuple(map_cells(m)))
     with pytest.raises(SomError, match="5 cells do not tile the 2x3 grid"):
-        dataclasses.replace(m, pes=m.pes[:5])
-    pes = list(m.pes)
+        dataclasses.replace(m, pes=tuple(map_cells(m)[:5]))
+    pes = map_cells(m)
     pes[4] = dataclasses.replace(pes[4], r=0, c=1)
     with pytest.raises(SomError, match=r"cell 4: r/c \(0, 1\) do not match its position \(1, 1\)"):
         dataclasses.replace(m, pes=tuple(pes))
@@ -348,6 +384,6 @@ def test_map_checks_its_grid_on_construction():
 ])
 def test_member_id_faults_name_the_first_in_cell_order(ids, message):
     m = make_map([[0.0, 1.0, 2.0]], n_members=2)
-    pes = tuple(dataclasses.replace(pe, member_ids=cell_ids) for pe, cell_ids in zip(m.pes, ids))
+    pes = tuple(dataclasses.replace(pe, member_ids=cell_ids) for pe, cell_ids in zip(map_cells(m), ids))
     with pytest.raises(SomError, match=f"^{message}"):
         dataclasses.replace(m, pes=pes)

@@ -275,17 +275,28 @@ def block_cost_for_pes(pes: Sequence["PeStats"], params: CostParams) -> float:
     return block_cost(members, params)
 
 
+def _mask_cells(mask: int) -> list[int]:
+    """Indices of the set bits of mask, in ascending order."""
+    cells = []
+    while mask:
+        low = mask & -mask
+        cells.append(low.bit_length() - 1)
+        mask ^= low
+    return cells
+
+
 class BlockCosts:
     """Cached block costs of one map under one cost setting.
 
     A block is a bitmask over the map's row-major cells.  The first request
     for a block computes its size n (non-empty cells) and, per attribute,
     the width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
-    with the operations of block_stat and block_cost; the range prior is
-    added last and the terms are summed in block_cost's order, so cost(mask)
-    equals block_cost_for_pes of the same cells bit for bit.  The width
-    terms do not depend on R, f_R or the range exponent, so at() hands out
-    an engine for another range setting that shares them.
+    with the operations of block_stat and block_cost, on the block's rows of
+    a per-cell table gathered by index and summed in Python; the range prior
+    is added last and the terms are summed in block_cost's order, so
+    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
+    width terms do not depend on R, f_R or the range exponent, so at() hands
+    out an engine for another range setting that shares them.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -293,10 +304,8 @@ class BlockCosts:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
                             f"cost params have {params.n_attributes}")
         self.som_map = som_map
-        self._n_cells = len(som_map.counts)
         self._occupied = int.from_bytes(
             np.packbits(som_map.counts > 0, bitorder="little").tobytes(), "little")
-        self._nbytes = (self._n_cells + 7) // 8
         self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
         self._terms: dict[int, tuple] = {}          # mask -> (n, width terms per attribute)
         self._set_range(params)
@@ -354,16 +363,20 @@ class BlockCosts:
             if n == 0:
                 hit = (0, ())
             else:
-                bits = np.frombuffer(occupied.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-                cells = np.unpackbits(bits, count=self._n_cells, bitorder="little").view(bool)
-                block = self._table(n)[cells]
-                m = block.shape[1] // 4
-                sums = [math.fsum(col) for col in block[:, :3 * m].T.tolist()]
-                X = np.array(sums[m:2 * m]) / np.array(sums[:m])
-                w, means = block[:, :m], block[:, 3 * m:]
-                resid = [math.fsum(col) for col in (w * (means - X) ** 2).T.tolist()]
-                hit = (n, [sums[2 * m + j] + 0.5 * math.log(sums[j]) + resid[j]
-                           for j in range(m)])
+                # Most blocks have a few cells, where numpy's per-call
+                # overhead would outweigh the sums.  Each step is the float
+                # operation block_stat does, (m - X)**2 included, so the bits
+                # agree.
+                columns = self._table(n)[_mask_cells(occupied)].T.tolist()
+                m = len(columns) // 4
+                terms = []
+                for j in range(m):
+                    w, means = columns[j], columns[3 * m + j]
+                    S = math.fsum(w)
+                    X = math.fsum(columns[m + j]) / S
+                    resid = math.fsum([wi * ((mi - X) * (mi - X)) for wi, mi in zip(w, means)])
+                    terms.append(math.fsum(columns[2 * m + j]) + 0.5 * math.log(S) + resid)
+                hit = (n, terms)
             self._terms[mask] = hit
         return hit
 

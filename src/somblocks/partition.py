@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostParams
+from .bayes_cost import BlockCosts, CostParams, _mask_cells
 from .data_model import write_text_atomic
 from .som import SomMap
 
@@ -273,15 +273,6 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     return Partition(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=total)
 
 
-def _mask_cells(mask: int) -> list[int]:
-    cells = []
-    while mask:
-        low = mask & -mask
-        cells.append(low.bit_length() - 1)
-        mask ^= low
-    return cells
-
-
 def partition_som(som_map: SomMap, params: CostParams,
                   costs: BlockCosts | None = None) -> Partition:
     """Quadtree split followed by greedy merging.
@@ -408,11 +399,15 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     the unit width rule the walk is a branch and bound: a branch is skipped
     when the exact cost of its partial blocks plus each unplaced cell's
     least possible increment (BlockCosts.least_increments) exceeds the best
-    cost found so far by more than a rounding tolerance.  The walk visits
-    labelings in lexicographic order, so that returns the same partition
-    and cost as scoring every partition, which is what happens under a
-    width rule that depends on block size.  The worst case still grows
-    exponentially with cell count, hence cell_limit.
+    cost known so far by more than a rounding tolerance.  The best known
+    starts as the cheaper of two connected partitions, the singleton tiling
+    and partition_som's answer, each costed here block by block (the
+    heuristic's reported cost is not used, and its partition is skipped if
+    it fails validate_partition).  The walk visits labelings in lexicographic
+    order, so that returns the same partition and cost as scoring every
+    partition, which is what happens under a width rule that depends on
+    block size.  The worst case still grows exponentially with cell count,
+    hence cell_limit.
     """
     rows, cols = som_map.rows, som_map.cols
     if rows * cols > cell_limit:
@@ -434,6 +429,23 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     grow = None
     least = costs.least_increments()
     if least is not None:
+        # Two connected partitions that the walk would reach anyway give it a
+        # limit from its first node, so they change what it cuts, not what
+        # it returns.
+        seeds = [tuple(range(rows * cols))]
+        heuristic = partition_som(som_map, params, costs)
+        try:
+            validate_partition(heuristic)
+        except PartitionError:
+            pass
+        else:
+            seeds.append(Partition.from_labels(heuristic.block_of).signature())
+        for labels in seeds:
+            masks = [0] * (max(labels) + 1)
+            for k, b in enumerate(labels):
+                masks[b] |= 1 << k
+            visit(labels, masks)
+
         # rest[k]: the least the cells from k on can add to any completion.
         rest = [0.0] * (len(least) + 1)
         for k in range(len(least) - 1, -1, -1):

@@ -244,6 +244,10 @@ def _reference_exhaustive(som_map, params):
          f_R=0.1, f_sigma=1.5)
 @example(shape=(2, 5), seed=5, M=1, empty=0.0, spread=3.0, exponent="per_pe", rule="sqrt",
          f_R=10.0, f_sigma=0.8)
+@example(shape=(4, 3), seed=6, M=2, empty=0.1, spread=1.0, exponent="per_block", rule="unit",
+         f_R=1.0, f_sigma=1.0)
+@example(shape=(2, 6), seed=7, M=2, empty=0.1, spread=1.5, exponent="per_pe", rule="unit",
+         f_R=0.5, f_sigma=1.0)
 def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, exponent, rule,
                                                 f_R, f_sigma):
     # spread sets how far cell means scatter against cell stds of 0.1-0.8:
@@ -259,6 +263,36 @@ def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, ex
                            range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
     best = sb.exhaustive_partition(m, params, cell_limit=12)
     assert best == _reference_exhaustive(m, params)   # cost bits included
+
+
+def test_oracle_recosts_the_heuristic_partition_it_starts_from(monkeypatch):
+    # The heuristic's partition seeds the bounded walk.  A cost it misstates,
+    # or a block it leaves disconnected, must not decide the answer.
+    real = sb.partition_som
+    seeds = []
+
+    def misstated(som_map, params, costs=None):
+        p = real(som_map, params, costs)
+        seeds.append(p)
+        return Partition(block_of=p.block_of, n_blocks=p.n_blocks, cost=-1e9)
+
+    monkeypatch.setattr("somblocks.partition.partition_som", misstated)
+    params = plain_params(R=20.0, M=2)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        m = random_map(rng, rows=3, cols=3, M=2)
+        assert sb.exhaustive_partition(m, params) == _reference_exhaustive(m, params)
+    assert len(seeds) == 4
+
+    # the ends of a 1x3 strip agree; joining them across the middle would
+    # be cheapest, but that block is not connected
+    m = make_map([[0.0, 9.0, 0.0]], s=0.4)
+    params = plain_params(R=30.0)
+    monkeypatch.setattr("somblocks.partition.partition_som",
+                        lambda *args: Partition(np.array([[0, 1, 0]]), 2, cost=-1e9))
+    best = sb.exhaustive_partition(m, params)
+    assert best == _reference_exhaustive(m, params)
+    assert sb.partition_cost(Partition(np.array([[0, 1, 0]]), 2), m, params) < best.cost
 
 
 def synthetic_families(rng):

@@ -217,6 +217,14 @@ def test_map_stacks_its_cells_into_read_only_arrays(fixture_map):
     assert dataclasses.replace(m, pes=map_cells(m)) == m
 
 
+@pytest.mark.parametrize("r, c", [(-1, 0), (0, 7), (5, 0)])
+def test_cell_outside_the_grid_is_refused(fixture_map, r, c):
+    # without the check, (-1, 0) wrapped to cell (4, 0), (0, 7) ran on to
+    # cell (1, 2) and (5, 0) fell through to a bare IndexError
+    with pytest.raises(SomError, match=rf"cell \({r}, {c}\) is outside the 5x5 grid"):
+        fixture_map.pe(r, c)
+
+
 def test_map_keeps_none_of_its_input_records():
     m = make_map([[0.0, 1.0], [None, 3.0]])
     pes = map_cells(m)

@@ -92,14 +92,15 @@ class CostParams:
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         object.__setattr__(self, "sigma_floor", np.asarray(self.sigma_floor, dtype=float))
-        if self.R.ndim != 1 or np.any(self.R <= 0):
-            raise CostError("R must be a strictly positive vector")
-        if self.sigma_floor.shape != self.R.shape or np.any(self.sigma_floor <= 0):
-            raise CostError("sigma_floor must be strictly positive, same shape as R")
-        if self.sigma_const <= 0:
-            raise CostError("sigma_const must be positive")
-        if self.f_R <= 0 or self.f_sigma <= 0:
-            raise CostError("f_R and f_sigma must be positive")
+        if self.R.ndim != 1 or not np.all((self.R > 0) & np.isfinite(self.R)):
+            raise CostError("R must be a finite, strictly positive vector")
+        if self.sigma_floor.shape != self.R.shape or not np.all(
+                (self.sigma_floor > 0) & np.isfinite(self.sigma_floor)):
+            raise CostError("sigma_floor must be finite and strictly positive, same shape as R")
+        for name in ("sigma_const", "f_R", "f_sigma"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise CostError(f"{name} must be positive and finite, got {value!r}")
         if self.range_rule not in RANGE_RULES:
             raise CostError(f"range_rule must be one of {RANGE_RULES}")
         if self.range_exponent not in RANGE_EXPONENTS:
@@ -163,6 +164,9 @@ def params_from_summary(
     else:
         raise CostError(f"range_rule must be one of {RANGE_RULES}")
     if sigma_floor is None:
+        if not (sigma_floor_frac > 0 and math.isfinite(sigma_floor_frac)):
+            raise CostError(f"sigma_floor_frac must be positive and finite, "
+                            f"got {sigma_floor_frac!r}")
         if np.any(summary.spans <= 0):
             raise CostError("default sigma floor needs positive span on every attribute")
         sigma_floor = sigma_floor_frac * summary.spans
@@ -288,12 +292,15 @@ def _mask_cells(mask: int) -> list[int]:
 class BlockCosts:
     """Cached block costs of one map under one cost setting.
 
-    A block is a bitmask over the map's row-major cells.  The first request
-    for a block computes its size n (non-empty cells) and, per attribute,
-    the width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
+    A block is a bitmask over the map's row-major cells.  Only its occupied
+    cells enter its cost, so both caches are keyed by those: masks that
+    differ only in empty cells share one entry.  The first request for a
+    block computes its size n (non-empty cells) and, per attribute, the
+    width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
     with the operations of block_stat and block_cost, on the block's rows of
-    a per-cell table gathered by index and summed in Python; the range prior
-    is added last and the terms are summed in block_cost's order, so
+    a per-cell table gathered by index and summed in Python; the entry also
+    keeps each attribute's S and X for join_rejected.  The range prior is
+    added last and the terms are summed in block_cost's order, so
     cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
     width terms do not depend on R, f_R or the range exponent, so at() hands
     out an engine for another range setting that shares them.
@@ -307,12 +314,14 @@ class BlockCosts:
         self._occupied = int.from_bytes(
             np.packbits(som_map.counts > 0, bitorder="little").tobytes(), "little")
         self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
-        self._terms: dict[int, tuple] = {}          # mask -> (n, width terms per attribute)
+        # occupied cells -> (n, and per attribute: width terms, S, X)
+        self._terms: dict[int, tuple] = {}
         self._set_range(params)
 
     def _set_range(self, params: CostParams) -> None:
         self.params = params
-        self._costs: dict[int, float] = {}
+        self._costs: dict[int, float] = {}           # occupied cells -> cost
+        self._join = None                            # join_rejected's constants
         log_R = np.log(params.effective_R())
         log_pi = math.log(math.pi)
         self._per_block = params.range_exponent == "per_block"
@@ -355,13 +364,13 @@ class BlockCosts:
             table = self._tables[scale] = np.hstack([w, w * means, log_sigmas, means])
         return table
 
-    def _width_terms(self, mask: int) -> tuple:
-        hit = self._terms.get(mask)
+    def _width_terms(self, occupied: int) -> tuple:
+        """(n, width terms, S, X) of the block of these occupied cells."""
+        hit = self._terms.get(occupied)
         if hit is None:
-            occupied = mask & self._occupied
             n = occupied.bit_count()
             if n == 0:
-                hit = (0, ())
+                hit = (0, (), (), ())
             else:
                 # Most blocks have a few cells, where numpy's per-call
                 # overhead would outweigh the sums.  Each step is the float
@@ -369,15 +378,17 @@ class BlockCosts:
                 # agree.
                 columns = self._table(n)[_mask_cells(occupied)].T.tolist()
                 m = len(columns) // 4
-                terms = []
+                terms, S_all, X_all = [], [], []
                 for j in range(m):
                     w, means = columns[j], columns[3 * m + j]
                     S = math.fsum(w)
                     X = math.fsum(columns[m + j]) / S
                     resid = math.fsum([wi * ((mi - X) * (mi - X)) for wi, mi in zip(w, means)])
                     terms.append(math.fsum(columns[2 * m + j]) + 0.5 * math.log(S) + resid)
-                hit = (n, terms)
-            self._terms[mask] = hit
+                    S_all.append(S)
+                    X_all.append(X)
+                hit = (n, terms, S_all, X_all)
+            self._terms[occupied] = hit
         return hit
 
     def least_increments(self) -> list[float] | None:
@@ -404,9 +415,10 @@ class BlockCosts:
 
     def cost(self, mask: int) -> float:
         """Cost of the cells in mask as one block; 0 when none is occupied."""
-        hit = self._costs.get(mask)
+        occupied = mask & self._occupied
+        hit = self._costs.get(occupied)
         if hit is None:
-            n, terms = self._width_terms(mask)
+            n, terms, _, _ = self._width_terms(occupied)
             if n == 0:
                 hit = 0.0
             elif self._per_block:
@@ -414,8 +426,80 @@ class BlockCosts:
                 hit = math.fsum([prior + occam + t for prior, t in zip(self._prior, terms)])
             else:
                 hit = math.fsum([(n - 1) * prior + t for prior, t in zip(self._prior, terms)])
-            self._costs[mask] = hit
+            self._costs[occupied] = hit
         return hit
+
+    def join_rejected(self, a: int, b: int) -> bool:
+        """True only when cost(a | b) < cost(a) + cost(b) is certainly False.
+
+        a and b are disjoint blocks.  If either has no occupied cell, the
+        union's cost is the other block's, bit for bit, so the comparison is
+        False under any width rule.  Otherwise the answer comes from the two
+        blocks' cached S and X, and only under the unit width rule, where
+        every block reads the same cell widths, and only while the union is
+        not cached (its exact cost is cheap then).  In real arithmetic on the
+        cell table, the pairwise update of Chan, Golub & LeVeque (1979) gives
+        the join's change of cost, with H_j = S_aj S_bj / (S_aj + S_bj) and
+        d_j = X_aj - X_bj,
+
+            delta = sum_j [q_j - ln(H_j)/2 + H_j d_j^2],
+            q_j = ln(pi)/2 - ln(f_R R_j) (per_block), ln(f_R R_j) + ln(pi)/2 (per_pe).
+
+        Rounding.  Up to a small factor, scale (below) bounds every quantity
+        that enters the three costs or delta: each sum ln sigma, ln(S)/2,
+        resid and prior term (through the blocks' cached terms and cell
+        counts), the addends of delta, the error H |d| max|m| that rounding
+        X puts into H d^2, and the error 2^-53 S max m^2 it puts into resid
+        (at second order only, since sum_i w_i (m_i - X) = 0).  Each value is
+        a correctly rounded sum (fsum) or a few single roundings per
+        attribute, so the computed delta and the computed
+        cost(a | b) - (cost(a) + cost(b)) differ by at most about
+        (M + 100) 2^-53 scale for M attributes.  A join is rejected when
+        delta exceeds 1e-7 scale, 10^7 times that difference for any M below
+        about 10^7; joins nearer a tie go to the exact comparison.  So does
+        any non-finite value (a comparison with NaN, or with an infinite
+        scale, is False) and an H that underflows to 0.
+        """
+        a &= self._occupied
+        b &= self._occupied
+        if not (a and b):
+            return True
+        if self.params.n_scale_rule is not unit_scale or a | b in self._terms:
+            return False
+        if self._join is None:
+            self._join = self._join_constants()
+        q_sum, q_size, cell_size, top = self._join
+        n_a, terms_a, S_a, X_a = self._width_terms(a)
+        n_b, terms_b, S_b, X_b = self._width_terms(b)
+        delta, scale = q_sum, q_size + (n_a + n_b) * cell_size
+        for sa, sb, xa, xb, ta, tb, mu in zip(S_a, S_b, X_a, X_b, terms_a, terms_b, top):
+            h = sa * sb / (sa + sb)
+            if not h > 0.0:
+                return False
+            d = xa - xb
+            gap = h * d * d
+            half_log = 0.5 * math.log(h)
+            delta += gap - half_log
+            scale += (abs(ta) + abs(tb) + gap + abs(half_log)
+                      + h * abs(d) * mu + 2.0**-53 * (sa + sb) * mu * mu)
+        return delta > 1e-7 * scale
+
+    def _join_constants(self) -> tuple:
+        """join_rejected's sum and size of the q_j, its per-cell size, and
+        each attribute's largest |mean|.
+
+        The per-cell size, sum_j (|ln(f_R R_j)| + ln pi + 4 (max|ln sigma_j| + 1)),
+        times a block's cell count bounds its sum ln sigma, ln(S)/2, prior
+        terms and, with its cached terms, its resid.
+        """
+        m = self.params.n_attributes
+        top = np.abs(self._table(1)[:, 2 * m:]).max(axis=0).tolist()
+        log_R = np.log(self.params.effective_R()).tolist()
+        log_pi = math.log(math.pi)
+        q = [0.5 * log_pi - v for v in log_R] if self._per_block else self._prior
+        cell_size = math.fsum(abs(v) + log_pi + 4.0 * (lam + 1.0)
+                              for v, lam in zip(log_R, top[:m]))
+        return math.fsum(q), math.fsum(map(abs, q)), cell_size, top[m:]
 
 
 def partition_cost(partition: "Partition", som_map: "SomMap", params: CostParams) -> float:

@@ -92,10 +92,13 @@ def _coerce(key: str, value):
     default = DEFAULTS[key]
     if isinstance(default, bool):
         return value.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+    if isinstance(default, (int, float)):
+        kind = type(default)
+        try:
+            return kind(value)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise CliError(f"{key} must be {noun}, got {value!r}") from None
     return value
 
 
@@ -118,7 +121,11 @@ def parse_neighborhood(text: str) -> tuple:
     pairs = []
     for item in text.split(","):
         frac, _, hw = item.partition(":")
-        pairs.append((float(frac), int(hw)))
+        try:
+            pairs.append((float(frac), int(hw)))
+        except ValueError:
+            raise CliError(f"neighborhood must be frac:halfwidth pairs (halfwidth an "
+                           f"integer), got {item!r} in {text!r}") from None
     return tuple(pairs)
 
 

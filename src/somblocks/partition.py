@@ -228,10 +228,16 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     the separate costs, renumbering as it goes.  Passes repeat until one
     completes with no merge; ties keep regions separate.  costs, when given,
     is a BlockCosts of this map whose cached block terms are reused.
+
+    A pass finds each block's later neighbours through a table from cell to
+    list position instead of testing every later block, and a join that
+    BlockCosts.join_rejected settles (an empty side, or a certain loss) is
+    not costed; both visit and decide exactly what the plain scan does.
     """
     rows, cols = som_map.rows, som_map.cols
     _check_tiling(regions, rows, cols)
-    cost = _costs_for(som_map, params, costs).cost
+    costs = _costs_for(som_map, params, costs)
+    cost, rejected = costs.cost, costs.join_rejected
     inner = _inner_cells(rows, cols)
     grid = (1 << (rows * cols)) - 1
 
@@ -248,23 +254,41 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     while changed:
         changed = False
         blocks.sort(key=lambda block: block[0])
-        i = 0
-        while i < len(blocks):
+        # Cells keep the position their block had when the pass began.  A
+        # merged-away block's cells belong to an earlier position then, so a
+        # dead owner is never a later neighbour.
+        owner = [0] * (rows * cols)
+        for p, (_, mask, _) in enumerate(blocks):
+            for k in _mask_cells(mask):
+                owner[k] = p
+        live = [True] * len(blocks)
+        for i in range(len(blocks)):
+            if not live[i]:
+                continue
             key, mask, near = blocks[i]
-            j = i + 1
-            while j < len(blocks):
-                other_key, other, other_near = blocks[j]
-                if near & other:
+            j = i
+            while True:
+                # the live blocks after position j that touch the block
+                later = []
+                rest = near & ~mask
+                while rest:
+                    p = owner[(rest & -rest).bit_length() - 1]
+                    rest &= ~blocks[p][1]
+                    if p > j and live[p]:
+                        later.append(p)
+                for j in sorted(later):
+                    other_key, other, other_near = blocks[j]
                     joined = mask | other
-                    if cost(joined) < cost(mask) + cost(other):
+                    if not rejected(mask, other) and cost(joined) < cost(mask) + cost(other):
                         key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
                         mask, near = joined, near | other_near
                         blocks[i] = (key, mask, near)
-                        del blocks[j]
+                        live[j] = False
                         changed = True
-                        continue
-                j += 1
-            i += 1
+                        break
+                else:
+                    break
+        blocks = [block for block, alive in zip(blocks, live) if alive]
 
     masks = [mask for _, mask, _ in blocks]
     total = math.fsum(cost(mask) for mask in masks)     # in merge order

@@ -59,8 +59,9 @@ def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
         raise SweepError("need an odd number of grid points so 1.0 is included")
     if points == 1:
         return np.ones(1)
-    if not decades > 0:
-        raise SweepError(f"decades must be positive for {points} grid points, got {decades!r}")
+    if not (decades > 0 and math.isfinite(decades)):
+        raise SweepError(f"decades must be positive and finite for {points} grid points, "
+                         f"got {decades!r}")
     return np.logspace(-decades, decades, points)
 
 

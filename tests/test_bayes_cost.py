@@ -265,3 +265,23 @@ def test_cost_params_validation():
         sb.block_cost([], plain_params())
     with pytest.raises(CostError):
         sb.block_cost([(np.array([0.0]), np.array([0.0]))], plain_params())
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("R", {"R": np.array([math.nan])}),
+    ("R", {"R": np.array([math.inf])}),
+    ("sigma_floor", {"sigma_floor": np.array([math.nan])}),
+    ("sigma_const", {"sigma_const": math.nan}),
+    ("f_R", {"f_R": math.nan}),
+    ("f_sigma", {"f_sigma": math.inf}),
+])
+def test_cost_params_must_be_finite(field, changes):
+    values = {"R": np.array([1.0]), "sigma_floor": np.array([0.1]), **changes}
+    with pytest.raises(CostError, match=f"^{field} must be"):
+        sb.CostParams(**values)
+
+
+@pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -0.1])
+def test_sigma_floor_frac_must_be_positive_and_finite(iris, frac):
+    with pytest.raises(CostError, match="sigma_floor_frac must be positive and finite"):
+        sb.params_from_summary(sb.summarize(iris), sigma_floor_frac=frac)

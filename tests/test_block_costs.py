@@ -153,3 +153,117 @@ def test_engine_refuses_another_map_or_width(fixture_map, seed1_map, iris_params
         costs.at(seed1_map, iris_params)
     with pytest.raises(CostError, match="cell-width"):
         sb.partition_som(fixture_map, iris_params.scaled(f_sigma=2.0), costs)
+
+
+def test_cache_is_keyed_by_occupied_cells():
+    m = make_map([[0.0, None, 1.0], [None, 2.0, None]], s=0.5)
+    empties = 0b101010
+    for rule in sorted(N_SCALE_RULES):
+        params = sb.CostParams(R=np.array([10.0]), sigma_floor=np.array([0.1]),
+                               n_scale_rule=N_SCALE_RULES[rule])
+        costs = BlockCosts(m, params)
+        tables = []
+        table = costs._table
+        costs._table = lambda n: tables.append(n) or table(n)
+        for mask in (0b000001, 0b000101, 0b010101):
+            c = costs.cost(mask)
+            computed = len(tables)
+            assert costs.cost(mask | empties) == c     # same bits, no new computation
+            assert costs.cost(mask | empties & 0b000010) == c
+            assert len(tables) == computed
+        assert costs.cost(empties) == 0.0
+
+
+def test_join_with_an_empty_side_is_rejected_under_every_rule():
+    m = make_map([[0.0, None, 0.0], [None, 0.0, None]], s=0.5)
+    for rule in sorted(N_SCALE_RULES):
+        for exponent in RANGE_EXPONENTS:
+            params = sb.CostParams(R=np.array([1e6]), sigma_floor=np.array([0.1]),
+                                   n_scale_rule=N_SCALE_RULES[rule], range_exponent=exponent)
+            costs = BlockCosts(m, params)
+            for a, b in ((0b000001, 0b000010), (0b001000, 0b010101), (0b000010, 0b101000)):
+                assert costs.join_rejected(a, b) and costs.join_rejected(b, a)
+                assert not costs.cost(a | b) < costs.cost(a) + costs.cost(b)
+
+
+def test_sqrt_rule_and_cached_unions_take_the_exact_path():
+    m = make_map([[0.0, 50.0]], s=0.1)     # a join that loses by far
+    params = sb.CostParams(R=np.array([100.0]), sigma_floor=np.array([0.01]))
+    costs = BlockCosts(m, params)
+    assert costs.join_rejected(0b01, 0b10)
+    costs.cost(0b11)
+    assert not costs.join_rejected(0b01, 0b10)
+    sqrt_widths = dataclasses.replace(params, n_scale_rule=N_SCALE_RULES["sqrt"])
+    assert not BlockCosts(m, sqrt_widths).join_rejected(0b01, 0b10)
+
+
+def random_blocks(rng, n_cells):
+    """Two disjoint random cell sets of a grid with n_cells cells."""
+    side = rng.integers(0, 3, n_cells)
+    bits = [sum(1 << int(k) for k in np.flatnonzero(side == s)) for s in (1, 2)]
+    return bits[0], bits[1]
+
+
+@exact(200)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(RANGE_EXPONENTS),
+       spread=st.floats(0.0, 4.0), f_R=factors, f_sigma=factors)
+def test_rejected_joins_never_pass_the_exact_comparison(seed, exponent, spread, f_R, f_sigma):
+    # spread sets how far means scatter against stds of 0.1-0.8, so some
+    # joins win, some lose narrowly and some lose by far
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    means = rng.normal(0.0, spread, (rows, cols, M)) + rng.normal(0.0, 5.0, M)
+    grid = [[None if (r or c) and rng.random() < 0.2 else means[r, c] for c in range(cols)]
+            for r in range(rows)]
+    m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)), range_exponent=exponent,
+                           f_R=f_R, f_sigma=f_sigma)
+    for _ in range(20):
+        a, b = random_blocks(rng, rows * cols)
+        costs = BlockCosts(m, params)         # fresh, so the union is not cached
+        rejected = costs.join_rejected(a, b)
+        wins = costs.cost(a | b) < costs.cost(a) + costs.cost(b)
+        assert not (rejected and wins)
+
+
+def near_tie(exponent, M, offset, rng):
+    """A 1x2 map and params whose one join changes the cost by about offset."""
+    stds = rng.uniform(0.1, 0.8, (2, M))
+    means = rng.normal(3.0, 1.0, (2, M))
+    h = 1.0 / (stds[0] ** 2 + stds[1] ** 2)
+    R = rng.uniform(2.0, 40.0, M)
+    # delta = sum_j q_j + sum_j (h_j d_j^2 - ln(h_j)/2), with sum_j q_j = -rest
+    rest = math.fsum(h * (means[0] - means[1]) ** 2 - 0.5 * np.log(h)) - offset
+    log_pi = math.log(math.pi)
+    if exponent == "per_block":     # q_j = ln(pi)/2 - ln f_R - ln R_j
+        log_f_R = (rest + 0.5 * M * log_pi - math.fsum(np.log(R))) / M
+    else:                           # q_j = ln f_R + ln R_j + ln(pi)/2
+        log_f_R = -(rest + 0.5 * M * log_pi + math.fsum(np.log(R))) / M
+    m = make_map([[means[0], means[1]]], n_members=3, stds=[[stds[0], stds[1]]])
+    params = sb.CostParams(R=R, sigma_floor=np.full(M, 1e-9), range_exponent=exponent,
+                           f_R=math.exp(log_f_R))
+    return m, params
+
+
+@pytest.mark.parametrize("exponent", RANGE_EXPONENTS)
+def test_near_ties_take_the_exact_path(exponent):
+    rng = np.random.default_rng(2024)
+    for k in range(300):
+        M = 1 + k % 4
+        m, params = near_tie(exponent, M, float(rng.uniform(-1e-13, 1e-13)), rng)
+        costs = BlockCosts(m, params)
+        assert not costs.join_rejected(0b01, 0b10)
+        delta = costs.cost(0b11) - (costs.cost(0b01) + costs.cost(0b10))
+        assert abs(delta) < 1e-12
+        wins = costs.cost(0b11) < costs.cost(0b01) + costs.cost(0b10)
+        p = sb.merge_regions([sb.Region(0, 1, 0, 1), sb.Region(0, 1, 1, 2)], m, params)
+        assert p.n_blocks == (1 if wins else 2)
+    # far from the tie the same construction is settled without the union
+    m, params = near_tie(exponent, 2, 1.0, rng)
+    assert BlockCosts(m, params).join_rejected(0b01, 0b10)
+    m, params = near_tie(exponent, 2, -1.0, rng)
+    costs = BlockCosts(m, params)
+    assert not costs.join_rejected(0b01, 0b10)
+    assert costs.cost(0b11) < costs.cost(0b01) + costs.cost(0b10)

@@ -160,6 +160,51 @@ def test_sweep_command_refuses_zero_decades(tmp_path, capsys):
     assert "decades must be positive" in capsys.readouterr().err
 
 
+def test_sweep_command_refuses_infinite_decades(tmp_path, capsys):
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "3",
+                 "--sweep-decades", "inf", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "decades must be positive and finite for 3 grid points, got inf" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--f-R", "nan", "f_R must be positive and finite, got nan"),
+    ("--f-sigma", "inf", "f_sigma must be positive and finite, got inf"),
+    ("--sigma-floor-frac", "nan", "sigma_floor_frac must be positive and finite, got nan"),
+])
+def test_partition_refuses_non_finite_cost_settings(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "p.json"
+    rc = run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(out),
+                 flag, value)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"somblocks: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rows", "abc", "rows must be an integer, got 'abc'"),
+    ("--epochs", "2.5", "epochs must be an integer, got '2.5'"),
+    ("--lr-start", "fast", "lr_start must be a number, got 'fast'"),
+    ("--neighborhood", "0:2,0.25", "neighborhood must be frac:halfwidth pairs (halfwidth an "
+                                   "integer), got '0.25' in '0:2,0.25'"),
+])
+def test_bad_values_name_the_setting(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "map.json"
+    rc = run_cli("train", "--out", str(out), flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"somblocks: error: {message}\n"
+    # the same value from a config file gets the same message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+    rc = run_cli("train", "--out", str(out), "--config", str(cfg))
+    assert rc == 1
+    assert capsys.readouterr().err == f"somblocks: error: {message}\n"
+    assert not out.exists()
+
+
 def test_render_single_row_map():
     m = make_map([[1.0, 9.0]], s=0.1, n_members=3)
     text = render_map(m)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import somblocks as sb
 from somblocks.bayes_cost import BlockCosts
-from somblocks.partition import (Partition, PartitionError, Region, _walk_partitions,
-                                 enumerate_connected_partitions, load_partition,
-                                 save_partition, validate_partition)
+from somblocks.partition import (Partition, PartitionError, Region, _inner_cells, _label_grid,
+                                 _region_mask, _walk_partitions, enumerate_connected_partitions,
+                                 load_partition, save_partition, validate_partition)
 
 from conftest import make_map, map_cells, plain_params, random_map
 
@@ -76,6 +76,67 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
         for _ in range(3):
             shuffled = [tiling[i] for i in rng.permutation(len(tiling))]
             assert sb.merge_regions(shuffled, m, params) == expected   # cost included
+
+
+def _reference_merge(regions, som_map, params):
+    """merge_regions as it was before it scanned neighbours only and skipped
+    joins from block statistics: every later block is tested, and every
+    adjacent pair is costed."""
+    rows, cols = som_map.rows, som_map.cols
+    cost = BlockCosts(som_map, params).cost
+    inner = _inner_cells(rows, cols)
+    grid = (1 << (rows * cols)) - 1
+    blocks = []
+    for region in regions:
+        mask = _region_mask(region, cols)
+        near = (mask << cols | mask >> cols
+                | (mask & inner) << 1 | (mask >> 1) & inner) & grid
+        blocks.append(((region.c0, region.r0), mask, near))
+    changed = True
+    while changed:
+        changed = False
+        blocks.sort(key=lambda block: block[0])
+        i = 0
+        while i < len(blocks):
+            key, mask, near = blocks[i]
+            j = i + 1
+            while j < len(blocks):
+                other_key, other, other_near = blocks[j]
+                if near & other:
+                    joined = mask | other
+                    if cost(joined) < cost(mask) + cost(other):
+                        key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
+                        mask, near = joined, near | other_near
+                        blocks[i] = (key, mask, near)
+                        del blocks[j]
+                        changed = True
+                        continue
+                j += 1
+            i += 1
+    masks = [mask for _, mask, _ in blocks]
+    total = math.fsum(cost(mask) for mask in masks)
+    masks.sort(key=lambda mask: mask & -mask)
+    return Partition(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=total)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
+       rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)),
+       f_R=st.floats(0.03, 30.0), f_sigma=st.floats(0.1, 10.0),
+       start=st.sampled_from(["quadtree", "singletons"]))
+def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start):
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.25)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+    if start == "quadtree":
+        tiling = sb.quadtree_split(m, params)
+    else:
+        tiling = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
+    assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
 
 
 def test_merge_respects_gap_criterion():

@@ -34,7 +34,7 @@ def test_one_point_grid_is_one():
     assert sb.stable_region(st) == (1.0, 1.0)
 
 
-@pytest.mark.parametrize("decades", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("decades", [0.0, -1.0, float("nan"), float("inf")])
 def test_several_points_need_positive_decades(decades):
     with pytest.raises(SweepError, match="decades must be positive"):
         sb.default_grid(3, decades)

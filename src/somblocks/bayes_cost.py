@@ -105,6 +105,17 @@ class CostParams:
             raise CostError(f"range_rule must be one of {RANGE_RULES}")
         if self.range_exponent not in RANGE_EXPONENTS:
             raise CostError(f"range_exponent must be one of {RANGE_EXPONENTS}")
+        # Finite inputs can still overflow the terms every cost is built from.
+        with np.errstate(over="ignore", divide="ignore"):
+            log_R = np.log(self.effective_R())
+            inverse_floor = 1.0 / self.sigma_floor**2
+        if not np.all(np.isfinite(log_R)):
+            raise CostError(f"ln(f_R * R) must be finite, got f_R={self.f_R!r}")
+        if not np.all(np.isfinite(inverse_floor)):
+            frac = ("" if self.sigma_floor_frac is None
+                    else f" from sigma_floor_frac={self.sigma_floor_frac!r}")
+            raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
+                            f"{float(self.sigma_floor.min())!r}{frac}")
 
     @property
     def n_attributes(self) -> int:
@@ -299,11 +310,15 @@ class BlockCosts:
     width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
     with the operations of block_stat and block_cost, on the block's rows of
     a per-cell table gathered by index and summed in Python; the entry also
-    keeps each attribute's S and X for join_rejected.  The range prior is
-    added last and the terms are summed in block_cost's order, so
-    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
-    width terms do not depend on R, f_R or the range exponent, so at() hands
-    out an engine for another range setting that shares them.
+    keeps each attribute's S and X for join_rejected.  The first one-cell
+    block computes every cell's entry in one numpy pass with the same float
+    operations (_single_cells), since a cold quadtree split meets many of
+    them.  A width setting whose table has a 1/sigma^2 of 0 or inf is
+    refused with a CostError.  The range prior is added last and the terms
+    are summed in block_cost's order, so cost(mask) equals
+    block_cost_for_pes of the same cells bit for bit.  The width terms do
+    not depend on R, f_R or the range exponent, so at() hands out an engine
+    for another range setting that shares them.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -352,13 +367,22 @@ class BlockCosts:
 
     def _table(self, n: int) -> np.ndarray:
         """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, for
-        blocks of n non-empty cells; w = 1 / sigma^2."""
+        blocks of n non-empty cells; w = 1 / sigma^2.
+
+        Raises CostError when some w is 0 or not finite, which finite but
+        extreme width settings can cause.
+        """
         p = self.params
         scale = p.f_sigma * p.sigma_const * p.n_scale_rule(n)
         table = self._tables.get(scale)
         if table is None:
-            sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
-            w = 1.0 / sigmas**2
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
+                w = 1.0 / sigmas**2
+            if not np.all((w > 0.0) & np.isfinite(w)):
+                raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
+                                f"f_sigma={p.f_sigma!r}, sigma_const={p.sigma_const!r} "
+                                f"(width scale {scale!r} for blocks of {n} cells)")
             log_sigmas = [[math.log(s) for s in row] for row in sigmas.tolist()]
             means = self.som_map.means
             table = self._tables[scale] = np.hstack([w, w * means, log_sigmas, means])
@@ -371,6 +395,9 @@ class BlockCosts:
             n = occupied.bit_count()
             if n == 0:
                 hit = (0, (), (), ())
+            elif n == 1:
+                self._terms.update(self._single_cells())
+                hit = self._terms[occupied]
             else:
                 # Most blocks have a few cells, where numpy's per-call
                 # overhead would outweigh the sums.  Each step is the float
@@ -390,6 +417,24 @@ class BlockCosts:
                 hit = (n, terms, S_all, X_all)
             self._terms[occupied] = hit
         return hit
+
+    def _single_cells(self) -> dict[int, tuple]:
+        """_width_terms' entry of every occupied cell as a block of one.
+
+        One pass over the cells' rows of the table, with the float
+        operations of the general path: a fsum of one value returns it,
+        except that it turns -0.0 into +0.0, which adding 0.0 does too, and
+        ln(S)/2 takes math.log per value, as there.
+        """
+        m = self.params.n_attributes
+        cells = np.flatnonzero(self.som_map.counts > 0)
+        rows = self._table(1)[cells]
+        w, w_means, log_sigmas, means = (rows[:, k * m:(k + 1) * m] for k in range(4))
+        X = (w_means + 0.0) / w
+        half_log_S = 0.5 * np.array([[math.log(v) for v in row] for row in w.tolist()])
+        terms = log_sigmas + half_log_S + w * ((means - X) * (means - X))
+        return {1 << k: (1, t, S, x) for k, t, S, x in
+                zip(cells.tolist(), terms.tolist(), w.tolist(), X.tolist())}
 
     def least_increments(self) -> list[float] | None:
         """Per cell, a lower bound on what placing it adds to a partition's cost.

@@ -8,6 +8,7 @@ edge-connected blocks, cutting branches that cannot beat the best found,
 and returns a cheapest one.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -188,34 +189,60 @@ def quadtree_split(som_map: SomMap, params: CostParams,
     A region is split iff its one-block cost strictly exceeds the summed
     one-block costs of its quadrants; 1x1 regions are leaves.  costs, when
     given, is a BlockCosts of this map whose cached block terms are reused.
+    The regions, their masks and their quadrants are built once per grid
+    shape (_quadtree) and walked here, so every call costs the same masks
+    in the same order; the returned Regions are shared between calls.
     """
     costs = _costs_for(som_map, params, costs)
-    return _split(Region(0, som_map.rows, 0, som_map.cols), costs.cost, som_map.cols)
+    leaves: list[Region] = []
+    _split(_quadtree(som_map.rows, som_map.cols), costs.cost, leaves)
+    return leaves
 
 
-def _split(region: Region, cost, cols: int) -> list[Region]:
+@functools.lru_cache(maxsize=32)
+def _quadtree(rows: int, cols: int) -> tuple:
+    """Root of the rows x cols grid's quadtree.
+
+    A node is (region, row-major mask, child nodes in _subdivide order); a
+    1x1 region has no children.
+    """
+    return _tree_node(Region(0, rows, 0, cols), cols)
+
+
+def _tree_node(region: Region, cols: int) -> tuple:
     if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
-        return [region]
-    subs = _subdivide(region)
-    whole = cost(_region_mask(region, cols))
-    parts = math.fsum(cost(_region_mask(s, cols)) for s in subs)
-    if whole > parts:
-        out = []
-        for s in subs:
-            out.extend(_split(s, cost, cols))
-        return out
-    return [region]
+        children = ()
+    else:
+        children = tuple(_tree_node(s, cols) for s in _subdivide(region))
+    return region, _region_mask(region, cols), children
 
 
-def _check_tiling(regions, rows: int, cols: int) -> None:
-    count = np.zeros((rows, cols), dtype=int)
+def _split(node: tuple, cost, leaves: list[Region]) -> None:
+    region, mask, children = node
+    if children:
+        whole = cost(mask)
+        parts = math.fsum(cost(child[1]) for child in children)
+        if whole > parts:
+            for child in children:
+                _split(child, cost, leaves)
+            return
+    leaves.append(region)
+
+
+def _tiling_masks(regions, rows: int, cols: int) -> list[int]:
+    """Row-major cell masks of regions that must tile the grid exactly once."""
     for region in regions:
-        for r, c in region.cells():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise PartitionError("region outside grid")
-            count[r, c] += 1
-    if np.any(count != 1):
+        if region.r0 < 0 or region.c0 < 0 or region.r1 > rows or region.c1 > cols:
+            raise PartitionError("region outside grid")
+    masks = [_region_mask(region, cols) for region in regions]
+    covered = 0
+    for mask in masks:
+        if covered & mask:
+            raise PartitionError("regions must tile the grid exactly once")
+        covered |= mask
+    if covered != (1 << (rows * cols)) - 1:
         raise PartitionError("regions must tile the grid exactly once")
+    return masks
 
 
 def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
@@ -235,7 +262,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     not costed; both visit and decide exactly what the plain scan does.
     """
     rows, cols = som_map.rows, som_map.cols
-    _check_tiling(regions, rows, cols)
+    masks = _tiling_masks(regions, rows, cols)
     costs = _costs_for(som_map, params, costs)
     cost, rejected = costs.cost, costs.join_rejected
     inner = _inner_cells(rows, cols)
@@ -244,8 +271,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     # (order key, cell mask, mask of the cells edge-adjacent to the block);
     # a union's key is the componentwise minimum of the two keys.
     blocks = []
-    for region in regions:
-        mask = _region_mask(region, cols)
+    for region, mask in zip(regions, masks):
         near = (mask << cols | mask >> cols
                 | (mask & inner) << 1 | (mask >> 1) & inner) & grid
         blocks.append(((region.c0, region.r0), mask, near))

@@ -62,7 +62,12 @@ def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
     if not (decades > 0 and math.isfinite(decades)):
         raise SweepError(f"decades must be positive and finite for {points} grid points, "
                          f"got {decades!r}")
-    return np.logspace(-decades, decades, points)
+    with np.errstate(over="ignore"):
+        grid = np.logspace(-decades, decades, points)
+    if not math.isfinite(grid[-1]):
+        raise SweepError(f"decades must be positive with 10**decades finite for {points} "
+                         f"grid points, got {decades!r}")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

@@ -281,6 +281,23 @@ def test_cost_params_must_be_finite(field, changes):
         sb.CostParams(**values)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"f_R": 1e308, "R": np.array([10.0])}, r"ln\(f_R \* R\) must be finite, got f_R=1e\+308$"),
+    ({"f_R": 1e-320}, r"ln\(f_R \* R\) must be finite, got f_R=1e-320$"),
+    ({"sigma_floor": np.array([1e-200])}, r"1/sigma_floor\*\*2 must be finite, "
+                                          r"got sigma_floor 1e-200$"),
+])
+def test_cost_params_refuse_finite_settings_that_overflow(changes, message):
+    values = {"R": np.array([1e-10]), "sigma_floor": np.array([0.1]), **changes}
+    with pytest.raises(CostError, match=f"^{message}"):
+        sb.CostParams(**values)
+
+
+def test_sigma_floor_overflow_names_the_floor_fraction(iris):
+    with pytest.raises(CostError, match=r"got sigma_floor .* from sigma_floor_frac=1e-200$"):
+        sb.params_from_summary(sb.summarize(iris), sigma_floor_frac=1e-200)
+
+
 @pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -0.1])
 def test_sigma_floor_frac_must_be_positive_and_finite(iris, frac):
     with pytest.raises(CostError, match="sigma_floor_frac must be positive and finite"):

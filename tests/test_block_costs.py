@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks.bayes_cost import N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError
+from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
+                                  block_stat)
 
 from conftest import make_map, map_cells, random_map
 
@@ -135,6 +136,74 @@ def test_least_increments_bound_every_placement(seed, exponent, spread, f_R, f_s
                 assert costs.cost(mask | 1 << k) - base >= least[k] - 1e-9 * max(1.0, abs(base))
     sqrt_widths = dataclasses.replace(params, n_scale_rule=N_SCALE_RULES["sqrt"])
     assert BlockCosts(m, sqrt_widths).least_increments() is None
+
+
+@exact(150)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), f_sigma=factors)
+def test_single_cell_entries_match_block_stat(seed, rule, exponent, f_sigma):
+    """Every cell's entry from the one-pass single-cell costing equals the
+    reference S, X and cost bit for bit (so +0.0 and -0.0 differ), on cells
+    whose width is the floor, cells whose scaled std wins and a cell whose
+    mean is -0.0."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 5))
+    rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    floor = rng.uniform(0.02, 0.6, M)
+    sigma_const = float(rng.uniform(0.5, 12.0))
+    scale = f_sigma * sigma_const                   # both rules scale a one-cell block by 1
+    means, stds, kinds = [], [], []
+    for r in range(rows):
+        mean_row, std_row = [], []
+        for c in range(cols):
+            kind = "negative zero" if (r, c) == (0, 0) else str(rng.choice(
+                ["floor", "scaled", "empty"]))
+            kinds.append(kind)
+            if kind == "empty":
+                mean_row.append(None)
+                std_row.append(None)
+                continue
+            mean_row.append(np.full(M, -0.0) if kind == "negative zero"
+                            else rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), M))
+            # a std below floor / scale leaves the floor; one above it wins
+            std_row.append(floor / scale * (rng.uniform(0.0, 0.9, M) if kind != "scaled"
+                                            else rng.uniform(1.1, 10.0, M)))
+        means.append(mean_row)
+        stds.append(std_row)
+    m = make_map(means, n_members=2, stds=stds)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
+                           sigma_const=sigma_const, n_scale_rule=N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_sigma=f_sigma)
+    costs = BlockCosts(m, params)
+    bits = lambda values: [float(v).hex() for v in values]
+    for k, pe in enumerate(map_cells(m)):
+        if pe.n == 0:
+            continue
+        sigmas = sb.sigma_estimate(pe, 1, params)
+        assert np.array_equal(sigmas == floor, np.full(M, kinds[k] != "scaled"))
+        stat = block_stat(pe.mean, sigmas)
+        terms = [math.fsum([math.log(s)]) + 0.5 * math.log(S) + resid
+                 for s, S, resid in zip(sigmas, stat.S, stat.resid)]
+        n, entry_terms, S, X = costs._width_terms(1 << k)
+        assert n == 1
+        assert bits(S) == bits(stat.S)
+        assert bits(X) == bits(stat.X)
+        assert bits(entry_terms) == bits(terms)
+        assert bits([costs.cost(1 << k)]) == bits([sb.block_cost_for_pes([pe], params)])
+
+
+def test_engine_refuses_cell_widths_out_of_the_float_range():
+    m = make_map([[0.0, 1.0]], n_members=2, stds=[[[0.0], [0.5]]])
+    base = sb.CostParams(R=np.array([10.0]), sigma_floor=np.array([0.1]))
+    for changes in ({"f_sigma": 1e300}, {"sigma_const": 1e200},
+                    {"f_sigma": 1e200, "sigma_const": 1e200}):    # the scale overflows
+        params = dataclasses.replace(base, **changes)
+        with pytest.raises(CostError, match=r"^cell widths must keep 1/sigma\*\*2 positive "
+                                            r"and finite, got f_sigma="):
+            sb.partition_som(m, params)
+    wide = dataclasses.replace(base, sigma_floor=np.array([1e160]))
+    with pytest.raises(CostError, match="cell widths must keep"):
+        BlockCosts(m, wide).cost(0b01)
 
 
 def test_attribute_count_mismatch_names_both_counts(fixture_map):

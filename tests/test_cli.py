@@ -169,6 +169,35 @@ def test_sweep_command_refuses_infinite_decades(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_command_refuses_decades_that_overflow(tmp_path, capsys):
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "3",
+                 "--sweep-decades", "400", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err == ("somblocks: error: decades must be positive with "
+                                       "10**decades finite for 3 grid points, got 400.0\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--f-sigma", "1e300", "cell widths must keep 1/sigma**2 positive and finite, "
+                           "got f_sigma=1e+300, sigma_const=1.0 "),
+    ("--sigma-const", "1e200", "cell widths must keep 1/sigma**2 positive and finite, "
+                               "got f_sigma=1.0, sigma_const=1e+200 "),
+    ("--f-R", "1e308", "ln(f_R * R) must be finite, got f_R=1e+308\n"),
+    ("--sigma-floor-frac", "1e-200", "1/sigma_floor**2 must be finite, got sigma_floor "),
+])
+def test_partition_refuses_finite_settings_that_overflow(tmp_path, capsys, flag, value,
+                                                         message):
+    out = tmp_path / "p.json"
+    rc = run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(out),
+                 flag, value)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"somblocks: error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--f-R", "nan", "f_R must be positive and finite, got nan"),
     ("--f-sigma", "inf", "f_sigma must be positive and finite, got inf"),

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
 from somblocks.bayes_cost import BlockCosts
 from somblocks.partition import (Partition, PartitionError, Region, _inner_cells, _label_grid,
-                                 _region_mask, _walk_partitions, enumerate_connected_partitions,
-                                 load_partition, save_partition, validate_partition)
+                                 _quadtree, _region_mask, _subdivide, _walk_partitions,
+                                 enumerate_connected_partitions, load_partition, save_partition,
+                                 validate_partition)
 
 from conftest import make_map, map_cells, plain_params, random_map
 
@@ -49,6 +50,55 @@ def test_quadtree_splits_four_quadrants_once():
     leaves = sb.quadtree_split(m, params)
     assert sorted((l.r0, l.r1, l.c0, l.c1) for l in leaves) == [
         (0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)]
+
+
+def _reference_split(region, cost, cols):
+    """quadtree_split's recursion as it was before it walked a tree built
+    once per grid shape: Regions and masks are made afresh at every node."""
+    if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
+        return [region]
+    subs = _subdivide(region)
+    whole = cost(_region_mask(region, cols))
+    parts = math.fsum(cost(_region_mask(s, cols)) for s in subs)
+    if whole > parts:
+        out = []
+        for s in subs:
+            out.extend(_reference_split(s, cost, cols))
+        return out
+    return [region]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9),
+       exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
+       rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)),
+       f_R=st.floats(0.01, 30.0), f_sigma=st.floats(0.1, 10.0))
+@example(seed=1, rows=1, cols=7, exponent="per_block", rule="unit", f_R=0.01, f_sigma=1.0)
+@example(seed=2, rows=7, cols=1, exponent="per_pe", rule="sqrt", f_R=0.01, f_sigma=1.0)
+@example(seed=3, rows=5, cols=9, exponent="per_block", rule="unit", f_R=0.01, f_sigma=0.5)
+def test_quadtree_walk_matches_the_region_recursion(seed, rows, cols, exponent, rule, f_R,
+                                                    f_sigma):
+    assume(rows * cols >= 2)        # a map has at least two cells
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, rows=rows, cols=cols, M=M, empty_prob=0.2)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+
+    def recording(seen):
+        costs = BlockCosts(m, params)
+        cost = costs.cost
+        costs.cost = lambda mask: seen.append(mask) or cost(mask)
+        return costs
+
+    walked, expected = [], []
+    leaves = sb.quadtree_split(m, params, recording(walked))
+    assert leaves == _reference_split(Region(0, rows, 0, cols), recording(expected).cost, cols)
+    assert walked == expected                   # the same masks, in the same order
+    assert sb.quadtree_split(m, params) == leaves
+    assert _quadtree(rows, cols) is _quadtree(rows, cols)
 
 
 def test_merge_joins_equal_singletons():
@@ -161,11 +211,22 @@ def test_merge_single_region_unchanged():
 
 
 def test_merge_rejects_bad_tilings():
-    m = make_map([[1.0, 2.0]], s=0.5)
-    with pytest.raises(PartitionError):
-        sb.merge_regions([Region(0, 1, 0, 1)], m, plain_params(R=10.0))
-    with pytest.raises(PartitionError):
-        sb.merge_regions([Region(0, 1, 0, 2), Region(0, 1, 1, 2)], m, plain_params(R=10.0))
+    m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)
+    params = plain_params(R=10.0)
+    tiles = "regions must tile the grid exactly once"
+    cases = [
+        ([Region(0, 2, 0, 1)], tiles),                                         # gap
+        ([Region(0, 2, 0, 1), Region(1, 2, 1, 2)], tiles),                     # gap
+        ([Region(0, 2, 0, 2), Region(0, 1, 1, 2)], tiles),                     # overlap
+        ([Region(0, 2, 0, 2), Region(2, 3, 0, 1)], "region outside grid"),
+        ([Region(0, 2, 0, 2), Region(0, 1, 0, 3)], "region outside grid"),
+        ([Region(-1, 1, 0, 1), Region(1, 2, 0, 2)], "region outside grid"),
+        # an overlap before a region outside the grid: the outside one is named
+        ([Region(0, 2, 0, 2), Region(0, 1, 0, 1), Region(0, 1, 2, 3)], "region outside grid"),
+    ]
+    for regions, message in cases:
+        with pytest.raises(PartitionError, match=f"^{message}$"):
+            sb.merge_regions(regions, m, params)
 
 
 def test_partition_som_uniform_map_is_one_block():

@@ -8,7 +8,6 @@ and carry a provenance record (config echo, seed, tool version), so a fixed
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -53,21 +52,6 @@ class CliError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved run settings: every key of DEFAULTS, with overrides applied."""
-
-    values: dict
-
-    def __post_init__(self):
-        missing = set(DEFAULTS) - set(self.values)
-        if missing:
-            raise CliError(f"run config missing keys: {sorted(missing)}")
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; '#' starts a comment, blanks ignored."""
     values = {}
@@ -90,8 +74,6 @@ def _coerce(key: str, value):
     if not isinstance(value, str):
         return value
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, (int, float)):
         kind = type(default)
         try:
@@ -102,8 +84,8 @@ def _coerce(key: str, value):
     return value
 
 
-def resolve_settings(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < explicit flags."""
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """Every key of DEFAULTS: defaults < config file < explicit flags."""
     settings = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -113,7 +95,7 @@ def resolve_settings(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = _coerce(key, flag)
-    return RunConfig(values=settings)
+    return settings
 
 
 def parse_neighborhood(text: str) -> tuple:
@@ -129,7 +111,7 @@ def parse_neighborhood(text: str) -> tuple:
     return tuple(pairs)
 
 
-def som_config_from(settings: RunConfig) -> SomConfig:
+def som_config_from(settings: dict) -> SomConfig:
     return SomConfig(
         rows=settings["rows"], cols=settings["cols"], epochs=settings["epochs"],
         lr_start=settings["lr_start"], lr_end=settings["lr_end"],
@@ -140,7 +122,7 @@ def som_config_from(settings: RunConfig) -> SomConfig:
     )
 
 
-def cost_params_from(settings: RunConfig, dataset):
+def cost_params_from(settings: dict, dataset):
     if settings["n_scale"] not in N_SCALE_RULES:
         raise CliError(f"unknown n_scale rule {settings['n_scale']!r}")
     return params_from_summary(
@@ -155,12 +137,11 @@ def cost_params_from(settings: RunConfig, dataset):
     )
 
 
-def provenance(settings: RunConfig, seed) -> dict:
-    echo = {k: v for k, v in sorted(settings.values.items())}
-    return {"version": __version__, "seed": seed, "config": echo}
+def provenance(settings: dict, seed) -> dict:
+    return {"version": __version__, "seed": seed, "config": dict(sorted(settings.items()))}
 
 
-def _load_labeled(settings: RunConfig, need_labels: bool):
+def _load_labeled(settings: dict, need_labels: bool):
     label_col = settings["label_col"] or None
     dataset = load_csv(settings["data"], label_col)
     if need_labels and dataset.labels is None:

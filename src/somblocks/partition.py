@@ -89,13 +89,13 @@ class Partition:
 def validate_partition(partition: Partition) -> None:
     """Check coverage, dense ids, and 4-connectivity of every block."""
     block_of = partition.block_of
-    ids = set(int(v) for v in block_of.ravel())
-    if ids != set(range(partition.n_blocks)):
+    ids = block_of.ravel().tolist()
+    if set(ids) != set(range(partition.n_blocks)):
         raise PartitionError("block ids are not dense 0..K-1")
     rows, cols = block_of.shape
     inner = _inner_cells(rows, cols)
     masks = [0] * partition.n_blocks
-    for k, b in enumerate(block_of.ravel().tolist()):
+    for k, b in enumerate(ids):
         masks[b] |= 1 << k
     for b, mask in enumerate(masks):
         if flood(mask & -mask, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
@@ -335,35 +335,16 @@ def partition_som(som_map: SomMap, params: CostParams,
     return merge_regions(quadtree_split(som_map, params, costs), som_map, params, costs)
 
 
-def _grid_masks(rows: int, cols: int):
-    """Neighbor, adjacency-frontier, and row bitmasks for the enumerator."""
-    n = rows * cols
-    nbr = [0] * n
-    for k in range(n):
-        r, c = divmod(k, cols)
-        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= rr < rows and 0 <= cc < cols:
-                nbr[k] |= 1 << (rr * cols + cc)
-    row_mask = [sum(1 << (r * cols + c) for c in range(cols)) for r in range(rows)]
-    # frontier[k]: cells with index < k having at least one neighbor > k
-    frontier = [0] * n
-    for k in range(n):
-        f = 0
-        for j in range(k):
-            if nbr[j] >> (k + 1):
-                f |= 1 << j
-        frontier[k] = f
-    return nbr, row_mask, frontier
-
-
 def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
     """Call visit(labels, part_masks) for every partition into connected blocks.
 
     labels and part_masks are shared scratch state, valid only during the
     call; part ids are dense in first-occurrence order, so each partition is
-    visited exactly once, in lexicographic order of labels.  Branches are
-    pruned when a cell joins a block it can no longer reach and whenever a
-    completed row strands a block component above the frontier.
+    visited exactly once, in lexicographic order of labels.  Cells are placed
+    in row-major order; a placed cell is live until its last neighbour is
+    placed, when it closes.  A cell joins only a part with a live cell, and
+    a branch is cut once a closed cell's block has a piece with no live cell
+    that is not the whole block, since nothing can join that piece again.
 
     grow, when given, prunes further: each time cell k moves its part from
     mask old to mask new (old is 0 for a new part), grow(acc, k, old, new)
@@ -371,54 +352,47 @@ def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
     branch.  acc starts at 0.0.
     """
     n = rows * cols
-    nbr, row_mask, frontier = _grid_masks(rows, cols)
     inner = _inner_cells(rows, cols)
+    # closes[k]: the cells closed by placing k (their neighbour below, else
+    # to the right, else themselves)
+    closes: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        closes[j + cols if j + cols < n else min(j + 1, n - 1)].append(j)
+    # live[k]: the live cells once k is placed; live[-1] is live[n-1] == 0
+    live = [0] * n
+    for k in range(n):
+        live[k] = (live[k - 1] | 1 << k) & ~sum(1 << j for j in closes[k])
     labels = [0] * n
     parts: list[int] = []
 
-    def row_ok(k: int) -> bool:
-        # Only meaningful when k completes a row.  A block with no cell in
-        # that row can never grow again, so it must already be connected; one
-        # that still touches the row may stay split only if every component
-        # reaches the row, that is if the flood from its row cells fills it.
-        # Blocks untouched since before the previous row were verified when
-        # they closed and are skipped.
-        if (k + 1) % cols:
-            return True
-        r = k // cols
-        rm = row_mask[r]
-        prev = row_mask[r - 1] if r else 0
-        for mask in parts:
-            seed = mask & rm or (mask & prev and mask & -mask)
-            if seed and flood(seed, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
+    def sealed(k: int) -> bool:
+        # every piece of a closed cell's block holds a live cell, or is the
+        # whole block
+        for j in closes[k]:
+            mask = parts[labels[j]]
+            seed = mask & live[k] or mask & -mask
+            if flood(seed, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
                 return False
         return True
 
-    last = row_mask[rows - 1]
-
     def rec(k: int, acc) -> None:
         if k == n:
-            for mask in parts:
-                if mask & last and flood(mask & -mask, mask & mask >> 1 & inner,
-                                         mask & mask >> cols, cols) != mask:
-                    return
             visit(labels, parts)
             return
         bit = 1 << k
-        reachable = nbr[k] | frontier[k]
         for p in range(len(parts)):
             mask = parts[p]
-            if mask & reachable:
+            if mask & live[k - 1]:
                 labels[k] = p
                 parts[p] = mask | bit
-                if row_ok(k):
+                if sealed(k):
                     below = acc if grow is None else grow(acc, k, mask, mask | bit)
                     if below is not None:
                         rec(k + 1, below)
                 parts[p] = mask
         labels[k] = len(parts)
         parts.append(bit)
-        if row_ok(k):
+        if sealed(k):
             below = acc if grow is None else grow(acc, k, 0, bit)
             if below is not None:
                 rec(k + 1, below)
@@ -445,19 +419,20 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     """Cheapest partition over the full connected-partition set.
 
     Cost ties break toward the lexicographically smallest row-major block
-    assignment, and the cost is the exact sum of the blocks' costs.  Under
-    the unit width rule the walk is a branch and bound: a branch is skipped
-    when the exact cost of its partial blocks plus each unplaced cell's
-    least possible increment (BlockCosts.least_increments) exceeds the best
-    cost known so far by more than a rounding tolerance.  The best known
-    starts as the cheaper of two connected partitions, the singleton tiling
-    and partition_som's answer, each costed here block by block (the
-    heuristic's reported cost is not used, and its partition is skipped if
-    it fails validate_partition).  The walk visits labelings in lexicographic
-    order, so that returns the same partition and cost as scoring every
-    partition, which is what happens under a width rule that depends on
-    block size.  The worst case still grows exponentially with cell count,
-    hence cell_limit.
+    assignment, and the cost is the exact sum of the blocks' costs.  The
+    walk (_walk_partitions) drops a branch as soon as one of its blocks can
+    no longer become connected.  Under the unit width rule it is also a
+    branch and bound: a branch is skipped when the exact cost of its partial
+    blocks plus each unplaced cell's least possible increment
+    (BlockCosts.least_increments) exceeds the best cost known so far by more
+    than a rounding tolerance.  The best known starts as the cheaper of two
+    connected partitions, the singleton tiling and partition_som's answer,
+    each costed here block by block (the heuristic's reported cost is not
+    used, and its partition is skipped if it fails validate_partition).  The
+    walk visits labelings in lexicographic order, so that returns the same
+    partition and cost as scoring every partition, which is what happens
+    under a width rule that depends on block size.  The worst case still
+    grows exponentially with cell count, hence cell_limit.
     """
     rows, cols = som_map.rows, som_map.cols
     if rows * cols > cell_limit:

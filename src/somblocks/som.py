@@ -10,6 +10,8 @@ generator, so a (dataset, config) pair fully determines the result.
 """
 
 import json
+import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -38,14 +40,20 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rows", "cols", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SomError(f"{name} must be an integer, got {value!r}")
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise SomError("grid must have at least 2 cells")
         if self.epochs < 1:
             raise SomError("epochs must be positive")
         if not (1 >= self.lr_start >= self.lr_end > 0):
             raise SomError("need 1 >= lr_start >= lr_end > 0")
-        if self.conscience_beta < 0 or self.conscience_gamma < 0:
-            raise SomError("conscience constants must be non-negative")
+        for name in ("conscience_beta", "conscience_gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SomError(f"{name} must be finite and non-negative, got {value!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise SomError("seed must fit in 64 unsigned bits")
         sched = tuple((float(f), int(h)) for f, h in self.neighborhood_schedule)

@@ -234,6 +234,19 @@ def test_bad_values_name_the_setting(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--conscience-beta", "nan", "conscience_beta must be finite and non-negative, got nan"),
+    ("--conscience-gamma", "inf", "conscience_gamma must be finite and non-negative, got inf"),
+    ("--conscience-gamma", "nan", "conscience_gamma must be finite and non-negative, got nan"),
+])
+def test_train_refuses_non_finite_conscience(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "map.json"
+    rc = run_cli("train", "--out", str(out), flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"somblocks: error: {message}\n"
+    assert not out.exists()
+
+
 def test_render_single_row_map():
     m = make_map([[1.0, 9.0]], s=0.1, n_members=3)
     text = render_map(m)

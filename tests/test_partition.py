@@ -310,12 +310,60 @@ def _count_connected_partitions(rows: int, cols: int) -> int:
                if len(set(front)) == len({b for b, _ in front}))
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 5), (2, 3), (3, 3), (2, 5), (3, 4),
-                                   (4, 3), (2, 6)], ids="{0[0]}x{0[1]}".format)
+WALK_SHAPES = [(1, 2), (2, 2), (1, 5), (2, 3), (3, 3), (2, 5), (3, 4), (4, 3), (2, 6)]
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES, ids="{0[0]}x{0[1]}".format)
 def test_transfer_matrix_count_matches_the_walk(shape):
     count = [0]
     _walk_partitions(*shape, lambda labels, parts: count.__setitem__(0, count[0] + 1))
     assert _count_connected_partitions(*shape) == count[0]
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES, ids="{0[0]}x{0[1]}".format)
+def test_walk_cuts_a_stranded_piece_when_it_closes(shape):
+    # A walk that cut a stranded block piece only later (say when its row
+    # completes) would place many cells below each dead branch: 20.7 per
+    # partition on 2x6.
+    visits, grows = [0], [0]
+
+    def grow(acc, k, old, new):
+        grows[0] += 1
+        return acc
+
+    _walk_partitions(*shape, lambda labels, parts: visits.__setitem__(0, visits[0] + 1), grow)
+    assert grows[0] < 2 * visits[0]
+
+
+def _connected_labelings(rows: int, cols: int) -> list[tuple]:
+    """Every restricted-growth labeling of the grid that validate_partition
+    accepts, in lexicographic order."""
+    n = rows * cols
+    labels = [0] * n
+    found = []
+
+    def rec(k: int, blocks: int) -> None:
+        if k == n:
+            try:
+                validate_partition(Partition(np.array(labels).reshape(rows, cols), blocks))
+            except PartitionError:
+                return
+            found.append(tuple(labels))
+            return
+        for b in range(blocks + 1):
+            labels[k] = b
+            rec(k + 1, max(blocks, b + 1))
+
+    rec(0, 0)
+    return found
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(1, 11) for c in range(1, 10 // r + 1)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_walk_visits_exactly_the_connected_labelings_in_order(shape):
+    visited = []
+    _walk_partitions(*shape, lambda labels, parts: visited.append(tuple(labels)))
+    assert visited == _connected_labelings(*shape)
 
 
 def test_exhaustive_matches_quadrants_and_greedy_4x4():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -291,6 +292,16 @@ def test_config_validation():
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (0.5, 2)))
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.2, 1),))
+    for field in ("conscience_beta", "conscience_gamma"):
+        for value in (math.nan, math.inf, -math.inf, -1e-3):
+            with pytest.raises(SomError, match=f"{field} must be finite and non-negative"):
+                sb.SomConfig(rows=2, cols=2, **{field: value})
+    for field, value in (("rows", 2.5), ("cols", 2.0), ("epochs", 2.5), ("seed", 1.5),
+                         ("seed", True), ("rows", "3")):
+        with pytest.raises(SomError, match=f"{field} must be an integer, got {value!r}"):
+            sb.SomConfig(**{"rows": 2, "cols": 2, field: value})
+    assert sb.SomConfig(rows=np.int64(2), cols=2, conscience_beta=0.0,
+                        conscience_gamma=0.0, seed=np.uint64(2**63)).seed == 2**63
 
 
 def _broken_map(tmp_path, edit):

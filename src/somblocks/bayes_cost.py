@@ -22,7 +22,7 @@ extra blocks in opposite directions.
 import copy
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -129,20 +129,14 @@ class CostParams:
         return replace(self, f_R=f_R, f_sigma=f_sigma)
 
     def echo(self) -> dict:
-        """Serializable summary for artifact provenance headers."""
-        name = next((k for k, v in N_SCALE_RULES.items() if v is self.n_scale_rule),
-                    getattr(self.n_scale_rule, "__name__", "custom"))
-        return {
-            "R": [float(v) for v in self.R],
-            "sigma_floor": [float(v) for v in self.sigma_floor],
-            "sigma_const": self.sigma_const,
-            "sigma_floor_frac": self.sigma_floor_frac,
-            "n_scale_rule": name,
-            "range_rule": self.range_rule,
-            "range_exponent": self.range_exponent,
-            "f_R": self.f_R,
-            "f_sigma": self.f_sigma,
-        }
+        """Serializable summary of every field for artifact provenance headers."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo["R"] = self.R.tolist()
+        echo["sigma_floor"] = self.sigma_floor.tolist()
+        echo["n_scale_rule"] = next(
+            (k for k, v in N_SCALE_RULES.items() if v is self.n_scale_rule),
+            getattr(self.n_scale_rule, "__name__", "custom"))
+        return echo
 
 
 def params_from_summary(
@@ -152,7 +146,6 @@ def params_from_summary(
     range_exponent: str = "per_block",
     sigma_const: float = 1.0,
     sigma_floor_frac: float = 0.15,
-    sigma_floor: np.ndarray | None = None,
     n_scale_rule: Callable[[int], float] = unit_scale,
     f_R: float = 1.0,
     f_sigma: float = 1.0,
@@ -160,7 +153,7 @@ def params_from_summary(
     """Build CostParams from observed attribute extremes.
 
     The base range is 2*(max-min) under two_span or 2*max under two_max, and
-    the default width floor is sigma_floor_frac times the attribute span.
+    the width floor is sigma_floor_frac times the attribute span.
     """
     if range_rule == "two_span":
         if np.any(summary.spans <= 0):
@@ -174,16 +167,14 @@ def params_from_summary(
         base_R = 2.0 * summary.maxs
     else:
         raise CostError(f"range_rule must be one of {RANGE_RULES}")
-    if sigma_floor is None:
-        if not (sigma_floor_frac > 0 and math.isfinite(sigma_floor_frac)):
-            raise CostError(f"sigma_floor_frac must be positive and finite, "
-                            f"got {sigma_floor_frac!r}")
-        if np.any(summary.spans <= 0):
-            raise CostError("default sigma floor needs positive span on every attribute")
-        sigma_floor = sigma_floor_frac * summary.spans
+    if not (sigma_floor_frac > 0 and math.isfinite(sigma_floor_frac)):
+        raise CostError(f"sigma_floor_frac must be positive and finite, "
+                        f"got {sigma_floor_frac!r}")
+    if np.any(summary.spans <= 0):
+        raise CostError("sigma floor needs positive span on every attribute")
     return CostParams(
         R=base_R,
-        sigma_floor=np.asarray(sigma_floor, dtype=float),
+        sigma_floor=sigma_floor_frac * summary.spans,
         sigma_const=sigma_const,
         n_scale_rule=n_scale_rule,
         range_rule=range_rule,
@@ -290,6 +281,11 @@ def block_cost_for_pes(pes: Sequence["PeStats"], params: CostParams) -> float:
     return block_cost(members, params)
 
 
+def _bits(flags: np.ndarray) -> int:
+    """Row-major bitmask of the true entries of a boolean array."""
+    return int.from_bytes(np.packbits(flags.ravel(), bitorder="little").tobytes(), "little")
+
+
 def _mask_cells(mask: int) -> list[int]:
     """Indices of the set bits of mask, in ascending order."""
     cells = []
@@ -326,8 +322,7 @@ class BlockCosts:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
                             f"cost params have {params.n_attributes}")
         self.som_map = som_map
-        self._occupied = int.from_bytes(
-            np.packbits(som_map.counts > 0, bitorder="little").tobytes(), "little")
+        self._occupied = _bits(som_map.counts > 0)
         self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
         # occupied cells -> (n, and per attribute: width terms, S, X)
         self._terms: dict[int, tuple] = {}

@@ -8,6 +8,7 @@ and carry a provenance record (config echo, seed, tool version), so a fixed
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -112,14 +113,11 @@ def parse_neighborhood(text: str) -> tuple:
 
 
 def som_config_from(settings: dict) -> SomConfig:
-    return SomConfig(
-        rows=settings["rows"], cols=settings["cols"], epochs=settings["epochs"],
-        lr_start=settings["lr_start"], lr_end=settings["lr_end"],
-        neighborhood_schedule=parse_neighborhood(settings["neighborhood"]),
-        conscience_beta=settings["conscience_beta"],
-        conscience_gamma=settings["conscience_gamma"],
-        seed=settings["seed"],
-    )
+    """SomConfig's fields from the settings of their names; the schedule from neighborhood."""
+    schedule = parse_neighborhood(settings["neighborhood"])
+    return SomConfig(neighborhood_schedule=schedule, **{
+        f.name: settings[f.name] for f in dataclasses.fields(SomConfig)
+        if f.name != "neighborhood_schedule"})
 
 
 def cost_params_from(settings: dict, dataset):

@@ -6,6 +6,7 @@ in their source units; any scaling happens downstream.
 """
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -54,12 +55,6 @@ class Dataset:
         if self.labels is None:
             raise DataError("dataset has no labels")
         return sorted(set(self.labels))
-
-    def label_ids(self) -> np.ndarray:
-        """Integer class id per sample, under the classes() ordering."""
-        if self.labels is None:
-            raise DataError("dataset has no labels")
-        return encode_labels(self.labels)[1]
 
 
 def encode_labels(labels) -> tuple[list, np.ndarray]:
@@ -135,6 +130,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         labels=labels if label_idx is not None else None,
         attribute_names=names,
     )
+
+
+def is_integer(value) -> bool:
+    """True for an integer (numpy's included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def write_text_atomic(path, text: str) -> None:

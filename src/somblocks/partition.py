@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostParams, _mask_cells
-from .data_model import write_text_atomic
+from .bayes_cost import BlockCosts, CostParams, _bits, _mask_cells
+from .data_model import is_integer, write_text_atomic
 from .som import SomMap
 
 
@@ -36,11 +36,6 @@ class Region:
     def __post_init__(self):
         if not (self.r0 < self.r1 and self.c0 < self.c1):
             raise PartitionError("empty region")
-
-    def cells(self):
-        for r in range(self.r0, self.r1):
-            for c in range(self.c0, self.c1):
-                yield (r, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,38 +61,32 @@ class Partition:
         )
 
     @classmethod
+    def from_masks(cls, masks, rows: int, cols: int, cost: float = math.nan) -> "Partition":
+        """The partition whose blocks are these row-major cell masks, which
+        must tile the grid; blocks are numbered by their lowest cell."""
+        masks = sorted(masks, key=lambda mask: mask & -mask)
+        return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
+
+    @classmethod
     def from_labels(cls, labels: np.ndarray, cost: float = math.nan) -> "Partition":
         """Relabel an arbitrary cell labeling to canonical dense block ids."""
         labels = np.asarray(labels)
-        block_of = np.empty(labels.shape, dtype=int)
-        remap: dict = {}
-        for r in range(labels.shape[0]):
-            for c in range(labels.shape[1]):
-                key = labels[r, c]
-                if key not in remap:
-                    remap[key] = len(remap)
-                block_of[r, c] = remap[key]
-        return cls(block_of=block_of, n_blocks=len(remap), cost=cost)
+        masks = _label_masks(labels.ravel().tolist()).values()
+        return cls.from_masks(masks, *labels.shape, cost=cost)
 
     def signature(self) -> tuple:
         return tuple(int(v) for v in self.block_of.ravel())
-
-    def block_cells(self, block_id: int) -> list[tuple[int, int]]:
-        return [(int(r), int(c)) for r, c in zip(*np.nonzero(self.block_of == block_id))]
 
 
 def validate_partition(partition: Partition) -> None:
     """Check coverage, dense ids, and 4-connectivity of every block."""
     block_of = partition.block_of
-    ids = block_of.ravel().tolist()
-    if set(ids) != set(range(partition.n_blocks)):
+    masks = _label_masks(block_of.ravel().tolist())
+    if set(masks) != set(range(partition.n_blocks)):
         raise PartitionError("block ids are not dense 0..K-1")
     rows, cols = block_of.shape
     inner = _inner_cells(rows, cols)
-    masks = [0] * partition.n_blocks
-    for k, b in enumerate(ids):
-        masks[b] |= 1 << k
-    for b, mask in enumerate(masks):
+    for b, mask in sorted(masks.items()):      # by block id, so the error names it
         if flood(mask & -mask, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
             raise PartitionError(f"block {b} is not edge-connected")
 
@@ -142,9 +131,13 @@ def _inner_cells(rows: int, cols: int) -> int:
     return sum(row << (r * cols) for r in range(rows))
 
 
-def _bits(flags: np.ndarray) -> int:
-    """Row-major bitmask of the true entries of a boolean array."""
-    return int.from_bytes(np.packbits(flags.ravel(), bitorder="little").tobytes(), "little")
+def _label_masks(labels) -> dict:
+    """Each label of a row-major cell labeling mapped to the mask of its
+    cells, in order of first occurrence."""
+    masks: dict = {}
+    for k, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << k
+    return masks
 
 
 def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
@@ -318,9 +311,7 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
 
     masks = [mask for _, mask, _ in blocks]
     total = math.fsum(cost(mask) for mask in masks)     # in merge order
-    # numbered by lowest cell: first occurrence in row-major order
-    masks.sort(key=lambda mask: mask & -mask)
-    return Partition(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=total)
+    return Partition.from_masks(masks, rows, cols, total)
 
 
 def partition_som(som_map: SomMap, params: CostParams,
@@ -466,10 +457,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
         else:
             seeds.append(Partition.from_labels(heuristic.block_of).signature())
         for labels in seeds:
-            masks = [0] * (max(labels) + 1)
-            for k, b in enumerate(labels):
-                masks[b] |= 1 << k
-            visit(labels, masks)
+            visit(labels, list(_label_masks(labels).values()))
 
         # rest[k]: the least the cells from k on can add to any completion.
         rest = [0.0] * (len(least) + 1)
@@ -521,9 +509,17 @@ def load_partition(path) -> Partition:
     if not isinstance(doc, dict) or doc.get("format_version") != PARTITION_FORMAT_VERSION:
         raise PartitionError(f"{path}: unsupported partition format version")
     try:
+        for name in ("rows", "cols", "K"):
+            if not is_integer(doc[name]):
+                raise PartitionError(f"{path}: {name} must be an integer, got {doc[name]!r}")
+        bad = [v for v in doc["block_of"] if not is_integer(v)]
+        if bad:
+            raise PartitionError(f"{path}: block_of entries must be integers, got {bad[0]!r}")
         block_of = np.array(doc["block_of"], dtype=int).reshape(doc["rows"], doc["cols"])
         cost = math.nan if doc["cost"] is None else float(doc["cost"])
-        partition = Partition(block_of=block_of, n_blocks=int(doc["K"]), cost=cost)
+        partition = Partition(block_of=block_of, n_blocks=doc["K"], cost=cost)
+    except PartitionError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise PartitionError(f"{path}: malformed partition file: {e}") from None
     validate_partition(partition)

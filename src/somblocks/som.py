@@ -11,12 +11,11 @@ generator, so a (dataset, config) pair fully determines the result.
 
 import json
 import math
-import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data_model import Dataset, write_text_atomic
+from .data_model import Dataset, is_integer, write_text_atomic
 
 MAP_FORMAT_VERSION = 1
 
@@ -40,10 +39,7 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rows", "cols", "epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SomError(f"{name} must be an integer, got {value!r}")
+        _require_integers(self, "rows", "cols", "epochs", "seed")
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise SomError("grid must have at least 2 cells")
         if self.epochs < 1:
@@ -61,6 +57,9 @@ class SomConfig:
             raise SomError("neighborhood schedule must start at epoch fraction 0")
         fracs = [f for f, _ in sched]
         widths = [h for _, h in sched]
+        if not all(0.0 <= f <= 1.0 for f in fracs):     # false for nan and inf too
+            raise SomError(f"neighborhood_schedule fractions must be finite and in [0, 1], "
+                           f"got {fracs}")
         if fracs != sorted(fracs) or any(h < 0 for h in widths):
             raise SomError("schedule fractions must ascend; half-widths non-negative")
         if widths != sorted(widths, reverse=True):
@@ -74,6 +73,13 @@ class SomConfig:
             if f <= frac:
                 hw = h
         return hw
+
+
+def _require_integers(owner, *names: str) -> None:
+    for name in names:
+        value = getattr(owner, name)
+        if not is_integer(value):
+            raise SomError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +123,7 @@ class SomMap:
     assignment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, pes):
+        _require_integers(self, "rows", "cols")
         if (self.rows, self.cols) != (self.config.rows, self.config.cols):
             raise SomError(f"grid {self.rows}x{self.cols} differs from the config's "
                            f"{self.config.rows}x{self.config.cols}")
@@ -354,28 +361,13 @@ def quantization_error(som_map: SomMap, dataset: Dataset) -> float:
     return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
-def _config_to_dict(config: SomConfig) -> dict:
-    return {
-        "rows": config.rows,
-        "cols": config.cols,
-        "epochs": config.epochs,
-        "lr_start": config.lr_start,
-        "lr_end": config.lr_end,
-        "neighborhood_schedule": [[f, h] for f, h in config.neighborhood_schedule],
-        "conscience_beta": config.conscience_beta,
-        "conscience_gamma": config.conscience_gamma,
-        "seed": config.seed,
-    }
-
-
 def _config_from_dict(d: dict) -> SomConfig:
-    return SomConfig(
-        rows=d["rows"], cols=d["cols"], epochs=d["epochs"],
-        lr_start=d["lr_start"], lr_end=d["lr_end"],
-        neighborhood_schedule=tuple((f, h) for f, h in d["neighborhood_schedule"]),
-        conscience_beta=d["conscience_beta"], conscience_gamma=d["conscience_gamma"],
-        seed=d["seed"],
-    )
+    names = {f.name for f in fields(SomConfig)}
+    if missing := sorted(names - set(d)):
+        raise SomError(f"config is missing {', '.join(missing)}")
+    if extra := sorted(set(d) - names):
+        raise SomError(f"config has unknown keys {', '.join(extra)}")
+    return SomConfig(**d)
 
 
 def map_to_json(som_map: SomMap) -> str:
@@ -385,7 +377,7 @@ def map_to_json(som_map: SomMap) -> str:
         "rows": som_map.rows,
         "cols": som_map.cols,
         "seed": som_map.config.seed,
-        "config": _config_to_dict(som_map.config),
+        "config": asdict(som_map.config),
         "pes": [
             {
                 "r": pe.r,

@@ -76,7 +76,7 @@ def test_range_estimate_iris(iris):
 def test_range_estimate_zero_span_errors():
     summ = sb.AttributeSummary(mins=np.array([1.0, 0.0]), maxs=np.array([1.0, 2.0]))
     with pytest.raises(CostError):
-        sb.params_from_summary(summ, range_rule="two_span", sigma_floor=np.array([0.1, 0.1]))
+        sb.params_from_summary(summ, range_rule="two_span")
 
 
 @pytest.mark.parametrize("top, shown", [(0.0, "0.0"), (-1.5, "-1.5")])
@@ -84,7 +84,7 @@ def test_two_max_names_the_attribute_without_a_positive_maximum(top, shown):
     summ = sb.AttributeSummary(mins=np.array([1.0, -3.0]), maxs=np.array([2.0, top]))
     message = f'attribute 1 has maximum {shown}; use range_rule="two_span"'
     with pytest.raises(CostError, match=message):
-        sb.params_from_summary(summ, sigma_floor=np.array([0.1, 0.1]))
+        sb.params_from_summary(summ)
 
 
 def test_singleton_block_cost_per_block():
@@ -199,7 +199,7 @@ def test_additivity_and_permutation_invariance():
     m = make_map([[0.0, 1.0, 5.0], [0.2, 1.1, 5.2]], s=0.5)
     p = Partition.from_labels(np.array([[0, 1, 2], [0, 1, 2]]))
     total = sb.partition_cost(p, m, params := plain_params(R=12.0))
-    blocks = [sb.block_cost_for_pes([m.pe(r, c) for r, c in p.block_cells(b)], params)
+    blocks = [sb.block_cost_for_pes([m.pe(r, c) for r, c in np.argwhere(p.block_of == b).tolist()], params)
               for b in range(p.n_blocks)]
     assert abs(total - math.fsum(blocks)) <= 1e-12
 

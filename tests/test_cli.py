@@ -247,6 +247,43 @@ def test_train_refuses_non_finite_conscience(tmp_path, capsys, flag, value, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule, shown", [
+    ("0:2,nan:1", "[0.0, nan]"), ("0:2,inf:1", "[0.0, inf]"), ("0:2,1.5:1", "[0.0, 1.5]"),
+])
+def test_train_refuses_schedule_fractions_outside_0_1(tmp_path, capsys, schedule, shown):
+    out = tmp_path / "map.json"
+    rc = run_cli("train", "--out", str(out), "--epochs", "3", "--neighborhood", schedule)
+    assert rc == 1
+    assert capsys.readouterr().err == ("somblocks: error: neighborhood_schedule fractions must "
+                                       f"be finite and in [0, 1], got {shown}\n")
+    assert not out.exists()
+
+
+def test_partition_refuses_a_map_with_a_non_integer_grid_size(tmp_path, capsys):
+    doc = json.loads(Path(fixture_path("iris_map_seed2.json")).read_text())
+    doc["rows"] = 5.0
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli("partition", "--map", str(path), "--out", str(tmp_path / "p.json"))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"somblocks: error: {path}: rows must be an integer, "
+                                       "got 5.0\n")
+
+
+def test_evaluate_refuses_non_integer_block_ids(tmp_path, capsys):
+    part = tmp_path / "p.json"
+    run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
+    doc = json.loads(part.read_text())
+    doc["block_of"] = [b + 0.4 for b in doc["block_of"]]
+    part.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--map", fixture_path("iris_map_seed2.json"),
+                 "--partition", str(part))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"somblocks: error: {part}: block_of entries must be "
+                                       "integers, got 0.4\n")
+
+
 def test_render_single_row_map():
     m = make_map([[1.0, 9.0]], s=0.1, n_members=3)
     text = render_map(m)

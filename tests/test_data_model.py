@@ -11,7 +11,7 @@ def test_iris_shape_and_classes(iris):
     assert iris.samples.shape == (150, 4)
     assert iris.n_attributes == 4
     assert iris.classes() == ["setosa", "versicolor", "virginica"]
-    counts = np.bincount(iris.label_ids())
+    counts = np.bincount(encode_labels(iris.labels)[1])
     assert counts.tolist() == [50, 50, 50]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -36,7 +37,8 @@ def test_quadtree_singleton_region_is_leaf():
     leaves = sb.quadtree_split(m, plain_params(R=10.0))
     for leaf in leaves:
         assert leaf.r1 - leaf.r0 >= 1 and leaf.c1 - leaf.c0 >= 1
-    covered = sorted(cell for leaf in leaves for cell in leaf.cells())
+    covered = sorted((r, c) for leaf in leaves
+                     for r in range(leaf.r0, leaf.r1) for c in range(leaf.c0, leaf.c1))
     assert covered == [(0, 0), (0, 1)]
 
 
@@ -506,19 +508,21 @@ def test_merge_is_idempotent_on_its_output():
         m = random_map(rng, rows=3, cols=4, M=1, empty_prob=0.0)
         params = plain_params(R=15.0)
         p = sb.partition_som(m, params)
+        block_cells = [list(map(tuple, np.argwhere(p.block_of == b).tolist()))
+                       for b in range(p.n_blocks)]
         # re-run the merge over the blocks of the final partition
         again_cost = math.fsum(
-            sb.block_cost_for_pes([m.pe(r, c) for r, c in p.block_cells(b)], params)
+            sb.block_cost_for_pes([m.pe(r, c) for r, c in block_cells[b]], params)
             for b in range(p.n_blocks))
         assert again_cost == pytest.approx(p.cost, abs=1e-9)
         joined_better = False
         for a in range(p.n_blocks):
             for b in range(a + 1, p.n_blocks):
-                ca = sb.block_cost_for_pes([m.pe(r, c) for r, c in p.block_cells(a)], params)
-                cb = sb.block_cost_for_pes([m.pe(r, c) for r, c in p.block_cells(b)], params)
-                cells = p.block_cells(a) + p.block_cells(b)
-                adjacent = any((r + dr, c + dc) in set(p.block_cells(b))
-                               for r, c in p.block_cells(a)
+                ca = sb.block_cost_for_pes([m.pe(r, c) for r, c in block_cells[a]], params)
+                cb = sb.block_cost_for_pes([m.pe(r, c) for r, c in block_cells[b]], params)
+                cells = block_cells[a] + block_cells[b]
+                adjacent = any((r + dr, c + dc) in set(block_cells[b])
+                               for r, c in block_cells[a]
                                for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)))
                 if adjacent:
                     cu = sb.block_cost_for_pes([m.pe(r, c) for r, c in cells], params)
@@ -537,6 +541,26 @@ def test_partition_file_round_trip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(PartitionError):
         load_partition(bad)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("block_of", [0, 0, 1, 2, 2.0, 1], "block_of entries must be integers, got 2.0"),
+    ("block_of", [0.4, 0.4, 1.4, 2.4, 2.4, 1.4], "block_of entries must be integers, got 0.4"),
+    ("block_of", [0, 0, 1, 2, True, 1], "block_of entries must be integers, got True"),
+    ("K", 3.9, "K must be an integer, got 3.9"),
+    ("K", True, "K must be an integer, got True"),
+    ("rows", 2.0, "rows must be an integer, got 2.0"),
+    ("cols", False, "cols must be an integer, got False"),
+])
+def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, message):
+    path = tmp_path / "p.json"
+    save_partition(Partition.from_labels(np.array([[0, 0, 1], [2, 2, 1]])), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PartitionError) as refused:
+        load_partition(path)
+    assert str(refused.value) == f"{path}: {message}"
 
 
 def test_validate_partition_rejects_disconnected():

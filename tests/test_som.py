@@ -189,6 +189,26 @@ def test_save_load_round_trip(tmp_path, iris):
     assert sb.load_map(path) == m
 
 
+def test_config_off_every_default_survives_save_and_load(tmp_path, iris):
+    config = sb.SomConfig(rows=2, cols=3, epochs=4, lr_start=0.7, lr_end=0.02,
+                          neighborhood_schedule=((0.0, 1), (0.5, 0)),
+                          conscience_beta=2e-4, conscience_gamma=0.5, seed=7)
+    for f in dataclasses.fields(sb.SomConfig):
+        assert f.default is dataclasses.MISSING or getattr(config, f.name) != f.default
+    path = tmp_path / "m.json"
+    sb.save_map(sb.train(iris, config), path)
+    assert sb.load_map(path).config == config
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["config"].pop("epochs"), "config is missing epochs$"),
+    (lambda doc: doc["config"].update(sigma=1.0), "config has unknown keys sigma$"),
+])
+def test_load_refuses_a_config_key_set_other_than_the_fields(tmp_path, edit, message):
+    with pytest.raises(SomError, match=message):
+        sb.load_map(_broken_map(tmp_path, edit))
+
+
 def _fixture_text(name):
     with open(fixture_path(name)) as f:
         return f.read()
@@ -292,6 +312,12 @@ def test_config_validation():
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (0.5, 2)))
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.2, 1),))
+    for frac in (math.nan, math.inf, 1.5, -0.5):
+        with pytest.raises(SomError, match="neighborhood_schedule fractions must be finite "
+                                           r"and in \[0, 1\]"):
+            sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 2), (frac, 1)))
+    assert sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (1.0, 0))
+                        ).neighborhood_schedule == ((0.0, 1), (1.0, 0))
     for field in ("conscience_beta", "conscience_gamma"):
         for value in (math.nan, math.inf, -math.inf, -1e-3):
             with pytest.raises(SomError, match=f"{field} must be finite and non-negative"):
@@ -343,6 +369,8 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_set("member_ids", lambda pe: [999] + pe["member_ids"][1:]),
      r"cell \d+: member id 999 is outside 0..149"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
+    (lambda doc: doc.update(rows=5.0), r"rows must be an integer, got 5\.0"),
+    (lambda doc: doc.update(cols=True), r"cols must be an integer, got True"),
 ])
 
 

@@ -59,6 +59,12 @@ N_SCALE_RULES: dict[str, Callable[[int], float]] = {
 }
 
 
+def n_scale_name(rule: Callable[[int], float]) -> str:
+    """The N_SCALE_RULES name of a size-scale rule, else the function's own name."""
+    return next((k for k, v in N_SCALE_RULES.items() if v is rule),
+                getattr(rule, "__name__", "custom"))
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Range and width parameters of the block cost.
@@ -133,27 +139,19 @@ class CostParams:
         echo = {f.name: getattr(self, f.name) for f in fields(self)}
         echo["R"] = self.R.tolist()
         echo["sigma_floor"] = self.sigma_floor.tolist()
-        echo["n_scale_rule"] = next(
-            (k for k, v in N_SCALE_RULES.items() if v is self.n_scale_rule),
-            getattr(self.n_scale_rule, "__name__", "custom"))
+        echo["n_scale_rule"] = n_scale_name(self.n_scale_rule)
         return echo
 
 
-def params_from_summary(
-    summary: AttributeSummary,
-    *,
-    range_rule: str = "two_max",
-    range_exponent: str = "per_block",
-    sigma_const: float = 1.0,
-    sigma_floor_frac: float = 0.15,
-    n_scale_rule: Callable[[int], float] = unit_scale,
-    f_R: float = 1.0,
-    f_sigma: float = 1.0,
-) -> CostParams:
+def params_from_summary(summary: AttributeSummary, *,
+                        range_rule: str = CostParams.range_rule,
+                        sigma_floor_frac: float = 0.15, **options) -> CostParams:
     """Build CostParams from observed attribute extremes.
 
     The base range is 2*(max-min) under two_span or 2*max under two_max, and
-    the width floor is sigma_floor_frac times the attribute span.
+    the width floor is sigma_floor_frac times the attribute span.  The other
+    options (range_exponent, sigma_const, n_scale_rule, f_R, f_sigma) pass
+    through to CostParams, which owns their defaults.
     """
     if range_rule == "two_span":
         if np.any(summary.spans <= 0):
@@ -172,17 +170,8 @@ def params_from_summary(
                         f"got {sigma_floor_frac!r}")
     if np.any(summary.spans <= 0):
         raise CostError("sigma floor needs positive span on every attribute")
-    return CostParams(
-        R=base_R,
-        sigma_floor=sigma_floor_frac * summary.spans,
-        sigma_const=sigma_const,
-        n_scale_rule=n_scale_rule,
-        range_rule=range_rule,
-        range_exponent=range_exponent,
-        f_R=f_R,
-        f_sigma=f_sigma,
-        sigma_floor_frac=sigma_floor_frac,
-    )
+    return CostParams(R=base_R, sigma_floor=sigma_floor_frac * summary.spans,
+                      range_rule=range_rule, sigma_floor_frac=sigma_floor_frac, **options)
 
 
 @dataclass(frozen=True)

@@ -10,42 +10,49 @@ and carry a provenance record (config echo, seed, tool version), so a fixed
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bayes_cost import N_SCALE_RULES, params_from_summary
+from .bayes_cost import N_SCALE_RULES, CostParams, n_scale_name, params_from_summary
 from .baselines import threshold_partition, umatrix_boundaries
 from .data_model import iris_path, load_csv, summarize, write_text_atomic
 from .evaluate import render_map, render_report, report_to_dict, score
 from .partition import load_partition, partition_som, save_partition
 from .sensitivity import StabilityMap, SweepSpec, default_grid, stable_region, sweep
-from .som import SomConfig, SomMap, load_map, save_map, train
+from .som import SomConfig, load_map, save_map, train
 
+
+def _defaults(owner) -> dict:
+    """The default of each parameter of a function or dataclass that has one."""
+    return {name: p.default for name, p in inspect.signature(owner).parameters.items()
+            if p.default is not p.empty}
+
+
+_SOM = _defaults(SomConfig)
+# params_from_summary's floor fraction replaces CostParams' None
+_COST = _defaults(CostParams) | _defaults(params_from_summary)
+_COST_KEYS = ("range_rule", "range_exponent", "sigma_const", "sigma_floor_frac", "f_R", "f_sigma")
+_GRID = _defaults(default_grid)
+
+# The CLI owns the literal values; every other setting's default is its library owner's.
 DEFAULTS = {
     "data": iris_path(),
     "label_col": "class",   # matches the bundled data; pass "" for unlabeled files
     "rows": 5,
     "cols": 5,
-    "epochs": 300,
-    "lr_start": 0.5,
-    "lr_end": 0.01,
-    "neighborhood": "0:2,0.25:1,0.6:0",
-    "conscience_beta": 1e-4,
-    "conscience_gamma": 1.0,
-    "seed": 1,
-    "range_rule": "two_max",
-    "range_exponent": "per_block",
-    "sigma_const": 1.0,
-    "sigma_floor_frac": 0.15,
-    "n_scale": "unit",
-    "f_R": 1.0,
-    "f_sigma": 1.0,
+    "seed": 1,              # the train golden's seed, not SomConfig's 0
     "threshold": 0.55,
-    "sweep_points": 13,
-    "sweep_decades": 1.5,
+    **{key: _SOM[key] for key in ("epochs", "lr_start", "lr_end",
+                                  "conscience_beta", "conscience_gamma")},
+    "neighborhood": ",".join(f"{f:g}:{h}" for f, h in _SOM["neighborhood_schedule"]),
+    **{key: _COST[key] for key in _COST_KEYS},
+    "n_scale": n_scale_name(_COST["n_scale_rule"]),
+    "sweep_points": _GRID["points"],
+    "sweep_decades": _GRID["decades"],
 }
 
 
@@ -71,18 +78,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if not isinstance(value, str):
+def _coerce(key: str, value: str):
+    kind = type(DEFAULTS[key])
+    if kind is str:
         return value
-    default = DEFAULTS[key]
-    if isinstance(default, (int, float)):
-        kind = type(default)
-        try:
-            return kind(value)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise CliError(f"{key} must be {noun}, got {value!r}") from None
-    return value
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise CliError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
@@ -123,16 +127,8 @@ def som_config_from(settings: dict) -> SomConfig:
 def cost_params_from(settings: dict, dataset):
     if settings["n_scale"] not in N_SCALE_RULES:
         raise CliError(f"unknown n_scale rule {settings['n_scale']!r}")
-    return params_from_summary(
-        summarize(dataset),
-        range_rule=settings["range_rule"],
-        range_exponent=settings["range_exponent"],
-        sigma_const=settings["sigma_const"],
-        sigma_floor_frac=settings["sigma_floor_frac"],
-        n_scale_rule=N_SCALE_RULES[settings["n_scale"]],
-        f_R=settings["f_R"],
-        f_sigma=settings["f_sigma"],
-    )
+    return params_from_summary(summarize(dataset), n_scale_rule=N_SCALE_RULES[settings["n_scale"]],
+                               **{key: settings[key] for key in _COST_KEYS})
 
 
 def provenance(settings: dict, seed) -> dict:
@@ -147,13 +143,13 @@ def _load_labeled(settings: dict, need_labels: bool):
     return dataset
 
 
-def _check_map_data(som_map: SomMap, dataset) -> None:
-    """A map can only be costed or scored against data of the shape it was trained on."""
-    if som_map.n_attributes != dataset.n_attributes:
-        raise CliError(f"map has {som_map.n_attributes} attributes, "
-                       f"data has {dataset.n_attributes}")
-    if som_map.n_samples != dataset.n_samples:
-        raise CliError(f"map holds {som_map.n_samples} samples, data has {dataset.n_samples}")
+def _fitted_map(args):
+    """The settings, the map of --map and the settings' data, which must fit the map."""
+    settings = resolve_settings(args)
+    som_map = load_map(args.map)
+    dataset = _load_labeled(settings, need_labels=False)
+    som_map.check_fits(dataset)
+    return settings, som_map, dataset
 
 
 def cmd_train(args) -> int:
@@ -166,10 +162,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    settings = resolve_settings(args)
-    som_map = load_map(args.map)
-    dataset = _load_labeled(settings, need_labels=False)
-    _check_map_data(som_map, dataset)
+    settings, som_map, dataset = _fitted_map(args)
     params = cost_params_from(settings, dataset)
     part = partition_som(som_map, params)
     save_partition(part, args.out, params_echo=params.echo(),
@@ -190,14 +183,9 @@ def cmd_baseline(args) -> int:
     bounds = umatrix_boundaries(som_map)
     lines = [f"# somblocks {__version__} boundary strengths",
              f"# threshold = {T!r}", "r,c,orientation,strength"]
-    for r in range(som_map.rows):
-        for c in range(som_map.cols - 1):
-            s = bounds.h[r, c]
-            lines.append(f"{r},{c},h,{'' if np.isnan(s) else repr(float(s))}")
-    for r in range(som_map.rows - 1):
-        for c in range(som_map.cols):
-            s = bounds.v[r, c]
-            lines.append(f"{r},{c},v,{'' if np.isnan(s) else repr(float(s))}")
+    for orientation, strengths in (("h", bounds.h), ("v", bounds.v)):
+        for (r, c), s in np.ndenumerate(strengths):
+            lines.append(f"{r},{c},{orientation},{'' if np.isnan(s) else repr(float(s))}")
     write_text_atomic(args.boundaries_out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({part.n_blocks} blocks at T={T}) and {args.boundaries_out}")
     return 0
@@ -208,7 +196,7 @@ def cmd_evaluate(args) -> int:
     som_map = load_map(args.map)
     part = load_partition(args.partition)
     dataset = _load_labeled(settings, need_labels=True)
-    _check_map_data(som_map, dataset)
+    som_map.check_fits(dataset)
     report = score(part, som_map, dataset.labels)
     if args.format == "json":
         text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
@@ -237,10 +225,7 @@ def _stability_csv(stability: StabilityMap, spans) -> str:
 
 
 def cmd_sweep(args) -> int:
-    settings = resolve_settings(args)
-    som_map = load_map(args.map)
-    dataset = _load_labeled(settings, need_labels=False)
-    _check_map_data(som_map, dataset)
+    settings, som_map, dataset = _fitted_map(args)
     params = cost_params_from(settings, dataset).scaled()   # factors reset to 1
     grid = default_grid(settings["sweep_points"], settings["sweep_decades"])
     stability = sweep(som_map, SweepSpec(base=params, f_R_grid=grid, f_sigma_grid=grid))

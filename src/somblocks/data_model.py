@@ -134,7 +134,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
 def is_integer(value) -> bool:
     """True for an integer (numpy's included) that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int skips the slow abstract-class check; a bool's type is not int
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def write_text_atomic(path, text: str) -> None:

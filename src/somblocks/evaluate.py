@@ -32,10 +32,6 @@ class EvalReport:
     kappa: float
     n_samples: int
 
-    @property
-    def accuracy(self) -> float:
-        return self.p_o
-
 
 def _check_fit(som_map: SomMap, partition: Partition | None, label_ids) -> None:
     """Labels must name each of the map's samples, and a partition its grid."""

@@ -138,7 +138,7 @@ class SomMap:
             if np.ndim(pe.weight) != 1 or np.shape(pe.weight) != shape or not shape[0]:
                 raise SomError(f"cell {k}: weight has shape {np.shape(pe.weight)}, "
                                f"expected {shape}")
-            if not isinstance(pe.n, (int, np.integer)) or pe.n < 0:
+            if not is_integer(pe.n) or pe.n < 0:
                 raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
             if pe.n != len(pe.member_ids):
                 raise SomError(f"cell {k}: n is {pe.n} but member_ids lists "
@@ -186,6 +186,14 @@ class SomMap:
     def n_samples(self) -> int:
         return len(self.assignment)
 
+    def check_fits(self, dataset: Dataset) -> None:
+        """A map fits only data shaped like the data it was trained on."""
+        if self.n_attributes != dataset.n_attributes:
+            raise SomError(f"map has {self.n_attributes} attributes, "
+                           f"data has {dataset.n_attributes}")
+        if self.n_samples != dataset.n_samples:
+            raise SomError(f"map holds {self.n_samples} samples, data has {dataset.n_samples}")
+
     def class_counts(self, label_ids: np.ndarray, n_classes: int) -> np.ndarray:
         """(P, n_classes) member count of each class in each cell; label_ids
         holds one class id per sample id."""
@@ -206,20 +214,20 @@ def _member_owners(pes, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells' member ids stacked in cell order, and the cell of each id.
 
     Raises SomError naming the first id, in cell order, that is not an
-    integer in 0..n-1 or repeats an earlier one, and for a repeat the cell
-    that holds it first.
+    integer (a bool is none) in 0..n-1 or repeats an earlier one, and for a
+    repeat the cell that holds it first.
     """
     flat = [i for pe in pes for i in pe.member_ids]
     n = len(flat)
     cell_of = np.repeat(np.arange(len(pes)), counts)
-    ids = np.array(flat)
-    if ids.dtype.kind in "iu":
+    ids = np.array(flat)    # bools mixed with ints come out as ints
+    if ids.dtype.kind in "iu" and not {bool, np.bool_} & set(map(type, flat)):
         outside = (ids < 0) | (ids >= n)
         end = int(np.argmax(outside)) if outside.any() else n
         ids = ids[:end].astype(np.intp)
     else:   # an id that is no integer, or no id at all: look for it in Python
         end = next((pos for pos, i in enumerate(flat)
-                    if not isinstance(i, (int, np.integer)) or not 0 <= i < n), n)
+                    if not is_integer(i) or not 0 <= i < n), n)
         ids = np.array(flat[:end], dtype=np.intp)
     # every id before end is in range, so a repeat among them comes first
     order = np.arange(end)
@@ -353,10 +361,7 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
 
 def quantization_error(som_map: SomMap, dataset: Dataset) -> float:
     """Mean Euclidean distance from each sample to its own cell's weight."""
-    if som_map.n_attributes != dataset.n_attributes:
-        raise SomError("map and dataset attribute counts differ")
-    if som_map.n_samples != dataset.n_samples:
-        raise SomError("map was not built from a dataset of this size")
+    som_map.check_fits(dataset)
     d = dataset.samples - som_map.weights[som_map.assignment]
     return float(np.mean(np.sqrt(np.vecdot(d, d))))
 

@@ -9,6 +9,7 @@ import pytest
 
 import somblocks as sb
 from somblocks.cli import DEFAULTS, main, parse_config_file, render_map, resolve_settings
+from somblocks.som import map_to_json
 
 from conftest import fixture_path, make_map
 
@@ -37,6 +38,35 @@ def test_partition_outputs_are_byte_identical(tmp_path):
     doc = json.loads(outs[0])
     assert doc["K"] == 3
     assert doc["rows"] == doc["cols"] == 5
+
+
+def test_train_defaults_are_somconfigs(iris):
+    # the golden was written by train with only --rows/--cols/--seed
+    trained = map_to_json(sb.train(iris, sb.SomConfig(rows=5, cols=5, seed=1)))
+    assert trained == Path(fixture_path("iris_map_seed1.json")).read_text()
+
+
+def test_partition_defaults_are_the_librarys(tmp_path, iris, fixture_map):
+    out = tmp_path / "p.json"
+    assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"),
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    params = sb.params_from_summary(sb.summarize(iris))
+    p = sb.partition_som(fixture_map, params)
+    assert doc["block_of"] == p.block_of.ravel().tolist()
+    assert (doc["K"], doc["cost"]) == (p.n_blocks, p.cost)
+    assert doc["params"] == json.loads(json.dumps(params.echo()))
+
+
+def test_sweep_defaults_are_default_grids(tmp_path):
+    out = tmp_path / "stability.csv"
+    assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
+                   "--out", str(out)) == 0
+    factors = [tuple(map(float, line.split(",")[:2]))
+               for line in out.read_text().splitlines()[3:]]
+    grid = sb.default_grid().tolist()
+    assert factors == [(f_R, f_sigma) for f_R in grid for f_sigma in grid]
+    assert len(factors) == 169
 
 
 def test_unknown_flag_exits_nonzero(capsys):

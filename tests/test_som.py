@@ -73,10 +73,13 @@ def test_quantization_error_properties(iris):
     qe_t, qe_i = sb.quantization_error(trained, iris), sb.quantization_error(initial, iris)
     assert qe_t >= 0 and qe_i >= 0
     assert qe_t < qe_i
-    with pytest.raises(SomError):
+    with pytest.raises(SomError, match="^map has 4 attributes, data has 3$"):
         bad = sb.Dataset(samples=iris.samples[:, :3], labels=None,
                          attribute_names=iris.attribute_names[:3])
         sb.quantization_error(trained, bad)
+    with pytest.raises(SomError, match="^map holds 150 samples, data has 100$"):
+        sb.quantization_error(trained, sb.Dataset(samples=iris.samples[:100], labels=None,
+                                                  attribute_names=iris.attribute_names))
 
 
 def test_member_lists_partition_the_dataset(iris):
@@ -355,12 +358,18 @@ def _duplicate_member(doc):
     ids[1] = ids[0]
 
 
+def _member_one_as_true(doc):
+    for pe in doc["pes"]:
+        pe["member_ids"] = [True if i == 1 else i for i in pe["member_ids"]]
+
+
 CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_set("mean", [1.0, 2.0, 3.0]), r"cell \d+: mean has shape \(3,\)"),
     (_set("std", [0.1]), r"cell \d+: std has shape \(1,\)"),
     (_set("weight", [0.0, 1.0], cell=7), r"cell 7: weight has shape \(2,\), expected \(4,\)"),
     (_set("n", -5), r"cell \d+: n must be a non-negative integer"),
     (_set("n", lambda pe: pe["n"] + 1), r"cell \d+: n is \d+ but member_ids lists \d+"),
+    (_set("n", True), r"cell \d+: n must be a non-negative integer, got True"),
     (_set("r", 4, cell=0), r"cell 0: r/c \(4, 0\) do not match its position \(0, 0\)"),
     (_set("c", 3, cell=7), r"cell 7: r/c \(1, 3\) do not match its position \(1, 2\)"),
     (_set("mean", None), r"cell \d+: mean has shape None"),
@@ -368,6 +377,7 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_duplicate_member, r"cell \d+: member id \d+ is also in cell \d+"),
     (_set("member_ids", lambda pe: [999] + pe["member_ids"][1:]),
      r"cell \d+: member id 999 is outside 0..149"),
+    (_member_one_as_true, r"cell 24: member id True is outside 0\.\.149"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
     (lambda doc: doc.update(rows=5.0), r"rows must be an integer, got 5\.0"),
     (lambda doc: doc.update(cols=True), r"cols must be an integer, got True"),
@@ -422,12 +432,19 @@ def test_map_checks_its_grid_on_construction():
         sb.SomMap(rows=1, cols=1, pes=(one,), config=sb.SomConfig(rows=1, cols=2))
 
 
+def test_map_refuses_a_bool_count():
+    with pytest.raises(SomError, match="^cell 0: n must be a non-negative integer, got True$"):
+        make_map([[0.0, 1.0]], n_members=True)
+
+
 @pytest.mark.parametrize("ids, message", [
     (((0, 1), (1, "x"), (4, 5)), "cell 1: member id 1 is also in cell 0"),
     (((0, 1), (2.0, 1), (4, 5)), r"cell 1: member id 2\.0 is outside 0\.\.5"),
     (((0, 1), (2, 3), (9, 0)), r"cell 2: member id 9 is outside 0\.\.5"),
     (((0, 1), (2, 3), (4, np.int64(-1))), r"cell 2: member id np\.int64\(-1\) is outside"),
     (((3, 1), (2, 3), (4, 5)), "cell 1: member id 3 is also in cell 0"),
+    (((0, 1), (2, True), (4, 5)), r"cell 1: member id True is outside 0\.\.5"),
+    (((0, 1), (2, 3), (4, np.True_)), r"cell 2: member id np\.True_ is outside 0\.\.5"),
 ])
 def test_member_id_faults_name_the_first_in_cell_order(ids, message):
     m = make_map([[0.0, 1.0, 2.0]], n_members=2)

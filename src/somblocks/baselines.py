@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import encode_labels
 from .partition import Partition, component_labels
 from .som import SomMap
 
@@ -77,13 +76,9 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
     """
     if labels is None:
         raise BaselineError("oracle partition needs class labels")
-    classes, label_ids = encode_labels(labels)
-    if len(label_ids) != som_map.n_samples:
-        raise BaselineError("labels do not cover the map's samples")
-
     rows, cols = som_map.rows, som_map.cols
     # majority class per non-empty cell, ties to the lowest class id
-    majority = som_map.class_counts(label_ids, len(classes)).argmax(axis=1)
+    majority = som_map.class_counts(labels)[1].argmax(axis=1)
     cell_class = np.where(som_map.counts > 0, majority, -1).reshape(rows, cols)
 
     occupied = cell_class >= 0

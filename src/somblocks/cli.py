@@ -1,10 +1,11 @@
 """Command-line front end: train / partition / baseline / evaluate / sweep.
 
-Every subcommand reads its settings from built-in defaults, overridden by an
-optional flat `key = value` config file (--config), overridden in turn by
-explicit flags.  Artifacts are written atomically (temp file then rename)
-and carry a provenance record (config echo, seed, tool version), so a fixed
-(data, config, seed) triple reproduces byte-identical outputs.
+Every subcommand reads the settings it has flags for from built-in defaults,
+overridden by an optional flat `key = value` config file (--config) that may
+also hold other commands' settings, overridden in turn by explicit flags.
+Artifacts are written atomically (temp file then rename) and carry a
+provenance record (those settings, seed, tool version), so a fixed (data,
+config, seed) triple reproduces byte-identical outputs.
 """
 
 import argparse
@@ -90,14 +91,14 @@ def _coerce(key: str, value: str):
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Every key of DEFAULTS: defaults < config file < explicit flags."""
-    settings = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in parse_config_file(config_path).items():
-            settings[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
+    """The settings args has flags for: defaults < config file < explicit flags."""
+    settings = {key: DEFAULTS[key] for key in DEFAULTS if hasattr(args, key)}
+    if args.config:
+        for key, value in parse_config_file(args.config).items():
+            if key in settings:
+                settings[key] = _coerce(key, value)
+    for key in settings:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = _coerce(key, flag)
     return settings
@@ -128,7 +129,7 @@ def cost_params_from(settings: dict, dataset):
     if settings["n_scale"] not in N_SCALE_RULES:
         raise CliError(f"unknown n_scale rule {settings['n_scale']!r}")
     return params_from_summary(summarize(dataset), n_scale_rule=N_SCALE_RULES[settings["n_scale"]],
-                               **{key: settings[key] for key in _COST_KEYS})
+                               **{key: settings[key] for key in _COST_KEYS if key in settings})
 
 
 def provenance(settings: dict, seed) -> dict:
@@ -226,7 +227,7 @@ def _stability_csv(stability: StabilityMap, spans) -> str:
 
 def cmd_sweep(args) -> int:
     settings, som_map, dataset = _fitted_map(args)
-    params = cost_params_from(settings, dataset).scaled()   # factors reset to 1
+    params = cost_params_from(settings, dataset)     # sweep has no f_R or f_sigma: both 1
     grid = default_grid(settings["sweep_points"], settings["sweep_decades"])
     stability = sweep(som_map, SweepSpec(base=params, f_R_grid=grid, f_sigma_grid=grid))
     spans = stable_region(stability)

@@ -54,7 +54,7 @@ class Dataset:
         """Sorted distinct class labels; class id = index in this list."""
         if self.labels is None:
             raise DataError("dataset has no labels")
-        return sorted(set(self.labels))
+        return encode_labels(self.labels)[0]
 
 
 def encode_labels(labels) -> tuple[list, np.ndarray]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import encode_labels
 from .partition import Partition
 from .som import SomMap
 
@@ -33,10 +32,7 @@ class EvalReport:
     n_samples: int
 
 
-def _check_fit(som_map: SomMap, partition: Partition | None, label_ids) -> None:
-    """Labels must name each of the map's samples, and a partition its grid."""
-    if label_ids is not None and len(label_ids) != som_map.n_samples:
-        raise EvaluateError("labels do not cover the map's samples")
+def _check_shape(som_map: SomMap, partition: Partition | None) -> None:
     if partition is not None and partition.block_of.shape != (som_map.rows, som_map.cols):
         raise EvaluateError("partition shape does not match the map")
 
@@ -49,15 +45,14 @@ def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
     """
     if labels is None:
         raise EvaluateError("scoring needs class labels")
-    classes, label_ids = encode_labels(labels)
-    _check_fit(som_map, partition, label_ids)
+    classes, cell_counts = som_map.class_counts(labels)
+    _check_shape(som_map, partition)
     if partition.n_blocks < 1:
         raise EvaluateError("empty partition")
     n_classes = len(classes)
 
     block_counts = np.zeros((partition.n_blocks, n_classes), dtype=int)
-    np.add.at(block_counts, partition.block_of.ravel(),
-              som_map.class_counts(label_ids, n_classes))
+    np.add.at(block_counts, partition.block_of.ravel(), cell_counts)
     predicted = block_counts.argmax(axis=1)
     block_labels = {b: int(c) for b, c in enumerate(predicted)}
     # confusion[t, p] counts class-t samples in blocks labelled p
@@ -110,15 +105,12 @@ def render_report(report: EvalReport) -> str:
 
 def render_map(som_map: SomMap, partition: Partition | None = None, labels=None) -> str:
     """ASCII grid: block ids, per-class cell populations, block boundaries."""
-    label_ids = None
-    if labels is not None:
-        classes, label_ids = encode_labels(labels)
-    _check_fit(som_map, partition, label_ids)
-    if label_ids is None:
+    if labels is None:
         texts = [f"({n})" for n in som_map.counts.tolist()]
     else:
         texts = ["(" + ",".join(map(str, row)) + ")"
-                 for row in som_map.class_counts(label_ids, len(classes)).tolist()]
+                 for row in som_map.class_counts(labels)[1].tolist()]
+    _check_shape(som_map, partition)
     if partition is not None:
         texts = [f"{b} {t}" for b, t in zip(partition.block_of.ravel().tolist(), texts)]
     width = max(len(t) for t in texts)

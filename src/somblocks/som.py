@@ -9,13 +9,14 @@ presentation order) flows from one 64-bit seed through numpy's PCG64
 generator, so a (dataset, config) pair fully determines the result.
 """
 
+import functools
 import json
 import math
 from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data_model import Dataset, is_integer, write_text_atomic
+from .data_model import Dataset, encode_labels, is_integer, write_text_atomic
 
 MAP_FORMAT_VERSION = 1
 
@@ -86,8 +87,8 @@ def _require_integers(owner, *names: str) -> None:
 class PeStats:
     """One grid cell: weight vector plus statistics of the samples it won.
 
-    The record a SomMap is built from, one per cell in row-major order, and
-    the one SomMap.pe derives from the map's arrays.
+    The record a SomMap is built from, one per cell in row-major order (its
+    vectors may be lists), and the one SomMap.pe derives from the map's arrays.
     """
 
     r: int
@@ -131,30 +132,32 @@ class SomMap:
             raise SomError(f"{len(pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
         shape = np.shape(pes[0].weight)
+        zeros = np.zeros(shape)
+        weights, means, stds = [], [], []
         for k, pe in enumerate(pes):
             if (pe.r, pe.c) != divmod(k, self.cols):
                 raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
                                f"position {divmod(k, self.cols)}")
-            if np.ndim(pe.weight) != 1 or np.shape(pe.weight) != shape or not shape[0]:
-                raise SomError(f"cell {k}: weight has shape {np.shape(pe.weight)}, "
-                               f"expected {shape}")
+            weight = np.asarray(pe.weight, dtype=float)    # a map file's cells hold lists
+            if len(shape) != 1 or weight.shape != shape or not shape[0]:
+                raise SomError(f"cell {k}: weight has shape {weight.shape}, expected {shape}")
             if not is_integer(pe.n) or pe.n < 0:
                 raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
             if pe.n != len(pe.member_ids):
                 raise SomError(f"cell {k}: n is {pe.n} but member_ids lists "
                                f"{len(pe.member_ids)}")
-            for name in ("mean", "std"):
+            weights.append(weight)
+            for name, table in (("mean", means), ("std", stds)):
                 value = getattr(pe, name)
                 if pe.n == 0 and value is not None:
                     raise SomError(f"cell {k}: {name} must be null for an empty cell")
-                if pe.n > 0 and (value is None or np.shape(value) != shape):
-                    got = None if value is None else np.shape(value)
-                    raise SomError(f"cell {k}: {name} has shape {got}, "
+                if value is not None:
+                    value = np.asarray(value, dtype=float)
+                if pe.n > 0 and (value is None or value.shape != shape):
+                    raise SomError(f"cell {k}: {name} has shape {getattr(value, 'shape', None)}, "
                                    f"expected the weight's {shape}")
-        zeros = np.zeros(shape)
-        weights = np.array([pe.weight for pe in pes], dtype=float)
-        means = np.array([zeros if pe.n == 0 else pe.mean for pe in pes], dtype=float)
-        stds = np.array([zeros if pe.n == 0 else pe.std for pe in pes], dtype=float)
+                table.append(value if pe.n else zeros)
+        weights, means, stds = (np.array(table) for table in (weights, means, stds))
         for name, table in (("weight", weights), ("mean", means), ("std", stds)):
             finite = np.isfinite(table).all(axis=1)
             if not finite.all():
@@ -194,11 +197,15 @@ class SomMap:
         if self.n_samples != dataset.n_samples:
             raise SomError(f"map holds {self.n_samples} samples, data has {dataset.n_samples}")
 
-    def class_counts(self, label_ids: np.ndarray, n_classes: int) -> np.ndarray:
-        """(P, n_classes) member count of each class in each cell; label_ids
-        holds one class id per sample id."""
-        flat = self.assignment * n_classes + label_ids
-        return np.bincount(flat, minlength=len(self.counts) * n_classes).reshape(-1, n_classes)
+    def class_counts(self, labels) -> tuple[list, np.ndarray]:
+        """The sorted classes of labels, one per sample id, and the
+        (P, classes) member count of each class in each cell."""
+        classes, label_ids = encode_labels(labels)
+        if len(label_ids) != self.n_samples:
+            raise SomError("labels do not cover the map's samples")
+        flat = self.assignment * len(classes) + label_ids
+        counts = np.bincount(flat, minlength=len(self.counts) * len(classes))
+        return classes, counts.reshape(-1, len(classes))
 
     def __eq__(self, other):
         if not isinstance(other, SomMap):
@@ -239,7 +246,8 @@ def _member_owners(pes, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SomError(f"cell {cell_of[pos]}: member id {flat[pos]} is also in cell "
                        f"{cell_of[first[ids[pos]]]}")
     if end < n:
-        raise SomError(f"cell {cell_of[end]}: member id {flat[end]!r} is outside 0..{n - 1}")
+        fault = f"is outside 0..{n - 1}" if is_integer(flat[end]) else "is not an integer"
+        raise SomError(f"cell {cell_of[end]}: member id {flat[end]!r} {fault}")
     owner = np.empty(n, dtype=np.intp)
     owner[ids] = cell_of
     return ids, owner
@@ -366,13 +374,19 @@ def quantization_error(som_map: SomMap, dataset: Dataset) -> float:
     return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
-def _config_from_dict(d: dict) -> SomConfig:
-    names = {f.name for f in fields(SomConfig)}
-    if missing := sorted(names - set(d)):
-        raise SomError(f"config is missing {', '.join(missing)}")
-    if extra := sorted(set(d) - names):
-        raise SomError(f"config has unknown keys {', '.join(extra)}")
-    return SomConfig(**d)
+@functools.cache
+def _field_names(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+def _from_record(cls, record: dict, name: str):
+    """cls built from a record whose keys are exactly cls's fields."""
+    names, keys = _field_names(cls), set(record)
+    if keys != names:
+        if missing := sorted(names - keys):
+            raise SomError(f"{name} is missing {', '.join(missing)}")
+        raise SomError(f"{name} has unknown keys {', '.join(sorted(keys - names))}")
+    return cls(**record)
 
 
 def map_to_json(som_map: SomMap) -> str:
@@ -383,21 +397,15 @@ def map_to_json(som_map: SomMap) -> str:
         "cols": som_map.cols,
         "seed": som_map.config.seed,
         "config": asdict(som_map.config),
-        "pes": [
-            {
-                "r": pe.r,
-                "c": pe.c,
-                "weight": pe.weight.tolist(),
-                "member_ids": list(pe.member_ids),
-                "n": pe.n,
-                "mean": None if pe.mean is None else pe.mean.tolist(),
-                "std": None if pe.std is None else pe.std.tolist(),
-            }
-            for pe in (som_map.pe(r, c)
-                       for r in range(som_map.rows) for c in range(som_map.cols))
-        ],
+        "pes": [{name: _listed(getattr(pe, name)) for name in _field_names(PeStats)}
+                for pe in (som_map.pe(r, c)
+                           for r in range(som_map.rows) for c in range(som_map.cols))],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _listed(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def save_map(som_map: SomMap, path) -> None:
@@ -405,7 +413,7 @@ def save_map(som_map: SomMap, path) -> None:
 
 
 def load_map(path) -> SomMap:
-    """Read a map file; every check is SomMap's, its messages prefixed with the path."""
+    """Read a map file; each record holds exactly its fields, every other check is SomMap's."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -414,19 +422,9 @@ def load_map(path) -> SomMap:
     if not isinstance(doc, dict) or doc.get("format_version") != MAP_FORMAT_VERSION:
         raise SomError(f"{path}: unsupported map format version")
     try:
-        pes = tuple(
-            PeStats(
-                r=rec["r"], c=rec["c"],
-                weight=np.array(rec["weight"], dtype=float),
-                member_ids=tuple(rec["member_ids"]),
-                n=rec["n"],
-                mean=None if rec["mean"] is None else np.array(rec["mean"], dtype=float),
-                std=None if rec["std"] is None else np.array(rec["std"], dtype=float),
-            )
-            for rec in doc["pes"]
-        )
+        pes = tuple(_from_record(PeStats, rec, f"cell {k}") for k, rec in enumerate(doc["pes"]))
         return SomMap(rows=doc["rows"], cols=doc["cols"], pes=pes,
-                      config=_config_from_dict(doc["config"]))
+                      config=_from_record(SomConfig, doc["config"], "config"))
     except SomError as e:
         raise SomError(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:

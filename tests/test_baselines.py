@@ -5,7 +5,6 @@ import pytest
 
 import somblocks as sb
 from somblocks.baselines import BaselineError
-from somblocks.data_model import encode_labels
 from somblocks.partition import validate_partition
 
 from conftest import make_map, random_map
@@ -38,10 +37,10 @@ def test_boundaries_need_two_occupied_cells():
 
 def test_fixture_max_strength_separates_setosa(fixture_map, iris):
     b = sb.umatrix_boundaries(fixture_map)
-    classes, ids = encode_labels(iris.labels)
+    classes, counts = fixture_map.class_counts(iris.labels)
     setosa = classes.index("setosa")
 
-    majority_of = fixture_map.class_counts(ids, len(classes)).argmax(axis=1)
+    majority_of = counts.argmax(axis=1)
 
     def majority(r, c):
         k = r * fixture_map.cols + c

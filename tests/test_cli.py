@@ -111,6 +111,60 @@ def test_config_file_rejects_unknown_key(tmp_path):
         parse_config_file(cfg)
 
 
+PARTITION_SETTINGS = ("data", "label_col", "range_rule", "range_exponent", "sigma_const",
+                      "sigma_floor_frac", "n_scale", "f_R", "f_sigma")
+
+
+def test_partition_provenance_holds_its_own_settings(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_const = 2.5\nf_R = 3\n")
+    out = tmp_path / "p.json"
+    assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(out),
+                   "--config", str(cfg), "--f-R", "2", "--range-exponent", "per_pe") == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    expected = {key: DEFAULTS[key] for key in PARTITION_SETTINGS}
+    expected.update(sigma_const=2.5, f_R=2.0, range_exponent="per_pe")
+    assert provenance["config"] == expected
+    assert provenance["seed"] == 2
+
+
+def test_a_shared_config_leaves_other_commands_settings_out(tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("epochs = 7\nthreshold = 0.9\n")
+    outs = []
+    for name, extra in (("plain.json", []), ("shared.json", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"),
+                       "--out", str(out), *extra) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+    assert sorted(json.loads(outs[1])["provenance"]["config"]) == sorted(PARTITION_SETTINGS)
+
+
+def test_baseline_provenance_holds_only_the_threshold(tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("threshold = 0.7\nf_R = 3\nseed = 5\n")
+    out = tmp_path / "bp.json"
+    assert run_cli("baseline", "--map", fixture_path("iris_map_seed2.json"), "--config", str(cfg),
+                   "--out", str(out), "--boundaries-out", str(tmp_path / "b.csv")) == 0
+    doc = json.loads(out.read_text())
+    assert doc["provenance"]["config"] == {"threshold": 0.7}
+    assert doc["params"] == {"threshold": 0.7}
+
+
+def test_sweep_ignores_a_configured_f_R(tmp_path):
+    # sweep scales f_R and f_sigma from 1 itself, so it declares neither
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("f_R = 3\nf_sigma = 2\n")
+    outs = []
+    for name, extra in (("plain.csv", []), ("shared.csv", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
+                       "--out", str(out), *extra) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+
+
 def test_baseline_command_writes_partition_and_boundaries(tmp_path):
     out = tmp_path / "bp.json"
     bout = tmp_path / "bounds.csv"

@@ -6,6 +6,7 @@ import pytest
 import somblocks as sb
 from somblocks.evaluate import EvalReport, EvaluateError, report_to_dict
 from somblocks.partition import Partition
+from somblocks.som import SomError
 
 from conftest import make_map, map_cells
 
@@ -83,9 +84,9 @@ def test_render_map_refuses_labels_of_another_size(fixture_map, iris, n_labels):
     # 100 labels used to raise IndexError, 155 to draw a phantom fourth class
     labels = (list(iris.labels) + ["phantom"] * 5)[:n_labels]
     p = Partition.from_labels(np.zeros((5, 5), dtype=int))
-    with pytest.raises(EvaluateError, match="labels do not cover the map's samples"):
+    with pytest.raises(SomError, match="labels do not cover the map's samples"):
         sb.render_map(fixture_map, p, labels)
-    with pytest.raises(EvaluateError, match="labels do not cover the map's samples"):
+    with pytest.raises(SomError, match="labels do not cover the map's samples"):
         sb.render_map(fixture_map, labels=labels)
 
 

@@ -212,6 +212,15 @@ def test_load_refuses_a_config_key_set_other_than_the_fields(tmp_path, edit, mes
         sb.load_map(_broken_map(tmp_path, edit))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["pes"][3].pop("n"), "cell 3 is missing n$"),
+    (lambda doc: doc["pes"][3].update(sigma=1.0), "cell 3 has unknown keys sigma$"),
+])
+def test_load_refuses_a_cell_key_set_other_than_the_fields(tmp_path, edit, message):
+    with pytest.raises(SomError, match=message):
+        sb.load_map(_broken_map(tmp_path, edit))
+
+
 def _fixture_text(name):
     with open(fixture_path(name)) as f:
         return f.read()
@@ -363,6 +372,11 @@ def _member_one_as_true(doc):
         pe["member_ids"] = [True if i == 1 else i for i in pe["member_ids"]]
 
 
+def _member_two_as_float(doc):
+    for pe in doc["pes"]:
+        pe["member_ids"] = [2.0 if i == 2 else i for i in pe["member_ids"]]
+
+
 CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_set("mean", [1.0, 2.0, 3.0]), r"cell \d+: mean has shape \(3,\)"),
     (_set("std", [0.1]), r"cell \d+: std has shape \(1,\)"),
@@ -377,7 +391,8 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_duplicate_member, r"cell \d+: member id \d+ is also in cell \d+"),
     (_set("member_ids", lambda pe: [999] + pe["member_ids"][1:]),
      r"cell \d+: member id 999 is outside 0..149"),
-    (_member_one_as_true, r"cell 24: member id True is outside 0\.\.149"),
+    (_member_one_as_true, r"cell 24: member id True is not an integer"),
+    (_member_two_as_float, r"cell \d+: member id 2\.0 is not an integer"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
     (lambda doc: doc.update(rows=5.0), r"rows must be an integer, got 5\.0"),
     (lambda doc: doc.update(cols=True), r"cols must be an integer, got True"),
@@ -439,12 +454,12 @@ def test_map_refuses_a_bool_count():
 
 @pytest.mark.parametrize("ids, message", [
     (((0, 1), (1, "x"), (4, 5)), "cell 1: member id 1 is also in cell 0"),
-    (((0, 1), (2.0, 1), (4, 5)), r"cell 1: member id 2\.0 is outside 0\.\.5"),
+    (((0, 1), (2.0, 1), (4, 5)), r"cell 1: member id 2\.0 is not an integer"),
     (((0, 1), (2, 3), (9, 0)), r"cell 2: member id 9 is outside 0\.\.5"),
     (((0, 1), (2, 3), (4, np.int64(-1))), r"cell 2: member id np\.int64\(-1\) is outside"),
     (((3, 1), (2, 3), (4, 5)), "cell 1: member id 3 is also in cell 0"),
-    (((0, 1), (2, True), (4, 5)), r"cell 1: member id True is outside 0\.\.5"),
-    (((0, 1), (2, 3), (4, np.True_)), r"cell 2: member id np\.True_ is outside 0\.\.5"),
+    (((0, 1), (2, True), (4, 5)), r"cell 1: member id True is not an integer"),
+    (((0, 1), (2, 3), (4, np.True_)), r"cell 2: member id np\.True_ is not an integer"),
 ])
 def test_member_id_faults_name_the_first_in_cell_order(ids, message):
     m = make_map([[0.0, 1.0, 2.0]], n_members=2)

@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .data_model import AttributeSummary, Dataset, iris_path, load_csv, summarize
 from .som import (PeStats, SomConfig, SomMap, initialize, load_map,
                   quantization_error, save_map, train)
-from .bayes_cost import (BlockCosts, BlockStat, CostParams, block_cost, block_cost_for_pes,
-                         block_stat, params_from_summary, partition_cost,
-                         sigma_estimate)
+from .bayes_cost import (BlockCosts, CostParams, block_cost, block_cost_for_pes, block_stat,
+                         params_from_summary, partition_cost, sigma_estimate)
 from .partition import (Partition, Region, enumerate_connected_partitions,
                         exhaustive_partition, load_partition, merge_regions,
                         partition_som, quadtree_split, save_partition,
@@ -23,7 +22,7 @@ __all__ = [
     "AttributeSummary", "Dataset", "iris_path", "load_csv", "summarize",
     "PeStats", "SomConfig", "SomMap", "initialize", "load_map",
     "quantization_error", "save_map", "train",
-    "BlockCosts", "BlockStat", "CostParams", "block_cost", "block_cost_for_pes", "block_stat",
+    "BlockCosts", "CostParams", "block_cost", "block_cost_for_pes", "block_stat",
     "params_from_summary", "partition_cost", "sigma_estimate",
     "Partition", "Region", "enumerate_connected_partitions", "exhaustive_partition",
     "load_partition", "merge_regions", "partition_som", "quadtree_split",

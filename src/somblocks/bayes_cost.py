@@ -20,7 +20,6 @@ extra blocks in opposite directions.
 """
 
 import copy
-import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -32,8 +31,6 @@ from .data_model import AttributeSummary
 if TYPE_CHECKING:
     from .partition import Partition
     from .som import PeStats, SomMap
-
-logger = logging.getLogger(__name__)
 
 RANGE_RULES = ("two_span", "two_max")
 RANGE_EXPONENTS = ("per_block", "per_pe")
@@ -174,22 +171,10 @@ def params_from_summary(summary: AttributeSummary, *,
                       range_rule=range_rule, sigma_floor_frac=sigma_floor_frac, **options)
 
 
-@dataclass(frozen=True)
-class BlockStat:
-    """Sufficient statistics of one block, per attribute.
-
-    S is the summed precision, X the precision-weighted mean and resid the
-    weighted squared deviation about X; n is the block size (non-empty cells).
-    """
-
-    S: np.ndarray
-    X: np.ndarray
-    resid: np.ndarray
-    n: int
-
-
-def block_stat(means: np.ndarray, sigmas: np.ndarray) -> BlockStat:
-    """Compute S, X and resid for an (N, M) table of means and widths.
+def block_stat(means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per attribute of an (N, M) table of means and widths: the summed
+    precision S, the precision-weighted mean X and the weighted squared
+    deviation resid about X.
 
     Sums use exact accumulation so results do not depend on member order.
     """
@@ -199,12 +184,12 @@ def block_stat(means: np.ndarray, sigmas: np.ndarray) -> BlockStat:
         raise CostError("means and sigmas must be non-empty and congruent")
     if np.any(sigmas <= 0):
         raise CostError("all sigmas must be strictly positive")
-    n, m = means.shape
+    m = means.shape[1]
     w = 1.0 / sigmas**2
     S = np.array([math.fsum(w[:, j]) for j in range(m)])
     X = np.array([math.fsum(w[:, j] * means[:, j]) for j in range(m)]) / S
     resid = np.array([math.fsum(w[:, j] * (means[:, j] - X[j]) ** 2) for j in range(m)])
-    return BlockStat(S=S, X=X, resid=resid, n=n)
+    return S, X, resid
 
 
 def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.ndarray:
@@ -240,14 +225,14 @@ def block_cost(members: Sequence[tuple[np.ndarray, np.ndarray]], params: CostPar
     sigmas = np.stack([np.asarray(s, dtype=float) for _, s in members])
     if means.shape[1] != params.n_attributes:
         raise CostError("member width does not match params.R")
-    stat = block_stat(means, sigmas)
-    n = stat.n
+    S, _, resid = block_stat(means, sigmas)
+    n = len(members)
     log_R = np.log(params.effective_R())
     log_pi = math.log(math.pi)
     terms = []
     for j in range(params.n_attributes):
         sum_log_sigma = math.fsum(math.log(s) for s in sigmas[:, j])
-        common = sum_log_sigma + 0.5 * math.log(stat.S[j]) + stat.resid[j]
+        common = sum_log_sigma + 0.5 * math.log(S[j]) + resid[j]
         if params.range_exponent == "per_block":
             terms.append(log_R[j] + 0.5 * (n - 1) * log_pi + common)
         else:
@@ -532,18 +517,9 @@ class BlockCosts:
 
 
 def partition_cost(partition: "Partition", som_map: "SomMap", params: CostParams) -> float:
-    """Total cost of a partition: sum of block costs over its blocks.
-
-    Blocks made only of empty cells contribute 0 and are flagged at debug
-    level.
-    """
-    costs = []
-    for block_id in range(partition.n_blocks):
-        pes = [som_map.pe(r, c)
-               for r, c in zip(*np.nonzero(partition.block_of == block_id))]
-        if all(pe.n == 0 for pe in pes):
-            logger.debug("block %d has no non-empty cells; contributes 0", block_id)
-            costs.append(0.0)
-        else:
-            costs.append(block_cost_for_pes(pes, params))
-    return math.fsum(costs)
+    """Total cost of a partition: the sum of its blocks' block_cost_for_pes,
+    so a block made only of empty cells contributes 0."""
+    return math.fsum(
+        block_cost_for_pes([som_map.pe(r, c)
+                            for r, c in zip(*np.nonzero(partition.block_of == block_id))], params)
+        for block_id in range(partition.n_blocks))

@@ -455,7 +455,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
         except PartitionError:
             pass
         else:
-            seeds.append(Partition.from_labels(heuristic.block_of).signature())
+            seeds.append(heuristic.signature())
         for labels in seeds:
             visit(labels, list(_label_masks(labels).values()))
 
@@ -516,7 +516,10 @@ def load_partition(path) -> Partition:
         if bad:
             raise PartitionError(f"{path}: block_of entries must be integers, got {bad[0]!r}")
         block_of = np.array(doc["block_of"], dtype=int).reshape(doc["rows"], doc["cols"])
-        cost = math.nan if doc["cost"] is None else float(doc["cost"])
+        cost = doc["cost"]
+        if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
+            raise PartitionError(f"{path}: cost must be a number or null, got {cost!r}")
+        cost = math.nan if cost is None else float(cost)
         partition = Partition(block_of=block_of, n_blocks=doc["K"], cost=cost)
     except PartitionError:
         raise

@@ -12,6 +12,7 @@ generator, so a (dataset, config) pair fully determines the result.
 import functools
 import json
 import math
+import numbers
 from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
@@ -53,6 +54,10 @@ class SomConfig:
                 raise SomError(f"{name} must be finite and non-negative, got {value!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise SomError("seed must fit in 64 unsigned bits")
+        for f, h in self.neighborhood_schedule:
+            if isinstance(f, bool) or not isinstance(f, numbers.Real) or not is_integer(h):
+                raise SomError(f"neighborhood_schedule pairs are (fraction, integer half-width), "
+                               f"got {(f, h)!r}")
         sched = tuple((float(f), int(h)) for f, h in self.neighborhood_schedule)
         if not sched or sched[0][0] != 0.0:
             raise SomError("neighborhood schedule must start at epoch fraction 0")
@@ -139,7 +144,9 @@ class SomMap:
                 raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
                                f"position {divmod(k, self.cols)}")
             weight = np.asarray(pe.weight, dtype=float)    # a map file's cells hold lists
-            if len(shape) != 1 or weight.shape != shape or not shape[0]:
+            if len(shape) != 1 or not shape[0]:     # cell 0's shape, so k is 0
+                raise SomError(f"cell {k}: weight must be a non-empty vector, got shape {shape}")
+            if weight.shape != shape:
                 raise SomError(f"cell {k}: weight has shape {weight.shape}, expected {shape}")
             if not is_integer(pe.n) or pe.n < 0:
                 raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
@@ -163,7 +170,10 @@ class SomMap:
             if not finite.all():
                 raise SomError(f"cell {int(np.argmin(finite))}: {name} has a non-finite value")
         counts = np.array([pe.n for pe in pes], dtype=np.intp)
-        ids, owner = _member_owners(pes, counts)
+        n = int(counts.sum())
+        ids = np.fromiter(_member_ids(pes, n), np.intp, n)
+        owner = np.empty(n, dtype=np.intp)
+        owner[ids] = np.repeat(np.arange(len(pes)), counts)
         for name, table in (("weights", weights), ("means", means), ("stds", stds),
                             ("counts", counts), ("member_ids", ids), ("assignment", owner)):
             table.flags.writeable = False
@@ -217,40 +227,25 @@ class SomMap:
         )
 
 
-def _member_owners(pes, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells' member ids stacked in cell order, and the cell of each id.
+def _member_ids(pes, n: int) -> list:
+    """The n member ids of the cells, stacked in cell order.
 
-    Raises SomError naming the first id, in cell order, that is not an
-    integer (a bool is none) in 0..n-1 or repeats an earlier one, and for a
-    repeat the cell that holds it first.
+    Checks them in one pass and raises SomError naming the first id, in cell
+    order, that is not an integer (a bool is none) in 0..n-1 or repeats an
+    earlier one, and for a repeat the cell that holds it first.
     """
-    flat = [i for pe in pes for i in pe.member_ids]
-    n = len(flat)
-    cell_of = np.repeat(np.arange(len(pes)), counts)
-    ids = np.array(flat)    # bools mixed with ints come out as ints
-    if ids.dtype.kind in "iu" and not {bool, np.bool_} & set(map(type, flat)):
-        outside = (ids < 0) | (ids >= n)
-        end = int(np.argmax(outside)) if outside.any() else n
-        ids = ids[:end].astype(np.intp)
-    else:   # an id that is no integer, or no id at all: look for it in Python
-        end = next((pos for pos, i in enumerate(flat)
-                    if not is_integer(i) or not 0 <= i < n), n)
-        ids = np.array(flat[:end], dtype=np.intp)
-    # every id before end is in range, so a repeat among them comes first
-    order = np.arange(end)
-    first = np.full(n, end)
-    np.minimum.at(first, ids, order)
-    repeat = first[ids] != order
-    if repeat.any():
-        pos = int(np.argmax(repeat))
-        raise SomError(f"cell {cell_of[pos]}: member id {flat[pos]} is also in cell "
-                       f"{cell_of[first[ids[pos]]]}")
-    if end < n:
-        fault = f"is outside 0..{n - 1}" if is_integer(flat[end]) else "is not an integer"
-        raise SomError(f"cell {cell_of[end]}: member id {flat[end]!r} {fault}")
-    owner = np.empty(n, dtype=np.intp)
-    owner[ids] = cell_of
-    return ids, owner
+    ids, owner = [], [-1] * n
+    for k, pe in enumerate(pes):
+        for i in pe.member_ids:
+            if type(i) is not int and not is_integer(i):    # a plain int skips the call
+                raise SomError(f"cell {k}: member id {i!r} is not an integer")
+            if not 0 <= i < n:
+                raise SomError(f"cell {k}: member id {i!r} is outside 0..{n - 1}")
+            if owner[i] >= 0:
+                raise SomError(f"cell {k}: member id {i} is also in cell {owner[i]}")
+            owner[i] = k
+        ids += pe.member_ids
+    return ids
 
 
 def _initial_weights(rng: np.random.Generator, samples: np.ndarray, n_pes: int) -> np.ndarray:

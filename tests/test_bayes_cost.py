@@ -175,6 +175,17 @@ def test_partition_cost_single_occupied_cell():
     assert sb.partition_cost(p, m, plain_params(R=10.0)) == pytest.approx(math.log(10.0))
 
 
+def test_partition_cost_of_an_all_empty_block_is_zero():
+    # block 1 holds only empty cells; it adds exactly nothing to the fsum
+    m = make_map([[0.0, None, None], [1.5, 2.0, None]], s=0.4)
+    p = Partition.from_labels(np.array([[0, 1, 1], [0, 2, 1]]))
+    params = plain_params(R=10.0)
+    occupied = [sb.block_cost_for_pes([m.pe(0, 0), m.pe(1, 0)], params),
+                sb.block_cost_for_pes([m.pe(1, 1)], params)]
+    assert sb.block_cost_for_pes([m.pe(0, 1), m.pe(0, 2), m.pe(1, 2)], params) == 0.0
+    assert sb.partition_cost(p, m, params) == math.fsum(occupied)
+
+
 def test_equal_sigma_merge_threshold_in_map_costs():
     # merging equal-mean cells wins iff sigma*sqrt(2*pi) < R
     for sigma, should_merge in ((1.0, True), (5.0, False)):
@@ -206,16 +217,16 @@ def test_additivity_and_permutation_invariance():
 
 def test_precision_weighted_mean_properties():
     means = np.array([[1.0], [3.0]])
-    stat = block_stat(means, np.array([[0.5], [0.5]]))
-    assert stat.X[0] == pytest.approx(2.0)  # equal sigmas -> arithmetic mean
+    _, X, _ = block_stat(means, np.array([[0.5], [0.5]]))
+    assert X[0] == pytest.approx(2.0)  # equal sigmas -> arithmetic mean
     prev = None
     for big in (10.0, 1e3, 1e6):
-        x = block_stat(means, np.array([[0.5], [big]])).X[0]
+        x = block_stat(means, np.array([[0.5], [big]]))[1][0]
         if prev is not None:
             assert abs(x - 1.0) < abs(prev - 1.0)  # monotone approach to m_1
         prev = x
     assert prev == pytest.approx(1.0, abs=1e-6)
-    assert np.min(means) <= stat.X[0] <= np.max(means)
+    assert np.min(means) <= X[0] <= np.max(means)
 
 
 def test_resid_algebraic_identity():
@@ -224,14 +235,14 @@ def test_resid_algebraic_identity():
         n = int(rng.integers(1, 8))
         means = rng.normal(0, 3, size=(n, 2))
         sigmas = rng.uniform(0.2, 3.0, size=(n, 2))
-        stat = block_stat(means, sigmas)
+        S, X, resid = block_stat(means, sigmas)
         w = 1.0 / sigmas**2
-        alt = (w * means**2).sum(axis=0) - stat.X**2 * stat.S
-        assert np.allclose(stat.resid, alt, atol=1e-9)
-        assert np.all(stat.resid >= 0)
+        alt = (w * means**2).sum(axis=0) - X**2 * S
+        assert np.allclose(resid, alt, atol=1e-9)
+        assert np.all(resid >= 0)
     # equality iff all member means equal (per attribute)
-    eq = block_stat(np.array([[2.0], [2.0], [2.0]]), np.array([[0.3], [1.0], [2.0]]))
-    assert eq.resid[0] == pytest.approx(0.0, abs=1e-12)
+    _, _, resid = block_stat(np.array([[2.0], [2.0], [2.0]]), np.array([[0.3], [1.0], [2.0]]))
+    assert resid[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_range_scale_behavior_per_convention():

@@ -181,13 +181,13 @@ def test_single_cell_entries_match_block_stat(seed, rule, exponent, f_sigma):
             continue
         sigmas = sb.sigma_estimate(pe, 1, params)
         assert np.array_equal(sigmas == floor, np.full(M, kinds[k] != "scaled"))
-        stat = block_stat(pe.mean, sigmas)
+        ref_S, ref_X, ref_resid = block_stat(pe.mean, sigmas)
         terms = [math.fsum([math.log(s)]) + 0.5 * math.log(S) + resid
-                 for s, S, resid in zip(sigmas, stat.S, stat.resid)]
+                 for s, S, resid in zip(sigmas, ref_S, ref_resid)]
         n, entry_terms, S, X = costs._width_terms(1 << k)
         assert n == 1
-        assert bits(S) == bits(stat.S)
-        assert bits(X) == bits(stat.X)
+        assert bits(S) == bits(ref_S)
+        assert bits(X) == bits(ref_X)
         assert bits(entry_terms) == bits(terms)
         assert bits([costs.cost(1 << k)]) == bits([sb.block_cost_for_pes([pe], params)])
 

@@ -551,6 +551,9 @@ def test_partition_file_round_trip(tmp_path):
     ("K", True, "K must be an integer, got True"),
     ("rows", 2.0, "rows must be an integer, got 2.0"),
     ("cols", False, "cols must be an integer, got False"),
+    ("cost", "12", "cost must be a number or null, got '12'"),
+    ("cost", True, "cost must be a number or null, got True"),
+    ("cost", "nan", "cost must be a number or null, got 'nan'"),
 ])
 def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, message):
     path = tmp_path / "p.json"

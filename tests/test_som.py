@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -330,6 +331,12 @@ def test_config_validation():
             sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 2), (frac, 1)))
     assert sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (1.0, 0))
                         ).neighborhood_schedule == ((0.0, 1), (1.0, 0))
+    for pair in ((0.0, 2.5), (0.0, True), (0.0, "2"), (0.0, None), ("0", 2), (True, 2)):
+        with pytest.raises(SomError, match=re.escape(
+                f"neighborhood_schedule pairs are (fraction, integer half-width), got {pair!r}")):
+            sb.SomConfig(rows=2, cols=2, neighborhood_schedule=(pair, (0.6, 0)))
+    assert sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0, np.int64(1)), (0.5, 0))
+                        ).neighborhood_schedule == ((0.0, 1), (0.5, 0))
     for field in ("conscience_beta", "conscience_gamma"):
         for value in (math.nan, math.inf, -math.inf, -1e-3):
             with pytest.raises(SomError, match=f"{field} must be finite and non-negative"):
@@ -358,6 +365,13 @@ def _set(field, value, cell=None):
     def edit(doc):
         k = _first_occupied(doc) if cell is None else cell
         doc["pes"][k][field] = value(doc["pes"][k]) if callable(value) else value
+    return edit
+
+
+def _set_every(field, value):
+    def edit(doc):
+        for pe in doc["pes"]:
+            pe[field] = value(pe)
     return edit
 
 
@@ -393,7 +407,13 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
      r"cell \d+: member id 999 is outside 0..149"),
     (_member_one_as_true, r"cell 24: member id True is not an integer"),
     (_member_two_as_float, r"cell \d+: member id 2\.0 is not an integer"),
+    (_set_every("weight", lambda pe: [pe["weight"]]),
+     r"cell 0: weight must be a non-empty vector, got shape \(1, 4\)$"),
+    (_set_every("weight", lambda pe: []),
+     r"cell 0: weight must be a non-empty vector, got shape \(0,\)$"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
+    (lambda doc: doc["config"].update(neighborhood_schedule=[[0.0, 2.5], [0.6, 0]]),
+     r"neighborhood_schedule pairs are \(fraction, integer half-width\), got \(0\.0, 2\.5\)$"),
     (lambda doc: doc.update(rows=5.0), r"rows must be an integer, got 5\.0"),
     (lambda doc: doc.update(cols=True), r"cols must be an integer, got True"),
 ])
@@ -450,6 +470,18 @@ def test_map_checks_its_grid_on_construction():
 def test_map_refuses_a_bool_count():
     with pytest.raises(SomError, match="^cell 0: n must be a non-negative integer, got True$"):
         make_map([[0.0, 1.0]], n_members=True)
+
+
+def test_numpy_member_ids_stack_like_python_ints():
+    m = make_map([[0.0, 1.0, 2.0]], n_members=2)
+    ids = ((4, 0), (5, 2), (1, 3))
+    maps = [dataclasses.replace(m, pes=tuple(
+        dataclasses.replace(pe, member_ids=tuple(map(kind, cell_ids)))
+        for pe, cell_ids in zip(map_cells(m), ids))) for kind in (int, np.int64)]
+    for built in maps:
+        assert built.member_ids.dtype == built.assignment.dtype == np.intp
+        assert built.member_ids.tolist() == [4, 0, 5, 2, 1, 3]
+        assert built.assignment.tolist() == [0, 2, 1, 2, 0, 1]
 
 
 @pytest.mark.parametrize("ids, message", [

@@ -1,4 +1,5 @@
-"""The suite's own configuration: whole failure reports, declared test imports."""
+"""The suite's own configuration: whole failure reports, declared test imports,
+an export list that resolves."""
 
 import ast
 import os
@@ -62,3 +63,11 @@ def test_every_third_party_module_the_tests_import_is_declared():
     third_party = imported - local - set(sys.stdlib_module_names)
     assert third_party >= {"numpy", "pytest", "hypothesis"}
     assert sorted(third_party - declared) == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object is gone breaks `from somblocks import *`
+    import somblocks
+    missing = [name for name in somblocks.__all__ if not hasattr(somblocks, name)]
+    assert missing == []
+    assert len(set(somblocks.__all__)) == len(somblocks.__all__)

@@ -21,7 +21,7 @@ extra blocks in opposite directions.
 
 import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ def n_scale_name(rule: Callable[[int], float]) -> str:
                 getattr(rule, "__name__", "custom"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostParams:
     """Range and width parameters of the block cost.
 
@@ -90,7 +90,7 @@ class CostParams:
     range_exponent: str = "per_block"
     f_R: float = 1.0
     f_sigma: float = 1.0
-    sigma_floor_frac: float | None = field(default=None, compare=False)
+    sigma_floor_frac: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))

@@ -144,11 +144,11 @@ def _load_labeled(settings: dict, need_labels: bool):
     return dataset
 
 
-def _fitted_map(args):
+def _fitted_map(args, need_labels: bool = False):
     """The settings, the map of --map and the settings' data, which must fit the map."""
     settings = resolve_settings(args)
     som_map = load_map(args.map)
-    dataset = _load_labeled(settings, need_labels=False)
+    dataset = _load_labeled(settings, need_labels)
     som_map.check_fits(dataset)
     return settings, som_map, dataset
 
@@ -193,11 +193,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    settings = resolve_settings(args)
-    som_map = load_map(args.map)
+    _, som_map, dataset = _fitted_map(args, need_labels=True)
     part = load_partition(args.partition)
-    dataset = _load_labeled(settings, need_labels=True)
-    som_map.check_fits(dataset)
     report = score(part, som_map, dataset.labels)
     if args.format == "json":
         text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"

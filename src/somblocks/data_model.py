@@ -6,6 +6,9 @@ in their source units; any scaling happens downstream.
 """
 
 import csv
+import functools
+import inspect
+import json
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -137,6 +140,52 @@ def is_integer(value) -> bool:
     # a plain int skips the slow abstract-class check; a bool's type is not int
     return type(value) is int or (isinstance(value, numbers.Integral)
                                   and not isinstance(value, bool))
+
+
+def is_number(value) -> bool:
+    """True for a real number (numpy's included) that is not a bool."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require(error, test, noun: str, **values) -> None:
+    """Raise error naming the first of the named values that fails test."""
+    for name, value in values.items():
+        if not test(value):
+            raise error(f"{name} must be {noun}, got {value!r}")
+
+
+@functools.cache
+def record_keys(build) -> frozenset:
+    """The keys of a file record that build (a class or function) reads: its parameters."""
+    return frozenset(inspect.signature(build).parameters)
+
+
+def from_record(error, build, record, name: str):
+    """build(**record) for a JSON object whose keys are exactly record_keys(build)."""
+    if not isinstance(record, dict):
+        raise error(f"{name} must be a JSON object, got {record!r}")
+    if record.keys() != (names := record_keys(build)):
+        if missing := sorted(names - record.keys()):
+            raise error(f"{name} is missing {', '.join(missing)}")
+        raise error(f"{name} has unknown keys {', '.join(sorted(record.keys() - names))}")
+    return build(**record)
+
+
+def read_json_file(path, kind: str, version: int, error, build):
+    """from_record(build) of the JSON object in a `kind` file, less its format_version
+    (which must equal version); every error names the path, and only bad JSON is malformed."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise error(f"{path}: malformed {kind} file: {e}") from None
+    found = doc.pop("format_version", None) if isinstance(doc, dict) else None
+    if not (is_integer(found) and found == version):
+        raise error(f"{path}: unsupported {kind} format version")
+    try:
+        return from_record(error, build, doc, f"{kind} file")
+    except error as e:
+        raise error(f"{path}: {e}") from None
 
 
 def write_text_atomic(path, text: str) -> None:

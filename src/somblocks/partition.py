@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes_cost import BlockCosts, CostParams, _bits, _mask_cells
-from .data_model import is_integer, write_text_atomic
+from .data_model import is_integer, is_number, read_json_file, require, write_text_atomic
 from .som import SomMap
 
 
@@ -82,7 +82,7 @@ def validate_partition(partition: Partition) -> None:
     """Check coverage, dense ids, and 4-connectivity of every block."""
     block_of = partition.block_of
     masks = _label_masks(block_of.ravel().tolist())
-    if set(masks) != set(range(partition.n_blocks)):
+    if len(masks) != partition.n_blocks or set(masks) != set(range(partition.n_blocks)):
         raise PartitionError("block ids are not dense 0..K-1")
     rows, cols = block_of.shape
     inner = _inner_cells(rows, cols)
@@ -501,29 +501,25 @@ def save_partition(partition: Partition, path, params_echo: dict | None = None,
 
 
 def load_partition(path) -> Partition:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise PartitionError(f"{path}: malformed partition file: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != PARTITION_FORMAT_VERSION:
-        raise PartitionError(f"{path}: unsupported partition format version")
-    try:
-        for name in ("rows", "cols", "K"):
-            if not is_integer(doc[name]):
-                raise PartitionError(f"{path}: {name} must be an integer, got {doc[name]!r}")
-        bad = [v for v in doc["block_of"] if not is_integer(v)]
-        if bad:
-            raise PartitionError(f"{path}: block_of entries must be integers, got {bad[0]!r}")
-        block_of = np.array(doc["block_of"], dtype=int).reshape(doc["rows"], doc["cols"])
-        cost = doc["cost"]
-        if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
-            raise PartitionError(f"{path}: cost must be a number or null, got {cost!r}")
-        cost = math.nan if cost is None else float(cost)
-        partition = Partition(block_of=block_of, n_blocks=doc["K"], cost=cost)
-    except PartitionError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise PartitionError(f"{path}: malformed partition file: {e}") from None
+    """Read a partition file; its params and provenance go unread, its blocks are validated."""
+    return read_json_file(path, "partition", PARTITION_FORMAT_VERSION, PartitionError,
+                          _partition_from_file)
+
+
+def _partition_from_file(rows, cols, block_of, K, cost, params, provenance) -> Partition:
+    require(PartitionError, is_integer, "an integer", rows=rows, cols=cols, K=K)
+    require(PartitionError, lambda v: v >= 1, "at least 1", rows=rows, cols=cols)
+    if not isinstance(block_of, list) or len(block_of) != rows * cols:
+        raise PartitionError(f"block_of must be a list of {rows * cols} block ids, one per cell")
+    for v in block_of:
+        if not is_integer(v):
+            raise PartitionError(f"block_of entries must be integers, got {v!r}")
+        if not 0 <= v < rows * cols:
+            raise PartitionError(f"block_of entries must be in 0..{rows * cols - 1}, got {v}")
+    if cost is not None:
+        require(PartitionError, is_number, "a number or null", cost=cost)
+        require(PartitionError, math.isfinite, "finite or null", cost=cost)
+    partition = Partition(block_of=np.array(block_of, dtype=int).reshape(rows, cols),
+                          n_blocks=K, cost=math.nan if cost is None else float(cost))
     validate_partition(partition)
     return partition

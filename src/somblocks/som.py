@@ -9,15 +9,14 @@ presentation order) flows from one 64-bit seed through numpy's PCG64
 generator, so a (dataset, config) pair fully determines the result.
 """
 
-import functools
 import json
 import math
-import numbers
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, encode_labels, is_integer, write_text_atomic
+from .data_model import (Dataset, encode_labels, from_record, is_integer, is_number,
+                         read_json_file, record_keys, require, write_text_atomic)
 
 MAP_FORMAT_VERSION = 1
 
@@ -41,24 +40,30 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "rows", "cols", "epochs", "seed")
+        require(SomError, is_integer, "an integer", rows=self.rows, cols=self.cols,
+                epochs=self.epochs, seed=self.seed)
+        require(SomError, is_number, "a number", lr_start=self.lr_start, lr_end=self.lr_end,
+                conscience_beta=self.conscience_beta, conscience_gamma=self.conscience_gamma)
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise SomError("grid must have at least 2 cells")
         if self.epochs < 1:
             raise SomError("epochs must be positive")
         if not (1 >= self.lr_start >= self.lr_end > 0):
             raise SomError("need 1 >= lr_start >= lr_end > 0")
-        for name in ("conscience_beta", "conscience_gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise SomError(f"{name} must be finite and non-negative, got {value!r}")
+        require(SomError, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative",
+                conscience_beta=self.conscience_beta, conscience_gamma=self.conscience_gamma)
         if not (0 <= int(self.seed) < 2**64):
             raise SomError("seed must fit in 64 unsigned bits")
-        for f, h in self.neighborhood_schedule:
-            if isinstance(f, bool) or not isinstance(f, numbers.Real) or not is_integer(h):
+        schedule = self.neighborhood_schedule
+        if not isinstance(schedule, (list, tuple)):
+            raise SomError(f"neighborhood_schedule must be a sequence of pairs, got {schedule!r}")
+        for pair in schedule:
+            pair = tuple(pair) if isinstance(pair, (list, tuple)) else pair
+            if not (type(pair) is tuple and len(pair) == 2
+                    and is_number(pair[0]) and is_integer(pair[1])):
                 raise SomError(f"neighborhood_schedule pairs are (fraction, integer half-width), "
-                               f"got {(f, h)!r}")
-        sched = tuple((float(f), int(h)) for f, h in self.neighborhood_schedule)
+                               f"got {pair!r}")
+        sched = tuple((float(f), int(h)) for f, h in schedule)
         if not sched or sched[0][0] != 0.0:
             raise SomError("neighborhood schedule must start at epoch fraction 0")
         fracs = [f for f, _ in sched]
@@ -79,13 +84,6 @@ class SomConfig:
             if f <= frac:
                 hw = h
         return hw
-
-
-def _require_integers(owner, *names: str) -> None:
-    for name in names:
-        value = getattr(owner, name)
-        if not is_integer(value):
-            raise SomError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,46 +127,48 @@ class SomMap:
     assignment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, pes):
-        _require_integers(self, "rows", "cols")
+        require(SomError, is_integer, "an integer", rows=self.rows, cols=self.cols)
         if (self.rows, self.cols) != (self.config.rows, self.config.cols):
             raise SomError(f"grid {self.rows}x{self.cols} differs from the config's "
                            f"{self.config.rows}x{self.config.cols}")
         if len(pes) != self.rows * self.cols:
             raise SomError(f"{len(pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
-        shape = np.shape(pes[0].weight)
+        shape = _shape(pes[0].weight, 0, "weight")
+        if len(shape) != 1 or not shape[0]:
+            raise SomError(f"cell 0: weight must be a non-empty vector, got shape {shape}")
         zeros = np.zeros(shape)
         weights, means, stds = [], [], []
         for k, pe in enumerate(pes):
-            if (pe.r, pe.c) != divmod(k, self.cols):
-                raise SomError(f"cell {k}: r/c ({pe.r}, {pe.c}) do not match its "
+            if not (is_integer(pe.r) and is_integer(pe.c)) or (pe.r, pe.c) != divmod(k, self.cols):
+                raise SomError(f"cell {k}: r/c ({pe.r!r}, {pe.c!r}) do not match its "
                                f"position {divmod(k, self.cols)}")
-            weight = np.asarray(pe.weight, dtype=float)    # a map file's cells hold lists
-            if len(shape) != 1 or not shape[0]:     # cell 0's shape, so k is 0
-                raise SomError(f"cell {k}: weight must be a non-empty vector, got shape {shape}")
-            if weight.shape != shape:
-                raise SomError(f"cell {k}: weight has shape {weight.shape}, expected {shape}")
+            if (got := _shape(pe.weight, k, "weight")) != shape:
+                raise SomError(f"cell {k}: weight has shape {got}, expected {shape}")
             if not is_integer(pe.n) or pe.n < 0:
                 raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
+            if not isinstance(pe.member_ids, (list, tuple)):
+                raise SomError(f"cell {k}: member_ids must be a list, got {pe.member_ids!r}")
             if pe.n != len(pe.member_ids):
                 raise SomError(f"cell {k}: n is {pe.n} but member_ids lists "
                                f"{len(pe.member_ids)}")
-            weights.append(weight)
+            weights.append(pe.weight)
             for name, table in (("mean", means), ("std", stds)):
                 value = getattr(pe, name)
                 if pe.n == 0 and value is not None:
                     raise SomError(f"cell {k}: {name} must be null for an empty cell")
-                if value is not None:
-                    value = np.asarray(value, dtype=float)
-                if pe.n > 0 and (value is None or value.shape != shape):
-                    raise SomError(f"cell {k}: {name} has shape {getattr(value, 'shape', None)}, "
+                got = None if value is None else _shape(value, k, name)
+                if pe.n > 0 and got != shape:
+                    raise SomError(f"cell {k}: {name} has shape {got}, "
                                    f"expected the weight's {shape}")
                 table.append(value if pe.n else zeros)
-        weights, means, stds = (np.array(table) for table in (weights, means, stds))
+        weights, means, stds = (np.array(table, dtype=float) for table in (weights, means, stds))
         for name, table in (("weight", weights), ("mean", means), ("std", stds)):
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                raise SomError(f"cell {int(np.argmin(finite))}: {name} has a non-finite value")
+            if not np.isfinite(table).all():
+                cell = np.argmin(np.isfinite(table).all(axis=1))
+                raise SomError(f"cell {cell}: {name} has a non-finite value")
+        if stds.min() < 0:
+            raise SomError(f"cell {np.argmax(stds.min(axis=1) < 0)}: std has a negative value")
         counts = np.array([pe.n for pe in pes], dtype=np.intp)
         n = int(counts.sum())
         ids = np.fromiter(_member_ids(pes, n), np.intp, n)
@@ -225,6 +225,23 @@ class SomMap:
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name in ("weights", "counts", "means", "stds", "member_ids"))
         )
+
+
+def _shape(value, k: int, name: str) -> tuple:
+    """The shape of a cell's vector field: an array or a list of numbers (a
+    bool is none), else SomError naming the cell and field (not the value)."""
+    if isinstance(value, (list, tuple)):
+        types = set(map(type, value))
+        if types <= {float, int}:       # flat, as a map file's lists are
+            return (len(value),)
+        if not types & {bool, np.bool_}:
+            try:
+                value = np.asarray(value)
+            except ValueError:          # lists nested to unequal depths
+                pass
+    if not isinstance(value, np.ndarray) or value.dtype.kind not in "fiu":
+        raise SomError(f"cell {k}: {name} must be a vector of numbers")
+    return value.shape
 
 
 def _member_ids(pes, n: int) -> list:
@@ -369,21 +386,6 @@ def quantization_error(som_map: SomMap, dataset: Dataset) -> float:
     return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
-@functools.cache
-def _field_names(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
-
-
-def _from_record(cls, record: dict, name: str):
-    """cls built from a record whose keys are exactly cls's fields."""
-    names, keys = _field_names(cls), set(record)
-    if keys != names:
-        if missing := sorted(names - keys):
-            raise SomError(f"{name} is missing {', '.join(missing)}")
-        raise SomError(f"{name} has unknown keys {', '.join(sorted(keys - names))}")
-    return cls(**record)
-
-
 def map_to_json(som_map: SomMap) -> str:
     """Deterministic JSON text for a map (exact float round-trip)."""
     doc = {
@@ -392,7 +394,7 @@ def map_to_json(som_map: SomMap) -> str:
         "cols": som_map.cols,
         "seed": som_map.config.seed,
         "config": asdict(som_map.config),
-        "pes": [{name: _listed(getattr(pe, name)) for name in _field_names(PeStats)}
+        "pes": [{name: _listed(getattr(pe, name)) for name in record_keys(PeStats)}
                 for pe in (som_map.pe(r, c)
                            for r in range(som_map.rows) for c in range(som_map.cols))],
     }
@@ -408,19 +410,15 @@ def save_map(som_map: SomMap, path) -> None:
 
 
 def load_map(path) -> SomMap:
-    """Read a map file; each record holds exactly its fields, every other check is SomMap's."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise SomError(f"{path}: malformed map file: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != MAP_FORMAT_VERSION:
-        raise SomError(f"{path}: unsupported map format version")
-    try:
-        pes = tuple(_from_record(PeStats, rec, f"cell {k}") for k, rec in enumerate(doc["pes"]))
-        return SomMap(rows=doc["rows"], cols=doc["cols"], pes=pes,
-                      config=_from_record(SomConfig, doc["config"], "config"))
-    except SomError as e:
-        raise SomError(f"{path}: {e}") from None
-    except (KeyError, TypeError, ValueError) as e:
-        raise SomError(f"{path}: malformed map file: {e}") from None
+    """Read a map file; each record holds exactly its fields, every other check is its owner's."""
+    return read_json_file(path, "map", MAP_FORMAT_VERSION, SomError, _map_from_file)
+
+
+def _map_from_file(rows, cols, seed, config, pes) -> SomMap:
+    config = from_record(SomError, SomConfig, config, "config")
+    if not is_integer(seed) or seed != config.seed:
+        raise SomError(f"seed {seed!r} differs from the config's {config.seed!r}")
+    if not isinstance(pes, list):
+        raise SomError(f"pes must be a list of cell records, got {pes!r}")
+    cells = tuple(from_record(SomError, PeStats, rec, f"cell {k}") for k, rec in enumerate(pes))
+    return SomMap(rows=rows, cols=cols, pes=cells, config=config)

@@ -87,6 +87,18 @@ def test_two_max_names_the_attribute_without_a_positive_maximum(top, shown):
         sb.params_from_summary(summ)
 
 
+def test_two_max_needs_a_positive_span_for_the_width_floor():
+    summ = sb.AttributeSummary(mins=np.array([1.0, 2.0]), maxs=np.array([2.0, 2.0]))
+    with pytest.raises(CostError, match="^sigma floor needs positive span on every attribute$"):
+        sb.params_from_summary(summ)
+
+
+def test_cost_params_compare_and_hash_without_raising():
+    a, b = plain_params(M=2), plain_params(M=2)
+    assert a == a and a != b      # identity, as for the other array-holding records
+    assert len({a, b}) == 2
+
+
 def test_singleton_block_cost_per_block():
     params = plain_params(R=20.0)
     members = [(np.array([3.0]), np.array([1.0]))]

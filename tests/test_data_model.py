@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,20 @@ def test_header_only_file_is_zero_rows(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("a,b,c\n")
     with pytest.raises(DataError, match="zero data rows"):
+        sb.load_csv(p)
+
+
+def test_empty_file(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: empty file$"):
+        sb.load_csv(p)
+
+
+def test_row_of_the_wrong_width(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("a,b\n1.0,2.0\n3.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: expected 2 fields, got 1$"):
         sb.load_csv(p)
 
 

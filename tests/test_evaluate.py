@@ -77,6 +77,9 @@ def test_score_errors(fixture_map, iris):
     good = Partition.from_labels(np.zeros((5, 5), dtype=int))
     with pytest.raises(EvaluateError):
         sb.score(good, fixture_map, None)
+    empty = Partition(block_of=np.zeros((5, 5), dtype=int), n_blocks=0)
+    with pytest.raises(EvaluateError, match="^empty partition$"):
+        sb.score(empty, fixture_map, iris.labels)
 
 
 @pytest.mark.parametrize("n_labels", [100, 155])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -554,6 +555,19 @@ def test_partition_file_round_trip(tmp_path):
     ("cost", "12", "cost must be a number or null, got '12'"),
     ("cost", True, "cost must be a number or null, got True"),
     ("cost", "nan", "cost must be a number or null, got 'nan'"),
+    ("cost", math.inf, "cost must be finite or null, got inf"),
+    ("cost", math.nan, "cost must be finite or null, got nan"),
+    ("block_of", [0, 0, 1, 2, 10**30, 1], f"block_of entries must be in 0..5, got {10**30}"),
+    ("block_of", [0, 0, 1, 2, -1, 1], "block_of entries must be in 0..5, got -1"),
+    ("block_of", [0, 0, 1, 2, 2], "block_of must be a list of 6 block ids, one per cell"),
+    ("block_of", {}, "block_of must be a list of 6 block ids, one per cell"),
+    ("block_of", [0, 1, 1, 2, 2, 0], "block 0 is not edge-connected"),
+    ("block_of", [0, 0, 1, 3, 3, 1], "block ids are not dense 0..K-1"),
+    ("K", 10**30, "block ids are not dense 0..K-1"),
+    ("K", 2, "block ids are not dense 0..K-1"),
+    ("rows", -5, "rows must be at least 1, got -5"),
+    ("cols", 0, "cols must be at least 1, got 0"),
+    ("rows", 1, "block_of must be a list of 3 block ids, one per cell"),
 ])
 def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, message):
     path = tmp_path / "p.json"
@@ -564,6 +578,29 @@ def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, messa
     with pytest.raises(PartitionError) as refused:
         load_partition(path)
     assert str(refused.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("K"), "partition file is missing K$"),
+    (lambda doc: doc.update(extra=1), "partition file has unknown keys extra$"),
+    (lambda doc: doc.update(format_version=True), "unsupported partition format version$"),
+    (lambda doc: doc.clear(), "unsupported partition format version$"),
+])
+def test_load_partition_names_the_key_it_refuses(tmp_path, edit, message):
+    path = tmp_path / "p.json"
+    save_partition(Partition.from_labels(np.array([[0, 0, 1], [2, 2, 1]])), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PartitionError, match=f"^{re.escape(str(path))}: {message}"):
+        load_partition(path)
+
+
+def test_validate_partition_checks_the_block_count_before_the_ids():
+    # a set of 10**12 ids would exhaust memory before the comparison
+    p = Partition(block_of=np.array([[0, 1]]), n_blocks=10**12)
+    with pytest.raises(PartitionError, match="^block ids are not dense 0..K-1$"):
+        validate_partition(p)
 
 
 def test_validate_partition_rejects_disconnected():

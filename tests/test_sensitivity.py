@@ -18,6 +18,9 @@ def test_default_grid_contains_one():
 def test_grid_validation():
     with pytest.raises(SweepError):
         _check_grid(np.array([0.5, 0.4, 2.0]))
+    for grid in ([-1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(SweepError, match="^factor grid must be positive$"):
+            _check_grid(np.array(grid))
     with pytest.raises(SweepError):
         _check_grid(np.array([0.5, 2.0]))  # no 1.0
     with pytest.raises(SweepError):

@@ -295,6 +295,13 @@ def test_load_rejects_truncated_file(tmp_path):
         sb.load_map(dst)
 
 
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    dst = tmp_path / "binary.json"
+    dst.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SomError, match=f"^{re.escape(str(dst))}: malformed map file: 'utf-8'"):
+        sb.load_map(dst)
+
+
 def test_load_rejects_version_mismatch(tmp_path):
     doc = _fixture_doc()
     doc["format_version"] = 999
@@ -325,6 +332,16 @@ def test_config_validation():
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 1), (0.5, 2)))
     with pytest.raises(SomError):
         sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.2, 1),))
+    with pytest.raises(SomError, match="^schedule fractions must ascend; half-widths non-neg"):
+        sb.SomConfig(rows=2, cols=2, neighborhood_schedule=((0.0, 2), (0.6, 1), (0.3, 0)))
+    for schedule in (5, "0:2", {}):
+        with pytest.raises(SomError, match=re.escape(
+                f"neighborhood_schedule must be a sequence of pairs, got {schedule!r}")):
+            sb.SomConfig(rows=2, cols=2, neighborhood_schedule=schedule)
+    for pair, shown in (((0.0,), "(0.0,)"), ([0.0, 2, 1], "(0.0, 2, 1)"), (5, "5")):
+        with pytest.raises(SomError, match=re.escape(
+                f"neighborhood_schedule pairs are (fraction, integer half-width), got {shown}")):
+            sb.SomConfig(rows=2, cols=2, neighborhood_schedule=(pair,))
     for frac in (math.nan, math.inf, 1.5, -0.5):
         with pytest.raises(SomError, match="neighborhood_schedule fractions must be finite "
                                            r"and in \[0, 1\]"):
@@ -345,6 +362,10 @@ def test_config_validation():
                          ("seed", True), ("rows", "3")):
         with pytest.raises(SomError, match=f"{field} must be an integer, got {value!r}"):
             sb.SomConfig(**{"rows": 2, "cols": 2, field: value})
+    for field, value in (("lr_start", "0.5"), ("lr_end", None), ("conscience_beta", True),
+                         ("conscience_gamma", False), ("conscience_gamma", [1.0])):
+        with pytest.raises(SomError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            sb.SomConfig(**{"rows": 2, "cols": 2, field: value})
     assert sb.SomConfig(rows=np.int64(2), cols=2, conscience_beta=0.0,
                         conscience_gamma=0.0, seed=np.uint64(2**63)).seed == 2**63
 
@@ -359,6 +380,10 @@ def _broken_map(tmp_path, edit):
 
 def _first_occupied(doc):
     return next(k for k, pe in enumerate(doc["pes"]) if pe["n"] > 1)
+
+
+def _first_empty(doc):
+    return next(k for k, pe in enumerate(doc["pes"]) if pe["n"] == 0)
 
 
 def _set(field, value, cell=None):
@@ -379,6 +404,12 @@ def _duplicate_member(doc):
     k = _first_occupied(doc)
     ids = doc["pes"][k]["member_ids"]
     ids[1] = ids[0]
+
+
+def _on_empty(field, value):
+    def edit(doc):
+        doc["pes"][_first_empty(doc)][field] = value
+    return edit
 
 
 def _member_one_as_true(doc):
@@ -416,6 +447,16 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
      r"neighborhood_schedule pairs are \(fraction, integer half-width\), got \(0\.0, 2\.5\)$"),
     (lambda doc: doc.update(rows=5.0), r"rows must be an integer, got 5\.0"),
     (lambda doc: doc.update(cols=True), r"cols must be an integer, got True"),
+    (_on_empty("mean", [0.0] * 4), r"cell \d+: mean must be null for an empty cell$"),
+    (_on_empty("std", [0.0] * 4), r"cell \d+: std must be null for an empty cell$"),
+    (_set("weight", lambda pe: ["2"] + pe["weight"][1:]),
+     r"cell \d+: weight must be a vector of numbers$"),
+    (_set("std", lambda pe: [-0.1] + pe["std"][1:]), r"cell \d+: std has a negative value$"),
+    (_set("r", False, cell=0), r"cell 0: r/c \(False, 0\) do not match its position \(0, 0\)$"),
+    (lambda doc: doc["config"].update(conscience_gamma=False),
+     r"conscience_gamma must be a number, got False$"),
+    (lambda doc: doc["config"].update(neighborhood_schedule=[[0.0]]),
+     r"neighborhood_schedule pairs are \(fraction, integer half-width\), got \(0\.0,\)$"),
 ])
 
 
@@ -440,6 +481,44 @@ def test_map_built_in_memory_rejects_inconsistent_cells(tmp_path, edit, message)
     with pytest.raises(SomError) as loaded:
         sb.load_map(path)
     assert str(loaded.value) == f"{path}: {built.value}"
+
+
+def _set_first(field, value):
+    return _set(field, lambda pe: [value] + pe[field][1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_first("weight", True), r"cell \d+: weight must be a vector of numbers"),
+    (_set_first("mean", False), r"cell \d+: mean must be a vector of numbers"),
+    (_set_first("std", [0.1]), r"cell \d+: std must be a vector of numbers"),
+    (_set("weight", [[1.0], [1.0, 2.0]], cell=3), r"cell 3: weight must be a vector of numbers"),
+    (_set("weight", "x", cell=3), r"cell 3: weight must be a vector of numbers"),
+    (_set("member_ids", 5), r"cell \d+: member_ids must be a list, got 5"),
+    (_set("member_ids", {}), r"cell \d+: member_ids must be a list, got \{\}"),
+    (lambda doc: doc.update(seed=2.5), r"seed 2\.5 differs from the config's 2"),
+    (lambda doc: doc.update(seed=True), r"seed True differs from the config's 2"),
+    (lambda doc: doc.pop("seed"), "map file is missing seed"),
+    (lambda doc: doc.update(extra=1), "map file has unknown keys extra"),
+    (lambda doc: doc.update(format_version=True), "unsupported map format version"),
+    (lambda doc: doc.update(pes={}), r"pes must be a list of cell records, got \{\}"),
+    (lambda doc: doc["pes"].__setitem__(3, [1]), r"cell 3 must be a JSON object, got \[1\]"),
+    (lambda doc: doc.update(config=5), "config must be a JSON object, got 5"),
+])
+def test_load_names_the_field_that_holds_a_bad_value(tmp_path, edit, message):
+    path = _broken_map(tmp_path, edit)
+    with pytest.raises(SomError) as refused:
+        sb.load_map(path)
+    assert re.fullmatch(f"{re.escape(str(path))}: {message}", str(refused.value))
+
+
+@pytest.mark.parametrize("weight", [[True], [0.0, False], np.array([True]), ["1"], "1",
+                                    np.array(["1"]), np.array([1.0], dtype=object), 1.0])
+def test_map_built_in_memory_refuses_a_weight_that_is_not_numbers(weight):
+    m = make_map([[0.0, 1.0]], n_members=1)
+    pes = map_cells(m)
+    pes[1] = dataclasses.replace(pes[1], weight=weight)
+    with pytest.raises(SomError, match="^cell 1: weight must be a vector of numbers$"):
+        dataclasses.replace(m, pes=tuple(pes))
 
 
 def test_load_rejects_the_wide_mean_negative_count_map(tmp_path):
@@ -492,6 +571,8 @@ def test_numpy_member_ids_stack_like_python_ints():
     (((3, 1), (2, 3), (4, 5)), "cell 1: member id 3 is also in cell 0"),
     (((0, 1), (2, True), (4, 5)), r"cell 1: member id True is not an integer"),
     (((0, 1), (2, 3), (4, np.True_)), r"cell 2: member id np\.True_ is not an integer"),
+    (((0, 1), 23, (4, 5)), "cell 1: member_ids must be a list, got 23"),
+    (((0, 1), np.array([2, 3]), (4, 5)), r"cell 1: member_ids must be a list, got array"),
 ])
 def test_member_id_faults_name_the_first_in_cell_order(ids, message):
     m = make_map([[0.0, 1.0, 2.0]], n_members=2)

@@ -192,6 +192,31 @@ def block_stat(means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.nd
     return S, X, resid
 
 
+def width_scale(params: CostParams, block_size: int) -> float:
+    """f_sigma * sigma_const * n_scale_rule(block_size): the factor on a cell's
+    observed std in a block of block_size non-empty cells."""
+    return params.f_sigma * params.sigma_const * params.n_scale_rule(block_size)
+
+
+def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
+    """True when every cell's width is its floor in blocks of every size.
+
+    A block holds 1..N non-empty cells, N the map's count of them, and a
+    cell's width in it is max(floor, scale * std).  Float multiplication is
+    monotone, so scale * std <= floor at the largest of those scales holds
+    at each, and every width table BlockCosts could build for these params
+    is the floor, bit for bit: the same table as under any other params
+    with the same floors for which this is True.  A non-finite scale
+    answers False.
+    """
+    n_max = max(1, int(np.count_nonzero(som_map.counts)))
+    scales = [width_scale(params, n) for n in range(1, n_max + 1)]
+    if not all(map(math.isfinite, scales)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(max(scales) * som_map.stds <= params.sigma_floor))
+
+
 def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.ndarray:
     """Per-attribute width of one non-empty cell inside a block of given size.
 
@@ -202,8 +227,7 @@ def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.nda
         raise CostError("sigma_estimate needs a non-empty cell")
     if block_size < 1:
         raise CostError("block_size must be a positive integer")
-    scale = params.f_sigma * params.sigma_const * params.n_scale_rule(block_size)
-    return np.maximum(params.sigma_floor, scale * pe.std)
+    return np.maximum(params.sigma_floor, width_scale(params, block_size) * pe.std)
 
 
 def block_cost(members: Sequence[tuple[np.ndarray, np.ndarray]], params: CostParams) -> float:
@@ -342,7 +366,7 @@ class BlockCosts:
         extreme width settings can cause.
         """
         p = self.params
-        scale = p.f_sigma * p.sigma_const * p.n_scale_rule(n)
+        scale = width_scale(p, n)
         table = self._tables.get(scale)
         if table is None:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -143,8 +143,17 @@ def is_integer(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """True for a real number (numpy's included) that is not a bool."""
-    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number (numpy's included) that is not a bool and that
+    a float can hold (an int such as 10**400 is too large)."""
+    if type(value) is float:
+        return True
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def require(error, test, noun: str, **values) -> None:

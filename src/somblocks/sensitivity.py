@@ -5,6 +5,15 @@ factors (f_R, f_sigma) applied to the base cost parameters and records, per
 grid point, whether the resulting partition equals the one obtained at
 (1, 1).  Equality means identical cell grouping; block numbering is already
 canonical, so signatures compare directly.
+
+A cell's width is max(floor, f_sigma * sigma_const * n_scale_rule(N) * std),
+and the default calibration makes the floor the operative width.  A column
+(one f_sigma) where every cell's width is its floor in blocks of every size
+(bayes_cost.widths_at_floor) has the same width table as every other such
+column, bit for bit, since f_sigma enters the cost only through the widths.
+Its block costs, and so its partitions, are those of the first such column,
+so the sweep partitions only that one and copies its signatures and block
+counts to the rest.  Every column's parameters are still built and checked.
 """
 
 import math
@@ -12,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostParams
+from .bayes_cost import BlockCosts, CostParams, widths_at_floor
 from .partition import partition_som
 from .som import SomMap
 
@@ -81,16 +90,26 @@ class StabilityMap:
 
 
 def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
-    """Partition the map at every (f_R, f_sigma) grid point."""
+    """Partition the map at every (f_R, f_sigma) grid point; a column whose
+    widths all sit at the floor copies the first such column (see above)."""
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
     signatures = [[None] * n_s for _ in range(n_r)]
     n_blocks = np.zeros((n_r, n_s), dtype=int)
+    floor_column = None
     for j, f_sigma in enumerate(spec.f_sigma_grid):
+        column = spec.base.scaled(f_sigma=float(f_sigma))
+        if widths_at_floor(som_map, column):
+            if floor_column is not None:
+                for row in signatures:
+                    row[j] = row[floor_column]
+                n_blocks[:, j] = n_blocks[:, floor_column]
+                continue
+            floor_column = j
         # f_R moves only the range prior, so one column's cached block terms
         # serve every f_R in it.
-        costs = BlockCosts(som_map, spec.base.scaled(f_sigma=float(f_sigma)))
+        costs = BlockCosts(som_map, column)
         for i, f_R in enumerate(spec.f_R_grid):
             p = partition_som(som_map, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)),
                               costs)

@@ -229,10 +229,13 @@ class SomMap:
 
 def _shape(value, k: int, name: str) -> tuple:
     """The shape of a cell's vector field: an array or a list of numbers (a
-    bool is none), else SomError naming the cell and field (not the value)."""
+    bool is none, nor an int too large for a float), else SomError naming the
+    cell and field (not the value)."""
     if isinstance(value, (list, tuple)):
         types = set(map(type, value))
         if types <= {float, int}:       # flat, as a map file's lists are
+            if int in types and not all(map(is_number, value)):
+                raise SomError(f"cell {k}: {name} has a value too large for a float")
             return (len(value),)
         if not types & {bool, np.bool_}:
             try:

@@ -228,6 +228,13 @@ def test_sweep_command_writes_csv(tmp_path):
     assert center[0][2] == "true"
 
 
+def test_sweep_output_matches_the_committed_golden(tmp_path):
+    out = tmp_path / "stability.csv"
+    assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
+                   "--out", str(out)) == 0
+    assert out.read_bytes() == Path(fixture_path("iris_stability_seed2.csv")).read_bytes()
+
+
 def test_sweep_command_with_one_point(tmp_path):
     out = tmp_path / "stability.csv"
     rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
@@ -352,6 +359,36 @@ def test_partition_refuses_a_map_with_a_non_integer_grid_size(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (f"somblocks: error: {path}: rows must be an integer, "
                                        "got 5.0\n")
+
+
+@pytest.mark.parametrize("kind, where, message", [
+    ("map", ("config", "conscience_gamma"), "conscience_gamma must be a number, got 1000"),
+    ("map", ("pes", 0, "weight", 1), "cell 0: weight has a value too large for a float\n"),
+    ("map", ("pes", 3, "mean", 0), "cell 3: mean has a value too large for a float\n"),
+    ("partition", ("cost",), "cost must be a number or null, got 1000"),
+])
+def test_an_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, kind, where,
+                                                            message):
+    part = tmp_path / "p.json"
+    run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
+    source = {"map": Path(fixture_path("iris_map_seed2.json")), "partition": part}[kind]
+    doc = json.loads(source.read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = 10**400
+    path = tmp_path / f"edited_{kind}.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if kind == "map":
+        rc = run_cli("partition", "--map", str(path), "--out", str(tmp_path / "q.json"))
+    else:
+        rc = run_cli("evaluate", "--map", fixture_path("iris_map_seed2.json"),
+                     "--partition", str(path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"somblocks: error: {path}: {message}")
+    assert err.count("\n") == 1
 
 
 def test_evaluate_refuses_non_integer_block_ids(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import somblocks as sb
-from somblocks.data_model import DataError, encode_labels, write_text_atomic
+from somblocks.data_model import DataError, encode_labels, is_number, write_text_atomic
 
 from conftest import fixture_path
 
@@ -163,3 +164,11 @@ def test_write_onto_a_directory_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError):
         write_text_atomic(tmp_path / "out", "text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_is_number_refuses_what_a_float_cannot_hold():
+    top = int(sys.float_info.max)
+    for value in (0, -3, 2.5, np.int64(7), np.float32(1.5), top, -top, top + 1):
+        assert is_number(value), value
+    for value in (10**400, -10**400, 2**1024, True, np.True_, "1", None):
+        assert not is_number(value), value

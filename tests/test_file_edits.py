@@ -21,7 +21,7 @@ from somblocks.som import SomError
 from conftest import fixture_path
 
 VALUES = [None, True, False, 0, -1, 2.5, 1e308, "x", "2", [], {}, [1], [[0.0]],
-          math.nan, math.inf, 10**30]
+          math.nan, math.inf, 10**30, 10**400]
 DELETE = object()
 
 # every key of each format, and the nouns its messages use for them

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import somblocks as sb
+from somblocks import sensitivity
+from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, CostError, sqrt_scale,
+                                  width_scale, widths_at_floor)
 from somblocks.sensitivity import SweepError, _check_grid
 
-from conftest import make_map, plain_params
+from conftest import make_map, plain_params, random_map
 
 
 def test_default_grid_contains_one():
@@ -110,3 +115,94 @@ def test_fixture_stability_spans(fixture_map, iris_params):
     spans = sb.stable_region(st)
     assert spans[0] >= 10.0
     assert spans[1] >= 10.0
+
+
+def counted_sweep(monkeypatch, m, spec):
+    """The sweep, and how many partitions it ran."""
+    calls = []
+    partition_som = sensitivity.partition_som
+    monkeypatch.setattr(sensitivity, "partition_som",
+                        lambda *args: calls.append(1) or partition_som(*args))
+    return sb.sweep(m, spec), len(calls)
+
+
+def assert_matches_fresh_partitions(m, spec, stability):
+    for i, f_R in enumerate(spec.f_R_grid):
+        for j, f_sigma in enumerate(spec.f_sigma_grid):
+            fresh = sb.partition_som(m, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)))
+            assert stability.signatures[i][j] == fresh.signature()
+            assert stability.n_blocks[i, j] == fresh.n_blocks
+
+
+def every_width_is_the_floor(m, params):
+    """widths_at_floor by brute force: each block size's widths, as BlockCosts builds them."""
+    n_occupied = max(1, int(np.count_nonzero(m.counts)))
+    floors = np.broadcast_to(params.sigma_floor, m.stds.shape)
+    return all(np.array_equal(np.maximum(params.sigma_floor, width_scale(params, n) * m.stds),
+                              floors)
+               for n in range(1, n_occupied + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), decades=st.floats(0.1, 1.5),
+       boundary=st.floats(-0.9, 0.9))
+def test_sweep_with_floor_columns_matches_fresh_partitions(seed, rule, exponent, decades,
+                                                           boundary):
+    # each attribute's floor sits at 10**(boundary * decades) times the
+    # largest scaled std at f_sigma = 1, so the f_sigma grid straddles the
+    # floor: its low columns are floor-bound and its high ones are not
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.3)
+    sigma_const = float(rng.uniform(0.5, 4.0))
+    rule_fn = N_SCALE_RULES[rule]
+    n_occupied = int(np.count_nonzero(m.counts))
+    top = sigma_const * max(map(rule_fn, range(1, n_occupied + 1))) * m.stds.max(axis=0)
+    base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=top * 10**(boundary * decades),
+                         sigma_const=sigma_const, n_scale_rule=rule_fn, range_exponent=exponent)
+    spec = sb.SweepSpec(base=base, f_R_grid=sb.default_grid(3, decades),
+                        f_sigma_grid=sb.default_grid(5, decades))
+    at_floor = [widths_at_floor(m, base.scaled(f_sigma=float(f))) for f in spec.f_sigma_grid]
+    assert at_floor == [every_width_is_the_floor(m, base.scaled(f_sigma=float(f)))
+                        for f in spec.f_sigma_grid]
+    assert at_floor[0] and not at_floor[-1]
+    assert_matches_fresh_partitions(m, spec, sb.sweep(m, spec))
+
+
+@pytest.mark.parametrize("rule, std", [("unit", 0.5), ("sqrt", 0.25)])
+def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std):
+    # four occupied cells, so the largest scale at f_sigma = 1 is 1 (unit)
+    # or sqrt(4) = 2 (sqrt), and the last cell's scaled std is 0.5, the
+    # floor, exactly
+    m = make_map([[0.0, 0.3], [None, 2.0], [2.4, None]],
+                 stds=[[0.1, 0.05], [None, 0.1], [std, None]])
+    base = sb.CostParams(R=[10.0], sigma_floor=[0.5], n_scale_rule=N_SCALE_RULES[rule])
+    assert widths_at_floor(m, base)
+    assert not widths_at_floor(m, base.scaled(f_sigma=float(np.nextafter(1.0, 2.0))))
+    spec = sb.SweepSpec(base=base, f_R_grid=np.logspace(-1, 1, 3),
+                        f_sigma_grid=np.array([0.5, 1.0, 2.0]))
+    stability, calls = counted_sweep(monkeypatch, m, spec)
+    assert calls == 6           # the column at 1.0 copies the one at 0.5
+    assert_matches_fresh_partitions(m, spec, stability)
+
+
+def test_widths_at_floor_refuses_a_non_finite_scale():
+    # max() passes over the NaN scale of two-cell blocks, whose widths are NaN
+    m = make_map([[0.0, 0.3]], s=0.1)
+    base = sb.CostParams(R=[10.0], sigma_floor=[0.5],
+                         n_scale_rule=lambda n: 1.0 if n == 1 else float("nan"))
+    assert not widths_at_floor(m, base)
+    with pytest.raises(CostError, match="cell widths must keep 1/sigma"):
+        sb.sweep(m, sb.SweepSpec(base=base, f_R_grid=[1.0], f_sigma_grid=[0.5, 1.0]))
+
+
+@pytest.mark.parametrize("options, partitions", [
+    ({}, 104),                                                   # 5 of 13 columns copied
+    ({"n_scale_rule": sqrt_scale, "sigma_const": 12.0}, 169),    # no column at the floor
+])
+def test_sweep_partitions_each_width_setting_once(monkeypatch, fixture_map, iris, options,
+                                                  partitions):
+    base = sb.params_from_summary(sb.summarize(iris), **options)
+    _, calls = counted_sweep(monkeypatch, fixture_map, sb.SweepSpec(base=base))
+    assert calls == partitions

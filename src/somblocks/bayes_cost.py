@@ -21,6 +21,7 @@ extra blocks in opposite directions.
 
 import copy
 import math
+import reprlib
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -57,9 +58,8 @@ N_SCALE_RULES: dict[str, Callable[[int], float]] = {
 
 
 def n_scale_name(rule: Callable[[int], float]) -> str:
-    """The N_SCALE_RULES name of a size-scale rule, else the function's own name."""
-    return next((k for k, v in N_SCALE_RULES.items() if v is rule),
-                getattr(rule, "__name__", "custom"))
+    """The N_SCALE_RULES name of a size-scale rule."""
+    return next(k for k, v in N_SCALE_RULES.items() if v is rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +70,7 @@ class CostParams:
     is f_R * R.  Cell widths are estimated as
     max(sigma_floor, f_sigma * sigma_const * n_scale_rule(N) * s) where s is
     the cell's observed sample standard deviation and N the block size.
+    n_scale_rule is one of N_SCALE_RULES' rules, the function itself.
     f_R and f_sigma are multiplicative sweep factors, 1 by default.
 
     Default calibration: unit size scale, sigma_const 1, and a floor of
@@ -86,11 +87,9 @@ class CostParams:
     sigma_floor: np.ndarray
     sigma_const: float = 1.0
     n_scale_rule: Callable[[int], float] = unit_scale
-    range_rule: str = "two_max"
     range_exponent: str = "per_block"
     f_R: float = 1.0
     f_sigma: float = 1.0
-    sigma_floor_frac: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
@@ -104,8 +103,9 @@ class CostParams:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise CostError(f"{name} must be positive and finite, got {value!r}")
-        if self.range_rule not in RANGE_RULES:
-            raise CostError(f"range_rule must be one of {RANGE_RULES}")
+        if not any(self.n_scale_rule is rule for rule in N_SCALE_RULES.values()):
+            raise CostError(f"n_scale_rule must be one of N_SCALE_RULES' rules "
+                            f"{tuple(N_SCALE_RULES)}, got {reprlib.repr(self.n_scale_rule)}")
         if self.range_exponent not in RANGE_EXPONENTS:
             raise CostError(f"range_exponent must be one of {RANGE_EXPONENTS}")
         # Finite inputs can still overflow the terms every cost is built from.
@@ -115,10 +115,8 @@ class CostParams:
         if not np.all(np.isfinite(log_R)):
             raise CostError(f"ln(f_R * R) must be finite, got f_R={self.f_R!r}")
         if not np.all(np.isfinite(inverse_floor)):
-            frac = ("" if self.sigma_floor_frac is None
-                    else f" from sigma_floor_frac={self.sigma_floor_frac!r}")
             raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
-                            f"{float(self.sigma_floor.min())!r}{frac}")
+                            f"{float(self.sigma_floor.min())!r}")
 
     @property
     def n_attributes(self) -> int:
@@ -141,7 +139,7 @@ class CostParams:
 
 
 def params_from_summary(summary: AttributeSummary, *,
-                        range_rule: str = CostParams.range_rule,
+                        range_rule: str = "two_max",
                         sigma_floor_frac: float = 0.15, **options) -> CostParams:
     """Build CostParams from observed attribute extremes.
 
@@ -151,8 +149,6 @@ def params_from_summary(summary: AttributeSummary, *,
     through to CostParams, which owns their defaults.
     """
     if range_rule == "two_span":
-        if np.any(summary.spans <= 0):
-            raise CostError("two_span range rule needs positive span on every attribute")
         base_R = 2.0 * summary.spans
     elif range_rule == "two_max":
         for j, top in enumerate(summary.maxs):
@@ -167,8 +163,13 @@ def params_from_summary(summary: AttributeSummary, *,
                         f"got {sigma_floor_frac!r}")
     if np.any(summary.spans <= 0):
         raise CostError("sigma floor needs positive span on every attribute")
-    return CostParams(R=base_R, sigma_floor=sigma_floor_frac * summary.spans,
-                      range_rule=range_rule, sigma_floor_frac=sigma_floor_frac, **options)
+    sigma_floor = sigma_floor_frac * summary.spans
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.all(np.isfinite(1.0 / sigma_floor**2)):
+            raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
+                            f"{float(sigma_floor.min())!r} "
+                            f"from sigma_floor_frac={sigma_floor_frac!r}")
+    return CostParams(R=base_R, sigma_floor=sigma_floor, **options)
 
 
 def block_stat(means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,15 +207,13 @@ def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
     monotone, so scale * std <= floor at the largest of those scales holds
     at each, and every width table BlockCosts could build for these params
     is the floor, bit for bit: the same table as under any other params
-    with the same floors for which this is True.  A non-finite scale
-    answers False.
+    with the same floors for which this is True.  A scale that overflows
+    answers False, as inf * std is inf, or NaN for a std of 0.
     """
     n_max = max(1, int(np.count_nonzero(som_map.counts)))
-    scales = [width_scale(params, n) for n in range(1, n_max + 1)]
-    if not all(map(math.isfinite, scales)):
-        return False
+    scale = max(width_scale(params, n) for n in range(1, n_max + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.all(max(scales) * som_map.stds <= params.sigma_floor))
+        return bool(np.all(scale * som_map.stds <= params.sigma_floor))
 
 
 def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.ndarray:

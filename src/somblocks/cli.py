@@ -34,7 +34,7 @@ def _defaults(owner) -> dict:
 
 
 _SOM = _defaults(SomConfig)
-# params_from_summary's floor fraction replaces CostParams' None
+# range_rule and sigma_floor_frac are params_from_summary's, the rest CostParams'
 _COST = _defaults(CostParams) | _defaults(params_from_summary)
 _COST_KEYS = ("range_rule", "range_exponent", "sigma_const", "sigma_floor_frac", "f_R", "f_sigma")
 _GRID = _defaults(default_grid)

@@ -11,6 +11,7 @@ import inspect
 import json
 import numbers
 import os
+import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -160,7 +161,7 @@ def require(error, test, noun: str, **values) -> None:
     """Raise error naming the first of the named values that fails test."""
     for name, value in values.items():
         if not test(value):
-            raise error(f"{name} must be {noun}, got {value!r}")
+            raise error(f"{name} must be {noun}, got {reprlib.repr(value)}")
 
 
 @functools.cache
@@ -172,7 +173,7 @@ def record_keys(build) -> frozenset:
 def from_record(error, build, record, name: str):
     """build(**record) for a JSON object whose keys are exactly record_keys(build)."""
     if not isinstance(record, dict):
-        raise error(f"{name} must be a JSON object, got {record!r}")
+        raise error(f"{name} must be a JSON object, got {reprlib.repr(record)}")
     if record.keys() != (names := record_keys(build)):
         if missing := sorted(names - record.keys()):
             raise error(f"{name} is missing {', '.join(missing)}")

@@ -11,6 +11,7 @@ and returns a cheapest one.
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,12 @@ class Partition:
 
 
 def validate_partition(partition: Partition) -> None:
-    """Check coverage, dense ids, and 4-connectivity of every block."""
+    """Check coverage, canonical ids, and 4-connectivity of every block."""
     block_of = partition.block_of
     masks = _label_masks(block_of.ravel().tolist())
-    if len(masks) != partition.n_blocks or set(masks) != set(range(partition.n_blocks)):
-        raise PartitionError("block ids are not dense 0..K-1")
+    if len(masks) != partition.n_blocks or list(masks) != list(range(partition.n_blocks)):
+        raise PartitionError("block ids must be 0..K-1 numbered by first occurrence "
+                             "in row-major order")
     rows, cols = block_of.shape
     inner = _inner_cells(rows, cols)
     for b, mask in sorted(masks.items()):      # by block id, so the error names it
@@ -513,9 +515,10 @@ def _partition_from_file(rows, cols, block_of, K, cost, params, provenance) -> P
         raise PartitionError(f"block_of must be a list of {rows * cols} block ids, one per cell")
     for v in block_of:
         if not is_integer(v):
-            raise PartitionError(f"block_of entries must be integers, got {v!r}")
+            raise PartitionError(f"block_of entries must be integers, got {reprlib.repr(v)}")
         if not 0 <= v < rows * cols:
-            raise PartitionError(f"block_of entries must be in 0..{rows * cols - 1}, got {v}")
+            raise PartitionError(f"block_of entries must be in 0..{rows * cols - 1}, "
+                                 f"got {reprlib.repr(v)}")
     if cost is not None:
         require(PartitionError, is_number, "a number or null", cost=cost)
         require(PartitionError, math.isfinite, "finite or null", cost=cost)

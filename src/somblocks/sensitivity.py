@@ -46,8 +46,8 @@ def _check_grid(grid: np.ndarray) -> int:
 class SweepSpec:
     """Factor grids and base parameters of one sweep.
 
-    The base params' own f_R/f_sigma are replaced (not compounded) by each
-    grid point, so the base should carry factors of 1.
+    Each grid point replaces (does not compound) the base params' own
+    f_R/f_sigma, so the base must carry factors of 1.
     """
 
     base: CostParams
@@ -59,6 +59,10 @@ class SweepSpec:
         object.__setattr__(self, "f_sigma_grid", np.asarray(self.f_sigma_grid, dtype=float))
         _check_grid(self.f_R_grid)
         _check_grid(self.f_sigma_grid)
+        for name in ("f_R", "f_sigma"):
+            if (value := getattr(self.base, name)) != 1.0:
+                raise SweepError(f"base {name} must be 1, as each grid point replaces it, "
+                                 f"got {value!r}")
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:

@@ -11,6 +11,7 @@ generator, so a (dataset, config) pair fully determines the result.
 
 import json
 import math
+import reprlib
 from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
@@ -420,8 +421,9 @@ def load_map(path) -> SomMap:
 def _map_from_file(rows, cols, seed, config, pes) -> SomMap:
     config = from_record(SomError, SomConfig, config, "config")
     if not is_integer(seed) or seed != config.seed:
-        raise SomError(f"seed {seed!r} differs from the config's {config.seed!r}")
+        raise SomError(f"seed {reprlib.repr(seed)} differs from the config's "
+                       f"{reprlib.repr(config.seed)}")
     if not isinstance(pes, list):
-        raise SomError(f"pes must be a list of cell records, got {pes!r}")
+        raise SomError(f"pes must be a list of cell records, got {reprlib.repr(pes)}")
     cells = tuple(from_record(SomError, PeStats, rec, f"cell {k}") for k, rec in enumerate(pes))
     return SomMap(rows=rows, cols=cols, pes=cells, config=config)

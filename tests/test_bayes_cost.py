@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,12 +283,21 @@ def test_cost_params_validation():
         sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.0]))
     with pytest.raises(CostError):
         sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]), f_R=0.0)
-    with pytest.raises(CostError):
-        sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]), range_rule="bogus")
+    summ = sb.AttributeSummary(mins=np.array([0.0]), maxs=np.array([1.0]))
+    with pytest.raises(CostError, match=r"^range_rule must be one of \('two_span', 'two_max'\)$"):
+        sb.params_from_summary(summ, range_rule="bogus")
     with pytest.raises(CostError):
         sb.block_cost([], plain_params())
     with pytest.raises(CostError):
         sb.block_cost([(np.array([0.0]), np.array([0.0]))], plain_params())
+
+
+@pytest.mark.parametrize("rule, shown", [("sqrt", "'sqrt'"), (None, "None"),
+                                         (lambda n: 1.0, "<function")])
+def test_cost_params_refuse_a_rule_outside_n_scale_rules(rule, shown):
+    with pytest.raises(CostError, match=re.escape(f"n_scale_rule must be one of N_SCALE_RULES' "
+                                                  f"rules ('sqrt', 'unit'), got {shown}")):
+        sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]), n_scale_rule=rule)
 
 
 @pytest.mark.parametrize("field, changes", [

@@ -336,3 +336,24 @@ def test_near_ties_take_the_exact_path(exponent):
     costs = BlockCosts(m, params)
     assert not costs.join_rejected(0b01, 0b10)
     assert costs.cost(0b11) < costs.cost(0b01) + costs.cost(0b10)
+
+
+# per CostParams field, a value other than iris_params' under which that field matters
+OTHER_VALUES = {
+    "R": lambda p: 2.0 * p.R,
+    "sigma_floor": lambda p: 2.0 * p.sigma_floor,
+    "sigma_const": lambda p: 10.0,
+    "n_scale_rule": lambda p: N_SCALE_RULES["sqrt"],
+    "range_exponent": lambda p: "per_pe",
+    "f_R": lambda p: 3.0,
+    "f_sigma": lambda p: 10.0,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(sb.CostParams)])
+def test_no_cost_setting_is_inert(fixture_map, iris_params, name):
+    changed = dataclasses.replace(iris_params, **{name: OTHER_VALUES[name](iris_params)})
+    n_cells = fixture_map.rows * fixture_map.cols
+    blocks = [1 << k for k in range(n_cells)] + [(1 << n_cells) - 1]
+    before, after = BlockCosts(fixture_map, iris_params), BlockCosts(fixture_map, changed)
+    assert any(before.cost(b) != after.cost(b) for b in blocks)

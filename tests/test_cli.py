@@ -275,7 +275,8 @@ def test_sweep_command_refuses_decades_that_overflow(tmp_path, capsys):
     ("--sigma-const", "1e200", "cell widths must keep 1/sigma**2 positive and finite, "
                                "got f_sigma=1.0, sigma_const=1e+200 "),
     ("--f-R", "1e308", "ln(f_R * R) must be finite, got f_R=1e+308\n"),
-    ("--sigma-floor-frac", "1e-200", "1/sigma_floor**2 must be finite, got sigma_floor "),
+    ("--sigma-floor-frac", "1e-200", "1/sigma_floor**2 must be finite, got sigma_floor "
+                                     "2.3999999999999997e-200 from sigma_floor_frac=1e-200\n"),
 ])
 def test_partition_refuses_finite_settings_that_overflow(tmp_path, capsys, flag, value,
                                                          message):
@@ -293,6 +294,7 @@ def test_partition_refuses_finite_settings_that_overflow(tmp_path, capsys, flag,
     ("--f-R", "nan", "f_R must be positive and finite, got nan"),
     ("--f-sigma", "inf", "f_sigma must be positive and finite, got inf"),
     ("--sigma-floor-frac", "nan", "sigma_floor_frac must be positive and finite, got nan"),
+    ("--range-rule", "bogus", "range_rule must be one of ('two_span', 'two_max')"),
 ])
 def test_partition_refuses_non_finite_cost_settings(tmp_path, capsys, flag, value, message):
     out = tmp_path / "p.json"
@@ -365,7 +367,11 @@ def test_partition_refuses_a_map_with_a_non_integer_grid_size(tmp_path, capsys):
     ("map", ("config", "conscience_gamma"), "conscience_gamma must be a number, got 1000"),
     ("map", ("pes", 0, "weight", 1), "cell 0: weight has a value too large for a float\n"),
     ("map", ("pes", 3, "mean", 0), "cell 3: mean has a value too large for a float\n"),
+    ("map", ("seed",), "seed 1000"),
+    ("map", ("pes",), "pes must be a list of cell records, got 1000"),
+    ("map", ("pes", 0), "cell 0 must be a JSON object, got 1000"),
     ("partition", ("cost",), "cost must be a number or null, got 1000"),
+    ("partition", ("block_of", 0), "block_of entries must be in 0..24, got 1000"),
 ])
 def test_an_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, kind, where,
                                                             message):
@@ -389,6 +395,7 @@ def test_an_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, k
     err = capsys.readouterr().err
     assert err.startswith(f"somblocks: error: {path}: {message}")
     assert err.count("\n") == 1
+    assert len(err) < 200       # the refused value is shown shortened
 
 
 def test_evaluate_refuses_non_integer_block_ids(tmp_path, capsys):

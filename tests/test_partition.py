@@ -544,6 +544,9 @@ def test_partition_file_round_trip(tmp_path):
         load_partition(bad)
 
 
+ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major order"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("block_of", [0, 0, 1, 2, 2.0, 1], "block_of entries must be integers, got 2.0"),
     ("block_of", [0.4, 0.4, 1.4, 2.4, 2.4, 1.4], "block_of entries must be integers, got 0.4"),
@@ -562,9 +565,10 @@ def test_partition_file_round_trip(tmp_path):
     ("block_of", [0, 0, 1, 2, 2], "block_of must be a list of 6 block ids, one per cell"),
     ("block_of", {}, "block_of must be a list of 6 block ids, one per cell"),
     ("block_of", [0, 1, 1, 2, 2, 0], "block 0 is not edge-connected"),
-    ("block_of", [0, 0, 1, 3, 3, 1], "block ids are not dense 0..K-1"),
-    ("K", 10**30, "block ids are not dense 0..K-1"),
-    ("K", 2, "block ids are not dense 0..K-1"),
+    ("block_of", [0, 0, 1, 3, 3, 1], ORDER_RULE),
+    ("K", 10**30, ORDER_RULE),
+    ("K", 2, ORDER_RULE),
+    ("block_of", [1, 1, 0, 2, 2, 0], ORDER_RULE),
     ("rows", -5, "rows must be at least 1, got -5"),
     ("cols", 0, "cols must be at least 1, got 0"),
     ("rows", 1, "block_of must be a list of 3 block ids, one per cell"),
@@ -599,8 +603,17 @@ def test_load_partition_names_the_key_it_refuses(tmp_path, edit, message):
 def test_validate_partition_checks_the_block_count_before_the_ids():
     # a set of 10**12 ids would exhaust memory before the comparison
     p = Partition(block_of=np.array([[0, 1]]), n_blocks=10**12)
-    with pytest.raises(PartitionError, match="^block ids are not dense 0..K-1$"):
+    with pytest.raises(PartitionError, match=f"^{ORDER_RULE}$"):
         validate_partition(p)
+
+
+def test_validate_partition_enforces_first_occurrence_numbering():
+    # the grouping is valid, but its ids are swapped from Partition's numbering
+    swapped = Partition(block_of=np.array([[1, 1], [0, 0]]), n_blocks=2)
+    assert swapped != Partition.from_labels(swapped.block_of)
+    with pytest.raises(PartitionError, match=f"^{ORDER_RULE}$"):
+        validate_partition(swapped)
+    validate_partition(Partition.from_labels(swapped.block_of))
 
 
 def test_validate_partition_rejects_disconnected():

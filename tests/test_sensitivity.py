@@ -187,14 +187,24 @@ def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std):
     assert_matches_fresh_partitions(m, spec, stability)
 
 
-def test_widths_at_floor_refuses_a_non_finite_scale():
-    # max() passes over the NaN scale of two-cell blocks, whose widths are NaN
-    m = make_map([[0.0, 0.3]], s=0.1)
-    base = sb.CostParams(R=[10.0], sigma_floor=[0.5],
-                         n_scale_rule=lambda n: 1.0 if n == 1 else float("nan"))
-    assert not widths_at_floor(m, base)
+@pytest.mark.parametrize("s", [0.0, 0.1])
+def test_widths_at_floor_answers_false_when_the_scale_overflows(s):
+    # at f_sigma = 10 the scale 10 * 1e308 is inf, and inf * s is NaN for
+    # s = 0 and inf otherwise; neither is <= the floor
+    m = make_map([[0.0, 0.3]], s=s)
+    base = sb.CostParams(R=[10.0], sigma_floor=[0.5], sigma_const=1e308)
+    assert widths_at_floor(m, base) == (s == 0.0)
+    assert not widths_at_floor(m, base.scaled(f_sigma=10.0))
     with pytest.raises(CostError, match="cell widths must keep 1/sigma"):
-        sb.sweep(m, sb.SweepSpec(base=base, f_R_grid=[1.0], f_sigma_grid=[0.5, 1.0]))
+        sb.sweep(m, sb.SweepSpec(base=base, f_R_grid=[1.0], f_sigma_grid=[1.0, 10.0]))
+
+
+@pytest.mark.parametrize("factors, named", [({"f_R": 30.0, "f_sigma": 0.05}, "f_R"),
+                                            ({"f_sigma": 0.05}, "f_sigma")])
+def test_sweep_spec_refuses_a_base_with_a_factor_other_than_1(factors, named):
+    message = f"base {named} must be 1, as each grid point replaces it, got {factors[named]}"
+    with pytest.raises(SweepError, match=f"^{message}$"):
+        sb.SweepSpec(base=plain_params(**factors))
 
 
 @pytest.mark.parametrize("options, partitions", [

@@ -111,12 +111,9 @@ class CostParams:
         # Finite inputs can still overflow the terms every cost is built from.
         with np.errstate(over="ignore", divide="ignore"):
             log_R = np.log(self.effective_R())
-            inverse_floor = 1.0 / self.sigma_floor**2
         if not np.all(np.isfinite(log_R)):
             raise CostError(f"ln(f_R * R) must be finite, got f_R={self.f_R!r}")
-        if not np.all(np.isfinite(inverse_floor)):
-            raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
-                            f"{float(self.sigma_floor.min())!r}")
+        _check_inverse_floor(self.sigma_floor)
 
     @property
     def n_attributes(self) -> int:
@@ -161,15 +158,26 @@ def params_from_summary(summary: AttributeSummary, *,
     if not (sigma_floor_frac > 0 and math.isfinite(sigma_floor_frac)):
         raise CostError(f"sigma_floor_frac must be positive and finite, "
                         f"got {sigma_floor_frac!r}")
-    if np.any(summary.spans <= 0):
-        raise CostError("sigma floor needs positive span on every attribute")
+    for j, span in enumerate(summary.spans):
+        if not span > 0:
+            raise CostError(f"sigma floor needs positive span on every attribute, but "
+                            f"attribute {j} has span {float(span)!r}")
     sigma_floor = sigma_floor_frac * summary.spans
-    with np.errstate(over="ignore", divide="ignore"):
-        if not np.all(np.isfinite(1.0 / sigma_floor**2)):
-            raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
-                            f"{float(sigma_floor.min())!r} "
-                            f"from sigma_floor_frac={sigma_floor_frac!r}")
+    _check_inverse_floor(sigma_floor, f" from sigma_floor_frac={sigma_floor_frac!r}")
     return CostParams(R=base_R, sigma_floor=sigma_floor, **options)
+
+
+def _check_inverse_floor(sigma_floor: np.ndarray, source: str = "") -> None:
+    """Refuse floors whose 1/sigma_floor**2 overflows, or underflows to 0;
+    source ends the message."""
+    with np.errstate(over="ignore", divide="ignore"):
+        inverse = 1.0 / sigma_floor**2
+    if not np.all(np.isfinite(inverse)):
+        raise CostError(f"1/sigma_floor**2 must be finite, got sigma_floor "
+                        f"{float(sigma_floor.min())!r}{source}")
+    if not np.all(inverse > 0):
+        raise CostError(f"1/sigma_floor**2 must be positive, got sigma_floor "
+                        f"{float(sigma_floor.max())!r}{source}")
 
 
 def block_stat(means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import csv
 import functools
 import inspect
 import json
+import math
 import numbers
 import os
 import reprlib
@@ -121,9 +122,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                     labels.append(cell.strip())
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
+                values.append(value)
             rows.append(values)
 
     if not rows:

@@ -251,10 +251,11 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     completes with no merge; ties keep regions separate.  costs, when given,
     is a BlockCosts of this map whose cached block terms are reused.
 
-    A pass finds each block's later neighbours through a table from cell to
-    list position instead of testing every later block, and a join that
+    Blocks are sorted by their first column, so a block's scan stops at the
+    first later block that starts right of the column just past its own
+    last one: no block from there on can touch it.  A join that
     BlockCosts.join_rejected settles (an empty side, or a certain loss) is
-    not costed; both visit and decide exactly what the plain scan does.
+    not costed; both skip only what the plain scan would not merge.
     """
     rows, cols = som_map.rows, som_map.cols
     masks = _tiling_masks(regions, rows, cols)
@@ -263,55 +264,38 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     inner = _inner_cells(rows, cols)
     grid = (1 << (rows * cols)) - 1
 
-    # (order key, cell mask, mask of the cells edge-adjacent to the block);
-    # a union's key is the componentwise minimum of the two keys.
+    # (order key, one past the last column, cell mask, mask of the cells
+    # edge-adjacent to the block); a union's key is the componentwise
+    # minimum of the two keys and its column end the larger end.
     blocks = []
     for region, mask in zip(regions, masks):
         near = (mask << cols | mask >> cols
                 | (mask & inner) << 1 | (mask >> 1) & inner) & grid
-        blocks.append(((region.c0, region.r0), mask, near))
+        blocks.append(((region.c0, region.r0), region.c1, mask, near))
 
     changed = True
     while changed:
         changed = False
         blocks.sort(key=lambda block: block[0])
-        # Cells keep the position their block had when the pass began.  A
-        # merged-away block's cells belong to an earlier position then, so a
-        # dead owner is never a later neighbour.
-        owner = [0] * (rows * cols)
-        for p, (_, mask, _) in enumerate(blocks):
-            for k in _mask_cells(mask):
-                owner[k] = p
         live = [True] * len(blocks)
         for i in range(len(blocks)):
             if not live[i]:
                 continue
-            key, mask, near = blocks[i]
-            j = i
-            while True:
-                # the live blocks after position j that touch the block
-                later = []
-                rest = near & ~mask
-                while rest:
-                    p = owner[(rest & -rest).bit_length() - 1]
-                    rest &= ~blocks[p][1]
-                    if p > j and live[p]:
-                        later.append(p)
-                for j in sorted(later):
-                    other_key, other, other_near = blocks[j]
-                    joined = mask | other
-                    if not rejected(mask, other) and cost(joined) < cost(mask) + cost(other):
-                        key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
-                        mask, near = joined, near | other_near
-                        blocks[i] = (key, mask, near)
-                        live[j] = False
-                        changed = True
-                        break
-                else:
+            key, c1, mask, near = blocks[i]
+            for j in range(i + 1, len(blocks)):
+                other_key, other_c1, other, other_near = blocks[j]
+                if other_key[0] > c1:
                     break
+                if (live[j] and near & other and not rejected(mask, other)
+                        and cost(mask | other) < cost(mask) + cost(other)):
+                    key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
+                    c1, mask, near = max(c1, other_c1), mask | other, near | other_near
+                    live[j] = False
+                    changed = True
+            blocks[i] = (key, c1, mask, near)
         blocks = [block for block, alive in zip(blocks, live) if alive]
 
-    masks = [mask for _, mask, _ in blocks]
+    masks = [mask for _, _, mask, _ in blocks]
     total = math.fsum(cost(mask) for mask in masks)     # in merge order
     return Partition.from_masks(masks, rows, cols, total)
 

@@ -90,7 +90,8 @@ def test_two_max_names_the_attribute_without_a_positive_maximum(top, shown):
 
 def test_two_max_needs_a_positive_span_for_the_width_floor():
     summ = sb.AttributeSummary(mins=np.array([1.0, 2.0]), maxs=np.array([2.0, 2.0]))
-    with pytest.raises(CostError, match="^sigma floor needs positive span on every attribute$"):
+    with pytest.raises(CostError, match="^sigma floor needs positive span on every attribute, "
+                                        "but attribute 1 has span 0.0$"):
         sb.params_from_summary(summ)
 
 
@@ -319,6 +320,10 @@ def test_cost_params_must_be_finite(field, changes):
     ({"f_R": 1e-320}, r"ln\(f_R \* R\) must be finite, got f_R=1e-320$"),
     ({"sigma_floor": np.array([1e-200])}, r"1/sigma_floor\*\*2 must be finite, "
                                           r"got sigma_floor 1e-200$"),
+    ({"R": np.array([1.0, 1.0]), "sigma_floor": np.array([0.1, 1e160])},
+     r"1/sigma_floor\*\*2 must be positive, got sigma_floor 1e\+160$"),
+    ({"sigma_floor": np.array([1e300])}, r"1/sigma_floor\*\*2 must be positive, "
+                                         r"got sigma_floor 1e\+300$"),
 ])
 def test_cost_params_refuse_finite_settings_that_overflow(changes, message):
     values = {"R": np.array([1e-10]), "sigma_floor": np.array([0.1]), **changes}
@@ -326,9 +331,14 @@ def test_cost_params_refuse_finite_settings_that_overflow(changes, message):
         sb.CostParams(**values)
 
 
-def test_sigma_floor_overflow_names_the_floor_fraction(iris):
-    with pytest.raises(CostError, match=r"got sigma_floor .* from sigma_floor_frac=1e-200$"):
-        sb.params_from_summary(sb.summarize(iris), sigma_floor_frac=1e-200)
+@pytest.mark.parametrize("frac, message", [
+    (1e-200, r"must be finite, got sigma_floor .* from sigma_floor_frac=1e-200$"),
+    (1e160, r"must be positive, got sigma_floor .* from sigma_floor_frac=1e\+160$"),
+    (1e300, r"must be positive, got sigma_floor .* from sigma_floor_frac=1e\+300$"),
+])
+def test_sigma_floor_overflow_names_the_floor_fraction(iris, frac, message):
+    with pytest.raises(CostError, match=r"^1/sigma_floor\*\*2 " + message):
+        sb.params_from_summary(sb.summarize(iris), sigma_floor_frac=frac)
 
 
 @pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -0.1])

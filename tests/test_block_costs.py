@@ -201,9 +201,9 @@ def test_engine_refuses_cell_widths_out_of_the_float_range():
         with pytest.raises(CostError, match=r"^cell widths must keep 1/sigma\*\*2 positive "
                                             r"and finite, got f_sigma="):
             sb.partition_som(m, params)
-    wide = dataclasses.replace(base, sigma_floor=np.array([1e160]))
-    with pytest.raises(CostError, match="cell widths must keep"):
-        BlockCosts(m, wide).cost(0b01)
+    # a floor whose 1/sigma**2 underflows is refused before any width table
+    with pytest.raises(CostError, match=r"^1/sigma_floor\*\*2 must be positive"):
+        dataclasses.replace(base, sigma_floor=np.array([1e160]))
 
 
 def test_attribute_count_mismatch_names_both_counts(fixture_map):

@@ -277,6 +277,8 @@ def test_sweep_command_refuses_decades_that_overflow(tmp_path, capsys):
     ("--f-R", "1e308", "ln(f_R * R) must be finite, got f_R=1e+308\n"),
     ("--sigma-floor-frac", "1e-200", "1/sigma_floor**2 must be finite, got sigma_floor "
                                      "2.3999999999999997e-200 from sigma_floor_frac=1e-200\n"),
+    ("--sigma-floor-frac", "1e300", "1/sigma_floor**2 must be positive, got sigma_floor "
+                                    "5.900000000000001e+300 from sigma_floor_frac=1e+300\n"),
 ])
 def test_partition_refuses_finite_settings_that_overflow(tmp_path, capsys, flag, value,
                                                          message):

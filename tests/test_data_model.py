@@ -63,6 +63,14 @@ def test_non_numeric_cell(tmp_path):
         sb.load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_is_refused_where_it_is_parsed(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"a,b\n1.0,2.0\n1.0,{cell}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: non-finite value '{cell}'$"):
+        sb.load_csv(p)
+
+
 def test_label_column_absent(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1.0,2.0\n")

@@ -132,9 +132,9 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
 
 
 def _reference_merge(regions, som_map, params):
-    """merge_regions as it was before it scanned neighbours only and skipped
-    joins from block statistics: every later block is tested, and every
-    adjacent pair is costed."""
+    """merge_regions without its two shortcuts: every later block is tested,
+    not only those up to the first that starts right of the block's last
+    column, and every adjacent pair is costed, with no join_rejected."""
     rows, cols = som_map.rows, som_map.cols
     cost = BlockCosts(som_map, params).cost
     inner = _inner_cells(rows, cols)
@@ -190,6 +190,30 @@ def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start)
     else:
         tiling = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
     assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1), (3, 10)])
+@pytest.mark.parametrize("start", ["quadtree", "singletons"])
+@pytest.mark.parametrize("exponent", sb.bayes_cost.RANGE_EXPONENTS)
+@pytest.mark.parametrize("rule", sorted(sb.bayes_cost.N_SCALE_RULES))
+def test_merge_matches_the_plain_scan_on_strips_and_wide_grids(rows, cols, start, exponent,
+                                                               rule):
+    # maps wide enough that a block's scan stops well before the last block
+    rng = np.random.default_rng(rows * 100 + cols)
+    for _ in range(4):
+        M = int(rng.integers(1, 4))
+        m = random_map(rng, rows=rows, cols=cols, M=M, empty_prob=0.25)
+        params = sb.CostParams(R=rng.uniform(1.0, 50.0, M),
+                               sigma_floor=rng.uniform(0.02, 0.6, M),
+                               sigma_const=float(rng.uniform(0.5, 4.0)),
+                               n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                               range_exponent=exponent, f_R=float(rng.uniform(0.03, 30.0)),
+                               f_sigma=float(rng.uniform(0.1, 10.0)))
+        if start == "quadtree":
+            tiling = sb.quadtree_split(m, params)
+        else:
+            tiling = [Region(r, r + 1, c, c + 1) for r in range(rows) for c in range(cols)]
+        assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
 
 
 def test_merge_respects_gap_criterion():

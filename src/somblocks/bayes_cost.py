@@ -211,15 +211,15 @@ def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
     """True when every cell's width is its floor in blocks of every size.
 
     A block holds 1..N non-empty cells, N the map's count of them, and a
-    cell's width in it is max(floor, scale * std).  Float multiplication is
-    monotone, so scale * std <= floor at the largest of those scales holds
-    at each, and every width table BlockCosts could build for these params
-    is the floor, bit for bit: the same table as under any other params
-    with the same floors for which this is True.  A scale that overflows
-    answers False, as inf * std is inf, or NaN for a std of 0.
+    cell's width in it is max(floor, scale * std).  Both size rules are
+    non-decreasing and rounded float multiplication is monotone, so the
+    largest of those scales is the one at N, and scale * std <= floor there
+    holds at each size: every width table BlockCosts could build for these
+    params is the floor, bit for bit, the same table as under any other
+    params with the same floors for which this is True.  A scale that
+    overflows answers False, as inf * std is inf, or NaN for a std of 0.
     """
-    n_max = max(1, int(np.count_nonzero(som_map.counts)))
-    scale = max(width_scale(params, n) for n in range(1, n_max + 1))
+    scale = width_scale(params, max(1, int(np.count_nonzero(som_map.counts))))
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.all(scale * som_map.stds <= params.sigma_floor))
 
@@ -286,6 +286,16 @@ def block_cost_for_pes(pes: Sequence["PeStats"], params: CostParams) -> float:
     return block_cost(members, params)
 
 
+def _logs(values: np.ndarray, common: np.ndarray) -> np.ndarray:
+    """math.log of each entry of a 2-D array of positive floats, with one
+    math.log per column for the entries equal to that column's common value:
+    equal positive floats have the same bits, and so the same log."""
+    logs = np.full(values.shape, list(map(math.log, common.tolist())))
+    own = values != common
+    logs[own] = list(map(math.log, values[own].tolist()))
+    return logs
+
+
 def _bits(flags: np.ndarray) -> int:
     """Row-major bitmask of the true entries of a boolean array."""
     return int.from_bytes(np.packbits(flags.ravel(), bitorder="little").tobytes(), "little")
@@ -311,10 +321,14 @@ class BlockCosts:
     width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
     with the operations of block_stat and block_cost, on the block's rows of
     a per-cell table gathered by index and summed in Python; the entry also
-    keeps each attribute's S and X for join_rejected.  The first one-cell
+    keeps each attribute's S and X for join_rejected.  The table is built
+    once per width scale, so under sqrt_scale once per block size met; its
+    ln sigma column takes math.log once per attribute for the widths at the
+    floor (often most of them: empty cells and cells with std 0) and once
+    for each width above it.  The first one-cell
     block computes every cell's entry in one numpy pass with the same float
     operations (_single_cells), since a cold quadtree split meets many of
-    them.  A width setting whose table has a 1/sigma^2 of 0 or inf is
+    them; its ln S takes the floor's log the same way.  A width setting whose table has a 1/sigma^2 of 0 or inf is
     refused with a CostError.  The range prior is added last and the terms
     are summed in block_cost's order, so cost(mask) equals
     block_cost_for_pes of the same cells bit for bit.  The width terms do
@@ -369,8 +383,10 @@ class BlockCosts:
         """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, for
         blocks of n non-empty cells; w = 1 / sigma^2.
 
-        Raises CostError when some w is 0 or not finite, which finite but
-        extreme width settings can cause.
+        ln sigma is math.log of each width, taken once per attribute for the
+        widths at that attribute's floor (_logs).  Raises CostError when some
+        w is 0 or not finite, which finite but extreme width settings can
+        cause.
         """
         p = self.params
         scale = width_scale(p, n)
@@ -383,7 +399,7 @@ class BlockCosts:
                 raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
                                 f"f_sigma={p.f_sigma!r}, sigma_const={p.sigma_const!r} "
                                 f"(width scale {scale!r} for blocks of {n} cells)")
-            log_sigmas = [[math.log(s) for s in row] for row in sigmas.tolist()]
+            log_sigmas = _logs(sigmas, p.sigma_floor)
             means = self.som_map.means
             table = self._tables[scale] = np.hstack([w, w * means, log_sigmas, means])
         return table
@@ -431,7 +447,7 @@ class BlockCosts:
         rows = self._table(1)[cells]
         w, w_means, log_sigmas, means = (rows[:, k * m:(k + 1) * m] for k in range(4))
         X = (w_means + 0.0) / w
-        half_log_S = 0.5 * np.array([[math.log(v) for v in row] for row in w.tolist()])
+        half_log_S = 0.5 * _logs(w, 1.0 / self.params.sigma_floor**2)
         terms = log_sigmas + half_log_S + w * ((means - X) * (means - X))
         return {1 << k: (1, t, S, x) for k, t, S, x in
                 zip(cells.tolist(), terms.tolist(), w.tolist(), X.tolist())}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import somblocks as sb
 from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
-                                  block_stat)
+                                  block_stat, width_scale)
 
 from conftest import make_map, map_cells, random_map
 
@@ -190,6 +190,54 @@ def test_single_cell_entries_match_block_stat(seed, rule, exponent, f_sigma):
         assert bits(X) == bits(ref_X)
         assert bits(entry_terms) == bits(terms)
         assert bits([costs.cost(1 << k)]) == bits([sb.block_cost_for_pes([pe], params)])
+
+
+@pytest.mark.parametrize("exponent", RANGE_EXPONENTS)
+@pytest.mark.parametrize("rule, sigma_const, n_exact", [
+    ("unit", 2.0, 1), ("sqrt", 2.0, 1), ("sqrt", 1.0, 4)])
+def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_exact):
+    """In blocks of n_exact occupied cells the width scale is 2, so scaling
+    is exact and, per attribute, a cell's scaled std is its floor exactly
+    ("at"), the float just above it ("above") or 0 ("zero").  Every block's
+    engine entry and cost equal block_stat's and block_cost_for_pes' bits."""
+    rng = np.random.default_rng(20)
+    M, kinds = 3, ("at", "above", "zero")
+    s0 = rng.uniform(0.05, 0.5, M)
+    floor = 2.0 * s0
+    std_of = {"at": s0, "above": np.nextafter(s0, np.inf), "zero": np.zeros(M)}
+    cell_kinds = [[kinds[(k + j) % 3] for j in range(M)] for k in range(9)]
+    means, stds = [[None] * 3 for _ in range(3)], [[None] * 3 for _ in range(3)]
+    for k in range(9):
+        if k not in (2, 6):
+            r, c = divmod(k, 3)
+            means[r][c] = rng.normal(0.0, 2.0, M)
+            stds[r][c] = [std_of[kind][j] for j, kind in enumerate(cell_kinds[k])]
+    m = make_map(means, n_members=2, stds=stds)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
+                           sigma_const=sigma_const, n_scale_rule=N_SCALE_RULES[rule],
+                           range_exponent=exponent)
+    assert width_scale(params, n_exact) == 2.0
+    expected = {"at": floor, "above": np.nextafter(floor, np.inf), "zero": floor}
+    cells = map_cells(m)
+    for k, pe in enumerate(cells):
+        if pe.n:
+            want = [expected[kind][j] for j, kind in enumerate(cell_kinds[k])]
+            assert np.array_equal(sb.sigma_estimate(pe, n_exact, params), want)
+    costs = BlockCosts(m, params)
+    bits = lambda values: [float(v).hex() for v in values]
+    for mask in range(1 << 9):
+        members = [pe for pe in cells_of(m, mask) if pe.n]
+        assert bits([costs.cost(mask)]) == bits([sb.block_cost_for_pes(members, params)])
+        n, terms, S, X = costs._width_terms(sum(1 << k for k, pe in enumerate(cells)
+                                                if pe.n and mask >> k & 1))
+        assert n == len(members)
+        if not members:
+            continue
+        sigmas = np.array([sb.sigma_estimate(pe, n, params) for pe in members])
+        ref_S, ref_X, ref_resid = block_stat(np.array([pe.mean for pe in members]), sigmas)
+        ref_terms = [math.fsum(math.log(s) for s in sigmas[:, j]) + 0.5 * math.log(ref_S[j])
+                     + ref_resid[j] for j in range(M)]
+        assert (bits(S), bits(X), bits(terms)) == (bits(ref_S), bits(ref_X), bits(ref_terms))
 
 
 def test_engine_refuses_cell_widths_out_of_the_float_range():

@@ -235,6 +235,21 @@ def test_sweep_output_matches_the_committed_golden(tmp_path):
     assert out.read_bytes() == Path(fixture_path("iris_stability_seed2.csv")).read_bytes()
 
 
+def test_sqrt_width_sweep_and_partition_match_their_goldens(tmp_path):
+    # the sqrt rule builds a width table per block size; no column of this
+    # sweep has every width at the floor, so each point is partitioned
+    sqrt12 = ("--map", fixture_path("iris_map_seed2.json"), "--n-scale", "sqrt",
+              "--sigma-const", "12")
+    out = tmp_path / "stability.csv"
+    assert run_cli("sweep", *sqrt12, "--out", str(out)) == 0
+    assert out.read_bytes() == Path(
+        fixture_path("iris_stability_seed2_sqrt12.csv")).read_bytes()
+    out = tmp_path / "p.json"
+    assert run_cli("partition", *sqrt12, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["K"], doc["cost"].hex()) == (8, (200.74096324624486).hex())
+
+
 def test_sweep_command_with_one_point(tmp_path):
     out = tmp_path / "stability.csv"
     rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),

@@ -325,15 +325,15 @@ class BlockCosts:
     once per width scale, so under sqrt_scale once per block size met; its
     ln sigma column takes math.log once per attribute for the widths at the
     floor (often most of them: empty cells and cells with std 0) and once
-    for each width above it.  The first one-cell
-    block computes every cell's entry in one numpy pass with the same float
-    operations (_single_cells), since a cold quadtree split meets many of
-    them; its ln S takes the floor's log the same way.  A width setting whose table has a 1/sigma^2 of 0 or inf is
-    refused with a CostError.  The range prior is added last and the terms
-    are summed in block_cost's order, so cost(mask) equals
-    block_cost_for_pes of the same cells bit for bit.  The width terms do
-    not depend on R, f_R or the range exponent, so at() hands out an engine
-    for another range setting that shares them.
+    for each width above it.  The first one-cell block computes every
+    cell's entry in one numpy pass with the same float operations
+    (_single_cells), since a cold quadtree split meets many of them; its
+    ln S takes the floor's log the same way.  A width setting whose table
+    has a 1/sigma^2 of 0 or inf is refused with a CostError.  The range
+    prior is added last and the terms are summed in block_cost's order, so
+    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
+    width terms do not depend on R, f_R or the range exponent, so at() hands
+    out an engine for another range setting that shares them.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):

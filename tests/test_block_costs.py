@@ -228,8 +228,7 @@ def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_ex
     for mask in range(1 << 9):
         members = [pe for pe in cells_of(m, mask) if pe.n]
         assert bits([costs.cost(mask)]) == bits([sb.block_cost_for_pes(members, params)])
-        n, terms, S, X = costs._width_terms(sum(1 << k for k, pe in enumerate(cells)
-                                                if pe.n and mask >> k & 1))
+        n, terms, S, X = costs._width_terms(mask & costs._occupied)
         assert n == len(members)
         if not members:
             continue

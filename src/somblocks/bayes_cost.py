@@ -23,7 +23,7 @@ import copy
 import math
 import reprlib
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -214,8 +214,8 @@ def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
     cell's width in it is max(floor, scale * std).  Both size rules are
     non-decreasing and rounded float multiplication is monotone, so the
     largest of those scales is the one at N, and scale * std <= floor there
-    holds at each size: every width table BlockCosts could build for these
-    params is the floor, bit for bit, the same table as under any other
+    holds at each size: every width BlockCosts could compute for these
+    params is the floor, bit for bit, the same widths as under any other
     params with the same floors for which this is True.  A scale that
     overflows answers False, as inf * std is inf, or NaN for a std of 0.
     """
@@ -319,21 +319,28 @@ class BlockCosts:
     differ only in empty cells share one entry.  The first request for a
     block computes its size n (non-empty cells) and, per attribute, the
     width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
-    with the operations of block_stat and block_cost, on the block's rows of
-    a per-cell table gathered by index and summed in Python; the entry also
-    keeps each attribute's S and X for join_rejected.  The table is built
-    once per width scale, so under sqrt_scale once per block size met; its
-    ln sigma column takes math.log once per attribute for the widths at the
-    floor (often most of them: empty cells and cells with std 0) and once
-    for each width above it.  The first one-cell block computes every
-    cell's entry in one numpy pass with the same float operations
-    (_single_cells), since a cold quadtree split meets many of them; its
-    ln S takes the floor's log the same way.  A width setting whose table
-    has a 1/sigma^2 of 0 or inf is refused with a CostError.  The range
-    prior is added last and the terms are summed in block_cost's order, so
-    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
-    width terms do not depend on R, f_R or the range exponent, so at() hands
-    out an engine for another range setting that shares them.
+    with the operations of block_stat and block_cost, summed in Python; the
+    entry also keeps each attribute's S, X and resid for join_rejected.
+
+    The engine builds one per-cell table when it is made: the columns
+    [w, w * mean, ln sigma, mean] of every cell as a block of one, with
+    w = 1/sigma^2.  Its ln sigma column takes math.log once per attribute
+    for the widths at the floor (often most of them: empty cells and cells
+    with std 0) and once for each width above it.  Under unit_scale every
+    block has these widths, so a block's rows are gathered from the table
+    by index.  Under sqrt_scale a block of n > 1 cells takes its cells'
+    widths at width_scale(n) from their own std and mean, with the table's
+    float operations: max(floor, scale * std), 1/(sigma * sigma) and the
+    floor's one log; no table is built per block size.  The first one-cell
+    block computes every cell's entry in one numpy pass with the same float
+    operations (_single_cells), since a cold quadtree split meets many of
+    them; its ln S takes the floor's log the same way.  A 1/sigma^2 of 0
+    or inf in the table or in a block, or a block's width scale that is not
+    finite, is refused with a CostError.  The range prior is added last and
+    the terms are summed in block_cost's order, so cost(mask) equals
+    block_cost_for_pes of the same cells bit for bit.  The width terms do
+    not depend on R, f_R or the range exponent, so at() hands out an engine
+    for another range setting that shares them.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -342,10 +349,17 @@ class BlockCosts:
                             f"cost params have {params.n_attributes}")
         self.som_map = som_map
         self._occupied = _bits(som_map.counts > 0)
-        self._tables: dict[float, np.ndarray] = {}  # width scale -> per-cell columns
-        # occupied cells -> (n, and per attribute: width terms, S, X)
+        # occupied cells -> (n, and per attribute: width terms, S, X, resid)
         self._terms: dict[int, tuple] = {}
         self._set_range(params)
+        self._table = self._cell_table()
+        if params.n_scale_rule is unit_scale:
+            self._columns = None
+        else:
+            # per attribute: floor, its log, and every cell's std and mean
+            floors = params.sigma_floor.tolist()
+            self._columns = list(zip(floors, map(math.log, floors),
+                                     som_map.stds.T.tolist(), som_map.means.T.tolist()))
 
     def _set_range(self, params: CostParams) -> None:
         self.params = params
@@ -379,9 +393,15 @@ class BlockCosts:
         engine._set_range(params)
         return engine
 
-    def _table(self, n: int) -> np.ndarray:
-        """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, for
-        blocks of n non-empty cells; w = 1 / sigma^2.
+    def _refuse_widths(self, scale: float, n: int) -> NoReturn:
+        p = self.params
+        raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
+                        f"f_sigma={p.f_sigma!r}, sigma_const={p.sigma_const!r} "
+                        f"(width scale {scale!r} for blocks of {n} cells)")
+
+    def _cell_table(self) -> np.ndarray:
+        """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, of
+        every cell as a block of one; w = 1 / sigma^2.
 
         ln sigma is math.log of each width, taken once per attribute for the
         widths at that attribute's floor (_logs).  Raises CostError when some
@@ -389,39 +409,65 @@ class BlockCosts:
         cause.
         """
         p = self.params
-        scale = width_scale(p, n)
-        table = self._tables.get(scale)
-        if table is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
-                w = 1.0 / sigmas**2
-            if not np.all((w > 0.0) & np.isfinite(w)):
-                raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
-                                f"f_sigma={p.f_sigma!r}, sigma_const={p.sigma_const!r} "
-                                f"(width scale {scale!r} for blocks of {n} cells)")
-            log_sigmas = _logs(sigmas, p.sigma_floor)
-            means = self.som_map.means
-            table = self._tables[scale] = np.hstack([w, w * means, log_sigmas, means])
-        return table
+        scale = width_scale(p, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
+            w = 1.0 / sigmas**2
+        if not np.all((w > 0.0) & np.isfinite(w)):
+            self._refuse_widths(scale, 1)
+        means = self.som_map.means
+        return np.hstack([w, w * means, _logs(sigmas, p.sigma_floor), means])
+
+    def _own_columns(self, cells: list[int]) -> list[list[float]]:
+        """The table's columns [w, w * mean, ln sigma, mean], each M wide, on
+        these cells at the width scale of a block of all of them (sqrt_scale).
+
+        The float operations are _cell_table's (the larger of floor and
+        scale * std, either one's bits when they are equal), so the values
+        are the bits of a table built at that scale.  The floor is positive
+        and 1/floor^2 finite, so w is refused only when it is 0; a scale that
+        is not finite is refused too, as inf * 0 would be NaN, which the
+        comparison with the floor would pass over.
+        """
+        scale = width_scale(self.params, len(cells))
+        if not math.isfinite(scale):
+            self._refuse_widths(scale, len(cells))
+        ws, w_means, log_sigmas, means = [], [], [], []
+        for floor, log_floor, std_column, mean_column in self._columns:
+            sigmas = [s if s > floor else floor for s in [scale * std_column[k] for k in cells]]
+            w = [1.0 / (sigma * sigma) for sigma in sigmas]
+            if not min(w) > 0.0:
+                self._refuse_widths(scale, len(cells))
+            mean = [mean_column[k] for k in cells]
+            ws.append(w)
+            w_means.append([wi * mi for wi, mi in zip(w, mean)])
+            log_sigmas.append([log_floor if sigma == floor else math.log(sigma)
+                               for sigma in sigmas])
+            means.append(mean)
+        return ws + w_means + log_sigmas + means
 
     def _width_terms(self, occupied: int) -> tuple:
-        """(n, width terms, S, X) of the block of these occupied cells."""
+        """(n, width terms, S, X, resid) of the block of these occupied cells."""
         hit = self._terms.get(occupied)
         if hit is None:
             n = occupied.bit_count()
             if n == 0:
-                hit = (0, (), (), ())
+                hit = (0, (), (), (), ())
             elif n == 1:
                 self._terms.update(self._single_cells())
                 hit = self._terms[occupied]
             else:
+                cells = _mask_cells(occupied)
+                if self._columns is None:
+                    columns = self._table[cells].T.tolist()
+                else:
+                    columns = self._own_columns(cells)
                 # Most blocks have a few cells, where numpy's per-call
                 # overhead would outweigh the sums.  Each step is the float
                 # operation block_stat does, (m - X)**2 included, so the bits
                 # agree.
-                columns = self._table(n)[_mask_cells(occupied)].T.tolist()
                 m = len(columns) // 4
-                terms, S_all, X_all = [], [], []
+                terms, S_all, X_all, resid_all = [], [], [], []
                 for j in range(m):
                     w, means = columns[j], columns[3 * m + j]
                     S = math.fsum(w)
@@ -430,7 +476,8 @@ class BlockCosts:
                     terms.append(math.fsum(columns[2 * m + j]) + 0.5 * math.log(S) + resid)
                     S_all.append(S)
                     X_all.append(X)
-                hit = (n, terms, S_all, X_all)
+                    resid_all.append(resid)
+                hit = (n, terms, S_all, X_all, resid_all)
             self._terms[occupied] = hit
         return hit
 
@@ -444,13 +491,14 @@ class BlockCosts:
         """
         m = self.params.n_attributes
         cells = np.flatnonzero(self.som_map.counts > 0)
-        rows = self._table(1)[cells]
+        rows = self._table[cells]
         w, w_means, log_sigmas, means = (rows[:, k * m:(k + 1) * m] for k in range(4))
         X = (w_means + 0.0) / w
         half_log_S = 0.5 * _logs(w, 1.0 / self.params.sigma_floor**2)
-        terms = log_sigmas + half_log_S + w * ((means - X) * (means - X))
-        return {1 << k: (1, t, S, x) for k, t, S, x in
-                zip(cells.tolist(), terms.tolist(), w.tolist(), X.tolist())}
+        resid = w * ((means - X) * (means - X))
+        terms = log_sigmas + half_log_S + resid
+        return {1 << k: (1, t, S, x, r) for k, t, S, x, r in
+                zip(cells.tolist(), terms.tolist(), w.tolist(), X.tolist(), resid.tolist())}
 
     def least_increments(self) -> list[float] | None:
         """Per cell, a lower bound on what placing it adds to a partition's cost.
@@ -466,7 +514,7 @@ class BlockCosts:
         if self.params.n_scale_rule is not unit_scale:
             return None
         m = self.params.n_attributes
-        log_sigmas = self._table(1)[:, 2 * m:3 * m].sum(axis=1)
+        log_sigmas = self._table[:, 2 * m:3 * m].sum(axis=1)
         prior = math.fsum(self._prior)
         if self._per_block:
             least = np.minimum(prior, log_sigmas + 0.5 * m * math.log(math.pi))
@@ -479,7 +527,7 @@ class BlockCosts:
         occupied = mask & self._occupied
         hit = self._costs.get(occupied)
         if hit is None:
-            n, terms, _, _ = self._width_terms(occupied)
+            n, terms, _, _, _ = self._width_terms(occupied)
             if n == 0:
                 hit = 0.0
             elif self._per_block:
@@ -495,44 +543,59 @@ class BlockCosts:
 
         a and b are disjoint blocks.  If either has no occupied cell, the
         union's cost is the other block's, bit for bit, so the comparison is
-        False under any width rule.  Otherwise the answer comes from the two
-        blocks' cached S and X, and only under the unit width rule, where
-        every block reads the same cell widths, and only while the union is
-        not cached (its exact cost is cheap then).  In real arithmetic on the
-        cell table, the pairwise update of Chan, Golub & LeVeque (1979) gives
-        the join's change of cost, with H_j = S_aj S_bj / (S_aj + S_bj) and
-        d_j = X_aj - X_bj,
+        False.  Otherwise the answer comes from the two blocks' cached S, X
+        and resid, under either width rule, and only while the union is not
+        cached (its exact cost is cheap then).  Let N = n_a + n_b and
+        rho = width_scale(N) / width_scale(min(n_a, n_b)), which is 1 under
+        unit_scale.  A cell's width in the union is at least its width in
+        its own block and at most rho times it.  Widening widths never
+        lowers sum ln sigma + ln(S)/2, and it keeps at least rho^-2 of
+        resid.  So in real arithmetic the pairwise update of Chan, Golub &
+        LeVeque (1979) bounds the join's change of cost from below, with
+        H_j = S_aj S_bj / (S_aj + S_bj) and d_j = X_aj - X_bj:
 
-            delta = sum_j [q_j - ln(H_j)/2 + H_j d_j^2],
+            delta = sum_j [q_j - ln(H_j)/2 + H_j d_j^2]
+                    - (1 - rho^-2) sum_j [H_j d_j^2 + resid_aj + resid_bj],
             q_j = ln(pi)/2 - ln(f_R R_j) (per_block), ln(f_R R_j) + ln(pi)/2 (per_pe).
+
+        Under unit_scale rho is 1, the second line is not computed, and
+        delta is the join's exact change.
 
         Rounding.  Up to a small factor, scale (below) bounds every quantity
         that enters the three costs or delta: each sum ln sigma, ln(S)/2,
         resid and prior term (through the blocks' cached terms and cell
-        counts), the addends of delta, the error H |d| max|m| that rounding
-        X puts into H d^2, and the error 2^-53 S max m^2 it puts into resid
-        (at second order only, since sum_i w_i (m_i - X) = 0).  Each value is
-        a correctly rounded sum (fsum) or a few single roundings per
-        attribute, so the computed delta and the computed
+        counts, and under sqrt_scale the growth of each ln sigma with block
+        size, at most ln(width_scale(N) / width_scale(1))), the addends of
+        delta, the error H |d| max|m| that rounding X puts into H d^2, and
+        the error 2^-53 S max m^2 it puts into resid (at second order only,
+        since sum_i w_i (m_i - X) = 0).  rho is a ratio of rounded scales and
+        each width a rounded product of scale and std, so the computed rho
+        may fall short of the widths' own ratio by a few roundings, which
+        moves delta by a few 2^-53 (H d^2 + resid); scale holds H d^2, and
+        (1 - rho^-2) resid with 1 - rho^-2 >= 1/2, as N >= 2 min(n_a, n_b).
+        Each value is a correctly rounded sum (fsum) or a few single
+        roundings per attribute, so the computed delta and the computed
         cost(a | b) - (cost(a) + cost(b)) differ by at most about
         (M + 100) 2^-53 scale for M attributes.  A join is rejected when
         delta exceeds 1e-7 scale, 10^7 times that difference for any M below
         about 10^7; joins nearer a tie go to the exact comparison.  So does
         any non-finite value (a comparison with NaN, or with an infinite
-        scale, is False) and an H that underflows to 0.
+        scale, is False, so a union whose width scale overflows is costed,
+        and refused) and an H that underflows to 0.
         """
         a &= self._occupied
         b &= self._occupied
         if not (a and b):
             return True
-        if self.params.n_scale_rule is not unit_scale or a | b in self._terms:
+        if a | b in self._terms:
             return False
         if self._join is None:
             self._join = self._join_constants()
         q_sum, q_size, cell_size, top = self._join
-        n_a, terms_a, S_a, X_a = self._width_terms(a)
-        n_b, terms_b, S_b, X_b = self._width_terms(b)
-        delta, scale = q_sum, q_size + (n_a + n_b) * cell_size
+        n_a, terms_a, S_a, X_a, resid_a = self._width_terms(a)
+        n_b, terms_b, S_b, X_b, resid_b = self._width_terms(b)
+        n = n_a + n_b
+        delta, scale, gaps = q_sum, q_size + n * cell_size, 0.0
         for sa, sb, xa, xb, ta, tb, mu in zip(S_a, S_b, X_a, X_b, terms_a, terms_b, top):
             h = sa * sb / (sa + sb)
             if not h > 0.0:
@@ -543,6 +606,16 @@ class BlockCosts:
             delta += gap - half_log
             scale += (abs(ta) + abs(tb) + gap + abs(half_log)
                       + h * abs(d) * mu + 2.0**-53 * (sa + sb) * mu * mu)
+            gaps += gap
+        if self._columns is not None:       # sqrt_scale, where rho > 1
+            p = self.params
+            union_scale = width_scale(p, n)
+            rho = union_scale / width_scale(p, min(n_a, n_b))
+            loss = 1.0 - 1.0 / (rho * rho)
+            resid = math.fsum(resid_a + resid_b)
+            delta -= loss * (gaps + resid)
+            scale += (loss * resid
+                      + 4.0 * n * len(top) * math.log(union_scale / width_scale(p, 1)))
         return delta > 1e-7 * scale
 
     def _join_constants(self) -> tuple:
@@ -550,11 +623,13 @@ class BlockCosts:
         each attribute's largest |mean|.
 
         The per-cell size, sum_j (|ln(f_R R_j)| + ln pi + 4 (max|ln sigma_j| + 1)),
-        times a block's cell count bounds its sum ln sigma, ln(S)/2, prior
-        terms and, with its cached terms, its resid.
+        with max|ln sigma_j| over the blocks of one cell, times a block's cell
+        count bounds its sum ln sigma, ln(S)/2, prior terms and, with its
+        cached terms, its resid; join_rejected adds the growth of ln sigma
+        with block size.
         """
         m = self.params.n_attributes
-        top = np.abs(self._table(1)[:, 2 * m:]).max(axis=0).tolist()
+        top = np.abs(self._table[:, 2 * m:]).max(axis=0).tolist()
         log_R = np.log(self.params.effective_R()).tolist()
         log_pi = math.log(math.pi)
         q = [0.5 * log_pi - v for v in log_R] if self._per_block else self._prior

@@ -9,7 +9,7 @@ canonical, so signatures compare directly.
 A cell's width is max(floor, f_sigma * sigma_const * n_scale_rule(N) * std),
 and the default calibration makes the floor the operative width.  A column
 (one f_sigma) where every cell's width is its floor in blocks of every size
-(bayes_cost.widths_at_floor) has the same width table as every other such
+(bayes_cost.widths_at_floor) has the same cell widths as every other such
 column, bit for bit, since f_sigma enters the cost only through the widths.
 Its block costs, and so its partitions, are those of the first such column,
 so the sweep partitions only that one and copies its signatures and block

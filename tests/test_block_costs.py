@@ -3,6 +3,7 @@ for bit, so partitions built through it make the same decisions."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,10 +185,11 @@ def test_single_cell_entries_match_block_stat(seed, rule, exponent, f_sigma):
         ref_S, ref_X, ref_resid = block_stat(pe.mean, sigmas)
         terms = [math.fsum([math.log(s)]) + 0.5 * math.log(S) + resid
                  for s, S, resid in zip(sigmas, ref_S, ref_resid)]
-        n, entry_terms, S, X = costs._width_terms(1 << k)
+        n, entry_terms, S, X, resid = costs._width_terms(1 << k)
         assert n == 1
         assert bits(S) == bits(ref_S)
         assert bits(X) == bits(ref_X)
+        assert bits(resid) == bits(ref_resid)
         assert bits(entry_terms) == bits(terms)
         assert bits([costs.cost(1 << k)]) == bits([sb.block_cost_for_pes([pe], params)])
 
@@ -199,7 +201,8 @@ def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_ex
     """In blocks of n_exact occupied cells the width scale is 2, so scaling
     is exact and, per attribute, a cell's scaled std is its floor exactly
     ("at"), the float just above it ("above") or 0 ("zero").  Every block's
-    engine entry and cost equal block_stat's and block_cost_for_pes' bits."""
+    engine entry (its terms, S, X and resid) and cost equal block_stat's and
+    block_cost_for_pes' bits."""
     rng = np.random.default_rng(20)
     M, kinds = 3, ("at", "above", "zero")
     s0 = rng.uniform(0.05, 0.5, M)
@@ -228,7 +231,7 @@ def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_ex
     for mask in range(1 << 9):
         members = [pe for pe in cells_of(m, mask) if pe.n]
         assert bits([costs.cost(mask)]) == bits([sb.block_cost_for_pes(members, params)])
-        n, terms, S, X = costs._width_terms(mask & costs._occupied)
+        n, terms, S, X, resid = costs._width_terms(mask & costs._occupied)
         assert n == len(members)
         if not members:
             continue
@@ -236,7 +239,8 @@ def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_ex
         ref_S, ref_X, ref_resid = block_stat(np.array([pe.mean for pe in members]), sigmas)
         ref_terms = [math.fsum(math.log(s) for s in sigmas[:, j]) + 0.5 * math.log(ref_S[j])
                      + ref_resid[j] for j in range(M)]
-        assert (bits(S), bits(X), bits(terms)) == (bits(ref_S), bits(ref_X), bits(ref_terms))
+        assert ((bits(S), bits(X), bits(resid), bits(terms))
+                == (bits(ref_S), bits(ref_X), bits(ref_resid), bits(ref_terms)))
 
 
 def test_engine_refuses_cell_widths_out_of_the_float_range():
@@ -247,6 +251,24 @@ def test_engine_refuses_cell_widths_out_of_the_float_range():
         params = dataclasses.replace(base, **changes)
         with pytest.raises(CostError, match=r"^cell widths must keep 1/sigma\*\*2 positive "
                                             r"and finite, got f_sigma="):
+            sb.partition_som(m, params)
+    # Under sqrt a block of two cells computes its own widths at a scale of
+    # sqrt(2) sigma_const, which these settings push out of the float range
+    # while every block of one cell stays in it: a std of 1 whose width
+    # squared overflows, and a scale that overflows on cells whose std is 0
+    # (inf * 0 is NaN, which max(floor, NaN) would pass over as the floor).
+    for stds, sigma_const in (([[[0.0], [1.0]]], 1e154), ([[[0.0], [0.0]]], 1.5e308)):
+        m = make_map([[0.0, 1.0]], n_members=2, stds=stds)
+        params = dataclasses.replace(base, n_scale_rule=N_SCALE_RULES["sqrt"],
+                                     sigma_const=sigma_const)
+        costs = BlockCosts(m, params)
+        assert math.isfinite(costs.cost(0b01) + costs.cost(0b10))
+        message = re.escape(f"cell widths must keep 1/sigma**2 positive and finite, got "
+                            f"f_sigma=1.0, sigma_const={sigma_const!r} (width scale ")
+        message = rf"^{message}\S+ for blocks of 2 cells\)$"
+        with pytest.raises(CostError, match=message):
+            costs.cost(0b11)
+        with pytest.raises(CostError, match=message):
             sb.partition_som(m, params)
     # a floor whose 1/sigma**2 underflows is refused before any width table
     with pytest.raises(CostError, match=r"^1/sigma_floor\*\*2 must be positive"):
@@ -278,15 +300,16 @@ def test_cache_is_keyed_by_occupied_cells():
         params = sb.CostParams(R=np.array([10.0]), sigma_floor=np.array([0.1]),
                                n_scale_rule=N_SCALE_RULES[rule])
         costs = BlockCosts(m, params)
-        tables = []
-        table = costs._table
-        costs._table = lambda n: tables.append(n) or table(n)
+        other_range = costs.at(m, params.scaled(f_R=2.0))    # shares the width terms
         for mask in (0b000001, 0b000101, 0b010101):
+            before = len(costs._terms)
             c = costs.cost(mask)
-            computed = len(tables)
+            computed = (len(costs._terms), len(costs._costs))
+            assert computed[0] > before
             assert costs.cost(mask | empties) == c     # same bits, no new computation
             assert costs.cost(mask | empties & 0b000010) == c
-            assert len(tables) == computed
+            other_range.cost(mask | empties)
+            assert (len(costs._terms), len(costs._costs)) == computed
         assert costs.cost(empties) == 0.0
 
 
@@ -302,15 +325,16 @@ def test_join_with_an_empty_side_is_rejected_under_every_rule():
                 assert not costs.cost(a | b) < costs.cost(a) + costs.cost(b)
 
 
-def test_sqrt_rule_and_cached_unions_take_the_exact_path():
+def test_far_joins_are_certified_and_cached_unions_take_the_exact_path():
     m = make_map([[0.0, 50.0]], s=0.1)     # a join that loses by far
     params = sb.CostParams(R=np.array([100.0]), sigma_floor=np.array([0.01]))
     costs = BlockCosts(m, params)
     assert costs.join_rejected(0b01, 0b10)
     costs.cost(0b11)
     assert not costs.join_rejected(0b01, 0b10)
-    sqrt_widths = dataclasses.replace(params, n_scale_rule=N_SCALE_RULES["sqrt"])
-    assert not BlockCosts(m, sqrt_widths).join_rejected(0b01, 0b10)
+    sqrt_widths = BlockCosts(m, dataclasses.replace(params, n_scale_rule=N_SCALE_RULES["sqrt"]))
+    assert sqrt_widths.join_rejected(0b01, 0b10)
+    assert not sqrt_widths.cost(0b11) < sqrt_widths.cost(0b01) + sqrt_widths.cost(0b10)
 
 
 def random_blocks(rng, n_cells):
@@ -321,11 +345,14 @@ def random_blocks(rng, n_cells):
 
 
 @exact(200)
-@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(RANGE_EXPONENTS),
-       spread=st.floats(0.0, 4.0), f_R=factors, f_sigma=factors)
-def test_rejected_joins_never_pass_the_exact_comparison(seed, exponent, spread, f_R, f_sigma):
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), spread=st.floats(0.0, 4.0), f_R=factors,
+       f_sigma=factors)
+def test_rejected_joins_never_pass_the_exact_comparison(seed, rule, exponent, spread, f_R,
+                                                        f_sigma):
     # spread sets how far means scatter against stds of 0.1-0.8, so some
-    # joins win, some lose narrowly and some lose by far
+    # joins win, some lose narrowly and some lose by far; sigma_const up to
+    # 12 lifts sqrt widths off the floor, and the two blocks' sizes differ
     rng = np.random.default_rng(seed)
     M = int(rng.integers(1, 4))
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(2, 5))
@@ -334,7 +361,8 @@ def test_rejected_joins_never_pass_the_exact_comparison(seed, exponent, spread, 
             for r in range(rows)]
     m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
-                           sigma_const=float(rng.uniform(0.5, 4.0)), range_exponent=exponent,
+                           sigma_const=float(rng.uniform(0.5, 12.0)),
+                           n_scale_rule=N_SCALE_RULES[rule], range_exponent=exponent,
                            f_R=f_R, f_sigma=f_sigma)
     for _ in range(20):
         a, b = random_blocks(rng, rows * cols)
@@ -344,31 +372,36 @@ def test_rejected_joins_never_pass_the_exact_comparison(seed, exponent, spread, 
         assert not (rejected and wins)
 
 
-def near_tie(exponent, M, offset, rng):
+def near_tie(rule, exponent, M, offset, rng):
     """A 1x2 map and params whose one join changes the cost by about offset."""
     stds = rng.uniform(0.1, 0.8, (2, M))
     means = rng.normal(3.0, 1.0, (2, M))
     h = 1.0 / (stds[0] ** 2 + stds[1] ** 2)
     R = rng.uniform(2.0, 40.0, M)
-    # delta = sum_j q_j + sum_j (h_j d_j^2 - ln(h_j)/2), with sum_j q_j = -rest
-    rest = math.fsum(h * (means[0] - means[1]) ** 2 - 0.5 * np.log(h)) - offset
+    # The join scales both widths by sqrt(g): g = 2 under sqrt, 1 under unit.
+    # delta = sum_j q_j + sum_j (h_j d_j^2 / g - ln(h_j)/2 + ln(g)/2), with
+    # sum_j q_j = -rest
+    g = 2.0 if rule == "sqrt" else 1.0
+    rest = math.fsum(h * (means[0] - means[1]) ** 2 / g - 0.5 * np.log(h)
+                     + 0.5 * math.log(g)) - offset
     log_pi = math.log(math.pi)
     if exponent == "per_block":     # q_j = ln(pi)/2 - ln f_R - ln R_j
         log_f_R = (rest + 0.5 * M * log_pi - math.fsum(np.log(R))) / M
     else:                           # q_j = ln f_R + ln R_j + ln(pi)/2
         log_f_R = -(rest + 0.5 * M * log_pi + math.fsum(np.log(R))) / M
     m = make_map([[means[0], means[1]]], n_members=3, stds=[[stds[0], stds[1]]])
-    params = sb.CostParams(R=R, sigma_floor=np.full(M, 1e-9), range_exponent=exponent,
-                           f_R=math.exp(log_f_R))
+    params = sb.CostParams(R=R, sigma_floor=np.full(M, 1e-9), n_scale_rule=N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_R=math.exp(log_f_R))
     return m, params
 
 
 @pytest.mark.parametrize("exponent", RANGE_EXPONENTS)
-def test_near_ties_take_the_exact_path(exponent):
+@pytest.mark.parametrize("rule", sorted(N_SCALE_RULES))
+def test_near_ties_take_the_exact_path(rule, exponent):
     rng = np.random.default_rng(2024)
     for k in range(300):
         M = 1 + k % 4
-        m, params = near_tie(exponent, M, float(rng.uniform(-1e-13, 1e-13)), rng)
+        m, params = near_tie(rule, exponent, M, float(rng.uniform(-1e-13, 1e-13)), rng)
         costs = BlockCosts(m, params)
         assert not costs.join_rejected(0b01, 0b10)
         delta = costs.cost(0b11) - (costs.cost(0b01) + costs.cost(0b10))
@@ -377,9 +410,9 @@ def test_near_ties_take_the_exact_path(exponent):
         p = sb.merge_regions([sb.Region(0, 1, 0, 1), sb.Region(0, 1, 1, 2)], m, params)
         assert p.n_blocks == (1 if wins else 2)
     # far from the tie the same construction is settled without the union
-    m, params = near_tie(exponent, 2, 1.0, rng)
+    m, params = near_tie(rule, exponent, 2, 1.0, rng)
     assert BlockCosts(m, params).join_rejected(0b01, 0b10)
-    m, params = near_tie(exponent, 2, -1.0, rng)
+    m, params = near_tie(rule, exponent, 2, -1.0, rng)
     costs = BlockCosts(m, params)
     assert not costs.join_rejected(0b01, 0b10)
     assert costs.cost(0b11) < costs.cost(0b01) + costs.cost(0b10)

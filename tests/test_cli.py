@@ -236,8 +236,9 @@ def test_sweep_output_matches_the_committed_golden(tmp_path):
 
 
 def test_sqrt_width_sweep_and_partition_match_their_goldens(tmp_path):
-    # the sqrt rule builds a width table per block size; no column of this
-    # sweep has every width at the floor, so each point is partitioned
+    # under the sqrt rule each block of several cells takes its own widths
+    # at its size; no column of this sweep has every width at the floor, so
+    # each point is partitioned
     sqrt12 = ("--map", fixture_path("iris_map_seed2.json"), "--n-scale", "sqrt",
               "--sigma-const", "12")
     out = tmp_path / "stability.csv"

@@ -9,10 +9,9 @@ from .som import (PeStats, SomConfig, SomMap, initialize, load_map,
                   quantization_error, save_map, train)
 from .bayes_cost import (BlockCosts, CostParams, block_cost, block_cost_for_pes, block_stat,
                          params_from_summary, partition_cost, sigma_estimate)
-from .partition import (Partition, Region, enumerate_connected_partitions,
-                        exhaustive_partition, load_partition, merge_regions,
-                        partition_som, quadtree_split, save_partition,
-                        validate_partition)
+from .partition import (Partition, enumerate_connected_partitions, exhaustive_partition,
+                        load_partition, merge_regions, partition_som, quadtree_split,
+                        save_partition, validate_partition)
 from .baselines import (BoundaryMap, oracle_partition, threshold_partition,
                         umatrix_boundaries)
 from .evaluate import EvalReport, render_map, render_report, score
@@ -24,7 +23,7 @@ __all__ = [
     "quantization_error", "save_map", "train",
     "BlockCosts", "CostParams", "block_cost", "block_cost_for_pes", "block_stat",
     "params_from_summary", "partition_cost", "sigma_estimate",
-    "Partition", "Region", "enumerate_connected_partitions", "exhaustive_partition",
+    "Partition", "enumerate_connected_partitions", "exhaustive_partition",
     "load_partition", "merge_regions", "partition_som", "quadtree_split",
     "save_partition", "validate_partition",
     "BoundaryMap", "oracle_partition", "threshold_partition", "umatrix_boundaries",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition
+from .partition import Partition, validate_partition
 from .som import SomMap
 
 
@@ -32,9 +32,11 @@ class EvalReport:
     n_samples: int
 
 
-def _check_shape(som_map: SomMap, partition: Partition | None) -> None:
-    if partition is not None and partition.block_of.shape != (som_map.rows, som_map.cols):
-        raise EvaluateError("partition shape does not match the map")
+def _check_partition(som_map: SomMap, partition: Partition | None) -> None:
+    if partition is not None:
+        if partition.block_of.shape != (som_map.rows, som_map.cols):
+            raise EvaluateError("partition shape does not match the map")
+        validate_partition(partition)
 
 
 def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
@@ -46,9 +48,9 @@ def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
     if labels is None:
         raise EvaluateError("scoring needs class labels")
     classes, cell_counts = som_map.class_counts(labels)
-    _check_shape(som_map, partition)
     if partition.n_blocks < 1:
         raise EvaluateError("empty partition")
+    _check_partition(som_map, partition)
     n_classes = len(classes)
 
     block_counts = np.zeros((partition.n_blocks, n_classes), dtype=int)
@@ -110,7 +112,7 @@ def render_map(som_map: SomMap, partition: Partition | None = None, labels=None)
     else:
         texts = ["(" + ",".join(map(str, row)) + ")"
                  for row in som_map.class_counts(labels)[1].tolist()]
-    _check_shape(som_map, partition)
+    _check_partition(som_map, partition)
     if partition is not None:
         texts = [f"{b} {t}" for b, t in zip(partition.block_of.ravel().tolist(), texts)]
     width = max(len(t) for t in texts)

@@ -1,11 +1,11 @@
 """Grid partitioning by quadtree split and cost-driven merge.
 
 partition_som first splits the grid recursively wherever four quadrants are
-jointly cheaper than the region as a whole, then greedily merges adjacent
-regions while each merge strictly lowers the cost.  exhaustive_partition is
-the small-grid oracle: it walks the partitions of the grid into
-edge-connected blocks, cutting branches that cannot beat the best found,
-and returns a cheapest one.
+jointly cheaper than the rectangle as a whole, then greedily merges adjacent
+blocks (row-major cell masks) while each merge strictly lowers the cost.
+exhaustive_partition is the small-grid oracle: it walks the partitions of
+the grid into edge-connected blocks, cutting branches that cannot beat the
+best found, and returns a cheapest one.
 """
 
 import functools
@@ -22,21 +22,7 @@ from .som import SomMap
 
 
 class PartitionError(ValueError):
-    """Raised for invalid regions, partitions, or oversized oracle grids."""
-
-
-@dataclass(frozen=True)
-class Region:
-    """Half-open rectangle of grid cells: rows [r0, r1), cols [c0, c1)."""
-
-    r0: int
-    r1: int
-    c0: int
-    c1: int
-
-    def __post_init__(self):
-        if not (self.r0 < self.r1 and self.c0 < self.c1):
-            raise PartitionError("empty region")
+    """Raised for invalid tilings, partitions, or oversized oracle grids."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +66,10 @@ class Partition:
 
 
 def validate_partition(partition: Partition) -> None:
-    """Check coverage, canonical ids, and 4-connectivity of every block."""
+    """Check the id array, coverage, canonical ids, and 4-connectivity of every block."""
     block_of = partition.block_of
+    if not (isinstance(block_of, np.ndarray) and block_of.ndim == 2 and block_of.dtype.kind in "iu"):
+        raise PartitionError("block_of must be a 2-D integer array")
     masks = _label_masks(block_of.ravel().tolist())
     if len(masks) != partition.n_blocks or list(masks) != list(range(partition.n_blocks)):
         raise PartitionError("block ids must be 0..K-1 numbered by first occurrence "
@@ -89,7 +77,7 @@ def validate_partition(partition: Partition) -> None:
     rows, cols = block_of.shape
     inner = _inner_cells(rows, cols)
     for b, mask in sorted(masks.items()):      # by block id, so the error names it
-        if flood(mask & -mask, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
+        if not _connected(mask, inner, cols):
             raise PartitionError(f"block {b} is not edge-connected")
 
 
@@ -127,6 +115,11 @@ def component_labels(cells: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndar
     return _label_grid(found, rows, cols)
 
 
+def _connected(mask: int, inner: int, cols: int) -> bool:
+    """Whether a nonzero mask's cells are edge-connected (inner: _inner_cells)."""
+    return flood(mask & -mask, mask & mask >> 1 & inner, mask & mask >> cols, cols) == mask
+
+
 def _inner_cells(rows: int, cols: int) -> int:
     """Bitmask of the cells that are not in the last column."""
     row = (1 << (cols - 1)) - 1
@@ -150,46 +143,42 @@ def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
     return labels.reshape(rows, cols)
 
 
-def _subdivide(region: Region) -> list[Region]:
-    """Quadrants of a region (two halves when one dimension is 1)."""
-    rn, cn = region.r1 - region.r0, region.c1 - region.c0
-    rm = region.r0 + (rn + 1) // 2
-    cm = region.c0 + (cn + 1) // 2
-    if rn == 1:
-        return [Region(region.r0, region.r1, region.c0, cm),
-                Region(region.r0, region.r1, cm, region.c1)]
-    if cn == 1:
-        return [Region(region.r0, rm, region.c0, region.c1),
-                Region(rm, region.r1, region.c0, region.c1)]
-    return [Region(region.r0, rm, region.c0, cm),
-            Region(region.r0, rm, cm, region.c1),
-            Region(rm, region.r1, region.c0, cm),
-            Region(rm, region.r1, cm, region.c1)]
+def _subdivide(bounds: tuple) -> list[tuple]:
+    """Quadrants of the cell rectangle (r0, r1, c0, c1) (halves when one side is 1)."""
+    r0, r1, c0, c1 = bounds
+    rm = r0 + (r1 - r0 + 1) // 2
+    cm = c0 + (c1 - c0 + 1) // 2
+    if r1 - r0 == 1:
+        return [(r0, r1, c0, cm), (r0, r1, cm, c1)]
+    if c1 - c0 == 1:
+        return [(r0, rm, c0, c1), (rm, r1, c0, c1)]
+    return [(r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1)]
 
 
 def _costs_for(som_map: SomMap, params: CostParams, costs: BlockCosts | None) -> BlockCosts:
     return BlockCosts(som_map, params) if costs is None else costs.at(som_map, params)
 
 
-def _region_mask(region: Region, cols: int) -> int:
-    """Row-major cell bitmask of a region."""
-    row = ((1 << (region.c1 - region.c0)) - 1) << region.c0
-    return sum(row << (r * cols) for r in range(region.r0, region.r1))
+def _region_mask(bounds: tuple, cols: int) -> int:
+    """Row-major cell bitmask of the rectangle (r0, r1, c0, c1)."""
+    r0, r1, c0, c1 = bounds
+    row = ((1 << (c1 - c0)) - 1) << c0
+    return sum(row << (r * cols) for r in range(r0, r1))
 
 
 def quadtree_split(som_map: SomMap, params: CostParams,
-                   costs: BlockCosts | None = None) -> list[Region]:
-    """Recursively split regions whose subregions are jointly cheaper.
+                   costs: BlockCosts | None = None) -> list[int]:
+    """Recursively split blocks whose quadrants are jointly cheaper.
 
-    A region is split iff its one-block cost strictly exceeds the summed
-    one-block costs of its quadrants; 1x1 regions are leaves.  costs, when
-    given, is a BlockCosts of this map whose cached block terms are reused.
-    The regions, their masks and their quadrants are built once per grid
-    shape (_quadtree) and walked here, so every call costs the same masks
-    in the same order; the returned Regions are shared between calls.
+    A rectangle is split iff its one-block cost strictly exceeds the summed
+    one-block costs of its quadrants; single cells are leaves.  Returns the
+    leaves as row-major cell masks.  costs, when given, is a BlockCosts of
+    this map whose cached block terms are reused.  The masks and their
+    quadrants are built once per grid shape (_quadtree) and walked here, so
+    every call costs the same masks in the same order.
     """
     costs = _costs_for(som_map, params, costs)
-    leaves: list[Region] = []
+    leaves: list[int] = []
     _split(_quadtree(som_map.rows, som_map.cols), costs.cost, leaves)
     return leaves
 
@@ -198,58 +187,43 @@ def quadtree_split(som_map: SomMap, params: CostParams,
 def _quadtree(rows: int, cols: int) -> tuple:
     """Root of the rows x cols grid's quadtree.
 
-    A node is (region, row-major mask, child nodes in _subdivide order); a
-    1x1 region has no children.
+    A node is (row-major mask, child nodes in _subdivide order); a single
+    cell has no children.
     """
-    return _tree_node(Region(0, rows, 0, cols), cols)
+    return _tree_node((0, rows, 0, cols), cols)
 
 
-def _tree_node(region: Region, cols: int) -> tuple:
-    if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
-        children = ()
-    else:
-        children = tuple(_tree_node(s, cols) for s in _subdivide(region))
-    return region, _region_mask(region, cols), children
+def _tree_node(bounds: tuple, cols: int) -> tuple:
+    r0, r1, c0, c1 = bounds
+    cell = r1 - r0 == 1 and c1 - c0 == 1
+    children = () if cell else tuple(_tree_node(part, cols) for part in _subdivide(bounds))
+    return _region_mask(bounds, cols), children
 
 
-def _split(node: tuple, cost, leaves: list[Region]) -> None:
-    region, mask, children = node
+def _split(node: tuple, cost, leaves: list[int]) -> None:
+    mask, children = node
     if children:
         whole = cost(mask)
-        parts = math.fsum(cost(child[1]) for child in children)
+        parts = math.fsum(cost(child[0]) for child in children)
         if whole > parts:
             for child in children:
                 _split(child, cost, leaves)
             return
-    leaves.append(region)
+    leaves.append(mask)
 
 
-def _tiling_masks(regions, rows: int, cols: int) -> list[int]:
-    """Row-major cell masks of regions that must tile the grid exactly once."""
-    for region in regions:
-        if region.r0 < 0 or region.c0 < 0 or region.r1 > rows or region.c1 > cols:
-            raise PartitionError("region outside grid")
-    masks = [_region_mask(region, cols) for region in regions]
-    covered = 0
-    for mask in masks:
-        if covered & mask:
-            raise PartitionError("regions must tile the grid exactly once")
-        covered |= mask
-    if covered != (1 << (rows * cols)) - 1:
-        raise PartitionError("regions must tile the grid exactly once")
-    return masks
-
-
-def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
+def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
                   costs: BlockCosts | None = None) -> Partition:
-    """Greedy pairwise merging of a region tiling.
+    """Greedy pairwise merging of a tiling of the grid by connected blocks.
 
-    Regions are ordered by top-left corner (column first, then row).  Each
-    pass scans regions in that order and, for every later edge-adjacent
-    region, merges the pair iff the joined cost is strictly below the sum of
-    the separate costs, renumbering as it goes.  Passes repeat until one
-    completes with no merge; ties keep regions separate.  costs, when given,
-    is a BlockCosts of this map whose cached block terms are reused.
+    masks are row-major cell masks of disjoint, edge-connected blocks that
+    cover the grid, such as quadtree_split's leaves.  Blocks are ordered by
+    first column, then first row.  Each pass scans blocks in that order
+    and, for every later edge-adjacent block, merges the pair iff the joined
+    cost is strictly below the sum of the separate costs, renumbering as it
+    goes.  Passes repeat until one completes with no merge; ties keep blocks
+    separate.  costs, when given, is a BlockCosts of this map whose cached
+    block terms are reused.
 
     Blocks are sorted by their first column, so a block's scan stops at the
     first later block that starts right of the column just past its own
@@ -258,21 +232,45 @@ def merge_regions(regions: list[Region], som_map: SomMap, params: CostParams,
     not costed; both skip only what the plain scan would not merge.
     """
     rows, cols = som_map.rows, som_map.cols
-    masks = _tiling_masks(regions, rows, cols)
-    costs = _costs_for(som_map, params, costs)
-    cost, rejected = costs.cost, costs.join_rejected
+    n = rows * cols
     inner = _inner_cells(rows, cols)
-    grid = (1 << (rows * cols)) - 1
+    grid, row = (1 << n) - 1, (1 << cols) - 1
 
-    # (order key, one past the last column, cell mask, mask of the cells
-    # edge-adjacent to the block); a union's key is the componentwise
-    # minimum of the two keys and its column end the larger end.
+    # (order key (first column, first row), one past the last column, cell
+    # mask, mask of the cells edge-adjacent to the block); a union's key is the
+    # componentwise minimum of the two keys and its column end the larger end.
     blocks = []
-    for region, mask in zip(regions, masks):
+    for i, mask in enumerate(masks):
+        if not is_integer(mask):
+            raise PartitionError(f"block {i} must be an integer mask, got {reprlib.repr(mask)}")
+        mask = int(mask)
+        if mask <= 0:
+            raise PartitionError(f"block {i} must be a positive mask, got {mask}")
+        if mask >> n:
+            raise PartitionError(f"block {i} has a cell outside the {rows}x{cols} grid")
+        r0 = ((mask & -mask).bit_length() - 1) // cols
+        r1 = (mask.bit_length() - 1) // cols + 1
+        spread = 0                                  # the block's columns
+        for r in range(r0, r1):
+            spread |= mask >> (r * cols)
+        spread &= row
+        c0, c1 = (spread & -spread).bit_length() - 1, spread.bit_length()
+        # a block that fills its bounding box is a rectangle, so connected
+        if mask.bit_count() != (r1 - r0) * (c1 - c0) and not _connected(mask, inner, cols):
+            raise PartitionError(f"block {i} is not edge-connected")
         near = (mask << cols | mask >> cols
                 | (mask & inner) << 1 | (mask >> 1) & inner) & grid
-        blocks.append(((region.c0, region.r0), region.c1, mask, near))
+        blocks.append(((c0, r0), c1, mask, near))
+    covered = 0
+    for i, (_, _, mask, _) in enumerate(blocks):
+        if covered & mask:
+            raise PartitionError(f"block {i} overlaps an earlier block")
+        covered |= mask
+    if covered != grid:
+        raise PartitionError("blocks leave cells of the grid uncovered")
 
+    costs = _costs_for(som_map, params, costs)
+    cost, rejected = costs.cost, costs.join_rejected
     changed = True
     while changed:
         changed = False
@@ -473,7 +471,7 @@ def partition_to_json(partition: Partition, params_echo: dict | None = None,
         "rows": int(rows),
         "cols": int(cols),
         "block_of": [int(v) for v in partition.block_of.ravel()],
-        "K": partition.n_blocks,
+        "K": int(partition.n_blocks),
         "cost": None if math.isnan(partition.cost) else partition.cost,
         "params": params_echo,
         "provenance": provenance,

@@ -5,7 +5,7 @@ import pytest
 
 import somblocks as sb
 from somblocks.evaluate import EvalReport, EvaluateError, report_to_dict
-from somblocks.partition import Partition
+from somblocks.partition import Partition, PartitionError
 from somblocks.som import SomError
 
 from conftest import make_map, map_cells
@@ -80,6 +80,29 @@ def test_score_errors(fixture_map, iris):
     empty = Partition(block_of=np.zeros((5, 5), dtype=int), n_blocks=0)
     with pytest.raises(EvaluateError, match="^empty partition$"):
         sb.score(empty, fixture_map, iris.labels)
+
+
+ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major order"
+
+
+def test_score_refuses_an_invalid_partition(fixture_map, iris, iris_params):
+    p = sb.partition_som(fixture_map, iris_params)
+    # too few blocks used to raise numpy's IndexError, shifted ids to score silently
+    for bad in (Partition(block_of=p.block_of, n_blocks=1),
+                Partition(block_of=p.block_of - 1, n_blocks=p.n_blocks)):
+        with pytest.raises(PartitionError, match=f"^{ORDER_RULE}$"):
+            sb.score(bad, fixture_map, iris.labels)
+    floats = Partition(block_of=p.block_of.astype(float), n_blocks=p.n_blocks)
+    with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
+        sb.score(floats, fixture_map, iris.labels)
+
+
+def test_render_map_refuses_an_invalid_partition(fixture_map, iris, iris_params):
+    p = sb.partition_som(fixture_map, iris_params)
+    bad = Partition(block_of=p.block_of, n_blocks=1)
+    for labels in (None, iris.labels):
+        with pytest.raises(PartitionError, match=f"^{ORDER_RULE}$"):
+            sb.render_map(fixture_map, bad, labels)
 
 
 @pytest.mark.parametrize("n_labels", [100, 155])

@@ -8,18 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks.bayes_cost import BlockCosts
-from somblocks.partition import (Partition, PartitionError, Region, _inner_cells, _label_grid,
-                                 _quadtree, _region_mask, _subdivide, _walk_partitions,
-                                 enumerate_connected_partitions, load_partition, save_partition,
-                                 validate_partition)
+from somblocks.bayes_cost import BlockCosts, _mask_cells
+from somblocks.partition import (Partition, PartitionError, _inner_cells, _label_grid,
+                                 _label_masks, _quadtree, _region_mask, _subdivide,
+                                 _walk_partitions, component_labels,
+                                 enumerate_connected_partitions, load_partition,
+                                 partition_to_json, save_partition, validate_partition)
 
 from conftest import make_map, map_cells, plain_params, random_map
-
-
-def test_region_validation():
-    with pytest.raises(PartitionError):
-        Region(2, 2, 0, 1)
 
 
 def test_quadtree_keeps_uniform_2x2_whole():
@@ -30,16 +26,15 @@ def test_quadtree_keeps_uniform_2x2_whole():
     assert whole == pytest.approx(4.713, abs=1e-3)
     assert singletons == pytest.approx(9.210, abs=1e-3)
     leaves = sb.quadtree_split(m, params)
-    assert leaves == [Region(0, 2, 0, 2)]
+    assert leaves == [0b1111]
 
 
 def test_quadtree_singleton_region_is_leaf():
     m = make_map([[1.0, 9.0]], s=0.1)
     leaves = sb.quadtree_split(m, plain_params(R=10.0))
     for leaf in leaves:
-        assert leaf.r1 - leaf.r0 >= 1 and leaf.c1 - leaf.c0 >= 1
-    covered = sorted((r, c) for leaf in leaves
-                     for r in range(leaf.r0, leaf.r1) for c in range(leaf.c0, leaf.c1))
+        assert leaf > 0
+    covered = sorted(divmod(k, m.cols) for leaf in leaves for k in _mask_cells(leaf))
     assert covered == [(0, 0), (0, 1)]
 
 
@@ -51,24 +46,27 @@ def quadrant_map():
 def test_quadtree_splits_four_quadrants_once():
     m, params = quadrant_map()
     leaves = sb.quadtree_split(m, params)
-    assert sorted((l.r0, l.r1, l.c0, l.c1) for l in leaves) == [
-        (0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)]
+    assert sorted(leaves) == sorted(_region_mask(bounds, 4) for bounds in [
+        (0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)])
 
 
-def _reference_split(region, cost, cols):
+def _reference_split(bounds, cost, cols):
     """quadtree_split's recursion as it was before it walked a tree built
-    once per grid shape: Regions and masks are made afresh at every node."""
-    if region.r1 - region.r0 == 1 and region.c1 - region.c0 == 1:
-        return [region]
-    subs = _subdivide(region)
-    whole = cost(_region_mask(region, cols))
+    once per grid shape: quadrants and masks are made afresh at every node.
+    bounds is (r0, r1, c0, c1); returns the leaves' masks."""
+    r0, r1, c0, c1 = bounds
+    mask = _region_mask(bounds, cols)
+    if r1 - r0 == 1 and c1 - c0 == 1:
+        return [mask]
+    subs = _subdivide(bounds)
+    whole = cost(mask)
     parts = math.fsum(cost(_region_mask(s, cols)) for s in subs)
     if whole > parts:
         out = []
         for s in subs:
             out.extend(_reference_split(s, cost, cols))
         return out
-    return [region]
+    return [mask]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -98,7 +96,7 @@ def test_quadtree_walk_matches_the_region_recursion(seed, rows, cols, exponent, 
 
     walked, expected = [], []
     leaves = sb.quadtree_split(m, params, recording(walked))
-    assert leaves == _reference_split(Region(0, rows, 0, cols), recording(expected).cost, cols)
+    assert leaves == _reference_split((0, rows, 0, cols), recording(expected).cost, cols)
     assert walked == expected                   # the same masks, in the same order
     assert sb.quadtree_split(m, params) == leaves
     assert _quadtree(rows, cols) is _quadtree(rows, cols)
@@ -111,7 +109,7 @@ def test_merge_joins_equal_singletons():
     separate = 2 * math.log(10.0)
     assert joined == pytest.approx(3.222, abs=1e-3)
     assert separate == pytest.approx(4.605, abs=1e-3)
-    p = sb.merge_regions([Region(0, 1, 0, 1), Region(0, 1, 1, 2)], m, params)
+    p = sb.merge_regions([0b01, 0b10], m, params)
     assert p.n_blocks == 1
 
 
@@ -121,7 +119,7 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
     rng = np.random.default_rng(seed)
     m = random_map(rng, M=int(rng.integers(1, 4)), empty_prob=0.2)
     params = plain_params(M=m.n_attributes, R=float(rng.uniform(2.0, 40.0)), exponent=exponent)
-    singletons = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
+    singletons = [1 << k for k in range(m.rows * m.cols)]
     p = sb.partition_som(m, params)
     assert Partition.from_labels(p.block_of, p.cost) == p      # blocks in canonical order
     for tiling in (sb.quadtree_split(m, params), singletons):
@@ -131,20 +129,22 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
             assert sb.merge_regions(shuffled, m, params) == expected   # cost included
 
 
-def _reference_merge(regions, som_map, params):
+def _reference_merge(masks, som_map, params):
     """merge_regions without its two shortcuts: every later block is tested,
     not only those up to the first that starts right of the block's last
-    column, and every adjacent pair is costed, with no join_rejected."""
+    column, and every adjacent pair is costed, with no join_rejected.  Each
+    block's key, (first column, first row), is read from its list of cells."""
     rows, cols = som_map.rows, som_map.cols
     cost = BlockCosts(som_map, params).cost
     inner = _inner_cells(rows, cols)
     grid = (1 << (rows * cols)) - 1
     blocks = []
-    for region in regions:
-        mask = _region_mask(region, cols)
+    for mask in masks:
+        cells = _mask_cells(mask)
+        key = (min(k % cols for k in cells), min(k // cols for k in cells))
         near = (mask << cols | mask >> cols
                 | (mask & inner) << 1 | (mask >> 1) & inner) & grid
-        blocks.append(((region.c0, region.r0), mask, near))
+        blocks.append((key, mask, near))
     changed = True
     while changed:
         changed = False
@@ -188,7 +188,7 @@ def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start)
     if start == "quadtree":
         tiling = sb.quadtree_split(m, params)
     else:
-        tiling = [Region(r, r + 1, c, c + 1) for r in range(m.rows) for c in range(m.cols)]
+        tiling = [1 << k for k in range(m.rows * m.cols)]
     assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
 
 
@@ -212,8 +212,29 @@ def test_merge_matches_the_plain_scan_on_strips_and_wide_grids(rows, cols, start
         if start == "quadtree":
             tiling = sb.quadtree_split(m, params)
         else:
-            tiling = [Region(r, r + 1, c, c + 1) for r in range(rows) for c in range(cols)]
+            tiling = [1 << k for k in range(rows * cols)]
         assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
+       rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)),
+       f_R=st.floats(0.03, 30.0), open_share=st.floats(0.2, 0.9))
+def test_merge_matches_the_plain_scan_on_connected_tilings(seed, exponent, rule, f_R,
+                                                          open_share):
+    # tilings by blocks of any connected shape: the components of random open edges
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.25)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent, f_R=f_R)
+    h = rng.random((m.rows, m.cols - 1)) < open_share
+    v = rng.random((m.rows - 1, m.cols)) < open_share
+    labels = component_labels(np.ones((m.rows, m.cols), dtype=bool), h, v)
+    tiling = list(_label_masks(Partition.from_labels(labels).block_of.ravel().tolist()).values())
+    assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
 
 
 def test_merge_respects_gap_criterion():
@@ -222,7 +243,7 @@ def test_merge_respects_gap_criterion():
     crit = math.sqrt(2 * sigma**2 * math.log(R / (sigma * math.sqrt(2 * math.pi))))
     wide = crit * 1.3
     m = make_map([[0.0, wide, 2 * wide]], s=sigma)
-    tiling = [Region(0, 1, c, c + 1) for c in range(3)]
+    tiling = [0b001, 0b010, 0b100]
     p = sb.merge_regions(tiling, m, plain_params(R=R))
     assert p.n_blocks == 3
     narrow = crit * 0.5
@@ -233,27 +254,43 @@ def test_merge_respects_gap_criterion():
 
 def test_merge_single_region_unchanged():
     m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)
-    p = sb.merge_regions([Region(0, 2, 0, 2)], m, plain_params(R=10.0))
+    p = sb.merge_regions([0b1111], m, plain_params(R=10.0))
     assert p.n_blocks == 1
 
 
 def test_merge_rejects_bad_tilings():
-    m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)
+    m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)     # cells 0 1 / 2 3
     params = plain_params(R=10.0)
-    tiles = "regions must tile the grid exactly once"
+    gap = "blocks leave cells of the grid uncovered"
     cases = [
-        ([Region(0, 2, 0, 1)], tiles),                                         # gap
-        ([Region(0, 2, 0, 1), Region(1, 2, 1, 2)], tiles),                     # gap
-        ([Region(0, 2, 0, 2), Region(0, 1, 1, 2)], tiles),                     # overlap
-        ([Region(0, 2, 0, 2), Region(2, 3, 0, 1)], "region outside grid"),
-        ([Region(0, 2, 0, 2), Region(0, 1, 0, 3)], "region outside grid"),
-        ([Region(-1, 1, 0, 1), Region(1, 2, 0, 2)], "region outside grid"),
-        # an overlap before a region outside the grid: the outside one is named
-        ([Region(0, 2, 0, 2), Region(0, 1, 0, 1), Region(0, 1, 2, 3)], "region outside grid"),
+        ([0b0101], gap),
+        ([0b0101, 0b1000], gap),
+        ([0b1111, 0b0010], "block 1 overlaps an earlier block"),
+        ([0b1111, 1 << 4], "block 1 has a cell outside the 2x2 grid"),
+        ([0b0011, 0b111100], "block 1 has a cell outside the 2x2 grid"),
+        ([1 << 9, 0b1111], "block 0 has a cell outside the 2x2 grid"),
+        # an overlap before a mask outside the grid: the outside one is named
+        ([0b1111, 0b0001, 1 << 4], "block 2 has a cell outside the 2x2 grid"),
+        ([True, 0b1110], "block 0 must be an integer mask, got True"),
+        ([0b0011, 12.0], "block 1 must be an integer mask, got 12.0"),
+        ([0b1111, 0], "block 1 must be a positive mask, got 0"),
+        ([-1, 0b1111], "block 0 must be a positive mask, got -1"),
+        ([0b1001, 0b0010, 0b0100], "block 0 is not edge-connected"),
+        # each mask is checked before the tiling as a whole
+        ([0b0011, 0b0011, 0b0110], "block 2 is not edge-connected"),
     ]
-    for regions, message in cases:
-        with pytest.raises(PartitionError, match=f"^{message}$"):
-            sb.merge_regions(regions, m, params)
+    for masks, message in cases:
+        with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+            sb.merge_regions(masks, m, params)
+
+
+def test_merge_takes_numpy_integer_masks():
+    m = make_map([[1.0, 1.1], [5.0, 5.1]], s=0.5)
+    params = plain_params(R=10.0)
+    for tiling in ([0b0011, 0b1100], [1, 2, 4, 8]):
+        p = sb.merge_regions([np.int64(mask) for mask in tiling], m, params)
+        assert p == sb.merge_regions(tiling, m, params)        # cost included
+    assert p.n_blocks == 2
 
 
 def test_partition_som_uniform_map_is_one_block():
@@ -568,6 +605,13 @@ def test_partition_file_round_trip(tmp_path):
         load_partition(bad)
 
 
+def test_partition_to_json_writes_a_numpy_block_count(tmp_path):
+    p = Partition(block_of=np.array([[0, 0, 1], [2, 2, 1]]), n_blocks=np.int64(3))
+    assert json.loads(partition_to_json(p))["K"] == 3
+    save_partition(p, tmp_path / "p.json")
+    assert load_partition(tmp_path / "p.json") == Partition.from_labels(p.block_of)
+
+
 ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major order"
 
 
@@ -644,3 +688,11 @@ def test_validate_partition_rejects_disconnected():
     p = Partition(block_of=np.array([[0, 1], [1, 0]]), n_blocks=2)
     with pytest.raises(PartitionError, match="edge-connected"):
         validate_partition(p)
+
+
+def test_validate_partition_refuses_a_block_of_that_is_not_a_2d_integer_array(fixture_map,
+                                                                             iris_params):
+    p = sb.partition_som(fixture_map, iris_params)
+    for block_of in (p.block_of.astype(float), p.block_of.ravel()):
+        with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
+            validate_partition(Partition(block_of=block_of, n_blocks=p.n_blocks))

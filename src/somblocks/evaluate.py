@@ -34,9 +34,9 @@ class EvalReport:
 
 def _check_partition(som_map: SomMap, partition: Partition | None) -> None:
     if partition is not None:
+        validate_partition(partition)       # first: it checks block_of is an array
         if partition.block_of.shape != (som_map.rows, som_map.cols):
             raise EvaluateError("partition shape does not match the map")
-        validate_partition(partition)
 
 
 def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:

@@ -66,10 +66,12 @@ class Partition:
 
 
 def validate_partition(partition: Partition) -> None:
-    """Check the id array, coverage, canonical ids, and 4-connectivity of every block."""
+    """Check the id array, the block count K, coverage, canonical ids, and
+    4-connectivity of every block."""
     block_of = partition.block_of
     if not (isinstance(block_of, np.ndarray) and block_of.ndim == 2 and block_of.dtype.kind in "iu"):
         raise PartitionError("block_of must be a 2-D integer array")
+    require(PartitionError, is_integer, "an integer", K=partition.n_blocks)
     masks = _label_masks(block_of.ravel().tolist())
     if len(masks) != partition.n_blocks or list(masks) != list(range(partition.n_blocks)):
         raise PartitionError("block ids must be 0..K-1 numbered by first occurrence "

@@ -9,6 +9,7 @@ presentation order) flows from one 64-bit seed through numpy's PCG64
 generator, so a (dataset, config) pair fully determines the result.
 """
 
+import functools
 import json
 import math
 import reprlib
@@ -304,18 +305,29 @@ def initialize(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
-def _neighborhoods(grid: np.ndarray, hw: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per winner (row-major): its neighborhood as a view of the (rows, cols, M)
-    weight grid, the square of half-width hw clamped at the grid edges, and a
-    same-shaped view of one step buffer shared by all winners."""
-    rows, cols, m = grid.shape
-    step = np.empty((min(rows, 2 * hw + 1), min(cols, 2 * hw + 1), m))
-    hoods = []
+def _neighborhoods(weights: np.ndarray, cols: int, hw: int, laid_out) -> list[tuple]:
+    """Per winner (row-major): its neighborhood, the square of half-width hw
+    clamped at the grid edges, as a view of the (P, M) weights; a step buffer
+    of that view's shape, one per shape; and the samples laid out to match,
+    laid_out(width) being each sample tiled width times.
+
+    At half-width 0 the view is the winner's own (M,) weight row.  Wider, it
+    is the (rows', width*M) slice of the weights seen as (rows, cols*M), so
+    every update works on a contiguous row or a 2-D slice, never a 3-D box.
+    """
+    if hw == 0:
+        return [(row, np.empty_like(row), laid_out(1)) for row in weights]
+    n_pes, m = weights.shape
+    rows = n_pes // cols
+    grid = weights.reshape(rows, cols * m)          # a view: slices update weights
+    steps, hoods = {}, []
     for r in range(rows):
         r0, r1 = max(r - hw, 0), min(r + hw + 1, rows)
         for c in range(cols):
             c0, c1 = max(c - hw, 0), min(c + hw + 1, cols)
-            hoods.append((grid[r0:r1, c0:c1], step[:r1 - r0, :c1 - c0]))
+            box = grid[r0:r1, c0 * m:c1 * m]
+            step = steps.setdefault(box.shape, np.empty(box.shape))
+            hoods.append((box, step, laid_out(c1 - c0)))
     return hoods
 
 
@@ -330,26 +342,40 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
     from the seeded generator every epoch.  Final statistics come from an
     unbiased nearest-cell assignment pass.
     """
-    samples = dataset.samples
+    weights, _ = _train_weights(dataset.samples, config)
+    if not np.all(np.isfinite(weights)):
+        raise SomError("non-finite weight encountered; learning rate diverged")
+    return _stats_from_weights(dataset, config, weights)
+
+
+def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The training loop of train: the (P, M) trained weights and the (P,)
+    conscience win frequencies at the end of training."""
     n, m = samples.shape
-    rows, cols = config.rows, config.cols
-    n_pes = rows * cols
+    n_pes = config.rows * config.cols
     rng = np.random.default_rng(config.seed)
 
     weights = _initial_weights(rng, samples, n_pes)
-    grid = weights.reshape(rows, cols, m)          # a view: slices update weights
     inv_pes = 1.0 / n_pes
     freq = np.full(n_pes, inv_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
-    xs = list(samples)
-    # Every step writes into these buffers instead of allocating temporaries;
-    # each ufunc is the one the plain expression in the comment beside it
-    # calls, with the same operands in the same order, so the weights stay
-    # bit-identical to that expression's.
+
+    @functools.cache            # once per box width and training run
+    def laid_out(width):
+        return list(np.tile(samples, (1, width)))
+
+    # Every step writes into these buffers instead of allocating temporaries.
+    # Each element goes through the IEEE operations of the plain expression in
+    # the comment beside it, up to beta * -f == -(beta * f), f + -y == f - y
+    # and 1.0 * b == b, so the weights and frequencies keep that one's bits.
+    xs = laid_out(1)
     diff = np.empty((n_pes, m))
     d2 = np.empty(n_pes)
     bias = np.empty(n_pes)
     decay = np.empty(n_pes)
+    subtract, multiply, add, square, add_reduce = (np.subtract, np.multiply, np.add, np.square,
+                                                   np.add.reduce)
+    argmin = d2.argmin
     hw, hoods = None, None
 
     for epoch in range(config.epochs):
@@ -359,28 +385,25 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
             lr = config.lr_start
         if config.half_width_at(epoch) != hw:          # once per schedule phase
             hw = config.half_width_at(epoch)
-            hoods = _neighborhoods(grid, hw)
+            hoods = _neighborhoods(weights, config.cols, hw, laid_out)
         for idx in rng.permutation(n).tolist():
             x = xs[idx]
-            np.subtract(weights, x, out=diff)           # d2 = ((weights - x) ** 2)
-            np.square(diff, out=diff)                   #      .sum(axis=1)
-            np.add.reduce(diff, axis=1, out=d2)
-            np.subtract(inv_pes, freq, out=bias)        # d2 - gamma * (1/P - freq)
-            np.multiply(gamma, bias, out=bias)
-            np.subtract(d2, bias, out=d2)
-            winner = int(d2.argmin())
-            np.negative(freq, out=decay)                # freq += beta * (-freq)
-            np.multiply(beta, decay, out=decay)
-            np.add(freq, decay, out=freq)
+            subtract(weights, x, out=diff)              # d2 = ((weights - x) ** 2)
+            square(diff, out=diff)                      #      .sum(axis=1)
+            add_reduce(diff, 1, out=d2)
+            subtract(inv_pes, freq, out=bias)           # d2 - gamma * (1/P - freq)
+            if gamma != 1.0:
+                multiply(gamma, bias, out=bias)
+            subtract(d2, bias, out=d2)
+            winner = argmin()
+            multiply(beta, freq, out=decay)             # freq += beta * (-freq)
+            subtract(freq, decay, out=freq)
             freq[winner] += beta
-            box, step = hoods[winner]                   # box += lr * (x - box)
-            np.subtract(x, box, out=step)
-            np.multiply(lr, step, out=step)
-            np.add(box, step, out=box)
-
-    if not np.all(np.isfinite(weights)):
-        raise SomError("non-finite weight encountered; learning rate diverged")
-    return _stats_from_weights(dataset, config, weights)
+            box, step, tiled = hoods[winner]            # box += lr * (x - box)
+            subtract(tiled[idx], box, out=step)
+            multiply(lr, step, out=step)
+            add(box, step, out=box)
+    return weights, freq
 
 
 def quantization_error(som_map: SomMap, dataset: Dataset) -> float:

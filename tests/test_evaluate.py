@@ -97,6 +97,16 @@ def test_score_refuses_an_invalid_partition(fixture_map, iris, iris_params):
         sb.score(floats, fixture_map, iris.labels)
 
 
+def test_score_and_render_map_refuse_a_list_block_of(fixture_map, iris):
+    # the shape check used to run first and raise AttributeError on a list
+    listed = Partition(block_of=[[0] * 5] * 5, n_blocks=1)
+    with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
+        sb.score(listed, fixture_map, iris.labels)
+    for labels in (None, iris.labels):
+        with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
+            sb.render_map(fixture_map, listed, labels)
+
+
 def test_render_map_refuses_an_invalid_partition(fixture_map, iris, iris_params):
     p = sb.partition_som(fixture_map, iris_params)
     bad = Partition(block_of=p.block_of, n_blocks=1)

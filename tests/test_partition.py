@@ -675,6 +675,14 @@ def test_validate_partition_checks_the_block_count_before_the_ids():
         validate_partition(p)
 
 
+@pytest.mark.parametrize("K", [2.0, np.float64(2), True], ids=["float", "numpy-float", "bool"])
+def test_validate_partition_refuses_a_block_count_that_is_no_integer(K):
+    # 2.0 used to raise range's TypeError; True passed as a count of 1
+    grid = np.array([[0, 1]]) if K == 2 else np.array([[0, 0]])
+    with pytest.raises(PartitionError, match=f"^K must be an integer, got {re.escape(repr(K))}$"):
+        validate_partition(Partition(block_of=grid, n_blocks=K))
+
+
 def test_validate_partition_enforces_first_occurrence_numbering():
     # the grouping is valid, but its ids are swapped from Partition's numbering
     swapped = Partition(block_of=np.array([[1, 1], [0, 0]]), n_blocks=2)

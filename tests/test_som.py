@@ -7,11 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks.som import PeStats, SomError, _stats_from_weights, map_to_json
+from somblocks.som import PeStats, SomError, _train_weights, map_to_json
 
 from conftest import fixture_path, make_map, map_cells, random_map
 
@@ -125,7 +125,8 @@ def test_gamma_zero_is_plain_nearest_pe():
 
 def _reference_train(dataset, config):
     """The training loop written with plain array expressions: a boolean
-    neighborhood mask and a fancy-index gather and scatter per presentation."""
+    neighborhood mask and a fancy-index gather and scatter per presentation.
+    Returns the trained weights and the conscience win frequencies."""
     samples = dataset.samples
     n, m = samples.shape
     n_pes = config.rows * config.cols
@@ -151,7 +152,7 @@ def _reference_train(dataset, config):
             freq[winner] += beta
             hood = (np.abs(pe_r - pe_r[winner]) <= hw) & (np.abs(pe_c - pe_c[winner]) <= hw)
             weights[hood] += lr * (x - weights[hood])
-    return _stats_from_weights(dataset, config, weights)
+    return weights, freq
 
 
 @st.composite
@@ -179,11 +180,27 @@ def training_cases(draw):
     return sb.Dataset(samples=samples, labels=None, attribute_names=names), config
 
 
+def _fixed_case(rows, cols, schedule, gamma=1.0):
+    """A fixed training case: 9 samples of 3 attributes on a rows x cols map."""
+    samples = np.random.default_rng(rows * 10 + cols).normal(0.0, 1.0, size=(9, 3))
+    config = sb.SomConfig(rows=rows, cols=cols, epochs=4, neighborhood_schedule=schedule,
+                          conscience_beta=0.05, conscience_gamma=gamma, seed=rows + cols)
+    return sb.Dataset(samples=samples, labels=None, attribute_names=["a", "b", "c"]), config
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=training_cases())
+@example(case=_fixed_case(1, 7, ((0.0, 0),)))
+@example(case=_fixed_case(1, 7, ((0.0, 1),), gamma=2.5))
+@example(case=_fixed_case(1, 7, ((0.0, 9),)))
+@example(case=_fixed_case(6, 1, ((0.0, 2), (0.5, 1)), gamma=0.0))
+@example(case=_fixed_case(5, 5, ((0.0, 2),)))    # centre-column boxes span full rows
 def test_train_matches_reference_loop_bit_for_bit(case):
     dataset, config = case
-    assert map_to_json(sb.train(dataset, config)) == map_to_json(_reference_train(dataset, config))
+    weights, freq = _train_weights(dataset.samples, config)
+    ref_weights, ref_freq = _reference_train(dataset, config)
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert freq.tobytes() == ref_freq.tobytes()
 
 
 def test_save_load_round_trip(tmp_path, iris):

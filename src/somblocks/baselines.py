@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import is_number, require
 from .partition import Partition, component_labels
 from .som import SomMap
 
@@ -57,6 +58,7 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
     Adjacencies with absent strength (an empty cell on either side) are
     always cut, so empty cells come out as singleton blocks.
     """
+    require(BaselineError, is_number, "a number", threshold=T)
     if not T >= 0:
         raise BaselineError("threshold must be non-negative")
     bounds = umatrix_boundaries(som_map)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .data_model import AttributeSummary
+from .data_model import AttributeSummary, is_number, require
 
 if TYPE_CHECKING:
     from .partition import Partition
@@ -66,12 +66,11 @@ def n_scale_name(rule: Callable[[int], float]) -> str:
 class CostParams:
     """Range and width parameters of the block cost.
 
-    R is the base per-attribute range of the flat prior; the effective range
-    is f_R * R.  Cell widths are estimated as
-    max(sigma_floor, f_sigma * sigma_const * n_scale_rule(N) * s) where s is
-    the cell's observed sample standard deviation and N the block size.
+    R is the per-attribute range of the flat prior.  Cell widths are
+    estimated as max(sigma_floor, sigma_const * n_scale_rule(N) * s) where s
+    is the cell's observed sample standard deviation and N the block size.
     n_scale_rule is one of N_SCALE_RULES' rules, the function itself.
-    f_R and f_sigma are multiplicative sweep factors, 1 by default.
+    scaled() makes the params of one stability-sweep point.
 
     Default calibration: unit size scale, sigma_const 1, and a floor of
     0.15 * span per attribute, so the floor is the operative width for
@@ -88,8 +87,6 @@ class CostParams:
     sigma_const: float = 1.0
     n_scale_rule: Callable[[int], float] = unit_scale
     range_exponent: str = "per_block"
-    f_R: float = 1.0
-    f_sigma: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
@@ -99,32 +96,31 @@ class CostParams:
         if self.sigma_floor.shape != self.R.shape or not np.all(
                 (self.sigma_floor > 0) & np.isfinite(self.sigma_floor)):
             raise CostError("sigma_floor must be finite and strictly positive, same shape as R")
-        for name in ("sigma_const", "f_R", "f_sigma"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise CostError(f"{name} must be positive and finite, got {value!r}")
+        _require_factors(sigma_const=self.sigma_const)
         if not any(self.n_scale_rule is rule for rule in N_SCALE_RULES.values()):
             raise CostError(f"n_scale_rule must be one of N_SCALE_RULES' rules "
                             f"{tuple(N_SCALE_RULES)}, got {reprlib.repr(self.n_scale_rule)}")
         if self.range_exponent not in RANGE_EXPONENTS:
             raise CostError(f"range_exponent must be one of {RANGE_EXPONENTS}")
-        # Finite inputs can still overflow the terms every cost is built from.
-        with np.errstate(over="ignore", divide="ignore"):
-            log_R = np.log(self.effective_R())
-        if not np.all(np.isfinite(log_R)):
-            raise CostError(f"ln(f_R * R) must be finite, got f_R={self.f_R!r}")
         _check_inverse_floor(self.sigma_floor)
 
     @property
     def n_attributes(self) -> int:
         return self.R.shape[0]
 
-    def effective_R(self) -> np.ndarray:
-        return self.f_R * self.R
-
     def scaled(self, f_R: float = 1.0, f_sigma: float = 1.0) -> "CostParams":
-        """Copy with sweep factors replaced (not compounded)."""
-        return replace(self, f_R=f_R, f_sigma=f_sigma)
+        """Copy with R scaled by f_R and sigma_const by f_sigma: one point of a
+        stability sweep around these params."""
+        _require_factors(f_R=f_R, f_sigma=f_sigma)
+        with np.errstate(over="ignore"):
+            R, sigma_const = self.R * f_R, self.sigma_const * f_sigma
+        # Finite factors can still overflow ln R or the width scale.
+        if not np.all((R > 0) & np.isfinite(R)):
+            raise CostError(f"ln(f_R * R) must be finite, got f_R={f_R!r}")
+        if not (sigma_const > 0 and math.isfinite(sigma_const)):
+            raise CostError(f"f_sigma * sigma_const must be positive and finite, got "
+                            f"f_sigma={f_sigma!r}, sigma_const={self.sigma_const!r}")
+        return replace(self, R=R, sigma_const=sigma_const)
 
     def echo(self) -> dict:
         """Serializable summary of every field for artifact provenance headers."""
@@ -135,15 +131,22 @@ class CostParams:
         return echo
 
 
+def _require_factors(**values) -> None:
+    """Refuse a value that is not a positive, finite number, naming it."""
+    require(CostError, is_number, "a number", **values)
+    require(CostError, lambda v: v > 0 and math.isfinite(v), "positive and finite", **values)
+
+
 def params_from_summary(summary: AttributeSummary, *,
                         range_rule: str = "two_max",
-                        sigma_floor_frac: float = 0.15, **options) -> CostParams:
+                        sigma_floor_frac: float = 0.15, f_R: float = 1.0,
+                        **options) -> CostParams:
     """Build CostParams from observed attribute extremes.
 
-    The base range is 2*(max-min) under two_span or 2*max under two_max, and
-    the width floor is sigma_floor_frac times the attribute span.  The other
-    options (range_exponent, sigma_const, n_scale_rule, f_R, f_sigma) pass
-    through to CostParams, which owns their defaults.
+    The range is f_R times 2*(max-min) under two_span or 2*max under
+    two_max, and the width floor is sigma_floor_frac times the attribute
+    span.  The other options (range_exponent, sigma_const, n_scale_rule)
+    pass through to CostParams, which owns their defaults.
     """
     if range_rule == "two_span":
         base_R = 2.0 * summary.spans
@@ -155,16 +158,14 @@ def params_from_summary(summary: AttributeSummary, *,
         base_R = 2.0 * summary.maxs
     else:
         raise CostError(f"range_rule must be one of {RANGE_RULES}")
-    if not (sigma_floor_frac > 0 and math.isfinite(sigma_floor_frac)):
-        raise CostError(f"sigma_floor_frac must be positive and finite, "
-                        f"got {sigma_floor_frac!r}")
+    _require_factors(sigma_floor_frac=sigma_floor_frac)
     for j, span in enumerate(summary.spans):
         if not span > 0:
             raise CostError(f"sigma floor needs positive span on every attribute, but "
                             f"attribute {j} has span {float(span)!r}")
     sigma_floor = sigma_floor_frac * summary.spans
     _check_inverse_floor(sigma_floor, f" from sigma_floor_frac={sigma_floor_frac!r}")
-    return CostParams(R=base_R, sigma_floor=sigma_floor, **options)
+    return CostParams(R=base_R, sigma_floor=sigma_floor, **options).scaled(f_R=f_R)
 
 
 def _check_inverse_floor(sigma_floor: np.ndarray, source: str = "") -> None:
@@ -202,9 +203,9 @@ def block_stat(means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def width_scale(params: CostParams, block_size: int) -> float:
-    """f_sigma * sigma_const * n_scale_rule(block_size): the factor on a cell's
-    observed std in a block of block_size non-empty cells."""
-    return params.f_sigma * params.sigma_const * params.n_scale_rule(block_size)
+    """sigma_const * n_scale_rule(block_size): the factor on a cell's observed
+    std in a block of block_size non-empty cells."""
+    return params.sigma_const * params.n_scale_rule(block_size)
 
 
 def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
@@ -227,7 +228,7 @@ def widths_at_floor(som_map: "SomMap", params: CostParams) -> bool:
 def sigma_estimate(pe: "PeStats", block_size: int, params: CostParams) -> np.ndarray:
     """Per-attribute width of one non-empty cell inside a block of given size.
 
-    sigma = max(floor, f_sigma * sigma_const * n_scale_rule(block_size) * s);
+    sigma = max(floor, sigma_const * n_scale_rule(block_size) * s);
     the floor absorbs cells whose observed s is zero.
     """
     if pe.n == 0:
@@ -243,9 +244,9 @@ def block_cost(members: Sequence[tuple[np.ndarray, np.ndarray]], params: CostPar
     members is a sequence of (mean vector, sigma vector) pairs, one per
     non-empty cell.  Per attribute j, with stats S, X, resid over the block,
 
-        per_block: C_j = ln(f_R R_j) + ((N-1)/2) ln(pi)
+        per_block: C_j = ln(R_j) + ((N-1)/2) ln(pi)
                          + sum_i ln(sigma_ij) + ln(S_j)/2 + resid_j
-        per_pe:    C_j = (N-1) (ln(f_R R_j) + ln(pi)/2)
+        per_pe:    C_j = (N-1) (ln(R_j) + ln(pi)/2)
                          + sum_i ln(sigma_ij) + ln(S_j)/2 + resid_j
 
     and the returned cost is sum_j C_j.
@@ -258,7 +259,7 @@ def block_cost(members: Sequence[tuple[np.ndarray, np.ndarray]], params: CostPar
         raise CostError("member width does not match params.R")
     S, _, resid = block_stat(means, sigmas)
     n = len(members)
-    log_R = np.log(params.effective_R())
+    log_R = np.log(params.R)
     log_pi = math.log(math.pi)
     terms = []
     for j in range(params.n_attributes):
@@ -339,7 +340,7 @@ class BlockCosts:
     finite, is refused with a CostError.  The range prior is added last and
     the terms are summed in block_cost's order, so cost(mask) equals
     block_cost_for_pes of the same cells bit for bit.  The width terms do
-    not depend on R, f_R or the range exponent, so at() hands out an engine
+    not depend on R or the range exponent, so at() hands out an engine
     for another range setting that shares them.
     """
 
@@ -365,7 +366,7 @@ class BlockCosts:
         self.params = params
         self._costs: dict[int, float] = {}           # occupied cells -> cost
         self._join = None                            # join_rejected's constants
-        log_R = np.log(params.effective_R())
+        log_R = np.log(params.R)
         log_pi = math.log(math.pi)
         self._per_block = params.range_exponent == "per_block"
         if self._per_block:
@@ -385,8 +386,7 @@ class BlockCosts:
         if params is self.params:
             return self
         own = self.params
-        if not (params.f_sigma == own.f_sigma and params.sigma_const == own.sigma_const
-                and params.n_scale_rule is own.n_scale_rule
+        if not (params.sigma_const == own.sigma_const and params.n_scale_rule is own.n_scale_rule
                 and np.array_equal(params.sigma_floor, own.sigma_floor)):
             raise CostError("block costs were cached under another cell-width setting")
         engine = copy.copy(self)
@@ -394,9 +394,8 @@ class BlockCosts:
         return engine
 
     def _refuse_widths(self, scale: float, n: int) -> NoReturn:
-        p = self.params
         raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
-                        f"f_sigma={p.f_sigma!r}, sigma_const={p.sigma_const!r} "
+                        f"sigma_const={self.params.sigma_const!r} "
                         f"(width scale {scale!r} for blocks of {n} cells)")
 
     def _cell_table(self) -> np.ndarray:
@@ -504,10 +503,10 @@ class BlockCosts:
         """Per cell, a lower bound on what placing it adds to a partition's cost.
 
         Placing an occupied cell either opens a block, which adds
-        sum_j ln(f_R R_j) under per_block and 0 under per_pe, or joins a block
+        sum_j ln(R_j) under per_block and 0 under per_pe, or joins a block
         that has an occupied cell.  Joining never lowers the block's ln(S)/2
         or its resid, so it adds at least sum_j (ln sigma_j + ln(pi)/2), plus
-        sum_j ln(f_R R_j) under per_pe.  Each cell's entry is the smaller of
+        sum_j ln(R_j) under per_pe.  Each cell's entry is the smaller of
         the two, and 0 on empty cells.  None unless widths follow unit_scale:
         a width that grows with block size moves every member's ln sigma.
         """
@@ -556,7 +555,7 @@ class BlockCosts:
 
             delta = sum_j [q_j - ln(H_j)/2 + H_j d_j^2]
                     - (1 - rho^-2) sum_j [H_j d_j^2 + resid_aj + resid_bj],
-            q_j = ln(pi)/2 - ln(f_R R_j) (per_block), ln(f_R R_j) + ln(pi)/2 (per_pe).
+            q_j = ln(pi)/2 - ln(R_j) (per_block), ln(R_j) + ln(pi)/2 (per_pe).
 
         Under unit_scale rho is 1, the second line is not computed, and
         delta is the join's exact change.
@@ -622,7 +621,7 @@ class BlockCosts:
         """join_rejected's sum and size of the q_j, its per-cell size, and
         each attribute's largest |mean|.
 
-        The per-cell size, sum_j (|ln(f_R R_j)| + ln pi + 4 (max|ln sigma_j| + 1)),
+        The per-cell size, sum_j (|ln R_j| + ln pi + 4 (max|ln sigma_j| + 1)),
         with max|ln sigma_j| over the blocks of one cell, times a block's cell
         count bounds its sum ln sigma, ln(S)/2, prior terms and, with its
         cached terms, its resid; join_rejected adds the growth of ln sigma
@@ -630,7 +629,7 @@ class BlockCosts:
         """
         m = self.params.n_attributes
         top = np.abs(self._table[:, 2 * m:]).max(axis=0).tolist()
-        log_R = np.log(self.params.effective_R()).tolist()
+        log_R = np.log(self.params.R).tolist()
         log_pi = math.log(math.pi)
         q = [0.5 * log_pi - v for v in log_R] if self._per_block else self._prior
         cell_size = math.fsum(abs(v) + log_pi + 4.0 * (lam + 1.0)

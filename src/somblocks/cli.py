@@ -34,9 +34,9 @@ def _defaults(owner) -> dict:
 
 
 _SOM = _defaults(SomConfig)
-# range_rule and sigma_floor_frac are params_from_summary's, the rest CostParams'
+# range_rule, sigma_floor_frac and f_R are params_from_summary's, the rest CostParams'
 _COST = _defaults(CostParams) | _defaults(params_from_summary)
-_COST_KEYS = ("range_rule", "range_exponent", "sigma_const", "sigma_floor_frac", "f_R", "f_sigma")
+_COST_KEYS = ("range_rule", "range_exponent", "sigma_const", "sigma_floor_frac", "f_R")
 _GRID = _defaults(default_grid)
 
 # The CLI owns the literal values; every other setting's default is its library owner's.
@@ -224,7 +224,7 @@ def _stability_csv(stability: StabilityMap, spans) -> str:
 
 def cmd_sweep(args) -> int:
     settings, som_map, dataset = _fitted_map(args)
-    params = cost_params_from(settings, dataset)     # sweep has no f_R or f_sigma: both 1
+    params = cost_params_from(settings, dataset)     # sweep has no f_R: its grid scales R
     grid = default_grid(settings["sweep_points"], settings["sweep_decades"])
     stability = sweep(som_map, SweepSpec(base=params, f_R_grid=grid, f_sigma_grid=grid))
     spans = stable_region(stability)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition a trained map by block cost")
     p.add_argument("--map", required=True)
     _add_common(p, "data", "label_col", "range_rule", "range_exponent", "sigma_const",
-                "sigma_floor_frac", "n_scale", "f_R", "f_sigma")
+                "sigma_floor_frac", "n_scale", "f_R")
     p.add_argument("--out", default="partition.json")
     p.add_argument("--render", default=None, help="also write an ASCII grid view")
     p.set_defaults(func=cmd_partition)

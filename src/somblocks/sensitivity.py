@@ -1,10 +1,10 @@
 """Partition stability under scaling of the range and width parameters.
 
-The sweep re-partitions one map over a log-spaced grid of multiplicative
-factors (f_R, f_sigma) applied to the base cost parameters and records, per
-grid point, whether the resulting partition equals the one obtained at
-(1, 1).  Equality means identical cell grouping; block numbering is already
-canonical, so signatures compare directly.
+The sweep re-partitions one map over a log-spaced grid of factors (f_R,
+f_sigma) on the base cost parameters' R and sigma_const (CostParams.scaled)
+and records, per grid point, whether the resulting partition equals the one
+obtained at (1, 1).  Equality means identical cell grouping; block numbering
+is already canonical, so signatures compare directly.
 
 A cell's width is max(floor, f_sigma * sigma_const * n_scale_rule(N) * std),
 and the default calibration makes the floor the operative width.  A column
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes_cost import BlockCosts, CostParams, widths_at_floor
+from .data_model import is_integer, is_number, require
 from .partition import partition_som
 from .som import SomMap
 
@@ -44,11 +45,7 @@ def _check_grid(grid: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Factor grids and base parameters of one sweep.
-
-    Each grid point replaces (does not compound) the base params' own
-    f_R/f_sigma, so the base must carry factors of 1.
-    """
+    """Factor grids and base parameters of one sweep."""
 
     base: CostParams
     f_R_grid: np.ndarray = field(default_factory=lambda: default_grid())
@@ -59,19 +56,17 @@ class SweepSpec:
         object.__setattr__(self, "f_sigma_grid", np.asarray(self.f_sigma_grid, dtype=float))
         _check_grid(self.f_R_grid)
         _check_grid(self.f_sigma_grid)
-        for name in ("f_R", "f_sigma"):
-            if (value := getattr(self.base, name)) != 1.0:
-                raise SweepError(f"base {name} must be 1, as each grid point replaces it, "
-                                 f"got {value!r}")
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
     """Log-spaced factors over [10^-decades, 10^decades], centered on 1; one
     point is the grid [1.0] whatever decades is."""
+    require(SweepError, is_integer, "an integer", points=points)
     if points < 1 or points % 2 == 0:
         raise SweepError("need an odd number of grid points so 1.0 is included")
     if points == 1:
         return np.ones(1)
+    require(SweepError, is_number, "a number", decades=decades)
     if not (decades > 0 and math.isfinite(decades)):
         raise SweepError(f"decades must be positive and finite for {points} grid points, "
                          f"got {decades!r}")
@@ -80,6 +75,9 @@ def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
     if not math.isfinite(grid[-1]):
         raise SweepError(f"decades must be positive with 10**decades finite for {points} "
                          f"grid points, got {decades!r}")
+    if np.any(np.diff(grid) <= 0):
+        raise SweepError(f"decades must be large enough for {points} distinct grid points, "
+                         f"got {decades!r}")
     return grid
 
 
@@ -115,8 +113,7 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
         # serve every f_R in it.
         costs = BlockCosts(som_map, column)
         for i, f_R in enumerate(spec.f_R_grid):
-            p = partition_som(som_map, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)),
-                              costs)
+            p = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
             signatures[i][j] = p.signature()
             n_blocks[i, j] = p.n_blocks
     reference = signatures[i_ref][j_ref]

@@ -77,7 +77,7 @@ def plain_params(M=1, R=10.0, floor=1e-9, exponent="per_block", f_R=1.0, f_sigma
     return sb.CostParams(
         R=np.full(M, float(R)), sigma_floor=np.full(M, float(floor)),
         sigma_const=1.0, n_scale_rule=sb.bayes_cost.unit_scale,
-        range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+        range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
 
 
 def random_map(rng, rows=None, cols=None, M=2, empty_prob=0.1) -> SomMap:

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 import somblocks as sb
+from somblocks.baselines import BaselineError
 from somblocks.bayes_cost import CostError, block_stat, sqrt_scale
 from somblocks.partition import Partition
 
@@ -68,10 +69,10 @@ def test_range_estimate_iris(iris):
     summ = sb.summarize(iris)
     two_max = sb.params_from_summary(summ, range_rule="two_max")
     assert two_max.R == pytest.approx([15.8, 8.8, 13.8, 5.0])
-    assert two_max.effective_R() == pytest.approx([15.8, 8.8, 13.8, 5.0])
-    two_span = sb.params_from_summary(summ, range_rule="two_span", f_R=3.0)
+    two_span = sb.params_from_summary(summ, range_rule="two_span")
     assert two_span.R == pytest.approx([7.2, 4.8, 11.8, 4.8])
-    assert two_span.effective_R() == pytest.approx([21.6, 14.4, 35.4, 14.4])
+    scaled = sb.params_from_summary(summ, range_rule="two_span", f_R=3.0)
+    assert scaled.R == pytest.approx([21.6, 14.4, 35.4, 14.4])
 
 
 def test_range_estimate_zero_span_errors():
@@ -282,8 +283,6 @@ def test_cost_params_validation():
         sb.CostParams(R=np.array([-1.0]), sigma_floor=np.array([0.1]))
     with pytest.raises(CostError):
         sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.0]))
-    with pytest.raises(CostError):
-        sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]), f_R=0.0)
     summ = sb.AttributeSummary(mins=np.array([0.0]), maxs=np.array([1.0]))
     with pytest.raises(CostError, match=r"^range_rule must be one of \('two_span', 'two_max'\)$"):
         sb.params_from_summary(summ, range_rule="bogus")
@@ -306,8 +305,6 @@ def test_cost_params_refuse_a_rule_outside_n_scale_rules(rule, shown):
     ("R", {"R": np.array([math.inf])}),
     ("sigma_floor", {"sigma_floor": np.array([math.nan])}),
     ("sigma_const", {"sigma_const": math.nan}),
-    ("f_R", {"f_R": math.nan}),
-    ("f_sigma", {"f_sigma": math.inf}),
 ])
 def test_cost_params_must_be_finite(field, changes):
     values = {"R": np.array([1.0]), "sigma_floor": np.array([0.1]), **changes}
@@ -316,8 +313,6 @@ def test_cost_params_must_be_finite(field, changes):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"f_R": 1e308, "R": np.array([10.0])}, r"ln\(f_R \* R\) must be finite, got f_R=1e\+308$"),
-    ({"f_R": 1e-320}, r"ln\(f_R \* R\) must be finite, got f_R=1e-320$"),
     ({"sigma_floor": np.array([1e-200])}, r"1/sigma_floor\*\*2 must be finite, "
                                           r"got sigma_floor 1e-200$"),
     ({"R": np.array([1.0, 1.0]), "sigma_floor": np.array([0.1, 1e160])},
@@ -329,6 +324,43 @@ def test_cost_params_refuse_finite_settings_that_overflow(changes, message):
     values = {"R": np.array([1e-10]), "sigma_floor": np.array([0.1]), **changes}
     with pytest.raises(CostError, match=f"^{message}"):
         sb.CostParams(**values)
+
+
+@pytest.mark.parametrize("top, f_R, message", [
+    (5.0, 0.0, "f_R must be positive and finite, got 0.0"),
+    (5.0, math.nan, "f_R must be positive and finite, got nan"),
+    (5.0, 1e308, "ln(f_R * R) must be finite, got f_R=1e+308"),
+    (5e-11, 1e-320, "ln(f_R * R) must be finite, got f_R=1e-320"),
+])
+def test_params_from_summary_refuses_an_f_R_out_of_range(top, f_R, message):
+    summ = sb.AttributeSummary(mins=np.array([0.0]), maxs=np.array([top]))
+    with pytest.raises(CostError, match=f"^{re.escape(message)}$"):
+        sb.params_from_summary(summ, f_R=f_R)
+
+
+SUMMARY = sb.AttributeSummary(mins=np.array([0.0]), maxs=np.array([1.0]))
+PARAMS = sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]))
+
+
+@pytest.mark.parametrize("error, build, message", [
+    (CostError, lambda: sb.CostParams(R=[1.0], sigma_floor=[0.1], sigma_const=True),
+     "sigma_const must be a number, got True"),
+    (CostError, lambda: sb.CostParams(R=[1.0], sigma_floor=[0.1], sigma_const="2"),
+     "sigma_const must be a number, got '2'"),
+    (CostError, lambda: sb.params_from_summary(SUMMARY, sigma_floor_frac="0.1"),
+     "sigma_floor_frac must be a number, got '0.1'"),
+    (CostError, lambda: sb.params_from_summary(SUMMARY, f_R=True),
+     "f_R must be a number, got True"),
+    (CostError, lambda: PARAMS.scaled(f_R="3"), "f_R must be a number, got '3'"),
+    (CostError, lambda: PARAMS.scaled(f_sigma=None), "f_sigma must be a number, got None"),
+    (CostError, lambda: PARAMS.scaled(f_sigma=-2.0),
+     "f_sigma must be positive and finite, got -2.0"),
+    (BaselineError, lambda: sb.threshold_partition(make_map([[0.0, 1.0]]), "1"),
+     "threshold must be a number, got '1'"),
+])
+def test_scalar_settings_name_the_field_they_fail(error, build, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("frac, message", [

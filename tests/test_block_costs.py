@@ -24,7 +24,7 @@ factors = st.floats(0.03, 30.0)
 
 
 def random_case(seed, rule, exponent):
-    """A random map with empty cells, and base params (factors 1) to cost it."""
+    """A random map with empty cells, and base params to cost it."""
     rng = np.random.default_rng(seed)
     M = int(rng.integers(1, 5))
     m = random_map(rng, M=M, empty_prob=0.3)
@@ -126,8 +126,8 @@ def test_least_increments_bound_every_placement(seed, exponent, spread, f_R, f_s
     m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (2, 3, M)).tolist())
     params = sb.CostParams(
         R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
-        sigma_const=float(rng.uniform(0.5, 12.0)), range_exponent=exponent,
-        f_R=f_R, f_sigma=f_sigma)
+        sigma_const=float(rng.uniform(0.5, 12.0)),
+        range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
     costs = BlockCosts(m, params)
     least = costs.least_increments()
     for mask in range(1 << 6):
@@ -174,7 +174,7 @@ def test_single_cell_entries_match_block_stat(seed, rule, exponent, f_sigma):
     m = make_map(means, n_members=2, stds=stds)
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
                            sigma_const=sigma_const, n_scale_rule=N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_sigma=f_sigma)
+                           range_exponent=exponent).scaled(f_sigma=f_sigma)
     costs = BlockCosts(m, params)
     bits = lambda values: [float(v).hex() for v in values]
     for k, pe in enumerate(map_cells(m)):
@@ -246,12 +246,14 @@ def test_engine_is_exact_at_the_floor_boundary(exponent, rule, sigma_const, n_ex
 def test_engine_refuses_cell_widths_out_of_the_float_range():
     m = make_map([[0.0, 1.0]], n_members=2, stds=[[[0.0], [0.5]]])
     base = sb.CostParams(R=np.array([10.0]), sigma_floor=np.array([0.1]))
-    for changes in ({"f_sigma": 1e300}, {"sigma_const": 1e200},
-                    {"f_sigma": 1e200, "sigma_const": 1e200}):    # the scale overflows
-        params = dataclasses.replace(base, **changes)
+    for params in (base.scaled(f_sigma=1e300), dataclasses.replace(base, sigma_const=1e200)):
         with pytest.raises(CostError, match=r"^cell widths must keep 1/sigma\*\*2 positive "
-                                            r"and finite, got f_sigma="):
+                                            r"and finite, got sigma_const="):
             sb.partition_som(m, params)
+    # a sweep point whose width scale overflows is refused when it is made
+    with pytest.raises(CostError, match=r"^f_sigma \* sigma_const must be positive and finite, "
+                                        r"got f_sigma=1e\+200, sigma_const=1e\+200$"):
+        dataclasses.replace(base, sigma_const=1e200).scaled(f_sigma=1e200)
     # Under sqrt a block of two cells computes its own widths at a scale of
     # sqrt(2) sigma_const, which these settings push out of the float range
     # while every block of one cell stays in it: a std of 1 whose width
@@ -264,7 +266,7 @@ def test_engine_refuses_cell_widths_out_of_the_float_range():
         costs = BlockCosts(m, params)
         assert math.isfinite(costs.cost(0b01) + costs.cost(0b10))
         message = re.escape(f"cell widths must keep 1/sigma**2 positive and finite, got "
-                            f"f_sigma=1.0, sigma_const={sigma_const!r} (width scale ")
+                            f"sigma_const={sigma_const!r} (width scale ")
         message = rf"^{message}\S+ for blocks of 2 cells\)$"
         with pytest.raises(CostError, match=message):
             costs.cost(0b11)
@@ -362,8 +364,8 @@ def test_rejected_joins_never_pass_the_exact_comparison(seed, rule, exponent, sp
     m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
                            sigma_const=float(rng.uniform(0.5, 12.0)),
-                           n_scale_rule=N_SCALE_RULES[rule], range_exponent=exponent,
-                           f_R=f_R, f_sigma=f_sigma)
+                           n_scale_rule=N_SCALE_RULES[rule],
+                           range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
     for _ in range(20):
         a, b = random_blocks(rng, rows * cols)
         costs = BlockCosts(m, params)         # fresh, so the union is not cached
@@ -391,7 +393,7 @@ def near_tie(rule, exponent, M, offset, rng):
         log_f_R = -(rest + 0.5 * M * log_pi + math.fsum(np.log(R))) / M
     m = make_map([[means[0], means[1]]], n_members=3, stds=[[stds[0], stds[1]]])
     params = sb.CostParams(R=R, sigma_floor=np.full(M, 1e-9), n_scale_rule=N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_R=math.exp(log_f_R))
+                           range_exponent=exponent).scaled(f_R=math.exp(log_f_R))
     return m, params
 
 
@@ -425,8 +427,6 @@ OTHER_VALUES = {
     "sigma_const": lambda p: 10.0,
     "n_scale_rule": lambda p: N_SCALE_RULES["sqrt"],
     "range_exponent": lambda p: "per_pe",
-    "f_R": lambda p: 3.0,
-    "f_sigma": lambda p: 10.0,
 }
 
 

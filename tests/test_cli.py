@@ -112,7 +112,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 PARTITION_SETTINGS = ("data", "label_col", "range_rule", "range_exponent", "sigma_const",
-                      "sigma_floor_frac", "n_scale", "f_R", "f_sigma")
+                      "sigma_floor_frac", "n_scale", "f_R")
 
 
 def test_partition_provenance_holds_its_own_settings(tmp_path):
@@ -153,9 +153,9 @@ def test_baseline_provenance_holds_only_the_threshold(tmp_path):
 
 
 def test_sweep_ignores_a_configured_f_R(tmp_path):
-    # sweep scales f_R and f_sigma from 1 itself, so it declares neither
+    # sweep scales R by its own f_R grid, so it declares no f_R
     cfg = tmp_path / "chain.cfg"
-    cfg.write_text("f_R = 3\nf_sigma = 2\n")
+    cfg.write_text("f_R = 3\n")
     outs = []
     for name, extra in (("plain.csv", []), ("shared.csv", ["--config", str(cfg)])):
         out = tmp_path / name
@@ -267,6 +267,15 @@ def test_sweep_command_refuses_zero_decades(tmp_path, capsys):
     assert "decades must be positive" in capsys.readouterr().err
 
 
+def test_sweep_command_refuses_decades_too_small_to_separate_the_points(tmp_path, capsys):
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "3",
+                 "--sweep-decades", "1e-17", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err == ("somblocks: error: decades must be large enough for 3 "
+                                       "distinct grid points, got 1e-17\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_command_refuses_infinite_decades(tmp_path, capsys):
     rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "3",
                  "--sweep-decades", "inf", "--out", str(tmp_path / "s.csv"))
@@ -286,10 +295,8 @@ def test_sweep_command_refuses_decades_that_overflow(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--f-sigma", "1e300", "cell widths must keep 1/sigma**2 positive and finite, "
-                           "got f_sigma=1e+300, sigma_const=1.0 "),
     ("--sigma-const", "1e200", "cell widths must keep 1/sigma**2 positive and finite, "
-                               "got f_sigma=1.0, sigma_const=1e+200 "),
+                               "got sigma_const=1e+200 "),
     ("--f-R", "1e308", "ln(f_R * R) must be finite, got f_R=1e+308\n"),
     ("--sigma-floor-frac", "1e-200", "1/sigma_floor**2 must be finite, got sigma_floor "
                                      "2.3999999999999997e-200 from sigma_floor_frac=1e-200\n"),
@@ -310,7 +317,6 @@ def test_partition_refuses_finite_settings_that_overflow(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--f-R", "nan", "f_R must be positive and finite, got nan"),
-    ("--f-sigma", "inf", "f_sigma must be positive and finite, got inf"),
     ("--sigma-floor-frac", "nan", "sigma_floor_frac must be positive and finite, got nan"),
     ("--range-rule", "bogus", "range_rule must be one of ('two_span', 'two_max')"),
 ])

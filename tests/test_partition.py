@@ -86,7 +86,7 @@ def test_quadtree_walk_matches_the_region_recursion(seed, rows, cols, exponent, 
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
                            sigma_const=float(rng.uniform(0.5, 4.0)),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+                           range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
 
     def recording(seen):
         costs = BlockCosts(m, params)
@@ -184,7 +184,7 @@ def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start)
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
                            sigma_const=float(rng.uniform(0.5, 4.0)),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+                           range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
     if start == "quadtree":
         tiling = sb.quadtree_split(m, params)
     else:
@@ -207,8 +207,8 @@ def test_merge_matches_the_plain_scan_on_strips_and_wide_grids(rows, cols, start
                                sigma_floor=rng.uniform(0.02, 0.6, M),
                                sigma_const=float(rng.uniform(0.5, 4.0)),
                                n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
-                               range_exponent=exponent, f_R=float(rng.uniform(0.03, 30.0)),
-                               f_sigma=float(rng.uniform(0.1, 10.0)))
+                               range_exponent=exponent).scaled(
+            f_R=float(rng.uniform(0.03, 30.0)), f_sigma=float(rng.uniform(0.1, 10.0)))
         if start == "quadtree":
             tiling = sb.quadtree_split(m, params)
         else:
@@ -229,7 +229,7 @@ def test_merge_matches_the_plain_scan_on_connected_tilings(seed, exponent, rule,
     params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
                            sigma_const=float(rng.uniform(0.5, 4.0)),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_R=f_R)
+                           range_exponent=exponent).scaled(f_R=f_R)
     h = rng.random((m.rows, m.cols - 1)) < open_share
     v = rng.random((m.rows - 1, m.cols)) < open_share
     labels = component_labels(np.ones((m.rows, m.cols), dtype=bool), h, v)
@@ -494,7 +494,7 @@ def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, ex
     m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
     params = sb.CostParams(R=rng.uniform(2.0, 40.0, M), sigma_floor=np.full(M, 1e-9),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
-                           range_exponent=exponent, f_R=f_R, f_sigma=f_sigma)
+                           range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
     best = sb.exhaustive_partition(m, params, cell_limit=12)
     assert best == _reference_exhaustive(m, params)   # cost bits included
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,17 @@ def test_one_point_grid_is_one():
 def test_several_points_need_positive_decades(decades):
     with pytest.raises(SweepError, match="decades must be positive"):
         sb.default_grid(3, decades)
+
+
+@pytest.mark.parametrize("points, decades, message", [
+    (3.0, 1.0, "points must be an integer, got 3.0"),
+    (True, 1.0, "points must be an integer, got True"),
+    (3, "1", "decades must be a number, got '1'"),
+    (3, 1e-17, "decades must be large enough for 3 distinct grid points, got 1e-17"),
+])
+def test_default_grid_names_its_bad_argument(points, decades, message):
+    with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+        sb.default_grid(points, decades)
 
 
 def test_reference_point_always_equal():
@@ -127,9 +140,14 @@ def counted_sweep(monkeypatch, m, spec):
 
 
 def assert_matches_fresh_partitions(m, spec, stability):
+    # each point's params are built field by field, not through scaled
+    b = spec.base
     for i, f_R in enumerate(spec.f_R_grid):
         for j, f_sigma in enumerate(spec.f_sigma_grid):
-            fresh = sb.partition_som(m, spec.base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)))
+            params = sb.CostParams(R=f_R * b.R, sigma_floor=b.sigma_floor,
+                                   sigma_const=f_sigma * b.sigma_const,
+                                   n_scale_rule=b.n_scale_rule, range_exponent=b.range_exponent)
+            fresh = sb.partition_som(m, params)
             assert stability.signatures[i][j] == fresh.signature()
             assert stability.n_blocks[i, j] == fresh.n_blocks
 
@@ -151,7 +169,8 @@ def test_sweep_with_floor_columns_matches_fresh_partitions(seed, rule, exponent,
                                                            boundary):
     # each attribute's floor sits at 10**(boundary * decades) times the
     # largest scaled std at f_sigma = 1, so the f_sigma grid straddles the
-    # floor: its low columns are floor-bound and its high ones are not
+    # floor: its low columns are floor-bound and its high ones are not.  The
+    # base is itself a scaled point, so the sweep compounds on it.
     rng = np.random.default_rng(seed)
     M = int(rng.integers(1, 4))
     m = random_map(rng, M=M, empty_prob=0.3)
@@ -160,7 +179,9 @@ def test_sweep_with_floor_columns_matches_fresh_partitions(seed, rule, exponent,
     n_occupied = int(np.count_nonzero(m.counts))
     top = sigma_const * max(map(rule_fn, range(1, n_occupied + 1))) * m.stds.max(axis=0)
     base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=top * 10**(boundary * decades),
-                         sigma_const=sigma_const, n_scale_rule=rule_fn, range_exponent=exponent)
+                         n_scale_rule=rule_fn, range_exponent=exponent).scaled(
+        f_R=float(rng.uniform(0.1, 10.0)), f_sigma=sigma_const)
+    assert base.sigma_const == sigma_const
     spec = sb.SweepSpec(base=base, f_R_grid=sb.default_grid(3, decades),
                         f_sigma_grid=sb.default_grid(5, decades))
     at_floor = [widths_at_floor(m, base.scaled(f_sigma=float(f))) for f in spec.f_sigma_grid]
@@ -189,22 +210,15 @@ def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std):
 
 @pytest.mark.parametrize("s", [0.0, 0.1])
 def test_widths_at_floor_answers_false_when_the_scale_overflows(s):
-    # at f_sigma = 10 the scale 10 * 1e308 is inf, and inf * s is NaN for
-    # s = 0 and inf otherwise; neither is <= the floor
+    # at f_sigma = 10 the sqrt rule's scale for the two occupied cells,
+    # 1.5e308 * sqrt(2), is inf, and inf * s is NaN for s = 0 and inf
+    # otherwise; neither is <= the floor
     m = make_map([[0.0, 0.3]], s=s)
-    base = sb.CostParams(R=[10.0], sigma_floor=[0.5], sigma_const=1e308)
+    base = sb.CostParams(R=[10.0], sigma_floor=[0.5], sigma_const=1.5e307, n_scale_rule=sqrt_scale)
     assert widths_at_floor(m, base) == (s == 0.0)
     assert not widths_at_floor(m, base.scaled(f_sigma=10.0))
     with pytest.raises(CostError, match="cell widths must keep 1/sigma"):
         sb.sweep(m, sb.SweepSpec(base=base, f_R_grid=[1.0], f_sigma_grid=[1.0, 10.0]))
-
-
-@pytest.mark.parametrize("factors, named", [({"f_R": 30.0, "f_sigma": 0.05}, "f_R"),
-                                            ({"f_sigma": 0.05}, "f_sigma")])
-def test_sweep_spec_refuses_a_base_with_a_factor_other_than_1(factors, named):
-    message = f"base {named} must be 1, as each grid point replaces it, got {factors[named]}"
-    with pytest.raises(SweepError, match=f"^{message}$"):
-        sb.SweepSpec(base=plain_params(**factors))
 
 
 @pytest.mark.parametrize("options, partitions", [

@@ -322,6 +322,8 @@ class BlockCosts:
     width-dependent part of block_cost, sum ln sigma + ln(S)/2 + resid,
     with the operations of block_stat and block_cost, summed in Python; the
     entry also keeps each attribute's S, X and resid for join_rejected.
+    Both caches are made with the empty block in them (n = 0, cost 0), and
+    the width terms with every occupied cell as a block of one.
 
     The engine builds one per-cell table when it is made: the columns
     [w, w * mean, ln sigma, mean] of every cell as a block of one, with
@@ -332,16 +334,14 @@ class BlockCosts:
     by index.  Under sqrt_scale a block of n > 1 cells takes its cells'
     widths at width_scale(n) from their own std and mean, with the table's
     float operations: max(floor, scale * std), 1/(sigma * sigma) and the
-    floor's one log; no table is built per block size.  The first one-cell
-    block computes every cell's entry in one numpy pass with the same float
-    operations (_single_cells), since a cold quadtree split meets many of
-    them; its ln S takes the floor's log the same way.  A 1/sigma^2 of 0
+    floor's one log; no table is built per block size.  A 1/sigma^2 of 0
     or inf in the table or in a block, or a block's width scale that is not
-    finite, is refused with a CostError.  The range prior is added last and
-    the terms are summed in block_cost's order, so cost(mask) equals
-    block_cost_for_pes of the same cells bit for bit.  The width terms do
-    not depend on R or the range exponent, so at() hands out an engine
-    for another range setting that shares them.
+    finite, is refused with a CostError.  The range prior is added last, per
+    attribute once_j for the block and each_j for every further occupied
+    cell (_set_range), and the terms are summed in block_cost's order, so
+    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
+    width terms do not depend on R or the range exponent, so at() hands out
+    an engine for another range setting that shares them.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -351,7 +351,7 @@ class BlockCosts:
         self.som_map = som_map
         self._occupied = _bits(som_map.counts > 0)
         # occupied cells -> (n, and per attribute: width terms, S, X, resid)
-        self._terms: dict[int, tuple] = {}
+        self._terms: dict[int, tuple] = {0: (0, [], [], [], [])}
         self._set_range(params)
         self._table = self._cell_table()
         if params.n_scale_rule is unit_scale:
@@ -363,16 +363,19 @@ class BlockCosts:
                                      som_map.stds.T.tolist(), som_map.means.T.tolist()))
 
     def _set_range(self, params: CostParams) -> None:
+        """Take params' range setting.  Per attribute, a block pays once_j
+        when it opens and each_j for every further occupied cell:
+        ln(R_j) and ln(pi)/2 under per_block, 0 and ln(R_j) + ln(pi)/2
+        under per_pe."""
         self.params = params
-        self._costs: dict[int, float] = {}           # occupied cells -> cost
+        self._costs: dict[int, float] = {0: 0.0}     # occupied cells -> cost
         self._join = None                            # join_rejected's constants
-        log_R = np.log(params.R)
-        log_pi = math.log(math.pi)
-        self._per_block = params.range_exponent == "per_block"
-        if self._per_block:
-            self._prior = list(log_R)
+        log_R = np.log(params.R).tolist()
+        half_log_pi = 0.5 * math.log(math.pi)
+        if params.range_exponent == "per_block":
+            self._once, self._each = log_R, [half_log_pi] * len(log_R)
         else:
-            self._prior = [v + 0.5 * log_pi for v in log_R]
+            self._once, self._each = [0.0] * len(log_R), [v + half_log_pi for v in log_R]
 
     def at(self, som_map: "SomMap", params: CostParams) -> "BlockCosts":
         """Engine for the same map and cell widths under params' range setting.
@@ -400,12 +403,16 @@ class BlockCosts:
 
     def _cell_table(self) -> np.ndarray:
         """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, of
-        every cell as a block of one; w = 1 / sigma^2.
+        every cell as a block of one; w = 1 / sigma^2.  Also enters every
+        occupied cell's one-cell block in _terms.
 
         ln sigma is math.log of each width, taken once per attribute for the
-        widths at that attribute's floor (_logs).  Raises CostError when some
-        w is 0 or not finite, which finite but extreme width settings can
-        cause.
+        widths at that attribute's floor (_logs).  The one-cell entries are
+        one numpy pass with the float operations of _width_terms: a fsum of
+        one value returns it, except that it turns -0.0 into +0.0, which
+        adding 0.0 does too, and ln(S)/2 takes math.log per value, as there.
+        Raises CostError when some w is 0 or not finite, which finite but
+        extreme width settings can cause.
         """
         p = self.params
         scale = width_scale(p, 1)
@@ -415,7 +422,15 @@ class BlockCosts:
         if not np.all((w > 0.0) & np.isfinite(w)):
             self._refuse_widths(scale, 1)
         means = self.som_map.means
-        return np.hstack([w, w * means, _logs(sigmas, p.sigma_floor), means])
+        table = np.hstack([w, w * means, _logs(sigmas, p.sigma_floor), means])
+        cells = np.flatnonzero(self.som_map.counts > 0)
+        w, w_means, log_sigmas, means = np.hsplit(table[cells], 4)
+        X = (w_means + 0.0) / w
+        resid = w * ((means - X) * (means - X))
+        terms = log_sigmas + 0.5 * _logs(w, 1.0 / p.sigma_floor**2) + resid
+        self._terms.update({1 << k: (1, t, S, x, r) for k, t, S, x, r in zip(
+            cells.tolist(), terms.tolist(), w.tolist(), X.tolist(), resid.tolist())})
+        return table
 
     def _own_columns(self, cells: list[int]) -> list[list[float]]:
         """The table's columns [w, w * mean, ln sigma, mean], each M wide, on
@@ -449,76 +464,43 @@ class BlockCosts:
         """(n, width terms, S, X, resid) of the block of these occupied cells."""
         hit = self._terms.get(occupied)
         if hit is None:
-            n = occupied.bit_count()
-            if n == 0:
-                hit = (0, (), (), (), ())
-            elif n == 1:
-                self._terms.update(self._single_cells())
-                hit = self._terms[occupied]
+            cells = _mask_cells(occupied)
+            if self._columns is None:
+                columns = self._table[cells].T.tolist()
             else:
-                cells = _mask_cells(occupied)
-                if self._columns is None:
-                    columns = self._table[cells].T.tolist()
-                else:
-                    columns = self._own_columns(cells)
-                # Most blocks have a few cells, where numpy's per-call
-                # overhead would outweigh the sums.  Each step is the float
-                # operation block_stat does, (m - X)**2 included, so the bits
-                # agree.
-                m = len(columns) // 4
-                terms, S_all, X_all, resid_all = [], [], [], []
-                for j in range(m):
-                    w, means = columns[j], columns[3 * m + j]
-                    S = math.fsum(w)
-                    X = math.fsum(columns[m + j]) / S
-                    resid = math.fsum([wi * ((mi - X) * (mi - X)) for wi, mi in zip(w, means)])
-                    terms.append(math.fsum(columns[2 * m + j]) + 0.5 * math.log(S) + resid)
-                    S_all.append(S)
-                    X_all.append(X)
-                    resid_all.append(resid)
-                hit = (n, terms, S_all, X_all, resid_all)
-            self._terms[occupied] = hit
+                columns = self._own_columns(cells)
+            # Most blocks have a few cells, where numpy's per-call overhead
+            # would outweigh the sums.  Each step is the float operation
+            # block_stat does, (m - X)**2 included, so the bits agree.
+            m = len(columns) // 4
+            terms, S_all, X_all, resid_all = [], [], [], []
+            for j in range(m):
+                w, means = columns[j], columns[3 * m + j]
+                S = math.fsum(w)
+                X = math.fsum(columns[m + j]) / S
+                resid = math.fsum([wi * ((mi - X) * (mi - X)) for wi, mi in zip(w, means)])
+                terms.append(math.fsum(columns[2 * m + j]) + 0.5 * math.log(S) + resid)
+                S_all.append(S)
+                X_all.append(X)
+                resid_all.append(resid)
+            hit = self._terms[occupied] = (len(cells), terms, S_all, X_all, resid_all)
         return hit
-
-    def _single_cells(self) -> dict[int, tuple]:
-        """_width_terms' entry of every occupied cell as a block of one.
-
-        One pass over the cells' rows of the table, with the float
-        operations of the general path: a fsum of one value returns it,
-        except that it turns -0.0 into +0.0, which adding 0.0 does too, and
-        ln(S)/2 takes math.log per value, as there.
-        """
-        m = self.params.n_attributes
-        cells = np.flatnonzero(self.som_map.counts > 0)
-        rows = self._table[cells]
-        w, w_means, log_sigmas, means = (rows[:, k * m:(k + 1) * m] for k in range(4))
-        X = (w_means + 0.0) / w
-        half_log_S = 0.5 * _logs(w, 1.0 / self.params.sigma_floor**2)
-        resid = w * ((means - X) * (means - X))
-        terms = log_sigmas + half_log_S + resid
-        return {1 << k: (1, t, S, x, r) for k, t, S, x, r in
-                zip(cells.tolist(), terms.tolist(), w.tolist(), X.tolist(), resid.tolist())}
 
     def least_increments(self) -> list[float] | None:
         """Per cell, a lower bound on what placing it adds to a partition's cost.
 
         Placing an occupied cell either opens a block, which adds
-        sum_j ln(R_j) under per_block and 0 under per_pe, or joins a block
-        that has an occupied cell.  Joining never lowers the block's ln(S)/2
-        or its resid, so it adds at least sum_j (ln sigma_j + ln(pi)/2), plus
-        sum_j ln(R_j) under per_pe.  Each cell's entry is the smaller of
-        the two, and 0 on empty cells.  None unless widths follow unit_scale:
+        sum_j once_j, or joins a block that has an occupied cell.  Joining
+        never lowers the block's ln(S)/2 or its resid, so it adds at least
+        sum_j (ln sigma_j + each_j).  Each cell's entry is the smaller of the
+        two, and 0 on empty cells.  None unless widths follow unit_scale:
         a width that grows with block size moves every member's ln sigma.
         """
         if self.params.n_scale_rule is not unit_scale:
             return None
         m = self.params.n_attributes
         log_sigmas = self._table[:, 2 * m:3 * m].sum(axis=1)
-        prior = math.fsum(self._prior)
-        if self._per_block:
-            least = np.minimum(prior, log_sigmas + 0.5 * m * math.log(math.pi))
-        else:
-            least = np.minimum(0.0, log_sigmas + prior)
+        least = np.minimum(math.fsum(self._once), log_sigmas + math.fsum(self._each))
         return np.where(self.som_map.counts > 0, least, 0.0).tolist()
 
     def cost(self, mask: int) -> float:
@@ -527,14 +509,8 @@ class BlockCosts:
         hit = self._costs.get(occupied)
         if hit is None:
             n, terms, _, _, _ = self._width_terms(occupied)
-            if n == 0:
-                hit = 0.0
-            elif self._per_block:
-                occam = 0.5 * (n - 1) * math.log(math.pi)
-                hit = math.fsum([prior + occam + t for prior, t in zip(self._prior, terms)])
-            else:
-                hit = math.fsum([(n - 1) * prior + t for prior, t in zip(self._prior, terms)])
-            self._costs[occupied] = hit
+            hit = self._costs[occupied] = math.fsum(
+                [once + (n - 1) * each + t for once, each, t in zip(self._once, self._each, terms)])
         return hit
 
     def join_rejected(self, a: int, b: int) -> bool:
@@ -555,7 +531,7 @@ class BlockCosts:
 
             delta = sum_j [q_j - ln(H_j)/2 + H_j d_j^2]
                     - (1 - rho^-2) sum_j [H_j d_j^2 + resid_aj + resid_bj],
-            q_j = ln(pi)/2 - ln(R_j) (per_block), ln(R_j) + ln(pi)/2 (per_pe).
+            q_j = each_j - once_j (see _set_range).
 
         Under unit_scale rho is 1, the second line is not computed, and
         delta is the join's exact change.
@@ -631,7 +607,7 @@ class BlockCosts:
         top = np.abs(self._table[:, 2 * m:]).max(axis=0).tolist()
         log_R = np.log(self.params.R).tolist()
         log_pi = math.log(math.pi)
-        q = [0.5 * log_pi - v for v in log_R] if self._per_block else self._prior
+        q = [each - once for once, each in zip(self._once, self._each)]
         cell_size = math.fsum(abs(v) + log_pi + 4.0 * (lam + 1.0)
                               for v, lam in zip(log_R, top[:m]))
         return math.fsum(q), math.fsum(map(abs, q)), cell_size, top[m:]

@@ -21,25 +21,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostParams, widths_at_floor
+from .bayes_cost import BlockCosts, CostError, CostParams, widths_at_floor
 from .data_model import is_integer, is_number, require
 from .partition import partition_som
 from .som import SomMap
 
 
 class SweepError(ValueError):
-    """Raised for malformed sweep grids."""
+    """Raised for a malformed sweep grid or base."""
 
 
-def _check_grid(grid: np.ndarray) -> int:
-    """Validate ascending positive grid containing 1.0; return its index."""
-    if grid.ndim != 1 or len(grid) < 1 or np.any(grid <= 0):
-        raise SweepError("factor grid must be positive")
+def _check_grid(grid: np.ndarray, name: str = "factor grid") -> int:
+    """Validate a 1-D, ascending grid of positive, finite factors that
+    contains 1.0, naming it; return the index of 1.0."""
+    if grid.ndim != 1 or len(grid) < 1:
+        raise SweepError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        raise SweepError(f"{name} must hold finite factors, got {float(bad[0])!r}")
+    if np.any(grid <= 0):
+        raise SweepError(f"{name} must be positive")
     if np.any(np.diff(grid) <= 0):
-        raise SweepError("factor grid must be strictly ascending")
+        raise SweepError(f"{name} must be strictly ascending")
     idx = int(np.argmin(np.abs(grid - 1.0)))
     if abs(grid[idx] - 1.0) > 1e-12:
-        raise SweepError("factor grid must contain 1.0")
+        raise SweepError(f"{name} must contain 1.0")
     return idx
 
 
@@ -52,10 +58,10 @@ class SweepSpec:
     f_sigma_grid: np.ndarray = field(default_factory=lambda: default_grid())
 
     def __post_init__(self):
-        object.__setattr__(self, "f_R_grid", np.asarray(self.f_R_grid, dtype=float))
-        object.__setattr__(self, "f_sigma_grid", np.asarray(self.f_sigma_grid, dtype=float))
-        _check_grid(self.f_R_grid)
-        _check_grid(self.f_sigma_grid)
+        require(SweepError, lambda v: isinstance(v, CostParams), "a CostParams", base=self.base)
+        for name in ("f_R_grid", "f_sigma_grid"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            _check_grid(getattr(self, name), name)
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
@@ -93,7 +99,9 @@ class StabilityMap:
 
 def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     """Partition the map at every (f_R, f_sigma) grid point; a column whose
-    widths all sit at the floor copies the first such column (see above)."""
+    widths all sit at the floor copies the first such column (see above).
+    A CostError from a column's block costs names its f_sigma and the base
+    sigma_const in front."""
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
@@ -111,11 +119,15 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
             floor_column = j
         # f_R moves only the range prior, so one column's cached block terms
         # serve every f_R in it.
-        costs = BlockCosts(som_map, column)
-        for i, f_R in enumerate(spec.f_R_grid):
-            p = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
-            signatures[i][j] = p.signature()
-            n_blocks[i, j] = p.n_blocks
+        try:
+            costs = BlockCosts(som_map, column)
+            for i, f_R in enumerate(spec.f_R_grid):
+                p = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
+                signatures[i][j] = p.signature()
+                n_blocks[i, j] = p.n_blocks
+        except CostError as error:
+            raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
+                            f"{spec.base.sigma_const!r}: {error}") from error
     reference = signatures[i_ref][j_ref]
     equal = np.array([[signatures[i][j] == reference for j in range(n_s)]
                       for i in range(n_r)])

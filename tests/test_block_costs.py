@@ -55,7 +55,8 @@ def test_engine_cost_equals_block_cost_for_pes(seed, rule, exponent, f_sigma, f_
         params = base.scaled(f_R=f_R, f_sigma=f_sigma)
         at_f_R = costs.at(m, params)
         for mask in masks:
-            assert at_f_R.cost(mask) == sb.block_cost_for_pes(cells_of(m, mask), params)
+            assert (at_f_R.cost(mask).hex()
+                    == sb.block_cost_for_pes(cells_of(m, mask), params).hex())
 
 
 @exact(100)
@@ -304,10 +305,12 @@ def test_cache_is_keyed_by_occupied_cells():
         costs = BlockCosts(m, params)
         other_range = costs.at(m, params.scaled(f_R=2.0))    # shares the width terms
         for mask in (0b000001, 0b000101, 0b010101):
-            before = len(costs._terms)
+            before = (len(costs._terms), len(costs._costs))
             c = costs.cost(mask)
             computed = (len(costs._terms), len(costs._costs))
-            assert computed[0] > before
+            # one-cell width terms are made with the engine
+            added_terms = 0 if mask.bit_count() == 1 else 1
+            assert computed == (before[0] + added_terms, before[1] + 1)
             assert costs.cost(mask | empties) == c     # same bits, no new computation
             assert costs.cost(mask | empties & 0b000010) == c
             other_range.cost(mask | empties)

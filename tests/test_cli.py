@@ -294,6 +294,18 @@ def test_sweep_command_refuses_decades_that_overflow(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_command_names_the_column_whose_widths_overflow(tmp_path, capsys):
+    rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sigma-const", "1e307",
+                 "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("somblocks: error: f_sigma=0.03162277660168379, sigma_const=1e+307: "
+                          "cell widths must keep 1/sigma**2 positive and finite, got "
+                          "sigma_const=3.162277660168379e+305 ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--sigma-const", "1e200", "cell widths must keep 1/sigma**2 positive and finite, "
                                "got sigma_const=1e+200 "),

@@ -34,6 +34,22 @@ def test_grid_validation():
         sb.default_grid(points=12)
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"base": "x"}, "base must be a CostParams, got 'x'"),
+    ({"f_R_grid": [1.0, float("nan")]}, "f_R_grid must hold finite factors, got nan"),
+    ({"f_R_grid": [1.0, None]}, "f_R_grid must hold finite factors, got nan"),
+    ({"f_R_grid": [1.0, float("inf")]}, "f_R_grid must hold finite factors, got inf"),
+    ({"f_sigma_grid": [float("-inf"), 1.0]}, "f_sigma_grid must hold finite factors, got -inf"),
+    ({"f_R_grid": [[1.0]]}, "f_R_grid must be a non-empty 1-D array, got shape (1, 1)"),
+    ({"f_sigma_grid": []}, "f_sigma_grid must be a non-empty 1-D array, got shape (0,)"),
+    ({"f_sigma_grid": [0.5, 1.0, 1.0]}, "f_sigma_grid must be strictly ascending"),
+])
+def test_sweep_spec_names_its_bad_field(options, message):
+    options = {"base": plain_params(R=10.0), **options}
+    with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+        sb.SweepSpec(**options)
+
+
 def test_one_point_grid_is_one():
     for decades in (1.5, 0.0, -2.0):
         assert sb.default_grid(1, decades).tolist() == [1.0]

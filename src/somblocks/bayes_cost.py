@@ -22,7 +22,7 @@ extra blocks in opposite directions.
 import copy
 import math
 import reprlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 import numpy as np
@@ -120,7 +120,11 @@ class CostParams:
         if not (sigma_const > 0 and math.isfinite(sigma_const)):
             raise CostError(f"f_sigma * sigma_const must be positive and finite, got "
                             f"f_sigma={f_sigma!r}, sigma_const={self.sigma_const!r}")
-        return replace(self, R=R, sigma_const=sigma_const)
+        # Only R and sigma_const change, and both were checked above.
+        params = copy.copy(self)
+        object.__setattr__(params, "R", R)
+        object.__setattr__(params, "sigma_const", sigma_const)
+        return params
 
     def echo(self) -> dict:
         """Serializable summary of every field for artifact provenance headers."""

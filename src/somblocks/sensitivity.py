@@ -17,6 +17,7 @@ counts to the rest.  Every column's parameters are still built and checked.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +61,25 @@ class SweepSpec:
     def __post_init__(self):
         require(SweepError, lambda v: isinstance(v, CostParams), "a CostParams", base=self.base)
         for name in ("f_R_grid", "f_sigma_grid"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _factor_array(getattr(self, name), name))
             _check_grid(getattr(self, name), name)
+
+
+def _factor_array(values, name: str) -> np.ndarray:
+    """values as a float array, else SweepError naming the grid and its
+    first factor that is not a number a float can hold, such as a bool or a
+    string; None reads as nan, which _check_grid refuses."""
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        grid = None
+    if np.iterable(values) and (grid is None or grid.ndim == 1):
+        for value in values:
+            if value is not None and not is_number(value):
+                raise SweepError(f"{name} must hold numbers, got {reprlib.repr(value)}")
+    if grid is None:
+        raise SweepError(f"{name} must be a 1-D array of numbers, got {reprlib.repr(values)}")
+    return grid
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:

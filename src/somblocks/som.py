@@ -348,6 +348,17 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
+# The size of the buffer _train_weights copies a chunk of samples out into,
+# one copy per cell; a chunk holds at least one presentation whatever its size.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_rows(n: int, row_floats: int) -> int:
+    """How many of an epoch's n presentations one chunk copies out, each a
+    row of row_floats float64s: as many as _CHUNK_BYTES holds, at least one."""
+    return max(1, min(n, _CHUNK_BYTES // (8 * row_floats)))
+
+
 def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, np.ndarray]:
     """The training loop of train: the (P, M) trained weights and the (P,)
     conscience win frequencies at the end of training."""
@@ -356,8 +367,7 @@ def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, 
     rng = np.random.default_rng(config.seed)
 
     weights = _initial_weights(rng, samples, n_pes)
-    inv_pes = 1.0 / n_pes
-    freq = np.full(n_pes, inv_pes)
+    freq = np.full(n_pes, 1.0 / n_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
 
     @functools.cache            # once per box width and training run
@@ -368,11 +378,21 @@ def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, 
     # Each element goes through the IEEE operations of the plain expression in
     # the comment beside it, up to beta * -f == -(beta * f), f + -y == f - y
     # and 1.0 * b == b, so the weights and frequencies keep that one's bits.
-    xs = laid_out(1)
+    # The distance subtracts from the weights a (P, M) copy of the sample, one
+    # row per cell, as numpy subtracts two same-shape arrays faster than it
+    # broadcasts one; the copies are made a chunk of presentations at a time.
+    # The row sum stays numpy's over each contiguous (M,) row: it sums 8 or
+    # more attributes pairwise, which a sum over another layout does not.
+    chunk = np.empty((_chunk_rows(n, n_pes * m), n_pes, m))
+    copies = list(chunk)        # one view per presentation, refilled per chunk
+    cell_rows = chunk.reshape(-1, m)
     diff = np.empty((n_pes, m))
     d2 = np.empty(n_pes)
     bias = np.empty(n_pes)
     decay = np.empty(n_pes)
+    # Ufuncs take a scalar faster as a 0-d array than as a Python float; the
+    # scalar add freq[winner] += beta takes the float faster.
+    inv_pes, beta_, gamma_ = (np.array(v) for v in (1.0 / n_pes, beta, gamma))
     subtract, multiply, add, square, add_reduce = (np.subtract, np.multiply, np.add, np.square,
                                                    np.add.reduce)
     argmin = d2.argmin
@@ -383,26 +403,30 @@ def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, 
             lr = config.lr_start + (config.lr_end - config.lr_start) * epoch / (config.epochs - 1)
         else:
             lr = config.lr_start
+        lr = np.array(lr)
         if config.half_width_at(epoch) != hw:          # once per schedule phase
             hw = config.half_width_at(epoch)
             hoods = _neighborhoods(weights, config.cols, hw, laid_out)
-        for idx in rng.permutation(n).tolist():
-            x = xs[idx]
-            subtract(weights, x, out=diff)              # d2 = ((weights - x) ** 2)
-            square(diff, out=diff)                      #      .sum(axis=1)
-            add_reduce(diff, 1, out=d2)
-            subtract(inv_pes, freq, out=bias)           # d2 - gamma * (1/P - freq)
-            if gamma != 1.0:
-                multiply(gamma, bias, out=bias)
-            subtract(d2, bias, out=d2)
-            winner = argmin()
-            multiply(beta, freq, out=decay)             # freq += beta * (-freq)
-            subtract(freq, decay, out=freq)
-            freq[winner] += beta
-            box, step, tiled = hoods[winner]            # box += lr * (x - box)
-            subtract(tiled[idx], box, out=step)
-            multiply(lr, step, out=step)
-            add(box, step, out=box)
+        order = rng.permutation(n).tolist()
+        for start in range(0, n, len(copies)):
+            ids = order[start:start + len(copies)]
+            cell_rows[:len(ids) * n_pes] = np.repeat(samples[ids], n_pes, axis=0)
+            for idx, x_all in zip(ids, copies):
+                subtract(weights, x_all, out=diff)      # d2 = ((weights - x) ** 2)
+                square(diff, out=diff)                  #      .sum(axis=1)
+                add_reduce(diff, 1, out=d2)
+                subtract(inv_pes, freq, out=bias)       # d2 - gamma * (1/P - freq)
+                if gamma != 1.0:
+                    multiply(gamma_, bias, out=bias)
+                subtract(d2, bias, out=d2)
+                winner = argmin()
+                multiply(beta_, freq, out=decay)        # freq += beta * (-freq)
+                subtract(freq, decay, out=freq)
+                freq[winner] += beta
+                box, step, tiled = hoods[winner]        # box += lr * (x - box)
+                subtract(tiled[idx], box, out=step)
+                multiply(lr, step, out=step)
+                add(box, step, out=box)
     return weights, freq
 
 

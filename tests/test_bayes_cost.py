@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ from scipy import integrate
 
 import somblocks as sb
 from somblocks.baselines import BaselineError
-from somblocks.bayes_cost import CostError, block_stat, sqrt_scale
+from somblocks.bayes_cost import CostError, block_stat, sqrt_scale, unit_scale
 from somblocks.partition import Partition
 
 from conftest import make_map, make_pe, map_cells, plain_params
@@ -355,12 +356,38 @@ PARAMS = sb.CostParams(R=np.array([1.0]), sigma_floor=np.array([0.1]))
     (CostError, lambda: PARAMS.scaled(f_sigma=None), "f_sigma must be a number, got None"),
     (CostError, lambda: PARAMS.scaled(f_sigma=-2.0),
      "f_sigma must be positive and finite, got -2.0"),
+    (CostError, lambda: sb.CostParams(R=[5.0], sigma_floor=[0.1]).scaled(f_R=1e308),
+     "ln(f_R * R) must be finite, got f_R=1e+308"),
+    (CostError, lambda: sb.CostParams(R=[1.0], sigma_floor=[0.1], sigma_const=1e-10)
+     .scaled(f_sigma=1e-320),
+     "f_sigma * sigma_const must be positive and finite, got f_sigma=1e-320, "
+     "sigma_const=1e-10"),
+    (CostError, lambda: sb.CostParams(R=[1.0], sigma_floor=[0.1], sigma_const=1e300)
+     .scaled(f_sigma=1e10),
+     "f_sigma * sigma_const must be positive and finite, got f_sigma=10000000000.0, "
+     "sigma_const=1e+300"),
     (BaselineError, lambda: sb.threshold_partition(make_map([[0.0, 1.0]]), "1"),
      "threshold must be a number, got '1'"),
 ])
 def test_scalar_settings_name_the_field_they_fail(error, build, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("rule, exponent", [(unit_scale, "per_block"), (sqrt_scale, "per_pe")])
+def test_scaled_point_has_the_fields_of_params_built_directly(rule, exponent):
+    base = sb.CostParams(R=[2.0, 3.0], sigma_floor=[0.1, 0.2], sigma_const=1.5,
+                         n_scale_rule=rule, range_exponent=exponent)
+    point = base.scaled(f_R=3.0, f_sigma=0.1)
+    direct = sb.CostParams(R=base.R * 3.0, sigma_floor=base.sigma_floor,
+                           sigma_const=1.5 * 0.1, n_scale_rule=rule, range_exponent=exponent)
+    for f in dataclasses.fields(sb.CostParams):
+        got, want = getattr(point, f.name), getattr(direct, f.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        else:
+            assert type(got) is type(want) and got == want
+    assert base.R.tolist() == [2.0, 3.0] and base.sigma_const == 1.5
 
 
 @pytest.mark.parametrize("frac, message", [

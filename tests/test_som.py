@@ -4,6 +4,7 @@ import json
 import math
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
+from somblocks import som
 from somblocks.som import PeStats, SomError, _train_weights, map_to_json
 
 from conftest import fixture_path, make_map, map_cells, random_map
@@ -157,8 +159,11 @@ def _reference_train(dataset, config):
 
 @st.composite
 def training_cases(draw):
-    n = draw(st.integers(1, 30))
-    M = draw(st.integers(1, 5))
+    """A dataset, a config and the chunk byte budget to train them with:
+    the real one, or one that holds 0 to 16 presentations (0 means one), so
+    that training crosses chunk boundaries within n <= 40 samples."""
+    n = draw(st.integers(1, 40))
+    M = draw(st.integers(1, 10))                # 8 and up: numpy's pairwise row sum
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = rng.normal(0.0, draw(st.sampled_from([0.3, 1.0, 5.0])), size=(n, M))
     if draw(st.booleans()):
@@ -176,16 +181,24 @@ def training_cases(draw):
         conscience_beta=draw(st.sampled_from([0.0, 1e-4]) | st.floats(0.0, 0.5)),
         conscience_gamma=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)),
         seed=draw(st.integers(0, 2**64 - 1)))
+    budget = draw(st.just(som._CHUNK_BYTES) | st.integers(1, 16 * 8 * rows * cols * M))
     names = [f"a{j}" for j in range(M)]
-    return sb.Dataset(samples=samples, labels=None, attribute_names=names), config
+    return sb.Dataset(samples=samples, labels=None, attribute_names=names), config, budget
 
 
-def _fixed_case(rows, cols, schedule, gamma=1.0):
-    """A fixed training case: 9 samples of 3 attributes on a rows x cols map."""
-    samples = np.random.default_rng(rows * 10 + cols).normal(0.0, 1.0, size=(9, 3))
-    config = sb.SomConfig(rows=rows, cols=cols, epochs=4, neighborhood_schedule=schedule,
+def _fixed_case(rows, cols, schedule, gamma=1.0, n=9, m=3, epochs=4):
+    """A fixed training case, n samples of m attributes on a rows x cols map,
+    trained with the real chunk byte budget."""
+    samples = np.random.default_rng(rows * 10 + cols).normal(0.0, 1.0, size=(n, m))
+    config = sb.SomConfig(rows=rows, cols=cols, epochs=epochs, neighborhood_schedule=schedule,
                           conscience_beta=0.05, conscience_gamma=gamma, seed=rows + cols)
-    return sb.Dataset(samples=samples, labels=None, attribute_names=["a", "b", "c"]), config
+    names = [f"a{j}" for j in range(m)]
+    return sb.Dataset(samples=samples, labels=None, attribute_names=names), config, som._CHUNK_BYTES
+
+
+# Samples of 9 attributes on a 6x7 map fill a chunk of the real budget with
+# this many presentations.
+_CHUNK = som._chunk_rows(10**9, 6 * 7 * 9)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -195,12 +208,27 @@ def _fixed_case(rows, cols, schedule, gamma=1.0):
 @example(case=_fixed_case(1, 7, ((0.0, 9),)))
 @example(case=_fixed_case(6, 1, ((0.0, 2), (0.5, 1)), gamma=0.0))
 @example(case=_fixed_case(5, 5, ((0.0, 2),)))    # centre-column boxes span full rows
+@example(case=_fixed_case(6, 7, ((0.0, 1), (0.5, 0)), n=_CHUNK - 1, m=9, epochs=2))
+@example(case=_fixed_case(6, 7, ((0.0, 1), (0.5, 0)), n=_CHUNK, m=9, epochs=2))
+@example(case=_fixed_case(6, 7, ((0.0, 1), (0.5, 0)), n=_CHUNK + 1, m=9, epochs=2))
+@example(case=_fixed_case(2, 2, ((0.0, 1),), n=3, m=som._CHUNK_BYTES // 32 + 1, epochs=2))
 def test_train_matches_reference_loop_bit_for_bit(case):
-    dataset, config = case
-    weights, freq = _train_weights(dataset.samples, config)
+    dataset, config, budget = case
+    with mock.patch.object(som, "_CHUNK_BYTES", budget):
+        weights, freq = _train_weights(dataset.samples, config)
     ref_weights, ref_freq = _reference_train(dataset, config)
     assert weights.tobytes() == ref_weights.tobytes()
     assert freq.tobytes() == ref_freq.tobytes()
+
+
+@pytest.mark.parametrize("row_floats", [1, 6 * 7 * 9, som._CHUNK_BYTES // 8,
+                                        som._CHUNK_BYTES // 8 + 1, 10**8])
+def test_chunk_stays_within_its_byte_budget_and_holds_a_sample(row_floats):
+    rows = som._chunk_rows(10**9, row_floats)
+    assert rows >= 1
+    assert rows * row_floats * 8 <= max(som._CHUNK_BYTES, row_floats * 8)
+    assert (rows + 1) * row_floats * 8 > som._CHUNK_BYTES
+    assert som._chunk_rows(5, row_floats) == min(rows, 5)
 
 
 def test_save_load_round_trip(tmp_path, iris):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .data_model import AttributeSummary, is_number, require
+from .data_model import AttributeSummary, float_array, is_number, require
 
 if TYPE_CHECKING:
     from .partition import Partition
@@ -89,9 +89,9 @@ class CostParams:
     range_exponent: str = "per_block"
 
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        object.__setattr__(self, "sigma_floor", np.asarray(self.sigma_floor, dtype=float))
-        if self.R.ndim != 1 or not np.all((self.R > 0) & np.isfinite(self.R)):
+        for name in ("R", "sigma_floor"):
+            object.__setattr__(self, name, float_array(CostError, name, getattr(self, name), 1))
+        if not np.all((self.R > 0) & np.isfinite(self.R)):
             raise CostError("R must be a finite, strictly positive vector")
         if self.sigma_floor.shape != self.R.shape or not np.all(
                 (self.sigma_floor > 0) & np.isfinite(self.sigma_floor)):
@@ -121,6 +121,7 @@ class CostParams:
             raise CostError(f"f_sigma * sigma_const must be positive and finite, got "
                             f"f_sigma={f_sigma!r}, sigma_const={self.sigma_const!r}")
         # Only R and sigma_const change, and both were checked above.
+        R.setflags(write=False)
         params = copy.copy(self)
         object.__setattr__(params, "R", R)
         object.__setattr__(params, "sigma_const", sigma_const)

@@ -27,8 +27,8 @@ class DataError(ValueError):
 class Dataset:
     """Numeric samples with optional class labels.
 
-    samples is an (n, M) float array; labels, when present, is a list of n
-    class identifiers (strings).
+    samples is a read-only (n, M) float array; labels, when present, is a
+    list of n class identifiers (strings).
     """
 
     samples: np.ndarray
@@ -36,16 +36,19 @@ class Dataset:
     attribute_names: list[str]
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = float_array(DataError, "samples", self.samples, 2)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2 or samples.shape[1] < 1:
-            raise DataError("samples must be a non-empty (n, M) table with M >= 1")
         if not np.all(np.isfinite(samples)):
             raise DataError("non-finite attribute value in dataset")
-        if len(self.attribute_names) != samples.shape[1]:
-            raise DataError("attribute_names length does not match sample width")
-        if self.labels is not None and len(self.labels) != samples.shape[0]:
-            raise DataError("labels length does not match number of samples")
+        names = self.attribute_names
+        if not (isinstance(names, (list, tuple)) and len(names) == samples.shape[1]
+                and all(isinstance(name, str) for name in names)):
+            raise DataError(f"attribute_names must be a list of {samples.shape[1]} names, one "
+                            f"per samples column, got {reprlib.repr(names)}")
+        if self.labels is not None:
+            encode_labels(self.labels)
+            if len(self.labels) != samples.shape[0]:
+                raise DataError("labels length does not match number of samples")
 
     @property
     def n_samples(self) -> int:
@@ -63,11 +66,16 @@ class Dataset:
 
 
 def encode_labels(labels) -> tuple[list, np.ndarray]:
-    """Map arbitrary labels to dense class ids in sorted-label order."""
-    labels = list(labels)
+    """Map labels, a non-empty sequence of hashable values that sort together,
+    to dense class ids in sorted-label order; else DataError naming labels."""
+    try:
+        labels = list(labels)
+        classes = sorted(set(labels))
+    except TypeError:       # not iterable, or a label unhashable or not comparable
+        raise DataError(f"labels must be a sequence of hashable values that sort together, "
+                        f"got {reprlib.repr(labels)}") from None
     if not labels:
-        raise DataError("empty label sequence")
-    classes = sorted(set(labels))
+        raise DataError("labels must not be empty")
     index = {c: i for i, c in enumerate(classes)}
     return classes, np.array([index[l] for l in labels], dtype=int)
 
@@ -81,13 +89,17 @@ class AttributeSummary:
     spans: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=float)
-        maxs = np.asarray(self.maxs, dtype=float)
+        mins = float_array(DataError, "mins", self.mins, 1)
+        maxs = float_array(DataError, "maxs", self.maxs, 1)
+        if mins.shape != maxs.shape:
+            raise DataError(f"mins and maxs must have the same length, got {mins.size} "
+                            f"and {maxs.size}")
+        require(DataError, lambda v: np.isfinite(v).all(), "finite", mins=mins, maxs=maxs)
         if np.any(mins > maxs):
             raise DataError("attribute min exceeds max")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
-        object.__setattr__(self, "spans", maxs - mins)
+        object.__setattr__(self, "spans", float_array(DataError, "spans", maxs - mins, 1))
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
@@ -166,6 +178,27 @@ def require(error, test, noun: str, **values) -> None:
     for name, value in values.items():
         if not test(value):
             raise error(f"{name} must be {noun}, got {reprlib.repr(value)}")
+
+
+def float_array(error, name: str, value, ndim: int) -> np.ndarray:
+    """value as a read-only float64 copy with ndim dimensions and at least one
+    element, else error naming name and the first element that is not a number
+    a float can hold (is_number: no bool, string, None or int such as 10**400).
+    An array must have an integer or float dtype."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        array = value.astype(float)
+    else:
+        items = np.array(value, dtype=object)   # nested lists' shape; elements as Python objects
+        for item in items.flat:
+            if not is_number(item):
+                raise error(f"{name} must hold numbers, got {reprlib.repr(item)}")
+        if isinstance(value, np.ndarray):       # an object array, though of numbers
+            raise error(f"{name} must hold numbers, got {reprlib.repr(value)}")
+        array = items.astype(float)
+    if array.ndim != ndim or not array.size:
+        raise error(f"{name} must be a non-empty {ndim}-D array, got shape {array.shape}")
+    array.setflags(write=False)
+    return array
 
 
 @functools.cache

@@ -233,6 +233,8 @@ def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
     BlockCosts.join_rejected settles (an empty side, or a certain loss) is
     not costed; both skip only what the plain scan would not merge.
     """
+    if not isinstance(masks, (list, tuple)):
+        raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
     rows, cols = som_map.rows, som_map.cols
     n = rows * cols
     inner = _inner_cells(rows, cols)
@@ -411,6 +413,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     under a width rule that depends on block size.  The worst case still
     grows exponentially with cell count, hence cell_limit.
     """
+    require(PartitionError, is_integer, "an integer", cell_limit=cell_limit)
     rows, cols = som_map.rows, som_map.cols
     if rows * cols > cell_limit:
         raise PartitionError(f"grid {rows}x{cols} exceeds cell_limit={cell_limit}")

@@ -17,13 +17,12 @@ counts to the rest.  Every column's parameters are still built and checked.
 """
 
 import math
-import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bayes_cost import BlockCosts, CostError, CostParams, widths_at_floor
-from .data_model import is_integer, is_number, require
+from .data_model import float_array, is_integer, is_number, require
 from .partition import partition_som
 from .som import SomMap
 
@@ -33,10 +32,9 @@ class SweepError(ValueError):
 
 
 def _check_grid(grid: np.ndarray, name: str = "factor grid") -> int:
-    """Validate a 1-D, ascending grid of positive, finite factors that
-    contains 1.0, naming it; return the index of 1.0."""
-    if grid.ndim != 1 or len(grid) < 1:
-        raise SweepError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
+    """Validate a grid of ascending, positive, finite factors that contains
+    1.0, naming it; return the index of 1.0."""
+    grid = float_array(SweepError, name, grid, 1)
     bad = grid[~np.isfinite(grid)]
     if bad.size:
         raise SweepError(f"{name} must hold finite factors, got {float(bad[0])!r}")
@@ -61,25 +59,8 @@ class SweepSpec:
     def __post_init__(self):
         require(SweepError, lambda v: isinstance(v, CostParams), "a CostParams", base=self.base)
         for name in ("f_R_grid", "f_sigma_grid"):
-            object.__setattr__(self, name, _factor_array(getattr(self, name), name))
+            object.__setattr__(self, name, float_array(SweepError, name, getattr(self, name), 1))
             _check_grid(getattr(self, name), name)
-
-
-def _factor_array(values, name: str) -> np.ndarray:
-    """values as a float array, else SweepError naming the grid and its
-    first factor that is not a number a float can hold, such as a bool or a
-    string; None reads as nan, which _check_grid refuses."""
-    try:
-        grid = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        grid = None
-    if np.iterable(values) and (grid is None or grid.ndim == 1):
-        for value in values:
-            if value is not None and not is_number(value):
-                raise SweepError(f"{name} must hold numbers, got {reprlib.repr(value)}")
-    if grid is None:
-        raise SweepError(f"{name} must be a 1-D array of numbers, got {reprlib.repr(values)}")
-    return grid
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
-from .data_model import (Dataset, encode_labels, from_record, is_integer, is_number,
-                         read_json_file, record_keys, require, write_text_atomic)
+from .data_model import (Dataset, encode_labels, float_array, from_record, is_integer,
+                         is_number, read_json_file, record_keys, require, write_text_atomic)
 
 MAP_FORMAT_VERSION = 1
 
@@ -136,17 +136,16 @@ class SomMap:
         if len(pes) != self.rows * self.cols:
             raise SomError(f"{len(pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
-        shape = _shape(pes[0].weight, 0, "weight")
-        if len(shape) != 1 or not shape[0]:
-            raise SomError(f"cell 0: weight must be a non-empty vector, got shape {shape}")
+        shape = float_array(SomError, "cell 0: weight", pes[0].weight, 1).shape
         zeros = np.zeros(shape)
         weights, means, stds = [], [], []
         for k, pe in enumerate(pes):
             if not (is_integer(pe.r) and is_integer(pe.c)) or (pe.r, pe.c) != divmod(k, self.cols):
                 raise SomError(f"cell {k}: r/c ({pe.r!r}, {pe.c!r}) do not match its "
                                f"position {divmod(k, self.cols)}")
-            if (got := _shape(pe.weight, k, "weight")) != shape:
-                raise SomError(f"cell {k}: weight has shape {got}, expected {shape}")
+            weight = float_array(SomError, f"cell {k}: weight", pe.weight, 1)
+            if weight.shape != shape:
+                raise SomError(f"cell {k}: weight has shape {weight.shape}, expected {shape}")
             if not is_integer(pe.n) or pe.n < 0:
                 raise SomError(f"cell {k}: n must be a non-negative integer, got {pe.n!r}")
             if not isinstance(pe.member_ids, (list, tuple)):
@@ -154,17 +153,19 @@ class SomMap:
             if pe.n != len(pe.member_ids):
                 raise SomError(f"cell {k}: n is {pe.n} but member_ids lists "
                                f"{len(pe.member_ids)}")
-            weights.append(pe.weight)
+            weights.append(weight)
             for name, table in (("mean", means), ("std", stds)):
                 value = getattr(pe, name)
                 if pe.n == 0 and value is not None:
                     raise SomError(f"cell {k}: {name} must be null for an empty cell")
-                got = None if value is None else _shape(value, k, name)
+                if value is not None:
+                    value = float_array(SomError, f"cell {k}: {name}", value, 1)
+                got = None if value is None else value.shape
                 if pe.n > 0 and got != shape:
                     raise SomError(f"cell {k}: {name} has shape {got}, "
                                    f"expected the weight's {shape}")
                 table.append(value if pe.n else zeros)
-        weights, means, stds = (np.array(table, dtype=float) for table in (weights, means, stds))
+        weights, means, stds = (np.array(table) for table in (weights, means, stds))
         for name, table in (("weight", weights), ("mean", means), ("std", stds)):
             if not np.isfinite(table).all():
                 cell = np.argmin(np.isfinite(table).all(axis=1))
@@ -227,26 +228,6 @@ class SomMap:
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name in ("weights", "counts", "means", "stds", "member_ids"))
         )
-
-
-def _shape(value, k: int, name: str) -> tuple:
-    """The shape of a cell's vector field: an array or a list of numbers (a
-    bool is none, nor an int too large for a float), else SomError naming the
-    cell and field (not the value)."""
-    if isinstance(value, (list, tuple)):
-        types = set(map(type, value))
-        if types <= {float, int}:       # flat, as a map file's lists are
-            if int in types and not all(map(is_number, value)):
-                raise SomError(f"cell {k}: {name} has a value too large for a float")
-            return (len(value),)
-        if not types & {bool, np.bool_}:
-            try:
-                value = np.asarray(value)
-            except ValueError:          # lists nested to unequal depths
-                pass
-    if not isinstance(value, np.ndarray) or value.dtype.kind not in "fiu":
-        raise SomError(f"cell {k}: {name} must be a vector of numbers")
-    return value.shape
 
 
 def _member_ids(pes, n: int) -> list:

@@ -401,8 +401,10 @@ def test_partition_refuses_a_map_with_a_non_integer_grid_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, where, message", [
     ("map", ("config", "conscience_gamma"), "conscience_gamma must be a number, got 1000"),
-    ("map", ("pes", 0, "weight", 1), "cell 0: weight has a value too large for a float\n"),
-    ("map", ("pes", 3, "mean", 0), "cell 3: mean has a value too large for a float\n"),
+    ("map", ("pes", 0, "weight", 1),
+     "cell 0: weight must hold numbers, got 100000000000000000...0000000000000000000\n"),
+    ("map", ("pes", 3, "mean", 0),
+     "cell 3: mean must hold numbers, got 100000000000000000...0000000000000000000\n"),
     ("map", ("seed",), "seed 1000"),
     ("map", ("pes",), "pes must be a list of cell records, got 1000"),
     ("map", ("pes", 0), "cell 0 must be a JSON object, got 1000"),

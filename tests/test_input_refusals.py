@@ -1,0 +1,174 @@
+"""Where inputs meet the library: each public entry point that takes numbers,
+labels or masks either accepts a value or refuses it with its module's own
+error, naming the argument, and keeps no array the caller can still change.
+
+The refusal table replaces one argument of a valid call at a time with each of
+twelve hostile values; it is a fixed table, not a random draw.
+"""
+
+import dataclasses
+import math
+import re
+
+import numpy as np
+import pytest
+
+import somblocks as sb
+from somblocks.bayes_cost import unit_scale
+from somblocks.data_model import DataError
+from somblocks.partition import PartitionError
+from somblocks.som import SomError
+
+from conftest import make_map, map_cells, plain_params
+
+MAP = make_map([[0.0, 1.0], [2.0, None]], n_members=2)     # 2x2, one attribute, 6 samples
+LABELS = ["x", "x", "y", "y", "z", "z"]
+PARAMS = plain_params(R=10.0)
+PARTITION = sb.partition_som(MAP, PARAMS)
+SUMMARY = sb.AttributeSummary(mins=[0.0, 1.0], maxs=[2.0, 3.0])
+
+
+def _with_cell_0(**fields):
+    pes = map_cells(MAP)
+    pes[0] = dataclasses.replace(pes[0], **fields)
+    return dataclasses.replace(MAP, pes=tuple(pes))
+
+
+# entry point -> (call taking keyword arguments, a valid set of them)
+ENTRIES = {
+    "Dataset": (sb.Dataset, dict(samples=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                                 labels=["a", "b", "a"], attribute_names=["u", "v"])),
+    "AttributeSummary": (sb.AttributeSummary, dict(mins=[0.0, 1.0], maxs=[2.0, 3.0])),
+    "CostParams": (sb.CostParams, dict(R=[10.0], sigma_floor=[0.5], sigma_const=1.0,
+                                       n_scale_rule=unit_scale, range_exponent="per_block")),
+    "CostParams.scaled": (PARAMS.scaled, dict(f_R=2.0, f_sigma=0.5)),
+    "params_from_summary": (lambda **kw: sb.params_from_summary(SUMMARY, **kw),
+                            dict(range_rule="two_span", sigma_floor_frac=0.15, f_R=1.0)),
+    "SweepSpec": (sb.SweepSpec, dict(base=PARAMS, f_R_grid=[0.5, 1.0, 2.0], f_sigma_grid=[1.0])),
+    "default_grid": (sb.default_grid, dict(points=3, decades=1.0)),
+    "SomMap cell": (_with_cell_0, dict(weight=[0.0], mean=[0.0], std=[1.0])),
+    "SomMap.class_counts": (MAP.class_counts, dict(labels=LABELS)),
+    "score": (lambda labels: sb.score(PARTITION, MAP, labels), dict(labels=LABELS)),
+    "oracle_partition": (lambda labels: sb.oracle_partition(MAP, labels), dict(labels=LABELS)),
+    "render_map": (lambda labels: sb.render_map(MAP, PARTITION, labels), dict(labels=LABELS)),
+    "exhaustive_partition": (lambda cell_limit: sb.exhaustive_partition(MAP, PARAMS, cell_limit),
+                             dict(cell_limit=9)),
+    "merge_regions": (lambda masks: sb.merge_regions(masks, MAP, PARAMS),
+                      dict(masks=[0b0011, 0b1100])),
+}
+ARGUMENTS = [(entry, argument) for entry, (_, valid) in ENTRIES.items() for argument in valid]
+HOSTILE = {"'a'": "a", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
+           "10**400": 10**400, "-1": -1, "0": 0, "[[1.0]]": [[1.0]], "[]": [],
+           "[1.0, 'a']": [1.0, "a"], "[1.0, 10**400]": [1.0, 10**400]}
+# merge_regions names a bad mask by its block index, and a bad tiling as "blocks"
+NAMES = {"masks": ("masks", "block")}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_valid_call_of_each_entry_point_succeeds(entry):
+    call, valid = ENTRIES[entry]
+    call(**valid)
+
+
+@pytest.mark.parametrize("value", HOSTILE.values(), ids=HOSTILE)
+@pytest.mark.parametrize("entry, argument", ARGUMENTS)
+def test_a_hostile_value_is_taken_or_refused_by_name(entry, argument, value):
+    call, valid = ENTRIES[entry]
+    try:
+        call(**{**valid, argument: value})
+    except ValueError as error:
+        assert type(error).__module__.startswith("somblocks."), repr(error)
+        assert any(name in str(error) for name in NAMES.get(argument, (argument,))), repr(error)
+
+
+@pytest.mark.parametrize("labels", [5, [[1]] * 6, [1] * 5 + ["a"]])
+@pytest.mark.parametrize("entry", ["SomMap.class_counts", "score", "oracle_partition",
+                                   "render_map"])
+def test_labels_that_cannot_be_classes_are_refused_where_they_meet_the_map(entry, labels):
+    with pytest.raises(DataError, match="^labels must be a sequence of hashable values that "
+                                        "sort together, got "):
+        ENTRIES[entry][0](labels=labels)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"attribute_names": None}, "attribute_names must be a list of 2 names, one per samples "
+                                "column, got None"),
+    ({"attribute_names": 5}, "attribute_names must be a list of 2 names, one per samples "
+                             "column, got 5"),
+    ({"attribute_names": ["u", 1]}, "attribute_names must be a list of 2 names, one per "
+                                    "samples column, got ['u', 1]"),
+    ({"labels": ["a", ["b"], "a"]}, "labels must be a sequence of hashable values that sort "
+                                    "together, got ['a', ['b'], 'a']"),
+    ({"labels": []}, "labels must not be empty"),
+    ({"samples": [[1.0, 2.0], [3.0, True]]}, "samples must hold numbers, got True"),
+    ({"samples": [[1.0, 2.0], [3.0, "4"]]}, "samples must hold numbers, got '4'"),
+    ({"samples": [[1.0, 2.0], [3.0, 10**400]]},
+     "samples must hold numbers, got 100000000000000000...0000000000000000000"),
+    ({"samples": [1.0, 2.0]}, "samples must be a non-empty 2-D array, got shape (2,)"),
+    ({"samples": np.empty((0, 2))}, "samples must be a non-empty 2-D array, got shape (0, 2)"),
+])
+def test_dataset_names_its_bad_field(options, message):
+    valid = ENTRIES["Dataset"][1]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        sb.Dataset(**{**valid, **options})
+
+
+@pytest.mark.parametrize("mins, maxs, message", [
+    ([0.0, 0.0], [1.0], "mins and maxs must have the same length, got 2 and 1"),
+    (None, None, "mins must hold numbers, got None"),
+    ([0.0, math.nan], [1.0, 1.0], "mins must be finite, got array([ 0., nan])"),
+    ([0.0, 0.0], [1.0, math.inf], "maxs must be finite, got array([ 1., inf])"),
+    ([[0.0]], [[1.0]], "mins must be a non-empty 1-D array, got shape (1, 1)"),
+])
+def test_attribute_summary_names_its_bad_field(mins, maxs, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        sb.AttributeSummary(mins=mins, maxs=maxs)
+
+
+@pytest.mark.parametrize("cell_limit", ["x", None, 9.5, True])
+def test_cell_limit_must_be_an_integer(cell_limit):
+    with pytest.raises(PartitionError,
+                       match=f"^cell_limit must be an integer, got {re.escape(repr(cell_limit))}$"):
+        sb.exhaustive_partition(MAP, PARAMS, cell_limit)
+
+
+@pytest.mark.parametrize("masks", [5, None, 0b1111, {0b1111}])
+def test_merge_regions_takes_a_list_of_masks(masks):
+    with pytest.raises(PartitionError,
+                       match=f"^masks must be a list of cell masks, got {re.escape(repr(masks))}$"):
+        sb.merge_regions(masks, MAP, PARAMS)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "cell 0: weight must be a non-empty 1-D array, got shape ()"),
+    ([0.0, True], "cell 0: weight must hold numbers, got True"),
+    (np.array([[0.0]]), "cell 0: weight must be a non-empty 1-D array, got shape (1, 1)"),
+])
+def test_a_cell_vector_goes_through_the_one_converter(value, message):
+    with pytest.raises(SomError, match=f"^{re.escape(message)}$"):
+        _with_cell_0(weight=value)
+
+
+def test_constructors_keep_read_only_copies_of_the_callers_arrays():
+    R, floor = np.array([1.0]), np.array([0.5])
+    p = sb.CostParams(R=R, sigma_floor=floor)
+    grid = np.array([0.5, 1.0, 2.0])
+    spec = sb.SweepSpec(base=p, f_R_grid=grid, f_sigma_grid=grid)
+    samples = np.array([[1.0, 2.0], [3.0, 4.0]])
+    dataset = sb.Dataset(samples=samples, labels=None, attribute_names=["u", "v"])
+    lo, hi = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    summary = sb.AttributeSummary(mins=lo, maxs=hi)
+    R[0], floor[0], grid[0], samples[0, 0], lo[0], hi[0] = -5.0, -5.0, -3.0, -1.0, 9.0, 9.0
+    assert p.R.tolist() == [1.0] and p.sigma_floor.tolist() == [0.5]
+    assert spec.f_R_grid.tolist() == spec.f_sigma_grid.tolist() == [0.5, 1.0, 2.0]
+    assert dataset.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert summary.mins.tolist() == [0.0, 1.0] and summary.maxs.tolist() == [2.0, 3.0]
+    scaled = p.scaled(f_R=2.0)
+    kept = [(p, "R"), (p, "sigma_floor"), (scaled, "R"), (spec, "f_R_grid"),
+            (spec, "f_sigma_grid"), (dataset, "samples"), (summary, "mins"), (summary, "maxs"),
+            (summary, "spans")]
+    for owner, name in kept:
+        array = getattr(owner, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    assert p.scaled(f_R=2.0).R.tolist() == [2.0]

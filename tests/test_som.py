@@ -484,9 +484,9 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_member_one_as_true, r"cell 24: member id True is not an integer"),
     (_member_two_as_float, r"cell \d+: member id 2\.0 is not an integer"),
     (_set_every("weight", lambda pe: [pe["weight"]]),
-     r"cell 0: weight must be a non-empty vector, got shape \(1, 4\)$"),
+     r"cell 0: weight must be a non-empty 1-D array, got shape \(1, 4\)$"),
     (_set_every("weight", lambda pe: []),
-     r"cell 0: weight must be a non-empty vector, got shape \(0,\)$"),
+     r"cell 0: weight must be a non-empty 1-D array, got shape \(0,\)$"),
     (lambda doc: doc.update(rows=4), r"grid 4x5 differs from the config's 5x5"),
     (lambda doc: doc["config"].update(neighborhood_schedule=[[0.0, 2.5], [0.6, 0]]),
      r"neighborhood_schedule pairs are \(fraction, integer half-width\), got \(0\.0, 2\.5\)$"),
@@ -495,7 +495,7 @@ CELL_FAULTS = pytest.mark.parametrize("edit, message", [
     (_on_empty("mean", [0.0] * 4), r"cell \d+: mean must be null for an empty cell$"),
     (_on_empty("std", [0.0] * 4), r"cell \d+: std must be null for an empty cell$"),
     (_set("weight", lambda pe: ["2"] + pe["weight"][1:]),
-     r"cell \d+: weight must be a vector of numbers$"),
+     r"cell \d+: weight must hold numbers, got '2'$"),
     (_set("std", lambda pe: [-0.1] + pe["std"][1:]), r"cell \d+: std has a negative value$"),
     (_set("r", False, cell=0), r"cell 0: r/c \(False, 0\) do not match its position \(0, 0\)$"),
     (lambda doc: doc["config"].update(conscience_gamma=False),
@@ -533,11 +533,11 @@ def _set_first(field, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set_first("weight", True), r"cell \d+: weight must be a vector of numbers"),
-    (_set_first("mean", False), r"cell \d+: mean must be a vector of numbers"),
-    (_set_first("std", [0.1]), r"cell \d+: std must be a vector of numbers"),
-    (_set("weight", [[1.0], [1.0, 2.0]], cell=3), r"cell 3: weight must be a vector of numbers"),
-    (_set("weight", "x", cell=3), r"cell 3: weight must be a vector of numbers"),
+    (_set_first("weight", True), r"cell \d+: weight must hold numbers, got True"),
+    (_set_first("mean", False), r"cell \d+: mean must hold numbers, got False"),
+    (_set_first("std", [0.1]), r"cell \d+: std must hold numbers, got \[0\.1\]"),
+    (_set("weight", [[1.0], [1.0, 2.0]], cell=3), r"cell 3: weight must hold numbers, got \[1\.0\]"),
+    (_set("weight", "x", cell=3), r"cell 3: weight must hold numbers, got 'x'"),
     (_set("member_ids", 5), r"cell \d+: member_ids must be a list, got 5"),
     (_set("member_ids", {}), r"cell \d+: member_ids must be a list, got \{\}"),
     (lambda doc: doc.update(seed=2.5), r"seed 2\.5 differs from the config's 2"),
@@ -556,13 +556,21 @@ def test_load_names_the_field_that_holds_a_bad_value(tmp_path, edit, message):
     assert re.fullmatch(f"{re.escape(str(path))}: {message}", str(refused.value))
 
 
-@pytest.mark.parametrize("weight", [[True], [0.0, False], np.array([True]), ["1"], "1",
-                                    np.array(["1"]), np.array([1.0], dtype=object), 1.0])
-def test_map_built_in_memory_refuses_a_weight_that_is_not_numbers(weight):
+@pytest.mark.parametrize("weight, message", [
+    ([True], "must hold numbers, got True"),
+    ([0.0, False], "must hold numbers, got False"),
+    (np.array([True]), "must hold numbers, got True"),
+    (["1"], "must hold numbers, got '1'"),
+    ("1", "must hold numbers, got '1'"),
+    (np.array(["1"]), "must hold numbers, got '1'"),
+    (np.array([1.0], dtype=object), "must hold numbers, got array([1.0], dtype=object)"),
+    (1.0, "must be a non-empty 1-D array, got shape ()"),
+])
+def test_map_built_in_memory_refuses_a_weight_that_is_not_numbers(weight, message):
     m = make_map([[0.0, 1.0]], n_members=1)
     pes = map_cells(m)
     pes[1] = dataclasses.replace(pes[1], weight=weight)
-    with pytest.raises(SomError, match="^cell 1: weight must be a vector of numbers$"):
+    with pytest.raises(SomError, match=f"^cell 1: weight {re.escape(message)}$"):
         dataclasses.replace(m, pes=tuple(pes))
 
 

@@ -84,14 +84,12 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
     cell_class = np.where(som_map.counts > 0, majority, -1).reshape(rows, cols)
 
     occupied = cell_class >= 0
-    if not occupied.any():
-        raise BaselineError("map has no non-empty cells")
     block = component_labels(occupied,
                              occupied[:, :-1] & (cell_class[:, :-1] == cell_class[:, 1:]),
                              occupied[:-1] & (cell_class[:-1] == cell_class[1:]))
 
+    # a cell is occupied (labels are non-empty) and the grid connected: each pass fills a cell
     while np.any(block < 0):
-        assigned_any = False
         for r in range(rows):
             for c in range(cols):
                 if block[r, c] >= 0:
@@ -101,7 +99,4 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
                         if 0 <= r2 < rows and 0 <= c2 < cols and block[r2, c2] >= 0]
                 if near:
                     block[r, c] = min(near)
-                    assigned_any = True
-        if not assigned_any:
-            raise BaselineError("unreachable empty cells")  # cannot happen on a grid
     return Partition.from_labels(block)

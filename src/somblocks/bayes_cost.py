@@ -97,6 +97,7 @@ class CostParams:
                 (self.sigma_floor > 0) & np.isfinite(self.sigma_floor)):
             raise CostError("sigma_floor must be finite and strictly positive, same shape as R")
         _require_factors(sigma_const=self.sigma_const)
+        object.__setattr__(self, "sigma_const", float(self.sigma_const))
         if not any(self.n_scale_rule is rule for rule in N_SCALE_RULES.values()):
             raise CostError(f"n_scale_rule must be one of N_SCALE_RULES' rules "
                             f"{tuple(N_SCALE_RULES)}, got {reprlib.repr(self.n_scale_rule)}")
@@ -112,6 +113,7 @@ class CostParams:
         """Copy with R scaled by f_R and sigma_const by f_sigma: one point of a
         stability sweep around these params."""
         _require_factors(f_R=f_R, f_sigma=f_sigma)
+        f_R, f_sigma = float(f_R), float(f_sigma)
         with np.errstate(over="ignore"):
             R, sigma_const = self.R * f_R, self.sigma_const * f_sigma
         # Finite factors can still overflow ln R or the width scale.

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 import reprlib
+from collections.abc import Iterator, Set as AbstractSet
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -27,13 +28,13 @@ class DataError(ValueError):
 class Dataset:
     """Numeric samples with optional class labels.
 
-    samples is a read-only (n, M) float array; labels, when present, is a
-    list of n class identifiers (strings).
+    samples is a read-only (n, M) float array, labels (optional) a tuple of n
+    class identifiers (strings) and attribute_names a tuple of M names: each a copy.
     """
 
     samples: np.ndarray
-    labels: list[str] | None
-    attribute_names: list[str]
+    labels: tuple[str, ...] | None
+    attribute_names: tuple[str, ...]
 
     def __post_init__(self):
         samples = float_array(DataError, "samples", self.samples, 2)
@@ -45,10 +46,13 @@ class Dataset:
                 and all(isinstance(name, str) for name in names)):
             raise DataError(f"attribute_names must be a list of {samples.shape[1]} names, one "
                             f"per samples column, got {reprlib.repr(names)}")
+        object.__setattr__(self, "attribute_names", tuple(names))
         if self.labels is not None:
-            encode_labels(self.labels)
-            if len(self.labels) != samples.shape[0]:
+            labels = tuple(self.labels) if isinstance(self.labels, Iterator) else self.labels
+            encode_labels(labels)
+            if len(labels) != samples.shape[0]:
                 raise DataError("labels length does not match number of samples")
+            object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def n_samples(self) -> int:
@@ -66,8 +70,10 @@ class Dataset:
 
 
 def encode_labels(labels) -> tuple[list, np.ndarray]:
-    """Map labels, a non-empty sequence of hashable values that sort together,
-    to dense class ids in sorted-label order; else DataError naming labels."""
+    """Map labels, a non-empty sequence (not a set) of hashable values that sort
+    together, to dense class ids in sorted-label order; else DataError naming labels."""
+    if isinstance(labels, AbstractSet):
+        raise DataError(f"labels must be a sequence, not a set, got {reprlib.repr(labels)}")
     try:
         labels = list(labels)
         classes = sorted(set(labels))

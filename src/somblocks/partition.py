@@ -404,14 +404,12 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     branch and bound: a branch is skipped when the exact cost of its partial
     blocks plus each unplaced cell's least possible increment
     (BlockCosts.least_increments) exceeds the best cost known so far by more
-    than a rounding tolerance.  The best known starts as the cheaper of two
-    connected partitions, the singleton tiling and partition_som's answer,
-    each costed here block by block (the heuristic's reported cost is not
-    used, and its partition is skipped if it fails validate_partition).  The
-    walk visits labelings in lexicographic order, so that returns the same
-    partition and cost as scoring every partition, which is what happens
-    under a width rule that depends on block size.  The worst case still
-    grows exponentially with cell count, hence cell_limit.
+    than a rounding tolerance.  The best known starts as the singleton
+    tiling, costed here block by block; no other partitioner is consulted.
+    The walk visits labelings in lexicographic order, so that returns the
+    same partition and cost as scoring every partition, which is what
+    happens under a width rule that depends on block size.  The worst case
+    still grows exponentially with cell count, hence cell_limit.
     """
     require(PartitionError, is_integer, "an integer", cell_limit=cell_limit)
     rows, cols = som_map.rows, som_map.cols
@@ -434,19 +432,10 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     grow = None
     least = costs.least_increments()
     if least is not None:
-        # Two connected partitions that the walk would reach anyway give it a
-        # limit from its first node, so they change what it cuts, not what
-        # it returns.
-        seeds = [tuple(range(rows * cols))]
-        heuristic = partition_som(som_map, params, costs)
-        try:
-            validate_partition(heuristic)
-        except PartitionError:
-            pass
-        else:
-            seeds.append(heuristic.signature())
-        for labels in seeds:
-            visit(labels, list(_label_masks(labels).values()))
+        # The singleton tiling, which the walk would reach anyway, gives it a
+        # limit from its first node, so it changes what the walk cuts, not
+        # what it returns.
+        visit(tuple(range(rows * cols)), [1 << k for k in range(rows * cols)])
 
         # rest[k]: the least the cells from k on can add to any completion.
         rest = [0.0] * (len(least) + 1)
@@ -486,6 +475,8 @@ def partition_to_json(partition: Partition, params_echo: dict | None = None,
 
 def save_partition(partition: Partition, path, params_echo: dict | None = None,
                    provenance: dict | None = None) -> None:
+    """Write a partition file, refusing one that load_partition would (validate_partition)."""
+    validate_partition(partition)
     write_text_atomic(path, partition_to_json(partition, params_echo, provenance))
 
 

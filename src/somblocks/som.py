@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import reprlib
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class SomConfig:
                 epochs=self.epochs, seed=self.seed)
         require(SomError, is_number, "a number", lr_start=self.lr_start, lr_end=self.lr_end,
                 conscience_beta=self.conscience_beta, conscience_gamma=self.conscience_gamma)
+        for f in fields(self):      # numpy scalars become the int or float they hold
+            if f.type in (int, float):
+                object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise SomError("grid must have at least 2 cells")
         if self.epochs < 1:
@@ -54,7 +57,7 @@ class SomConfig:
             raise SomError("need 1 >= lr_start >= lr_end > 0")
         require(SomError, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative",
                 conscience_beta=self.conscience_beta, conscience_gamma=self.conscience_gamma)
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise SomError("seed must fit in 64 unsigned bits")
         schedule = self.neighborhood_schedule
         if not isinstance(schedule, (list, tuple)):
@@ -130,6 +133,8 @@ class SomMap:
 
     def __post_init__(self, pes):
         require(SomError, is_integer, "an integer", rows=self.rows, cols=self.cols)
+        object.__setattr__(self, "rows", int(self.rows))
+        object.__setattr__(self, "cols", int(self.cols))
         if (self.rows, self.cols) != (self.config.rows, self.config.cols):
             raise SomError(f"grid {self.rows}x{self.cols} differs from the config's "
                            f"{self.config.rows}x{self.config.cols}")

@@ -286,6 +286,21 @@ def test_attribute_count_mismatch_names_both_counts(fixture_map):
         sb.partition_som(fixture_map, params)
 
 
+def test_numpy_scalar_settings_are_kept_as_python_floats(iris, fixture_map, tmp_path):
+    # a float32 sigma_const kept as given computes widths in float32 on one
+    # cost path and not the other, and its echo does not serialize
+    base = sb.params_from_summary(sb.summarize(iris), n_scale_rule=N_SCALE_RULES["sqrt"],
+                                  sigma_const=np.float32(12.0))
+    whole = (1 << fixture_map.rows * fixture_map.cols) - 1
+    for params in (base, base.scaled(f_R=np.float32(2.0), f_sigma=np.float32(2.0))):
+        assert type(params.sigma_const) is float
+        assert (BlockCosts(fixture_map, params).cost(whole).hex()
+                == sb.block_cost_for_pes(map_cells(fixture_map), params).hex())
+        p = sb.partition_som(fixture_map, params)
+        sb.save_partition(p, tmp_path / "p.json", params_echo=params.echo())
+        assert sb.load_partition(tmp_path / "p.json") == p
+
+
 def test_engine_refuses_another_map_or_width(fixture_map, seed1_map, iris_params):
     costs = BlockCosts(fixture_map, iris_params)
     assert costs.at(fixture_map, iris_params) is costs

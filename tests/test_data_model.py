@@ -121,6 +121,19 @@ def test_every_sample_within_bounds(iris):
     assert np.all(iris.samples <= summ.maxs)
 
 
+def test_dataset_keeps_tuple_copies_of_its_labels_and_names():
+    samples = np.array([[1.0, 2.0], [3.0, 4.0]])
+    labels, names = ["a", "b"], ["x", "y"]
+    ds = sb.Dataset(samples=samples, labels=labels, attribute_names=names)
+    labels.append("c")
+    names.append("z")
+    assert (ds.labels, ds.attribute_names) == (("a", "b"), ("x", "y"))
+    ds = sb.Dataset(samples=samples, labels=(label for label in "ba"), attribute_names=["x", "y"])
+    assert (ds.labels, ds.classes()) == (("b", "a"), ["a", "b"])
+    with pytest.raises(DataError, match=r"^labels must be a sequence, not a set, got "):
+        sb.Dataset(samples=samples, labels={"a", "b"}, attribute_names=["x", "y"])
+
+
 def test_dataset_invariants():
     with pytest.raises(DataError):
         sb.Dataset(samples=np.array([[1.0, np.inf]]), labels=None, attribute_names=["a", "b"])

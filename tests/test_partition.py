@@ -499,34 +499,26 @@ def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, ex
     assert best == _reference_exhaustive(m, params)   # cost bits included
 
 
-def test_oracle_recosts_the_heuristic_partition_it_starts_from(monkeypatch):
-    # The heuristic's partition seeds the bounded walk.  A cost it misstates,
-    # or a block it leaves disconnected, must not decide the answer.
-    real = sb.partition_som
-    seeds = []
+def test_oracle_runs_no_heuristic_and_no_relabeling(monkeypatch):
+    # The oracle audits partition_som, so it must not call it, nor check or
+    # relabel a partition it did not walk to.
+    def refused(*args, **kwargs):
+        raise AssertionError("exhaustive_partition called a function it must not")
 
-    def misstated(som_map, params, costs=None):
-        p = real(som_map, params, costs)
-        seeds.append(p)
-        return Partition(block_of=p.block_of, n_blocks=p.n_blocks, cost=-1e9)
-
-    monkeypatch.setattr("somblocks.partition.partition_som", misstated)
-    params = plain_params(R=20.0, M=2)
-    rng = np.random.default_rng(31)
-    for _ in range(4):
-        m = random_map(rng, rows=3, cols=3, M=2)
-        assert sb.exhaustive_partition(m, params) == _reference_exhaustive(m, params)
-    assert len(seeds) == 4
-
-    # the ends of a 1x3 strip agree; joining them across the middle would
-    # be cheapest, but that block is not connected
-    m = make_map([[0.0, 9.0, 0.0]], s=0.4)
-    params = plain_params(R=30.0)
-    monkeypatch.setattr("somblocks.partition.partition_som",
-                        lambda *args: Partition(np.array([[0, 1, 0]]), 2, cost=-1e9))
-    best = sb.exhaustive_partition(m, params)
-    assert best == _reference_exhaustive(m, params)
-    assert sb.partition_cost(Partition(np.array([[0, 1, 0]]), 2), m, params) < best.cost
+    for name in ("partition_som", "validate_partition", "_label_masks"):
+        monkeypatch.setattr(f"somblocks.partition.{name}", refused)
+    rng = np.random.default_rng(28)
+    for shape in ((3, 3), (3, 4)):
+        for rule in ("unit", "sqrt"):
+            for exponent in sb.bayes_cost.RANGE_EXPONENTS:
+                m = random_map(rng, *shape, M=2)
+                params = sb.CostParams(R=rng.uniform(5.0, 30.0, 2), sigma_floor=np.full(2, 0.05),
+                                       n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                                       range_exponent=exponent)
+                best = sb.exhaustive_partition(m, params, cell_limit=12)
+                want = _reference_exhaustive(m, params)
+                assert best == want, (shape, rule, exponent)
+                assert best.cost.hex() == want.cost.hex()
 
 
 def synthetic_families(rng):
@@ -603,6 +595,12 @@ def test_partition_file_round_trip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(PartitionError):
         load_partition(bad)
+
+
+def test_save_partition_refuses_what_load_partition_would(tmp_path):
+    with pytest.raises(PartitionError, match="^block 0 is not edge-connected$"):
+        save_partition(Partition(np.array([[0, 1], [1, 0]]), 2), tmp_path / "p.json")
+    assert not list(tmp_path.iterdir())
 
 
 def test_partition_to_json_writes_a_numpy_block_count(tmp_path):

@@ -249,6 +249,28 @@ def test_config_off_every_default_survives_save_and_load(tmp_path, iris):
     assert sb.load_map(path).config == config
 
 
+def test_numpy_scalar_settings_are_kept_as_python_numbers(tmp_path, iris):
+    # numpy scalars pass the checks; kept as given they would not serialize,
+    # and an int where a float goes would write other bytes than that float
+    config = sb.SomConfig(rows=np.int64(3), cols=np.int32(2), epochs=np.int64(3),
+                          lr_start=np.float32(0.5), lr_end=np.float64(0.01),
+                          conscience_beta=np.float32(1e-4), conscience_gamma=np.int64(1),
+                          seed=np.uint64(5))
+    for f in dataclasses.fields(config):
+        if f.type in (int, float):
+            assert type(getattr(config, f.name)) is f.type, f.name
+    m = sb.train(iris, config)
+    rebuilt = dataclasses.replace(m, rows=np.int64(3), cols=np.int64(2), pes=tuple(map_cells(m)))
+    assert (type(rebuilt.rows), type(rebuilt.cols)) == (int, int)
+    path = tmp_path / "m.json"
+    for each in (m, rebuilt):
+        sb.save_map(each, path)
+        assert sb.load_map(path) == m
+    ones = [dataclasses.replace(config, lr_start=one) for one in (1, 1.0)]
+    assert ones[0] == ones[1]
+    assert map_to_json(sb.train(iris, ones[0])) == map_to_json(sb.train(iris, ones[1]))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["config"].pop("epochs"), "config is missing epochs$"),
     (lambda doc: doc["config"].update(sigma=1.0), "config has unknown keys sigma$"),

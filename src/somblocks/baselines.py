@@ -66,7 +66,7 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
     # component_labels numbers components by lowest cell, as Partition does
     cells = np.ones((som_map.rows, som_map.cols), dtype=bool)
     block_of = component_labels(cells, bounds.h <= T, bounds.v <= T)
-    return Partition(block_of=block_of, n_blocks=int(block_of.max()) + 1)
+    return Partition(block_of=block_of, n_blocks=block_of.max() + 1)
 
 
 def oracle_partition(som_map: SomMap, labels) -> Partition:

@@ -34,7 +34,7 @@ class EvalReport:
 
 def _check_partition(som_map: SomMap, partition: Partition | None) -> None:
     if partition is not None:
-        validate_partition(partition)       # first: it checks block_of is an array
+        validate_partition(partition)
         if partition.block_of.shape != (som_map.rows, som_map.cols):
             raise EvaluateError("partition shape does not match the map")
 
@@ -48,8 +48,6 @@ def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
     if labels is None:
         raise EvaluateError("scoring needs class labels")
     classes, cell_counts = som_map.class_counts(labels)
-    if partition.n_blocks < 1:
-        raise EvaluateError("empty partition")
     _check_partition(som_map, partition)
     n_classes = len(classes)
 

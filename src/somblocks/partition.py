@@ -29,14 +29,31 @@ class PartitionError(ValueError):
 class Partition:
     """Assignment of every grid cell to one edge-connected block.
 
-    block_of is a (rows, cols) int array of dense block ids numbered by
-    first occurrence in row-major order, so equal cell groupings always
-    produce identical arrays.
+    block_of is a read-only (rows, cols) int array of dense block ids
+    numbered by first occurrence in row-major order, so equal cell groupings
+    always produce identical arrays (validate_partition checks that and
+    connectivity); n_blocks is an int of at least 1, cost a float, NaN for none.
     """
 
     block_of: np.ndarray
     n_blocks: int
     cost: float = math.nan
+
+    def __post_init__(self):
+        if not (isinstance(self.block_of, np.ndarray) and self.block_of.ndim == 2
+                and self.block_of.dtype.kind in "iu"):
+            raise PartitionError("block_of must be a 2-D integer array")
+        rows, cols = self.block_of.shape
+        require(PartitionError, is_integer, "an integer", K=self.n_blocks)
+        require(PartitionError, lambda v: v >= 1, "at least 1",
+                **{"block_of rows": rows, "block_of cols": cols}, K=self.n_blocks)
+        require(PartitionError, is_number, "a number", cost=self.cost)
+        require(PartitionError, lambda v: not math.isinf(v), "finite or NaN", cost=self.cost)
+        block_of = self.block_of.copy()
+        block_of.flags.writeable = False
+        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "n_blocks", int(self.n_blocks))
+        object.__setattr__(self, "cost", float(self.cost))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -62,21 +79,17 @@ class Partition:
         return cls.from_masks(masks, *labels.shape, cost=cost)
 
     def signature(self) -> tuple:
-        return tuple(int(v) for v in self.block_of.ravel())
+        return tuple(self.block_of.ravel().tolist())
 
 
 def validate_partition(partition: Partition) -> None:
-    """Check the id array, the block count K, coverage, canonical ids, and
-    4-connectivity of every block."""
-    block_of = partition.block_of
-    if not (isinstance(block_of, np.ndarray) and block_of.ndim == 2 and block_of.dtype.kind in "iu"):
-        raise PartitionError("block_of must be a 2-D integer array")
-    require(PartitionError, is_integer, "an integer", K=partition.n_blocks)
-    masks = _label_masks(block_of.ravel().tolist())
+    """Check the tiling: ids 0..K-1 numbered by first occurrence, and
+    4-connectivity of every block (Partition checks the values)."""
+    masks = _label_masks(partition.block_of.ravel().tolist())
     if len(masks) != partition.n_blocks or list(masks) != list(range(partition.n_blocks)):
         raise PartitionError("block ids must be 0..K-1 numbered by first occurrence "
                              "in row-major order")
-    rows, cols = block_of.shape
+    rows, cols = partition.block_of.shape
     inner = _inner_cells(rows, cols)
     for b, mask in sorted(masks.items()):      # by block id, so the error names it
         if not _connected(mask, inner, cols):
@@ -404,12 +417,13 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     branch and bound: a branch is skipped when the exact cost of its partial
     blocks plus each unplaced cell's least possible increment
     (BlockCosts.least_increments) exceeds the best cost known so far by more
-    than a rounding tolerance.  The best known starts as the singleton
-    tiling, costed here block by block; no other partitioner is consulted.
-    The walk visits labelings in lexicographic order, so that returns the
-    same partition and cost as scoring every partition, which is what
-    happens under a width rule that depends on block size.  The worst case
-    still grows exponentially with cell count, hence cell_limit.
+    than a rounding tolerance.  That limit starts at the singleton tiling's
+    cost, summed here block by block; no other partitioner is consulted.
+    The walk visits labelings in lexicographic order and keeps the first
+    cheapest, so that returns the same partition and cost as scoring every
+    partition, which is what happens under a width rule that depends on
+    block size.  The worst case still grows exponentially with cell count,
+    hence cell_limit.
     """
     require(PartitionError, is_integer, "an integer", cell_limit=cell_limit)
     rows, cols = som_map.rows, som_map.cols
@@ -420,22 +434,24 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     mask_cost = costs.cost
     state = {"cost": math.inf, "labels": None, "limit": math.inf}
 
+    def tighten(total):
+        # the bound sums in plain floats; the margin covers its rounding,
+        # so no branch that could tie the best is cut
+        state["limit"] = min(state["limit"], total + 1e-9 * max(1.0, abs(total)))
+
     def visit(labels, parts):
         total = math.fsum(map(mask_cost, parts))
-        if total < state["cost"] or (total == state["cost"] and tuple(labels) < state["labels"]):
-            state["cost"] = total
-            state["labels"] = tuple(labels)
-            # the bound sums in plain floats; the margin covers its rounding,
-            # so no branch that could tie the best is cut
-            state["limit"] = total + 1e-9 * max(1.0, abs(total))
+        if total < state["cost"]:           # the first cheapest in the walk's order
+            state["cost"], state["labels"] = total, tuple(labels)
+            tighten(total)
 
     grow = None
     least = costs.least_increments()
     if least is not None:
-        # The singleton tiling, which the walk would reach anyway, gives it a
-        # limit from its first node, so it changes what the walk cuts, not
-        # what it returns.
-        visit(tuple(range(rows * cols)), [1 << k for k in range(rows * cols)])
+        # The singleton tiling's cost limits the walk from its first node; the
+        # walk reaches that tiling last and cuts it only once something is
+        # cheaper, so this changes what the walk cuts, not what it returns.
+        tighten(math.fsum(mask_cost(1 << k) for k in range(rows * cols)))
 
         # rest[k]: the least the cells from k on can add to any completion.
         rest = [0.0] * (len(least) + 1)
@@ -448,10 +464,8 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
             return None if partial + rest[k + 1] > state["limit"] else partial
 
     _walk_partitions(rows, cols, visit, grow)
-    best_cost, best_labels = state["cost"], state["labels"]
-
-    block_of = np.array(best_labels, dtype=int).reshape(rows, cols)
-    return Partition(block_of=block_of, n_blocks=len(set(best_labels)), cost=best_cost)
+    block_of = np.array(state["labels"]).reshape(rows, cols)   # dense ids, by first occurrence
+    return Partition(block_of=block_of, n_blocks=block_of.max() + 1, cost=state["cost"])
 
 
 PARTITION_FORMAT_VERSION = 1
@@ -462,10 +476,10 @@ def partition_to_json(partition: Partition, params_echo: dict | None = None,
     rows, cols = partition.block_of.shape
     doc = {
         "format_version": PARTITION_FORMAT_VERSION,
-        "rows": int(rows),
-        "cols": int(cols),
-        "block_of": [int(v) for v in partition.block_of.ravel()],
-        "K": int(partition.n_blocks),
+        "rows": rows,
+        "cols": cols,
+        "block_of": partition.block_of.ravel().tolist(),
+        "K": partition.n_blocks,
         "cost": None if math.isnan(partition.cost) else partition.cost,
         "params": params_echo,
         "provenance": provenance,
@@ -487,7 +501,7 @@ def load_partition(path) -> Partition:
 
 
 def _partition_from_file(rows, cols, block_of, K, cost, params, provenance) -> Partition:
-    require(PartitionError, is_integer, "an integer", rows=rows, cols=cols, K=K)
+    require(PartitionError, is_integer, "an integer", rows=rows, cols=cols)
     require(PartitionError, lambda v: v >= 1, "at least 1", rows=rows, cols=cols)
     if not isinstance(block_of, list) or len(block_of) != rows * cols:
         raise PartitionError(f"block_of must be a list of {rows * cols} block ids, one per cell")
@@ -500,7 +514,7 @@ def _partition_from_file(rows, cols, block_of, K, cost, params, provenance) -> P
     if cost is not None:
         require(PartitionError, is_number, "a number or null", cost=cost)
         require(PartitionError, math.isfinite, "finite or null", cost=cost)
-    partition = Partition(block_of=np.array(block_of, dtype=int).reshape(rows, cols),
-                          n_blocks=K, cost=math.nan if cost is None else float(cost))
+    partition = Partition(block_of=np.array(block_of).reshape(rows, cols), n_blocks=K,
+                          cost=math.nan if cost is None else cost)
     validate_partition(partition)
     return partition

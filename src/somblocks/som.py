@@ -24,7 +24,7 @@ MAP_FORMAT_VERSION = 1
 
 
 class SomError(ValueError):
-    """Raised for invalid configs, divergent training, or bad map files."""
+    """Raised for invalid configs, data training cannot represent, or bad map files."""
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,18 @@ def _member_ids(pes, n: int) -> list:
     return ids
 
 
-def _initial_weights(rng: np.random.Generator, samples: np.ndarray, n_pes: int) -> np.ndarray:
-    # Random data rows (with replacement) keep initial weights in data range.
-    idx = rng.integers(0, samples.shape[0], size=n_pes)
-    return samples[idx].astype(float).copy()
+def _initial_weights(rng: np.random.Generator, dataset: Dataset, n_pes: int) -> np.ndarray:
+    # Random data rows (with replacement) keep initial weights in data range,
+    # and training keeps them there up to rounding; so below this bound no cell
+    # sum of n values or squared deviations, nor squared distance over M
+    # attributes, passes half the float range.
+    n, m = dataset.samples.shape
+    bound = math.sqrt(np.finfo(float).max / (8 * max(n, m)))
+    over = np.abs(dataset.samples).max(axis=0) > bound
+    if over.any():
+        raise SomError(f"attribute {dataset.attribute_names[over.argmax()]!r} has a value "
+                       f"beyond {bound:.6g} in magnitude, which training could overflow")
+    return dataset.samples[rng.integers(0, n, size=n_pes)]
 
 
 def _stats_from_weights(dataset: Dataset, config: SomConfig, weights: np.ndarray) -> SomMap:
@@ -287,7 +295,7 @@ def _stats_from_weights(dataset: Dataset, config: SomConfig, weights: np.ndarray
 def initialize(dataset: Dataset, config: SomConfig) -> SomMap:
     """Untrained map: seeded initial weights with samples assigned to them."""
     rng = np.random.default_rng(config.seed)
-    weights = _initial_weights(rng, dataset.samples, config.rows * config.cols)
+    weights = _initial_weights(rng, dataset, config.rows * config.cols)
     return _stats_from_weights(dataset, config, weights)
 
 
@@ -328,9 +336,7 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
     from the seeded generator every epoch.  Final statistics come from an
     unbiased nearest-cell assignment pass.
     """
-    weights, _ = _train_weights(dataset.samples, config)
-    if not np.all(np.isfinite(weights)):
-        raise SomError("non-finite weight encountered; learning rate diverged")
+    weights, _ = _train_weights(dataset, config)
     return _stats_from_weights(dataset, config, weights)
 
 
@@ -345,14 +351,15 @@ def _chunk_rows(n: int, row_floats: int) -> int:
     return max(1, min(n, _CHUNK_BYTES // (8 * row_floats)))
 
 
-def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, np.ndarray]:
+def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.ndarray]:
     """The training loop of train: the (P, M) trained weights and the (P,)
     conscience win frequencies at the end of training."""
+    samples = dataset.samples
     n, m = samples.shape
     n_pes = config.rows * config.cols
     rng = np.random.default_rng(config.seed)
 
-    weights = _initial_weights(rng, samples, n_pes)
+    weights = _initial_weights(rng, dataset, n_pes)
     freq = np.full(n_pes, 1.0 / n_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
 
@@ -385,11 +392,8 @@ def _train_weights(samples: np.ndarray, config: SomConfig) -> tuple[np.ndarray, 
     hw, hoods = None, None
 
     for epoch in range(config.epochs):
-        if config.epochs > 1:
-            lr = config.lr_start + (config.lr_end - config.lr_start) * epoch / (config.epochs - 1)
-        else:
-            lr = config.lr_start
-        lr = np.array(lr)
+        lr = np.array(config.lr_start + (config.lr_end - config.lr_start) * epoch
+                      / max(config.epochs - 1, 1))
         if config.half_width_at(epoch) != hw:          # once per schedule phase
             hw = config.half_width_at(epoch)
             hoods = _neighborhoods(weights, config.cols, hw, laid_out)

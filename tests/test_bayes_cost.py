@@ -66,6 +66,24 @@ def test_sigma_estimate_rejects_empty_cell():
         sb.sigma_estimate(m.pe(0, 0), 1, plain_params())
 
 
+def test_sigma_estimate_needs_a_positive_block_size():
+    with pytest.raises(CostError, match="^block_size must be a positive integer$"):
+        sb.sigma_estimate(make_pe(0.0, 0.5), 0, plain_params())
+
+
+@pytest.mark.parametrize("means, sigmas", [(np.zeros((2, 2)), np.ones((2, 3))),
+                                           (np.zeros((0, 2)), np.ones((0, 2)))],
+                         ids=["incongruent", "empty"])
+def test_block_stat_needs_congruent_non_empty_tables(means, sigmas):
+    with pytest.raises(CostError, match="^means and sigmas must be non-empty and congruent$"):
+        block_stat(means, sigmas)
+
+
+def test_block_cost_needs_members_as_wide_as_R():
+    with pytest.raises(CostError, match=r"^member width does not match params\.R$"):
+        sb.block_cost([(np.zeros(2), np.ones(2))], plain_params(M=1))
+
+
 def test_range_estimate_iris(iris):
     summ = sb.summarize(iris)
     two_max = sb.params_from_summary(summ, range_rule="two_max")

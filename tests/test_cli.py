@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +111,22 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("not_a_key = 1\n")
     with pytest.raises(sb.cli.CliError):
         parse_config_file(cfg)
+
+
+def test_config_file_line_without_an_equals_sign_is_refused(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# settings\nrows 5\n")
+    with pytest.raises(sb.cli.CliError, match=f"^{re.escape(str(cfg))}:2: expected key = value$"):
+        parse_config_file(cfg)
+
+
+def test_partition_refuses_an_unknown_n_scale_rule(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    rc = run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--n-scale", "bogus",
+                 "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == "somblocks: error: unknown n_scale rule 'bogus'\n"
+    assert not out.exists()
 
 
 PARTITION_SETTINGS = ("data", "label_col", "range_rule", "range_exponent", "sigma_const",
@@ -373,6 +391,17 @@ def test_train_refuses_non_finite_conscience(tmp_path, capsys, flag, value, mess
     rc = run_cli("train", "--out", str(out), flag, value)
     assert rc == 1
     assert capsys.readouterr().err == f"somblocks: error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_refuses_values_its_sums_could_overflow(tmp_path, capsys):
+    data, out = tmp_path / "huge.csv", tmp_path / "never.json"
+    data.write_text("a,b,class\n1e200,-1e200,x\n-1e200,1e200,y\n0,1e200,x\n")
+    assert run_cli("train", "--data", str(data), "--out", str(out)) == 1
+    bound = math.sqrt(np.finfo(float).max / (8 * 3))
+    assert capsys.readouterr().err == (f"somblocks: error: attribute 'a' has a value beyond "
+                                       f"{bound:.6g} in magnitude, which training could "
+                                       f"overflow\n")
     assert not out.exists()
 
 

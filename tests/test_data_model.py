@@ -141,6 +141,17 @@ def test_dataset_invariants():
         sb.Dataset(samples=np.array([[1.0]]), labels=["a", "b"], attribute_names=["x"])
 
 
+def test_an_unlabeled_dataset_has_no_classes():
+    dataset = sb.Dataset(samples=[[1.0], [2.0]], labels=None, attribute_names=["x"])
+    with pytest.raises(DataError, match="^dataset has no labels$"):
+        dataset.classes()
+
+
+def test_attribute_summary_refuses_a_min_above_its_max():
+    with pytest.raises(DataError, match="^attribute min exceeds max$"):
+        sb.AttributeSummary(mins=[0.0, 2.0], maxs=[1.0, 1.5])
+
+
 def test_encode_labels_sorted_order():
     classes, ids = encode_labels(["b", "a", "b", "c"])
     assert classes == ["a", "b", "c"]

@@ -77,9 +77,8 @@ def test_score_errors(fixture_map, iris):
     good = Partition.from_labels(np.zeros((5, 5), dtype=int))
     with pytest.raises(EvaluateError):
         sb.score(good, fixture_map, None)
-    empty = Partition(block_of=np.zeros((5, 5), dtype=int), n_blocks=0)
-    with pytest.raises(EvaluateError, match="^empty partition$"):
-        sb.score(empty, fixture_map, iris.labels)
+    with pytest.raises(PartitionError, match="^K must be at least 1, got 0$"):
+        Partition(block_of=np.zeros((5, 5), dtype=int), n_blocks=0)
 
 
 ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major order"
@@ -92,19 +91,15 @@ def test_score_refuses_an_invalid_partition(fixture_map, iris, iris_params):
                 Partition(block_of=p.block_of - 1, n_blocks=p.n_blocks)):
         with pytest.raises(PartitionError, match=f"^{ORDER_RULE}$"):
             sb.score(bad, fixture_map, iris.labels)
-    floats = Partition(block_of=p.block_of.astype(float), n_blocks=p.n_blocks)
     with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
-        sb.score(floats, fixture_map, iris.labels)
+        Partition(block_of=p.block_of.astype(float), n_blocks=p.n_blocks)
 
 
 def test_score_and_render_map_refuse_a_list_block_of(fixture_map, iris):
-    # the shape check used to run first and raise AttributeError on a list
-    listed = Partition(block_of=[[0] * 5] * 5, n_blocks=1)
+    # the shape check used to run first and raise AttributeError on a list;
+    # now no Partition holds one
     with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
-        sb.score(listed, fixture_map, iris.labels)
-    for labels in (None, iris.labels):
-        with pytest.raises(PartitionError, match="^block_of must be a 2-D integer array$"):
-            sb.render_map(fixture_map, listed, labels)
+        Partition(block_of=[[0] * 5] * 5, n_blocks=1)
 
 
 def test_render_map_refuses_an_invalid_partition(fixture_map, iris, iris_params):

@@ -55,13 +55,15 @@ ENTRIES = {
                              dict(cell_limit=9)),
     "merge_regions": (lambda masks: sb.merge_regions(masks, MAP, PARAMS),
                       dict(masks=[0b0011, 0b1100])),
+    "Partition": (sb.Partition, dict(block_of=np.array([[0, 0], [1, 1]]), n_blocks=2, cost=1.5)),
 }
 ARGUMENTS = [(entry, argument) for entry, (_, valid) in ENTRIES.items() for argument in valid]
 HOSTILE = {"'a'": "a", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
            "10**400": 10**400, "-1": -1, "0": 0, "[[1.0]]": [[1.0]], "[]": [],
            "[1.0, 'a']": [1.0, "a"], "[1.0, 10**400]": [1.0, 10**400]}
-# merge_regions names a bad mask by its block index, and a bad tiling as "blocks"
-NAMES = {"masks": ("masks", "block")}
+# merge_regions names a bad mask by its block index, and a bad tiling as "blocks";
+# Partition names its n_blocks K, as the partition file does
+NAMES = {"masks": ("masks", "block"), "n_blocks": ("K",)}
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -149,6 +151,43 @@ def test_a_cell_vector_goes_through_the_one_converter(value, message):
         _with_cell_0(weight=value)
 
 
+ARRAY_RULE = "block_of must be a 2-D integer array"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("block_of", [[0, 0], [1, 1]], ARRAY_RULE),
+    ("block_of", np.array([[0.0, 0.0], [1.0, 1.0]]), ARRAY_RULE),
+    ("block_of", np.array([0, 0, 1, 1]), ARRAY_RULE),
+    ("block_of", np.zeros((1, 2, 2), dtype=int), ARRAY_RULE),
+    ("block_of", np.zeros((0, 3), dtype=int), "block_of rows must be at least 1, got 0"),
+    ("block_of", np.zeros((1, 0), dtype=int), "block_of cols must be at least 1, got 0"),
+    ("block_of", np.array([[False, False], [True, True]]), ARRAY_RULE),
+    ("n_blocks", 2.0, "K must be an integer, got 2.0"),
+    ("n_blocks", True, "K must be an integer, got True"),
+    ("n_blocks", 0, "K must be at least 1, got 0"),
+    ("n_blocks", -1, "K must be at least 1, got -1"),
+    ("n_blocks", np.float64(2), f"K must be an integer, got {np.float64(2)!r}"),
+    ("n_blocks", None, "K must be an integer, got None"),
+    ("cost", math.inf, "cost must be finite or NaN, got inf"),
+    ("cost", -math.inf, "cost must be finite or NaN, got -inf"),
+    ("cost", "x", "cost must be a number, got 'x'"),
+    ("cost", True, "cost must be a number, got True"),
+    ("cost", None, "cost must be a number, got None"),
+])
+def test_partition_names_its_bad_field(field, value, message):
+    valid = ENTRIES["Partition"][1]
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        sb.Partition(**{**valid, field: value})
+
+
+def test_partition_keeps_python_numbers():
+    p = sb.Partition(block_of=np.array([[0, 1]], dtype=np.uint8), n_blocks=np.int32(2),
+                     cost=np.float32(1.1))
+    assert type(p.n_blocks) is int and p.n_blocks == 2
+    assert type(p.cost) is float and p.cost == float(np.float32(1.1))
+    assert type(sb.Partition(block_of=p.block_of, n_blocks=2).cost) is float
+
+
 def test_constructors_keep_read_only_copies_of_the_callers_arrays():
     R, floor = np.array([1.0]), np.array([0.5])
     p = sb.CostParams(R=R, sigma_floor=floor)
@@ -158,7 +197,11 @@ def test_constructors_keep_read_only_copies_of_the_callers_arrays():
     dataset = sb.Dataset(samples=samples, labels=None, attribute_names=["u", "v"])
     lo, hi = np.array([0.0, 1.0]), np.array([2.0, 3.0])
     summary = sb.AttributeSummary(mins=lo, maxs=hi)
+    block_of = np.array([[0, 1]])
+    partition = sb.Partition(block_of=block_of, n_blocks=2)
     R[0], floor[0], grid[0], samples[0, 0], lo[0], hi[0] = -5.0, -5.0, -3.0, -1.0, 9.0, 9.0
+    block_of[0, 1] = 0
+    assert partition.block_of.tolist() == [[0, 1]]
     assert p.R.tolist() == [1.0] and p.sigma_floor.tolist() == [0.5]
     assert spec.f_R_grid.tolist() == spec.f_sigma_grid.tolist() == [0.5, 1.0, 2.0]
     assert dataset.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -166,7 +209,7 @@ def test_constructors_keep_read_only_copies_of_the_callers_arrays():
     scaled = p.scaled(f_R=2.0)
     kept = [(p, "R"), (p, "sigma_floor"), (scaled, "R"), (spec, "f_R_grid"),
             (spec, "f_sigma_grid"), (dataset, "samples"), (summary, "mins"), (summary, "maxs"),
-            (summary, "spans")]
+            (summary, "spans"), (partition, "block_of")]
     for owner, name in kept:
         array = getattr(owner, name)
         with pytest.raises(ValueError, match="read-only"):

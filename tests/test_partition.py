@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +610,65 @@ def test_partition_to_json_writes_a_numpy_block_count(tmp_path):
     assert json.loads(partition_to_json(p))["K"] == 3
     save_partition(p, tmp_path / "p.json")
     assert load_partition(tmp_path / "p.json") == Partition.from_labels(p.block_of)
+
+
+@st.composite
+def partition_arguments(draw):
+    """block_of, n_blocks and cost for Partition, valid or not: a connected
+    tiling (canonical) or free labels, as an array of some dtype or a list;
+    K as the labels' count or off by one, as a Python or numpy int or not an
+    integer; cost a Python, float32 or float64 number, infinite or NaN, or no
+    number."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if rows and cols and draw(st.booleans()):
+        opened = [draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                  for size in (rows * (cols - 1), (rows - 1) * cols)]
+        labels = component_labels(np.ones((rows, cols), dtype=bool),
+                                  np.array(opened[0], dtype=bool).reshape(rows, cols - 1),
+                                  np.array(opened[1], dtype=bool).reshape(rows - 1, cols))
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, 5), min_size=rows * cols,
+                                        max_size=rows * cols)), dtype=int).reshape(rows, cols)
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8, np.float64, np.bool_, list]))
+    block_of = labels.tolist() if dtype is list else labels.astype(dtype)
+    K = len(np.unique(labels)) + draw(st.sampled_from([0, 0, 1, -1]))
+    K = draw(st.sampled_from([int, int, np.int64, np.int32, float, bool, lambda k: None]))(K)
+    cost = draw(st.floats() | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
+                | st.sampled_from([math.nan, math.inf, -math.inf, "1.0", None, True]))
+    return block_of, K, cost
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arguments=partition_arguments())
+@example(arguments=(np.array([[0, 1]]), 2, np.float32(1.5)))        # float32 cost: not JSON
+@example(arguments=(np.array([[0, 1]]), 2, math.nan))               # the caller's array edited
+@example(arguments=(np.array([[0, 0, 1], [2, 2, 1]]), np.int64(3), np.float64(-2.5)))
+def test_a_partition_that_constructs_and_validates_saves_and_loads_back_equal(arguments):
+    block_of, K, cost = arguments
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "p.json"
+        try:
+            p = Partition(block_of=block_of, n_blocks=K, cost=cost)
+        except PartitionError:
+            assert not list(Path(folder).iterdir())
+            return
+        kept = p.block_of.tolist()
+        if isinstance(block_of, np.ndarray):
+            block_of[...] = 0                   # the caller's array, not the partition's
+        assert p.block_of.tolist() == kept
+        with pytest.raises(ValueError, match="read-only"):
+            p.block_of[0, 0] = 1
+        try:
+            validate_partition(p)
+        except PartitionError:
+            with pytest.raises(PartitionError):
+                save_partition(p, path)
+            assert not list(Path(folder).iterdir())
+            return
+        save_partition(p, path)
+        q = load_partition(path)
+    assert q.block_of.tolist() == kept and q.n_blocks == p.n_blocks == K
+    assert q.cost.hex() == p.cost.hex() == float(cost).hex()
 
 
 ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major order"

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import warnings
 import weakref
 from unittest import mock
 
@@ -215,7 +216,7 @@ _CHUNK = som._chunk_rows(10**9, 6 * 7 * 9)
 def test_train_matches_reference_loop_bit_for_bit(case):
     dataset, config, budget = case
     with mock.patch.object(som, "_CHUNK_BYTES", budget):
-        weights, freq = _train_weights(dataset.samples, config)
+        weights, freq = _train_weights(dataset, config)
     ref_weights, ref_freq = _reference_train(dataset, config)
     assert weights.tobytes() == ref_weights.tobytes()
     assert freq.tobytes() == ref_freq.tobytes()
@@ -229,6 +230,54 @@ def test_chunk_stays_within_its_byte_budget_and_holds_a_sample(row_floats):
     assert rows * row_floats * 8 <= max(som._CHUNK_BYTES, row_floats * 8)
     assert (rows + 1) * row_floats * 8 > som._CHUNK_BYTES
     assert som._chunk_rows(5, row_floats) == min(rows, 5)
+
+
+def _trainable_bound(n, m):
+    return math.sqrt(np.finfo(float).max / (8 * max(n, m)))
+
+
+_HUGE_RNG = np.random.default_rng(29)
+# each overflowed numpy's sums of squares or means before training refused it
+HUGE = {
+    "N(0, 1e200)": _HUGE_RNG.normal(0.0, 1e200, size=(40, 2)),
+    "+-1e308": np.array([[1e308], [-1e308], [0.0]]),
+    "near 1e307": 1e307 * (1.0 + _HUGE_RNG.random((150, 1))),
+}
+
+
+@pytest.mark.parametrize("samples", HUGE.values(), ids=HUGE)
+@pytest.mark.parametrize("build", [sb.train, sb.initialize], ids=["train", "initialize"])
+def test_training_refuses_values_its_sums_could_overflow(samples, build):
+    names = ["big", "b"][:samples.shape[1]]
+    dataset = sb.Dataset(samples=samples, labels=None, attribute_names=names)
+    bound = _trainable_bound(*samples.shape)
+    message = (f"attribute 'big' has a value beyond {bound:.6g} in magnitude, which training "
+               f"could overflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SomError, match=f"^{re.escape(message)}$"):
+            build(dataset, sb.SomConfig(rows=2, cols=2, epochs=3, seed=1))
+
+
+@pytest.mark.parametrize("n, m", [(40, 3), (5, 20), (3, 1)])
+def test_training_takes_values_up_to_its_bound(n, m):
+    bound = _trainable_bound(n, m)
+    signs = np.where(np.random.default_rng(n * m).random((n, m)) < 0.5, -1.0, 1.0)
+    signs[0], signs[1] = 1.0, -1.0                  # every attribute spans 2 * bound
+    names = [f"a{j}" for j in range(m)]
+    config = sb.SomConfig(rows=3, cols=3, epochs=4, lr_start=1.0, lr_end=1.0,
+                          neighborhood_schedule=((0.0, 3),), conscience_gamma=5.0, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trained = sb.train(sb.Dataset(samples=bound * signs, labels=None,
+                                      attribute_names=names), config)
+        assert np.isfinite(trained.stds).all() and np.abs(trained.weights).max() <= bound
+        # one value a step past the bound is refused, naming its attribute
+        samples = bound * signs
+        samples[-1, -1] = np.nextafter(bound, math.inf)
+        beyond = sb.Dataset(samples=samples, labels=None, attribute_names=names)
+        with pytest.raises(SomError, match=f"^attribute '{names[-1]}' has a value beyond "):
+            sb.initialize(beyond, config)
 
 
 def test_save_load_round_trip(tmp_path, iris):

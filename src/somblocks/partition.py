@@ -73,8 +73,10 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, cost: float = math.nan) -> "Partition":
-        """Relabel an arbitrary cell labeling to canonical dense block ids."""
-        labels = np.asarray(labels)
+        """Relabel an arbitrary 2-D cell labeling to canonical dense block ids."""
+        labels = np.array(labels, dtype=object)     # nested lists' shape, even when ragged
+        if labels.ndim != 2 or not labels.size:
+            raise PartitionError(f"labels must be a non-empty 2-D array, got shape {labels.shape}")
         masks = _label_masks(labels.ravel().tolist()).values()
         return cls.from_masks(masks, *labels.shape, cost=cost)
 
@@ -137,8 +139,7 @@ def _connected(mask: int, inner: int, cols: int) -> bool:
 
 def _inner_cells(rows: int, cols: int) -> int:
     """Bitmask of the cells that are not in the last column."""
-    row = (1 << (cols - 1)) - 1
-    return sum(row << (r * cols) for r in range(rows))
+    return _region_mask((0, rows, 0, cols - 1), cols)
 
 
 def _label_masks(labels) -> dict:
@@ -327,7 +328,7 @@ def partition_som(som_map: SomMap, params: CostParams,
     return merge_regions(quadtree_split(som_map, params, costs), som_map, params, costs)
 
 
-def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
+def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: acc) -> None:
     """Call visit(labels, part_masks) for every partition into connected blocks.
 
     labels and part_masks are shared scratch state, valid only during the
@@ -341,7 +342,7 @@ def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
     grow, when given, prunes further: each time cell k moves its part from
     mask old to mask new (old is 0 for a new part), grow(acc, k, old, new)
     returns the value acc takes in the branch below, or None to skip that
-    branch.  acc starts at 0.0.
+    branch.  acc starts at 0.0; by default it passes down unchanged.
     """
     n = rows * cols
     inner = _inner_cells(rows, cols)
@@ -371,23 +372,20 @@ def _walk_partitions(rows: int, cols: int, visit, grow=None) -> None:
         if k == n:
             visit(labels, parts)
             return
-        bit = 1 << k
-        for p in range(len(parts)):
+        bit, alive, opened = 1 << k, live[k - 1], len(parts)
+        for p in range(opened + 1):
+            if p == opened:
+                parts.append(0)             # a new part, tried after every live one
+            elif not parts[p] & alive:
+                continue
             mask = parts[p]
-            if mask & live[k - 1]:
-                labels[k] = p
-                parts[p] = mask | bit
-                if sealed(k):
-                    below = acc if grow is None else grow(acc, k, mask, mask | bit)
-                    if below is not None:
-                        rec(k + 1, below)
-                parts[p] = mask
-        labels[k] = len(parts)
-        parts.append(bit)
-        if sealed(k):
-            below = acc if grow is None else grow(acc, k, 0, bit)
-            if below is not None:
-                rec(k + 1, below)
+            labels[k] = p
+            parts[p] = mask | bit
+            if sealed(k):
+                below = grow(acc, k, mask, mask | bit)
+                if below is not None:
+                    rec(k + 1, below)
+            parts[p] = mask
         parts.pop()
 
     rec(0, 0.0)
@@ -445,9 +443,10 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
             state["cost"], state["labels"] = total, tuple(labels)
             tighten(total)
 
-    grow = None
     least = costs.least_increments()
-    if least is not None:
+    if least is None:           # a width rule that depends on block size: no bound
+        _walk_partitions(rows, cols, visit)
+    else:
         # The singleton tiling's cost limits the walk from its first node; the
         # walk reaches that tiling last and cuts it only once something is
         # cheaper, so this changes what the walk cuts, not what it returns.
@@ -463,7 +462,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
             partial += mask_cost(new) - mask_cost(old)
             return None if partial + rest[k + 1] > state["limit"] else partial
 
-    _walk_partitions(rows, cols, visit, grow)
+        _walk_partitions(rows, cols, visit, grow)
     block_of = np.array(state["labels"]).reshape(rows, cols)   # dense ids, by first occurrence
     return Partition(block_of=block_of, n_blocks=block_of.max() + 1, cost=state["cost"])
 

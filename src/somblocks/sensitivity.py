@@ -12,8 +12,8 @@ and the default calibration makes the floor the operative width.  A column
 (bayes_cost.widths_at_floor) has the same cell widths as every other such
 column, bit for bit, since f_sigma enters the cost only through the widths.
 Its block costs, and so its partitions, are those of the first such column,
-so the sweep partitions only that one and copies its signatures and block
-counts to the rest.  Every column's parameters are still built and checked.
+so the sweep partitions only that one and copies its signatures to the
+rest.  Every column's parameters are still built and checked.
 """
 
 import math
@@ -91,7 +91,7 @@ class StabilityMap:
     f_R_grid: np.ndarray
     f_sigma_grid: np.ndarray
     signatures: list            # [i][j] -> canonical partition signature
-    n_blocks: np.ndarray        # ints, same grid shape
+    n_blocks: np.ndarray        # ints: each signature's largest id plus one
     equal: np.ndarray           # bools: signature equals the reference
     reference: tuple            # signature at (f_R, f_sigma) = (1, 1)
 
@@ -105,7 +105,6 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
     signatures = [[None] * n_s for _ in range(n_r)]
-    n_blocks = np.zeros((n_r, n_s), dtype=int)
     floor_column = None
     for j, f_sigma in enumerate(spec.f_sigma_grid):
         column = spec.base.scaled(f_sigma=float(f_sigma))
@@ -113,7 +112,6 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
             if floor_column is not None:
                 for row in signatures:
                     row[j] = row[floor_column]
-                n_blocks[:, j] = n_blocks[:, floor_column]
                 continue
             floor_column = j
         # f_R moves only the range prior, so one column's cached block terms
@@ -123,13 +121,12 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
             for i, f_R in enumerate(spec.f_R_grid):
                 p = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
                 signatures[i][j] = p.signature()
-                n_blocks[i, j] = p.n_blocks
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error
     reference = signatures[i_ref][j_ref]
-    equal = np.array([[signatures[i][j] == reference for j in range(n_s)]
-                      for i in range(n_r)])
+    n_blocks = np.array([[max(signature) + 1 for signature in row] for row in signatures])
+    equal = np.array([[signature == reference for signature in row] for row in signatures])
     return StabilityMap(f_R_grid=spec.f_R_grid, f_sigma_grid=spec.f_sigma_grid,
                         signatures=signatures, n_blocks=n_blocks, equal=equal,
                         reference=reference)
@@ -145,6 +142,9 @@ def stable_region(stability: StabilityMap) -> tuple[float, float]:
     """
     i_ref = _check_grid(stability.f_R_grid)
     j_ref = _check_grid(stability.f_sigma_grid)
+    shape = (len(stability.f_R_grid), len(stability.f_sigma_grid))
+    require(SweepError, lambda v: isinstance(v, np.ndarray) and v.dtype == bool
+            and v.shape == shape, f"a bool array of shape {shape}", equal=stability.equal)
     equal = stability.equal
     n_r, n_s = equal.shape
     best = None

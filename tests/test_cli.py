@@ -500,6 +500,14 @@ def test_render_fixture_golden(fixture_map, iris, iris_params):
     assert text == Path(fixture_path("iris_render_seed2.txt")).read_text()
 
 
+def test_partition_render_writes_render_maps_text(tmp_path, fixture_map, iris, iris_params):
+    out = tmp_path / "render.txt"
+    assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"),
+                   "--out", str(tmp_path / "p.json"), "--render", str(out)) == 0
+    p = sb.partition_som(fixture_map, iris_params)
+    assert out.read_text() == render_map(fixture_map, p, iris.labels)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

@@ -30,6 +30,16 @@ def test_iris_without_label_column(iris, tmp_path):
     assert np.array_equal(ds.samples, iris.samples)
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    rows = ["a,b,class", "1.0,2.0,x", "3.0,4.0,y"]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    spaced.write_text("\n\n".join(rows) + "\n\n")
+    want, got = sb.load_csv(plain, "class"), sb.load_csv(spaced, "class")
+    assert np.array_equal(got.samples, want.samples)
+    assert (got.labels, got.attribute_names) == (want.labels, want.attribute_names)
+
+
 def test_header_only_file_is_zero_rows(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("a,b,c\n")

@@ -56,6 +56,7 @@ ENTRIES = {
     "merge_regions": (lambda masks: sb.merge_regions(masks, MAP, PARAMS),
                       dict(masks=[0b0011, 0b1100])),
     "Partition": (sb.Partition, dict(block_of=np.array([[0, 0], [1, 1]]), n_blocks=2, cost=1.5)),
+    "Partition.from_labels": (sb.Partition.from_labels, dict(labels=[[5, 5], [2, 2]], cost=1.5)),
 }
 ARGUMENTS = [(entry, argument) for entry, (_, valid) in ENTRIES.items() for argument in valid]
 HOSTILE = {"'a'": "a", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
@@ -178,6 +179,19 @@ def test_partition_names_its_bad_field(field, value, message):
     valid = ENTRIES["Partition"][1]
     with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
         sb.Partition(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("labels, shape", [
+    (np.array([0, 1]), (2,)),
+    (np.array(5), ()),
+    (np.zeros((1, 2, 2), dtype=int), (1, 2, 2)),
+    ([[0, 1], [1]], (2,)),
+])
+def test_from_labels_takes_only_a_2d_labeling(labels, shape):
+    with pytest.raises(PartitionError,
+                       match=f"^labels must be a non-empty 2-D array, got shape "
+                             f"{re.escape(str(shape))}$"):
+        sb.Partition.from_labels(labels)
 
 
 def test_partition_keeps_python_numbers():

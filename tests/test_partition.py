@@ -239,6 +239,18 @@ def test_merge_matches_the_plain_scan_on_connected_tilings(seed, exponent, rule,
     assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
 
 
+@pytest.mark.parametrize("exponent", sb.bayes_cost.RANGE_EXPONENTS)
+@pytest.mark.parametrize("rule", sorted(sb.bayes_cost.N_SCALE_RULES))
+def test_a_join_whose_precision_underflows_is_costed(rule, exponent):
+    # floors of 1e100 give each cell w = 1e-200, so the join's H = S_a S_b /
+    # (S_a + S_b) underflows to 0 and join_rejected leaves the join to the cost
+    m = make_map([[0.0, 1.0]])
+    params = sb.CostParams(R=[10.0], sigma_floor=[1e100],
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule], range_exponent=exponent)
+    assert not BlockCosts(m, params).join_rejected(0b01, 0b10)
+    assert sb.merge_regions([0b01, 0b10], m, params) == _reference_merge([0b01, 0b10], m, params)
+
+
 def test_merge_respects_gap_criterion():
     # keep separate iff gap^2 > 2 sigma^2 ln(R / (sigma sqrt(2 pi)))
     sigma, R = 1.0, 10.0

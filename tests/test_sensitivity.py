@@ -130,6 +130,22 @@ def test_stable_region_prefers_balanced_rectangles():
     assert spans == (pytest.approx(10.0), pytest.approx(10.0))
 
 
+@pytest.mark.parametrize("equal, got", [
+    (np.ones((3, 5), dtype=bool), "array([[ True...True,  True]])"),
+    (np.ones((5, 2), dtype=bool), "array([[ True...True,  True]])"),
+    (np.ones(5, dtype=bool), "array([ True,... True,  True])"),
+    ([[True] * 5] * 5, str([[True] * 5] * 5)),
+])
+def test_stable_region_takes_only_a_bool_table_of_the_grids_shape(equal, got):
+    grid = np.logspace(-1, 1, 5)
+    st = sb.StabilityMap(f_R_grid=grid, f_sigma_grid=grid,
+                         signatures=[[None] * 5 for _ in range(5)],
+                         n_blocks=np.ones((5, 5), dtype=int), equal=equal, reference=(0,))
+    message = f"equal must be a bool array of shape (5, 5), got {got}"
+    with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+        sb.stable_region(st)
+
+
 def test_signature_canonicalization():
     a = sb.Partition.from_labels(np.array([[5, 5], [2, 2]]))
     b = sb.Partition.from_labels(np.array([[0, 0], [7, 7]]))

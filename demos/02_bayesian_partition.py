@@ -16,10 +16,11 @@ params = sb.params_from_summary(sb.summarize(iris))
 print("range R per attribute (twice the observed maxima):", params.R)
 print("width floor per attribute:", params.sigma_floor)
 
-# the two stages, shown separately
-tiles = sb.quadtree_split(som_map, params)
+# the two stages, shown separately, sharing one cost engine
+costs = sb.BlockCosts(som_map, params)
+tiles = sb.quadtree_split(costs)
 print(f"\nquadtree split -> {len(tiles)} rectangular tiles")
-partition = sb.merge_regions(tiles, som_map, params)
+partition = sb.merge_regions(tiles, costs)
 print(f"merge pass -> {partition.n_blocks} blocks, total cost {partition.cost:.3f}")
 
 report = sb.score(partition, som_map, iris.labels)

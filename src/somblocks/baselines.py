@@ -63,10 +63,8 @@ def threshold_partition(som_map: SomMap, T: float) -> Partition:
         raise BaselineError("threshold must be non-negative")
     bounds = umatrix_boundaries(som_map)
     # NaN compares false, so an edge with absent strength stays cut.
-    # component_labels numbers components by lowest cell, as Partition does
     cells = np.ones((som_map.rows, som_map.cols), dtype=bool)
-    block_of = component_labels(cells, bounds.h <= T, bounds.v <= T)
-    return Partition(block_of=block_of, n_blocks=block_of.max() + 1)
+    return Partition.from_labels(component_labels(cells, bounds.h <= T, bounds.v <= T))
 
 
 def oracle_partition(som_map: SomMap, labels) -> Partition:

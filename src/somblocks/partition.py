@@ -77,7 +77,10 @@ class Partition:
         labels = np.array(labels, dtype=object)     # nested lists' shape, even when ragged
         if labels.ndim != 2 or not labels.size:
             raise PartitionError(f"labels must be a non-empty 2-D array, got shape {labels.shape}")
-        masks = _label_masks(labels.ravel().tolist()).values()
+        try:
+            masks = _label_masks(labels.ravel().tolist()).values()
+        except TypeError as e:
+            raise PartitionError(f"labels must hold hashable values, got {e}") from None
         return cls.from_masks(masks, *labels.shape, cost=cost)
 
     def signature(self) -> tuple:
@@ -171,10 +174,6 @@ def _subdivide(bounds: tuple) -> list[tuple]:
     return [(r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1)]
 
 
-def _costs_for(som_map: SomMap, params: CostParams, costs: BlockCosts | None) -> BlockCosts:
-    return BlockCosts(som_map, params) if costs is None else costs.at(som_map, params)
-
-
 def _region_mask(bounds: tuple, cols: int) -> int:
     """Row-major cell bitmask of the rectangle (r0, r1, c0, c1)."""
     r0, r1, c0, c1 = bounds
@@ -182,20 +181,17 @@ def _region_mask(bounds: tuple, cols: int) -> int:
     return sum(row << (r * cols) for r in range(r0, r1))
 
 
-def quadtree_split(som_map: SomMap, params: CostParams,
-                   costs: BlockCosts | None = None) -> list[int]:
-    """Recursively split blocks whose quadrants are jointly cheaper.
+def quadtree_split(costs: BlockCosts) -> list[int]:
+    """Recursively split blocks of costs' map whose quadrants are jointly cheaper.
 
     A rectangle is split iff its one-block cost strictly exceeds the summed
     one-block costs of its quadrants; single cells are leaves.  Returns the
-    leaves as row-major cell masks.  costs, when given, is a BlockCosts of
-    this map whose cached block terms are reused.  The masks and their
-    quadrants are built once per grid shape (_quadtree) and walked here, so
-    every call costs the same masks in the same order.
+    leaves as row-major cell masks.  The masks and their quadrants are built
+    once per grid shape (_quadtree) and walked here, so every call costs the
+    same masks in the same order.
     """
-    costs = _costs_for(som_map, params, costs)
     leaves: list[int] = []
-    _split(_quadtree(som_map.rows, som_map.cols), costs.cost, leaves)
+    _split(_quadtree(costs.som_map.rows, costs.som_map.cols), costs.cost, leaves)
     return leaves
 
 
@@ -228,9 +224,8 @@ def _split(node: tuple, cost, leaves: list[int]) -> None:
     leaves.append(mask)
 
 
-def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
-                  costs: BlockCosts | None = None) -> Partition:
-    """Greedy pairwise merging of a tiling of the grid by connected blocks.
+def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
+    """Greedy pairwise merging of a tiling of costs' map by connected blocks.
 
     masks are row-major cell masks of disjoint, edge-connected blocks that
     cover the grid, such as quadtree_split's leaves.  Blocks are ordered by
@@ -238,8 +233,7 @@ def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
     and, for every later edge-adjacent block, merges the pair iff the joined
     cost is strictly below the sum of the separate costs, renumbering as it
     goes.  Passes repeat until one completes with no merge; ties keep blocks
-    separate.  costs, when given, is a BlockCosts of this map whose cached
-    block terms are reused.
+    separate.
 
     Blocks are sorted by their first column, so a block's scan stops at the
     first later block that starts right of the column just past its own
@@ -249,7 +243,7 @@ def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
     """
     if not isinstance(masks, (list, tuple)):
         raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
-    rows, cols = som_map.rows, som_map.cols
+    rows, cols = costs.som_map.rows, costs.som_map.cols
     n = rows * cols
     inner = _inner_cells(rows, cols)
     grid, row = (1 << n) - 1, (1 << cols) - 1
@@ -287,7 +281,6 @@ def merge_regions(masks: list[int], som_map: SomMap, params: CostParams,
     if covered != grid:
         raise PartitionError("blocks leave cells of the grid uncovered")
 
-    costs = _costs_for(som_map, params, costs)
     cost, rejected = costs.cost, costs.join_rejected
     changed = True
     while changed:
@@ -324,8 +317,8 @@ def partition_som(som_map: SomMap, params: CostParams,
     already built for this map under the same cell widths (any range
     setting), such as one stability-sweep column's.
     """
-    costs = _costs_for(som_map, params, costs)
-    return merge_regions(quadtree_split(som_map, params, costs), som_map, params, costs)
+    costs = BlockCosts(som_map, params) if costs is None else costs.at(som_map, params)
+    return merge_regions(quadtree_split(costs), costs)
 
 
 def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: acc) -> None:
@@ -430,7 +423,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
 
     costs = BlockCosts(som_map, params)
     mask_cost = costs.cost
-    state = {"cost": math.inf, "labels": None, "limit": math.inf}
+    state = {"cost": math.inf, "parts": None, "limit": math.inf}
 
     def tighten(total):
         # the bound sums in plain floats; the margin covers its rounding,
@@ -440,7 +433,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     def visit(labels, parts):
         total = math.fsum(map(mask_cost, parts))
         if total < state["cost"]:           # the first cheapest in the walk's order
-            state["cost"], state["labels"] = total, tuple(labels)
+            state["cost"], state["parts"] = total, list(parts)
             tighten(total)
 
     least = costs.least_increments()
@@ -463,8 +456,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
             return None if partial + rest[k + 1] > state["limit"] else partial
 
         _walk_partitions(rows, cols, visit, grow)
-    block_of = np.array(state["labels"]).reshape(rows, cols)   # dense ids, by first occurrence
-    return Partition(block_of=block_of, n_blocks=block_of.max() + 1, cost=state["cost"])
+    return Partition.from_masks(state["parts"], rows, cols, state["cost"])
 
 
 PARTITION_FORMAT_VERSION = 1

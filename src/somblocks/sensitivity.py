@@ -12,7 +12,7 @@ and the default calibration makes the floor the operative width.  A column
 (bayes_cost.widths_at_floor) has the same cell widths as every other such
 column, bit for bit, since f_sigma enters the cost only through the widths.
 Its block costs, and so its partitions, are those of the first such column,
-so the sweep partitions only that one and copies its signatures to the
+so the sweep partitions only that one and copies its partitions to the
 rest.  Every column's parameters are still built and checked.
 """
 
@@ -91,7 +91,7 @@ class StabilityMap:
     f_R_grid: np.ndarray
     f_sigma_grid: np.ndarray
     signatures: list            # [i][j] -> canonical partition signature
-    n_blocks: np.ndarray        # ints: each signature's largest id plus one
+    n_blocks: np.ndarray        # ints: each point's block count
     equal: np.ndarray           # bools: signature equals the reference
     reference: tuple            # signature at (f_R, f_sigma) = (1, 1)
 
@@ -104,13 +104,13 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
-    signatures = [[None] * n_s for _ in range(n_r)]
+    points = [[None] * n_s for _ in range(n_r)]     # [i][j] -> that point's Partition
     floor_column = None
     for j, f_sigma in enumerate(spec.f_sigma_grid):
         column = spec.base.scaled(f_sigma=float(f_sigma))
         if widths_at_floor(som_map, column):
             if floor_column is not None:
-                for row in signatures:
+                for row in points:
                     row[j] = row[floor_column]
                 continue
             floor_column = j
@@ -119,13 +119,13 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
         try:
             costs = BlockCosts(som_map, column)
             for i, f_R in enumerate(spec.f_R_grid):
-                p = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
-                signatures[i][j] = p.signature()
+                points[i][j] = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error
+    signatures = [[p.signature() for p in row] for row in points]
     reference = signatures[i_ref][j_ref]
-    n_blocks = np.array([[max(signature) + 1 for signature in row] for row in signatures])
+    n_blocks = np.array([[p.n_blocks for p in row] for row in points])
     equal = np.array([[signature == reference for signature in row] for row in signatures])
     return StabilityMap(f_R_grid=spec.f_R_grid, f_sigma_grid=spec.f_sigma_grid,
                         signatures=signatures, n_blocks=n_blocks, equal=equal,

@@ -427,7 +427,7 @@ def test_near_ties_take_the_exact_path(rule, exponent):
         delta = costs.cost(0b11) - (costs.cost(0b01) + costs.cost(0b10))
         assert abs(delta) < 1e-12
         wins = costs.cost(0b11) < costs.cost(0b01) + costs.cost(0b10)
-        p = sb.merge_regions([0b01, 0b10], m, params)
+        p = sb.merge_regions([0b01, 0b10], BlockCosts(m, params))
         assert p.n_blocks == (1 if wins else 2)
     # far from the tie the same construction is settled without the union
     m, params = near_tie(rule, exponent, 2, 1.0, rng)

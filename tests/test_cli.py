@@ -120,6 +120,18 @@ def test_config_file_line_without_an_equals_sign_is_refused(tmp_path):
         parse_config_file(cfg)
 
 
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+def test_train_refuses_a_file_that_is_not_utf8_text_by_path(tmp_path, capsys, flag):
+    bad, out = tmp_path / "binary.txt", tmp_path / "map.json"
+    bad.write_bytes(b"seed = 1\n\xff\n")
+    assert run_cli("train", flag, str(bad), "--out", str(out)) == 1
+    kind = "CSV" if flag == "--data" else "config"
+    err = capsys.readouterr().err
+    assert err.startswith(f"somblocks: error: {bad}: malformed {kind} file: 'utf-8' codec ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_partition_refuses_an_unknown_n_scale_rule(tmp_path, capsys):
     out = tmp_path / "p.json"
     rc = run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--n-scale", "bogus",

@@ -88,6 +88,22 @@ def test_label_column_absent(tmp_path):
         sb.load_csv(p, "class")
 
 
+def test_a_file_that_is_not_utf8_text_is_refused_by_path(tmp_path):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"a,b\n1.0,2.0\n\xff,3.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: malformed CSV file: "
+                                        f"'utf-8' codec can't decode byte 0xff"):
+        sb.load_csv(p)
+
+
+@pytest.mark.parametrize("text", ["class\nx\ny\n", "\n1.0\n"])
+def test_a_header_without_an_attribute_column_is_refused_by_path(tmp_path, text):
+    p = tmp_path / "labels.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: no attribute column in header$"):
+        sb.load_csv(p, "class" if text.startswith("class") else None)
+
+
 def test_summarize_iris_extremes(iris):
     summ = sb.summarize(iris)
     # published per-attribute maxima / brute-force minima of the same file

@@ -53,7 +53,7 @@ ENTRIES = {
     "render_map": (lambda labels: sb.render_map(MAP, PARTITION, labels), dict(labels=LABELS)),
     "exhaustive_partition": (lambda cell_limit: sb.exhaustive_partition(MAP, PARAMS, cell_limit),
                              dict(cell_limit=9)),
-    "merge_regions": (lambda masks: sb.merge_regions(masks, MAP, PARAMS),
+    "merge_regions": (lambda masks: sb.merge_regions(masks, sb.BlockCosts(MAP, PARAMS)),
                       dict(masks=[0b0011, 0b1100])),
     "Partition": (sb.Partition, dict(block_of=np.array([[0, 0], [1, 1]]), n_blocks=2, cost=1.5)),
     "Partition.from_labels": (sb.Partition.from_labels, dict(labels=[[5, 5], [2, 2]], cost=1.5)),
@@ -139,7 +139,7 @@ def test_cell_limit_must_be_an_integer(cell_limit):
 def test_merge_regions_takes_a_list_of_masks(masks):
     with pytest.raises(PartitionError,
                        match=f"^masks must be a list of cell masks, got {re.escape(repr(masks))}$"):
-        sb.merge_regions(masks, MAP, PARAMS)
+        sb.merge_regions(masks, sb.BlockCosts(MAP, PARAMS))
 
 
 @pytest.mark.parametrize("value, message", [
@@ -191,6 +191,15 @@ def test_from_labels_takes_only_a_2d_labeling(labels, shape):
     with pytest.raises(PartitionError,
                        match=f"^labels must be a non-empty 2-D array, got shape "
                              f"{re.escape(str(shape))}$"):
+        sb.Partition.from_labels(labels)
+
+
+@pytest.mark.parametrize("entry, kind", [([0], "list"), ({}, "dict")])
+def test_from_labels_refuses_unhashable_labels_by_name(entry, kind):
+    labels = np.empty((1, 2), dtype=object)
+    labels[0, 0], labels[0, 1] = entry, entry
+    with pytest.raises(PartitionError, match=f"^labels must hold hashable values, got "
+                                             f"unhashable type: '{kind}'$"):
         sb.Partition.from_labels(labels)
 
 

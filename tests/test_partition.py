@@ -27,13 +27,13 @@ def test_quadtree_keeps_uniform_2x2_whole():
     singletons = 4 * math.log(10.0)
     assert whole == pytest.approx(4.713, abs=1e-3)
     assert singletons == pytest.approx(9.210, abs=1e-3)
-    leaves = sb.quadtree_split(m, params)
+    leaves = sb.quadtree_split(BlockCosts(m, params))
     assert leaves == [0b1111]
 
 
 def test_quadtree_singleton_region_is_leaf():
     m = make_map([[1.0, 9.0]], s=0.1)
-    leaves = sb.quadtree_split(m, plain_params(R=10.0))
+    leaves = sb.quadtree_split(BlockCosts(m, plain_params(R=10.0)))
     for leaf in leaves:
         assert leaf > 0
     covered = sorted(divmod(k, m.cols) for leaf in leaves for k in _mask_cells(leaf))
@@ -47,7 +47,7 @@ def quadrant_map():
 
 def test_quadtree_splits_four_quadrants_once():
     m, params = quadrant_map()
-    leaves = sb.quadtree_split(m, params)
+    leaves = sb.quadtree_split(BlockCosts(m, params))
     assert sorted(leaves) == sorted(_region_mask(bounds, 4) for bounds in [
         (0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)])
 
@@ -97,10 +97,10 @@ def test_quadtree_walk_matches_the_region_recursion(seed, rows, cols, exponent, 
         return costs
 
     walked, expected = [], []
-    leaves = sb.quadtree_split(m, params, recording(walked))
+    leaves = sb.quadtree_split(recording(walked))
     assert leaves == _reference_split((0, rows, 0, cols), recording(expected).cost, cols)
     assert walked == expected                   # the same masks, in the same order
-    assert sb.quadtree_split(m, params) == leaves
+    assert sb.quadtree_split(BlockCosts(m, params)) == leaves
     assert _quadtree(rows, cols) is _quadtree(rows, cols)
 
 
@@ -111,7 +111,7 @@ def test_merge_joins_equal_singletons():
     separate = 2 * math.log(10.0)
     assert joined == pytest.approx(3.222, abs=1e-3)
     assert separate == pytest.approx(4.605, abs=1e-3)
-    p = sb.merge_regions([0b01, 0b10], m, params)
+    p = sb.merge_regions([0b01, 0b10], BlockCosts(m, params))
     assert p.n_blocks == 1
 
 
@@ -124,11 +124,12 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
     singletons = [1 << k for k in range(m.rows * m.cols)]
     p = sb.partition_som(m, params)
     assert Partition.from_labels(p.block_of, p.cost) == p      # blocks in canonical order
-    for tiling in (sb.quadtree_split(m, params), singletons):
-        expected = sb.merge_regions(tiling, m, params)
+    costs = BlockCosts(m, params)
+    for tiling in (sb.quadtree_split(costs), singletons):
+        expected = sb.merge_regions(tiling, costs)
         for _ in range(3):
             shuffled = [tiling[i] for i in rng.permutation(len(tiling))]
-            assert sb.merge_regions(shuffled, m, params) == expected   # cost included
+            assert sb.merge_regions(shuffled, costs) == expected   # cost included
 
 
 def _reference_merge(masks, som_map, params):
@@ -187,11 +188,12 @@ def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start)
                            sigma_const=float(rng.uniform(0.5, 4.0)),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
                            range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
+    costs = BlockCosts(m, params)
     if start == "quadtree":
-        tiling = sb.quadtree_split(m, params)
+        tiling = sb.quadtree_split(costs)
     else:
         tiling = [1 << k for k in range(m.rows * m.cols)]
-    assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
+    assert sb.merge_regions(tiling, costs) == _reference_merge(tiling, m, params)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1), (3, 10)])
@@ -211,11 +213,12 @@ def test_merge_matches_the_plain_scan_on_strips_and_wide_grids(rows, cols, start
                                n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
                                range_exponent=exponent).scaled(
             f_R=float(rng.uniform(0.03, 30.0)), f_sigma=float(rng.uniform(0.1, 10.0)))
+        costs = BlockCosts(m, params)
         if start == "quadtree":
-            tiling = sb.quadtree_split(m, params)
+            tiling = sb.quadtree_split(costs)
         else:
             tiling = [1 << k for k in range(rows * cols)]
-        assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
+        assert sb.merge_regions(tiling, costs) == _reference_merge(tiling, m, params)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -236,7 +239,7 @@ def test_merge_matches_the_plain_scan_on_connected_tilings(seed, exponent, rule,
     v = rng.random((m.rows - 1, m.cols)) < open_share
     labels = component_labels(np.ones((m.rows, m.cols), dtype=bool), h, v)
     tiling = list(_label_masks(Partition.from_labels(labels).block_of.ravel().tolist()).values())
-    assert sb.merge_regions(tiling, m, params) == _reference_merge(tiling, m, params)
+    assert sb.merge_regions(tiling, BlockCosts(m, params)) == _reference_merge(tiling, m, params)
 
 
 @pytest.mark.parametrize("exponent", sb.bayes_cost.RANGE_EXPONENTS)
@@ -247,8 +250,9 @@ def test_a_join_whose_precision_underflows_is_costed(rule, exponent):
     m = make_map([[0.0, 1.0]])
     params = sb.CostParams(R=[10.0], sigma_floor=[1e100],
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule], range_exponent=exponent)
-    assert not BlockCosts(m, params).join_rejected(0b01, 0b10)
-    assert sb.merge_regions([0b01, 0b10], m, params) == _reference_merge([0b01, 0b10], m, params)
+    costs = BlockCosts(m, params)
+    assert not costs.join_rejected(0b01, 0b10)
+    assert sb.merge_regions([0b01, 0b10], costs) == _reference_merge([0b01, 0b10], m, params)
 
 
 def test_merge_respects_gap_criterion():
@@ -258,23 +262,23 @@ def test_merge_respects_gap_criterion():
     wide = crit * 1.3
     m = make_map([[0.0, wide, 2 * wide]], s=sigma)
     tiling = [0b001, 0b010, 0b100]
-    p = sb.merge_regions(tiling, m, plain_params(R=R))
+    p = sb.merge_regions(tiling, BlockCosts(m, plain_params(R=R)))
     assert p.n_blocks == 3
     narrow = crit * 0.5
     m2 = make_map([[0.0, narrow, 2 * narrow]], s=sigma)
-    p2 = sb.merge_regions(tiling, m2, plain_params(R=R))
+    p2 = sb.merge_regions(tiling, BlockCosts(m2, plain_params(R=R)))
     assert p2.n_blocks == 1
 
 
 def test_merge_single_region_unchanged():
     m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)
-    p = sb.merge_regions([0b1111], m, plain_params(R=10.0))
+    p = sb.merge_regions([0b1111], BlockCosts(m, plain_params(R=10.0)))
     assert p.n_blocks == 1
 
 
 def test_merge_rejects_bad_tilings():
     m = make_map([[1.0, 2.0], [3.0, 4.0]], s=0.5)     # cells 0 1 / 2 3
-    params = plain_params(R=10.0)
+    costs = BlockCosts(m, plain_params(R=10.0))
     gap = "blocks leave cells of the grid uncovered"
     cases = [
         ([0b0101], gap),
@@ -295,15 +299,16 @@ def test_merge_rejects_bad_tilings():
     ]
     for masks, message in cases:
         with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
-            sb.merge_regions(masks, m, params)
+            sb.merge_regions(masks, costs)
 
 
 def test_merge_takes_numpy_integer_masks():
     m = make_map([[1.0, 1.1], [5.0, 5.1]], s=0.5)
     params = plain_params(R=10.0)
+    costs = BlockCosts(m, params)
     for tiling in ([0b0011, 0b1100], [1, 2, 4, 8]):
-        p = sb.merge_regions([np.int64(mask) for mask in tiling], m, params)
-        assert p == sb.merge_regions(tiling, m, params)        # cost included
+        p = sb.merge_regions([np.int64(mask) for mask in tiling], costs)
+        assert p == sb.merge_regions(tiling, costs)        # cost included
     assert p.n_blocks == 2
 
 

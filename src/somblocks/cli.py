@@ -63,23 +63,22 @@ class CliError(ValueError):
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; '#' starts a comment, blanks ignored."""
+    values = {}
     try:
         with open(path) as f:
-            lines = f.readlines()
+            for lineno, line in enumerate(f, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise CliError(f"{path}:{lineno}: expected key = value")
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key not in DEFAULTS:
+                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value
     except UnicodeDecodeError as e:
         raise CliError(f"{path}: malformed config file: {e}") from None
-    values = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in DEFAULTS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
     return values
 
 

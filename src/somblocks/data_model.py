@@ -116,41 +116,44 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """
     try:
         with open(path, newline="") as f:
-            table = list(csv.reader(f))
+            reader = csv.reader(f)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if label_column is not None:
+                if label_column not in header:
+                    raise DataError(f"{path}: label column {label_column!r} not in header")
+                label_idx = header.index(label_column)
+            else:
+                label_idx = None
+            names = [h for i, h in enumerate(header) if i != label_idx]
+            if not names:
+                raise DataError(f"{path}: no attribute column in header")
+
+            rows, labels = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                    f"got {len(row)}")
+                values = []
+                for i, cell in enumerate(row):
+                    if i == label_idx:
+                        labels.append(cell.strip())
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
+                    values.append(value)
+                rows.append(values)
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: malformed CSV file: {e}") from None
-    if not table:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in table[0]]
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not in header")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = None
-    names = [h for i, h in enumerate(header) if i != label_idx]
-    if not names:
-        raise DataError(f"{path}: no attribute column in header")
-
-    rows, labels = [], []
-    for lineno, row in enumerate(table[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        values = []
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                labels.append(cell.strip())
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
-            values.append(value)
-        rows.append(values)
 
     if not rows:
         raise DataError(f"{path}: zero data rows")

@@ -124,12 +124,12 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
     singletons = [1 << k for k in range(m.rows * m.cols)]
     p = sb.partition_som(m, params)
     assert Partition.from_labels(p.block_of, p.cost) == p      # blocks in canonical order
-    costs = BlockCosts(m, params)
-    for tiling in (sb.quadtree_split(costs), singletons):
-        expected = sb.merge_regions(tiling, costs)
+    for tiling in (sb.quadtree_split(BlockCosts(m, params)), singletons):
+        expected = sb.merge_regions(tiling, BlockCosts(m, params))
         for _ in range(3):
             shuffled = [tiling[i] for i in rng.permutation(len(tiling))]
-            assert sb.merge_regions(shuffled, costs) == expected   # cost included
+            # a fresh engine each time: no merge reads costs another one cached
+            assert sb.merge_regions(shuffled, BlockCosts(m, params)) == expected   # cost included
 
 
 def _reference_merge(masks, som_map, params):
@@ -305,10 +305,10 @@ def test_merge_rejects_bad_tilings():
 def test_merge_takes_numpy_integer_masks():
     m = make_map([[1.0, 1.1], [5.0, 5.1]], s=0.5)
     params = plain_params(R=10.0)
-    costs = BlockCosts(m, params)
     for tiling in ([0b0011, 0b1100], [1, 2, 4, 8]):
-        p = sb.merge_regions([np.int64(mask) for mask in tiling], costs)
-        assert p == sb.merge_regions(tiling, costs)        # cost included
+        # a fresh engine each: the int merge must not read costs the np.int64 one cached
+        p = sb.merge_regions([np.int64(mask) for mask in tiling], BlockCosts(m, params))
+        assert p == sb.merge_regions(tiling, BlockCosts(m, params))        # cost included
     assert p.n_blocks == 2
 
 

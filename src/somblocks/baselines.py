@@ -88,13 +88,10 @@ def oracle_partition(som_map: SomMap, labels) -> Partition:
 
     # a cell is occupied (labels are non-empty) and the grid connected: each pass fills a cell
     while np.any(block < 0):
-        for r in range(rows):
-            for c in range(cols):
-                if block[r, c] >= 0:
-                    continue
-                near = [block[r2, c2]
-                        for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
-                        if 0 <= r2 < rows and 0 <= c2 < cols and block[r2, c2] >= 0]
-                if near:
-                    block[r, c] = min(near)
+        for r, c in zip(*np.nonzero(block < 0)):
+            near = [block[r2, c2]
+                    for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                    if 0 <= r2 < rows and 0 <= c2 < cols and block[r2, c2] >= 0]
+            if near:
+                block[r, c] = min(near)
     return Partition.from_labels(block)

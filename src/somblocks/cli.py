@@ -62,10 +62,10 @@ class CliError(ValueError):
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment, blanks ignored."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment, blanks ignored."""
     values = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -84,8 +84,6 @@ def parse_config_file(path) -> dict:
 
 def _coerce(key: str, value: str):
     kind = type(DEFAULTS[key])
-    if kind is str:
-        return value
     try:
         return kind(value)
     except ValueError:

@@ -24,7 +24,7 @@ class DataError(ValueError):
     """Raised for malformed or degenerate input data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Numeric samples with optional class labels.
 
@@ -86,7 +86,7 @@ def encode_labels(labels) -> tuple[list, np.ndarray]:
     return classes, np.array([index[l] for l in labels], dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributeSummary:
     """Per-attribute min, max and span over all samples."""
 
@@ -111,14 +111,15 @@ class AttributeSummary:
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
-    All columns except label_column must parse as finite reals.  Labels are
-    populated iff label_column is given.
+    The file is UTF-8 text (a leading byte-order mark is skipped) with strict
+    quoting.  All columns except label_column must parse as finite reals.
+    Labels are populated iff label_column is given.
     """
     try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            records = _csv_records(f, path)
             try:
-                header = next(reader)
+                _, header = next(records)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             header = [h.strip() for h in header]
@@ -133,7 +134,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 raise DataError(f"{path}: no attribute column in header")
 
             rows, labels = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in records:
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -162,6 +163,23 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         labels=labels if label_idx is not None else None,
         attribute_names=names,
     )
+
+
+def _csv_records(f, path) -> Iterator[tuple[int, list[str]]]:
+    """(first line number, fields) of each record of the CSV text file f."""
+    reader = csv.reader(f, strict=True)
+    while True:
+        start = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            if str(e) == "unexpected end of data":     # the file ends inside a quoted field
+                raise DataError(f"{path}:{start}: a quote in the record that starts on this "
+                                f"line is never closed") from None
+            raise DataError(f"{path}:{start}: malformed CSV record: {e}") from None
+        yield start, row
 
 
 def is_integer(value) -> bool:
@@ -234,7 +252,7 @@ def read_json_file(path, kind: str, version: int, error, build):
     """from_record(build) of the JSON object in a `kind` file, less its format_version
     (which must equal version); every error names the path, and only bad JSON is malformed."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise error(f"{path}: malformed {kind} file: {e}") from None
@@ -254,7 +272,7 @@ def write_text_atomic(path, text: str) -> None:
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -32,11 +32,10 @@ class EvalReport:
     n_samples: int
 
 
-def _check_partition(som_map: SomMap, partition: Partition | None) -> None:
-    if partition is not None:
-        validate_partition(partition)
-        if partition.block_of.shape != (som_map.rows, som_map.cols):
-            raise EvaluateError("partition shape does not match the map")
+def _check_partition(som_map: SomMap, partition: Partition) -> None:
+    validate_partition(partition)
+    if partition.block_of.shape != (som_map.rows, som_map.cols):
+        raise EvaluateError("partition shape does not match the map")
 
 
 def score(partition: Partition, som_map: SomMap, labels) -> EvalReport:
@@ -110,30 +109,26 @@ def render_map(som_map: SomMap, partition: Partition | None = None, labels=None)
     else:
         texts = ["(" + ",".join(map(str, row)) + ")"
                  for row in som_map.class_counts(labels)[1].tolist()]
-    _check_partition(som_map, partition)
-    if partition is not None:
-        texts = [f"{b} {t}" for b, t in zip(partition.block_of.ravel().tolist(), texts)]
+    rows, cols = som_map.rows, som_map.cols
+    if partition is None:
+        block = np.zeros((rows, cols), dtype=int)       # one block, so no boundary
+    else:
+        _check_partition(som_map, partition)
+        block = partition.block_of
+        texts = [f"{b} {t}" for b, t in zip(block.ravel().tolist(), texts)]
     width = max(len(t) for t in texts)
+    h_cut = (block[:, :-1] != block[:, 1:]).tolist()    # the (r, c)-(r, c+1) edge is cut
+    v_cut = (block[:-1] != block[1:]).tolist()          # the (r, c)-(r+1, c) edge is cut
 
-    def differs(r1, c1, r2, c2) -> bool:
-        return partition is not None and (
-            partition.block_of[r1, c1] != partition.block_of[r2, c2])
+    def line(pieces, gaps):
+        return "".join(gap + piece for gap, piece in zip(["", *gaps], pieces)).rstrip()
 
     lines = []
-    for r in range(som_map.rows):
-        row = ""
-        for c in range(som_map.cols):
-            row += f"{texts[r * som_map.cols + c]:<{width}}"
-            if c + 1 < som_map.cols:
-                row += " │ " if differs(r, c, r, c + 1) else "   "
-        lines.append(row.rstrip())
-        if r + 1 < som_map.rows:
-            gap = ""
-            for c in range(som_map.cols):
-                gap += ("─" * width) if differs(r, c, r + 1, c) else (" " * width)
-                if c + 1 < som_map.cols:
-                    joint = differs(r, c, r + 1, c) or differs(r, c + 1, r + 1, c + 1)
-                    gap += "───" if joint else "   "
-            if gap.strip():
-                lines.append(gap.rstrip())
-    return "\n".join(lines) + "\n"
+    for r in range(rows):
+        if r:       # the boundaries between rows r-1 and r; a blank line is left out
+            cuts = v_cut[r - 1]
+            lines.append(line([("─" if cut else " ") * width for cut in cuts],
+                              ["───" if a or b else "   " for a, b in zip(cuts, cuts[1:])]))
+        lines.append(line([f"{t:<{width}}" for t in texts[r * cols:(r + 1) * cols]],
+                          [" │ " if cut else "   " for cut in h_cut[r]]))
+    return "\n".join(filter(None, lines)) + "\n"

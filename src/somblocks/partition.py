@@ -163,15 +163,12 @@ def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
 
 
 def _subdivide(bounds: tuple) -> list[tuple]:
-    """Quadrants of the cell rectangle (r0, r1, c0, c1) (halves when one side is 1)."""
+    """Non-empty quadrants of the cell rectangle (r0, r1, c0, c1) other than itself."""
     r0, r1, c0, c1 = bounds
     rm = r0 + (r1 - r0 + 1) // 2
     cm = c0 + (c1 - c0 + 1) // 2
-    if r1 - r0 == 1:
-        return [(r0, r1, c0, cm), (r0, r1, cm, c1)]
-    if c1 - c0 == 1:
-        return [(r0, rm, c0, c1), (rm, r1, c0, c1)]
-    return [(r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1)]
+    quadrants = [(r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1)]
+    return [q for q in quadrants if q[0] < q[1] and q[2] < q[3] and q != bounds]
 
 
 def _region_mask(bounds: tuple, cols: int) -> int:
@@ -206,10 +203,7 @@ def _quadtree(rows: int, cols: int) -> tuple:
 
 
 def _tree_node(bounds: tuple, cols: int) -> tuple:
-    r0, r1, c0, c1 = bounds
-    cell = r1 - r0 == 1 and c1 - c0 == 1
-    children = () if cell else tuple(_tree_node(part, cols) for part in _subdivide(bounds))
-    return _region_mask(bounds, cols), children
+    return _region_mask(bounds, cols), tuple(_tree_node(part, cols) for part in _subdivide(bounds))
 
 
 def _split(node: tuple, cost, leaves: list[int]) -> None:

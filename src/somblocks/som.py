@@ -83,12 +83,9 @@ class SomConfig:
         object.__setattr__(self, "neighborhood_schedule", sched)
 
     def half_width_at(self, epoch: int) -> int:
+        """Half-width of the last pair whose fraction the epoch (0 or more) has reached."""
         frac = epoch / self.epochs
-        hw = self.neighborhood_schedule[0][1]
-        for f, h in self.neighborhood_schedule:
-            if f <= frac:
-                hw = h
-        return hw
+        return [h for f, h in self.neighborhood_schedule if f <= frac][-1]
 
 
 @dataclass(frozen=True, eq=False)

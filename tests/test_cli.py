@@ -106,6 +106,12 @@ def test_config_file_precedence(tmp_path):
     assert settings["cols"] == DEFAULTS["cols"]
 
 
+def test_config_file_skips_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 3\nlabel_col = \xc3\xa9t\xc3\xa9\n")
+    assert parse_config_file(cfg) == {"seed": "3", "label_col": "\u00e9t\u00e9"}
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 1\n")
@@ -518,6 +524,18 @@ def test_partition_render_writes_render_maps_text(tmp_path, fixture_map, iris, i
                    "--out", str(tmp_path / "p.json"), "--render", str(out)) == 0
     p = sb.partition_som(fixture_map, iris_params)
     assert out.read_text() == render_map(fixture_map, p, iris.labels)
+
+
+def test_render_is_written_as_utf8_under_an_ascii_locale(tmp_path):
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sb.__file__)))
+    out = tmp_path / "render.txt"
+    proc = subprocess.run([sys.executable, "-m", "somblocks.cli", "partition",
+                           "--map", fixture_path("iris_map_seed2.json"),
+                           "--out", str(tmp_path / "p.json"), "--render", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == Path(fixture_path("iris_render_seed2.txt")).read_bytes()
 
 
 def test_version_flag(capsys):

@@ -96,6 +96,34 @@ def test_a_file_that_is_not_utf8_text_is_refused_by_path(tmp_path):
         sb.load_csv(p)
 
 
+@pytest.mark.parametrize("header", ["class,a", "a,class"])
+def test_a_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path, header):
+    p = tmp_path / "bom.csv"
+    rows = ["x,1.0", "y,2.0"] if header.startswith("class") else ["1.0,x", "2.0,y"]
+    p.write_bytes(("\ufeff" + "\n".join([header, *rows]) + "\n").encode("utf-8"))
+    ds = sb.load_csv(p, "class")
+    assert ds.attribute_names == ("a",)
+    assert ds.labels == ("x", "y")
+    assert ds.samples.tolist() == [[1.0], [2.0]]
+
+
+UNCLOSED = "a quote in the record that starts on this line is never closed"
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ('a,"b\n1,2\n', f"1: {UNCLOSED}"),
+    ('a,b\n1,"2\n3,4\n', f"2: {UNCLOSED}"),
+    ('a,b\n1,2\n\n3,"4\n', f"4: {UNCLOSED}"),
+    ('a,b\n1,"2"x\n', "2: malformed CSV record: ',' expected after '\"'"),
+    ('a,b\n"1.0\n",2.0\n3.0,oops\n', "4: non-numeric value 'oops'"),
+])
+def test_quoting_is_strict_and_a_record_is_named_by_its_first_line(tmp_path, text, refusal):
+    p = tmp_path / "quote.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{refusal}')}$"):
+        sb.load_csv(p)
+
+
 @pytest.mark.parametrize("text", ["class\nx\ny\n", "\n1.0\n"])
 def test_a_header_without_an_attribute_column_is_refused_by_path(tmp_path, text):
     p = tmp_path / "labels.csv"
@@ -176,6 +204,16 @@ def test_an_unlabeled_dataset_has_no_classes():
 def test_attribute_summary_refuses_a_min_above_its_max():
     with pytest.raises(DataError, match="^attribute min exceeds max$"):
         sb.AttributeSummary(mins=[0.0, 2.0], maxs=[1.0, 1.5])
+
+
+def test_datasets_and_summaries_compare_by_identity():
+    # a generated == over array fields raised numpy's ambiguous truth value
+    one = sb.Dataset(samples=[[1.0], [2.0]], labels=None, attribute_names=["x"])
+    two = sb.Dataset(samples=[[1.0], [2.0]], labels=None, attribute_names=["x"])
+    for a, b in ((one, two), (sb.summarize(one), sb.summarize(two))):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
 
 
 def test_encode_labels_sorted_order():

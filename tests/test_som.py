@@ -418,6 +418,12 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
         sb.load_map(dst)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path, fixture_map):
+    dst = tmp_path / "bom.json"
+    dst.write_bytes(b"\xef\xbb\xbf" + _fixture_text("iris_map_seed2.json").encode("utf-8"))
+    assert np.array_equal(sb.load_map(dst).weights, fixture_map.weights)
+
+
 def test_load_rejects_version_mismatch(tmp_path):
     doc = _fixture_doc()
     doc["format_version"] = 999

@@ -347,8 +347,9 @@ class BlockCosts:
     attribute once_j for the block and each_j for every further occupied
     cell (_set_range), and the terms are summed in block_cost's order, so
     cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
-    width terms do not depend on R or the range exponent, so at() hands out
-    an engine for another range setting that shares them.
+    width terms do not depend on R, so at(f_R) hands out the engine of
+    params.scaled(f_R=f_R) that shares them; partition_som takes an engine
+    only with its own som_map and params.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -384,23 +385,11 @@ class BlockCosts:
         else:
             self._once, self._each = [0.0] * len(log_R), [v + half_log_pi for v in log_R]
 
-    def at(self, som_map: "SomMap", params: CostParams) -> "BlockCosts":
-        """Engine for the same map and cell widths under params' range setting.
-
-        Returns self when params is this engine's own; otherwise a new engine
-        that shares the cached width terms.  Raises CostError when the map or
-        anything that sets the cell widths differs.
-        """
-        if som_map is not self.som_map:
-            raise CostError("block costs were cached for another map")
-        if params is self.params:
-            return self
-        own = self.params
-        if not (params.sigma_const == own.sigma_const and params.n_scale_rule is own.n_scale_rule
-                and np.array_equal(params.sigma_floor, own.sigma_floor)):
-            raise CostError("block costs were cached under another cell-width setting")
+    def at(self, f_R: float) -> "BlockCosts":
+        """This engine at params.scaled(f_R=f_R), one stability-sweep point:
+        a new engine that shares the cached width terms."""
         engine = copy.copy(self)
-        engine._set_range(params)
+        engine._set_range(self.params.scaled(f_R=f_R))
         return engine
 
     def _refuse_widths(self, scale: float, n: int) -> NoReturn:

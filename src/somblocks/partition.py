@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostParams, _bits, _mask_cells
+from .bayes_cost import BlockCosts, CostError, CostParams, _bits, _mask_cells
 from .data_model import is_integer, is_number, read_json_file, require, write_text_atomic
 from .som import SomMap
 
@@ -68,6 +68,7 @@ class Partition:
     def from_masks(cls, masks, rows: int, cols: int, cost: float = math.nan) -> "Partition":
         """The partition whose blocks are these row-major cell masks, which
         must tile the grid; blocks are numbered by their lowest cell."""
+        _require_grid(rows=rows, cols=cols)
         masks = sorted(masks, key=lambda mask: mask & -mask)
         return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
 
@@ -85,6 +86,12 @@ class Partition:
 
     def signature(self) -> tuple:
         return tuple(self.block_of.ravel().tolist())
+
+
+def _require_grid(**sizes) -> None:
+    """Refuse a grid size that is not an integer of at least 1, naming it."""
+    require(PartitionError, is_integer, "an integer", **sizes)
+    require(PartitionError, lambda v: v >= 1, "at least 1", **sizes)
 
 
 def validate_partition(partition: Partition) -> None:
@@ -307,11 +314,13 @@ def partition_som(som_map: SomMap, params: CostParams,
                   costs: BlockCosts | None = None) -> Partition:
     """Quadtree split followed by greedy merging.
 
-    The split and the merge share one BlockCosts; costs, when given, is one
-    already built for this map under the same cell widths (any range
-    setting), such as one stability-sweep column's.
+    The split and the merge share one BlockCosts; costs, when given, must be
+    the engine built for this very map and these params, such as a sweep
+    point's BlockCosts.at(f_R), else CostError.
     """
-    costs = BlockCosts(som_map, params) if costs is None else costs.at(som_map, params)
+    costs = BlockCosts(som_map, params) if costs is None else costs
+    if not (isinstance(costs, BlockCosts) and costs.som_map is som_map and costs.params is params):
+        raise CostError("costs must be the BlockCosts of this map and these params")
     return merge_regions(quadtree_split(costs), costs)
 
 
@@ -387,6 +396,7 @@ def enumerate_connected_partitions(rows: int, cols: int) -> list[tuple]:
     Returns a list of row-major block-id tuples; meant for small grids (the
     count grows like the connected-partition numbers 2, 12, 1434, ...).
     """
+    _require_grid(rows=rows, cols=cols)
     found: list[tuple] = []
     _walk_partitions(rows, cols, lambda labels, _: found.append(tuple(labels)))
     return found
@@ -486,8 +496,7 @@ def load_partition(path) -> Partition:
 
 
 def _partition_from_file(rows, cols, block_of, K, cost, params, provenance) -> Partition:
-    require(PartitionError, is_integer, "an integer", rows=rows, cols=cols)
-    require(PartitionError, lambda v: v >= 1, "at least 1", rows=rows, cols=cols)
+    _require_grid(rows=rows, cols=cols)
     if not isinstance(block_of, list) or len(block_of) != rows * cols:
         raise PartitionError(f"block_of must be a list of {rows * cols} block ids, one per cell")
     for v in block_of:

@@ -114,12 +114,13 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
                     row[j] = row[floor_column]
                 continue
             floor_column = j
-        # f_R moves only the range prior, so one column's cached block terms
+        # f_R moves only the range prior, so one column's cached width terms
         # serve every f_R in it.
         try:
             costs = BlockCosts(som_map, column)
             for i, f_R in enumerate(spec.f_R_grid):
-                points[i][j] = partition_som(som_map, column.scaled(f_R=float(f_R)), costs)
+                point = costs.at(float(f_R))
+                points[i][j] = partition_som(som_map, point.params, point)
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error
@@ -146,6 +147,8 @@ def stable_region(stability: StabilityMap) -> tuple[float, float]:
     require(SweepError, lambda v: isinstance(v, np.ndarray) and v.dtype == bool
             and v.shape == shape, f"a bool array of shape {shape}", equal=stability.equal)
     equal = stability.equal
+    if not equal[i_ref, j_ref]:
+        raise SweepError("equal must be True at (f_R, f_sigma) = (1, 1), got False")
     n_r, n_s = equal.shape
     best = None
     best_key = None

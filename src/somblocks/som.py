@@ -187,6 +187,7 @@ class SomMap:
     def pe(self, r: int, c: int) -> PeStats:
         """Cell (r, c) as a PeStats record derived from the arrays; mean and
         std are None on an empty cell."""
+        require(SomError, is_integer, "an integer", r=r, c=c)
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise SomError(f"cell ({r}, {c}) is outside the {self.rows}x{self.cols} grid")
         k = r * self.cols + c

@@ -53,7 +53,7 @@ def test_engine_cost_equals_block_cost_for_pes(seed, rule, exponent, f_sigma, f_
     costs = BlockCosts(m, base.scaled(f_sigma=f_sigma))
     for f_R in f_Rs:
         params = base.scaled(f_R=f_R, f_sigma=f_sigma)
-        at_f_R = costs.at(m, params)
+        at_f_R = costs.at(f_R)
         for mask in masks:
             assert (at_f_R.cost(mask).hex()
                     == sb.block_cost_for_pes(cells_of(m, mask), params).hex())
@@ -303,12 +303,15 @@ def test_numpy_scalar_settings_are_kept_as_python_floats(iris, fixture_map, tmp_
 
 def test_engine_refuses_another_map_or_width(fixture_map, seed1_map, iris_params):
     costs = BlockCosts(fixture_map, iris_params)
-    assert costs.at(fixture_map, iris_params) is costs
-    assert costs.at(fixture_map, iris_params.scaled(f_R=3.0)) is not costs
-    with pytest.raises(CostError, match="another map"):
-        costs.at(seed1_map, iris_params)
-    with pytest.raises(CostError, match="cell-width"):
-        sb.partition_som(fixture_map, iris_params.scaled(f_sigma=2.0), costs)
+    assert costs.at(3.0) is not costs
+    own = sb.partition_som(fixture_map, iris_params, costs)
+    assert own == sb.partition_som(fixture_map, iris_params)
+    refusal = "^costs must be the BlockCosts of this map and these params$"
+    for som_map, params in ((seed1_map, iris_params),
+                            (fixture_map, iris_params.scaled(f_sigma=2.0)),
+                            (fixture_map, iris_params.scaled(f_R=3.0))):
+        with pytest.raises(CostError, match=refusal):
+            sb.partition_som(som_map, params, costs)
 
 
 def test_cache_is_keyed_by_occupied_cells():
@@ -318,7 +321,7 @@ def test_cache_is_keyed_by_occupied_cells():
         params = sb.CostParams(R=np.array([10.0]), sigma_floor=np.array([0.1]),
                                n_scale_rule=N_SCALE_RULES[rule])
         costs = BlockCosts(m, params)
-        other_range = costs.at(m, params.scaled(f_R=2.0))    # shares the width terms
+        other_range = costs.at(2.0)    # shares the width terms
         for mask in (0b000001, 0b000101, 0b010101):
             before = (len(costs._terms), len(costs._costs))
             c = costs.cost(mask)

@@ -48,6 +48,7 @@ ENTRIES = {
     "default_grid": (sb.default_grid, dict(points=3, decades=1.0)),
     "SomMap cell": (_with_cell_0, dict(weight=[0.0], mean=[0.0], std=[1.0])),
     "SomMap.class_counts": (MAP.class_counts, dict(labels=LABELS)),
+    "SomMap.pe": (MAP.pe, dict(r=1, c=0)),
     "score": (lambda labels: sb.score(PARTITION, MAP, labels), dict(labels=LABELS)),
     "oracle_partition": (lambda labels: sb.oracle_partition(MAP, labels), dict(labels=LABELS)),
     "render_map": (lambda labels: sb.render_map(MAP, PARTITION, labels), dict(labels=LABELS)),
@@ -58,13 +59,19 @@ ENTRIES = {
     "Partition": (sb.Partition, dict(block_of=np.array([[0, 0], [1, 1]]), n_blocks=2, cost=1.5)),
     "Partition.from_labels": (sb.Partition.from_labels, dict(labels=[[5, 5], [2, 2]], cost=1.5)),
 }
+# enumerate_connected_partitions and Partition.from_masks take grid sizes too,
+# but stay out of the table: 10**400 is a valid integer there, which would
+# start an exponential walk or allocate an oversized array.  Their refusals
+# are tested by exact message below.
 ARGUMENTS = [(entry, argument) for entry, (_, valid) in ENTRIES.items() for argument in valid]
 HOSTILE = {"'a'": "a", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
            "10**400": 10**400, "-1": -1, "0": 0, "[[1.0]]": [[1.0]], "[]": [],
            "[1.0, 'a']": [1.0, "a"], "[1.0, 10**400]": [1.0, 10**400]}
 # merge_regions names a bad mask by its block index, and a bad tiling as "blocks";
-# Partition names its n_blocks K, as the partition file does
-NAMES = {"masks": ("masks", "block"), "n_blocks": ("K",)}
+# Partition names its n_blocks K, as the partition file does; SomMap.pe names a
+# cell outside the grid by its position
+NAMES = {"masks": ("masks", "block"), "n_blocks": ("K",), "r": ("r must", "cell ("),
+         "c": ("c must", "cell (")}
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -133,6 +140,42 @@ def test_cell_limit_must_be_an_integer(cell_limit):
     with pytest.raises(PartitionError,
                        match=f"^cell_limit must be an integer, got {re.escape(repr(cell_limit))}$"):
         sb.exhaustive_partition(MAP, PARAMS, cell_limit)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ("a", 2, "rows must be an integer, got 'a'"),
+    (True, 2, "rows must be an integer, got True"),
+    (2.0, 2, "rows must be an integer, got 2.0"),
+    (-1, 2, "rows must be at least 1, got -1"),
+    (0, 3, "rows must be at least 1, got 0"),
+    (2, 0, "cols must be at least 1, got 0"),
+])
+def test_enumeration_refuses_a_bad_grid_size_by_name(rows, cols, message):
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        sb.enumerate_connected_partitions(rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (True, 1, "rows must be an integer, got True"),
+    (0, 1, "rows must be at least 1, got 0"),
+    (-1, 1, "rows must be at least 1, got -1"),
+    (1, "1", "cols must be an integer, got '1'"),
+])
+def test_from_masks_refuses_a_bad_grid_size_by_name(rows, cols, message):
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        sb.Partition.from_masks([0b1], rows, cols)
+
+
+@pytest.mark.parametrize("r, c, message", [
+    ("a", 0, "r must be an integer, got 'a'"),
+    (True, 0, "r must be an integer, got True"),
+    (0, 1.0, "c must be an integer, got 1.0"),
+    (2, 0, "cell (2, 0) is outside the 2x2 grid"),
+    (0, -1, "cell (0, -1) is outside the 2x2 grid"),
+])
+def test_a_cell_position_is_refused_by_name(r, c, message):
+    with pytest.raises(SomError, match=f"^{re.escape(message)}$"):
+        MAP.pe(r, c)
 
 
 @pytest.mark.parametrize("masks", [5, None, 0b1111, {0b1111}])

@@ -333,6 +333,12 @@ def test_fixture_map_partitions_into_three_blocks(fixture_map, iris_params):
     validate_partition(p)
 
 
+def test_a_partition_is_unequal_to_anything_else():
+    p = sb.Partition.from_labels([[0, 1]])
+    assert (p == "x") is False
+    assert p != 5
+
+
 def test_enumeration_counts():
     assert isinstance(enumerate_connected_partitions(2, 2), list)
     assert sum(1 for _ in enumerate_connected_partitions(1, 2)) == 2

@@ -146,6 +146,18 @@ def test_stable_region_takes_only_a_bool_table_of_the_grids_shape(equal, got):
         sb.stable_region(st)
 
 
+def test_stable_region_refuses_a_table_unequal_at_the_reference():
+    grid = np.logspace(-1, 1, 3)
+    equal = np.ones((3, 3), dtype=bool)
+    equal[1, 1] = False
+    st = sb.StabilityMap(f_R_grid=grid, f_sigma_grid=grid,
+                         signatures=[[None] * 3 for _ in range(3)],
+                         n_blocks=np.ones((3, 3), dtype=int), equal=equal, reference=(0,))
+    message = "equal must be True at (f_R, f_sigma) = (1, 1), got False"
+    with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+        sb.stable_region(st)
+
+
 def test_signature_canonicalization():
     a = sb.Partition.from_labels(np.array([[5, 5], [2, 2]]))
     b = sb.Partition.from_labels(np.array([[0, 0], [7, 7]]))

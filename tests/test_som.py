@@ -404,6 +404,11 @@ def test_random_map_rebuilt_from_its_own_cells_is_equal(seed, M):
     _round_trips(random_map(np.random.default_rng(seed), M=M, empty_prob=0.3))
 
 
+def test_a_map_is_unequal_to_anything_else(fixture_map):
+    assert (fixture_map == "x") is False
+    assert fixture_map != 5
+
+
 def test_load_rejects_truncated_file(tmp_path):
     dst = tmp_path / "trunc.json"
     dst.write_text(_fixture_text("iris_map_seed2.json")[:500])

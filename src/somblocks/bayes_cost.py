@@ -350,6 +350,46 @@ class BlockCosts:
     width terms do not depend on R, so at(f_R) hands out the engine of
     params.scaled(f_R=f_R) that shares them; partition_som takes an engine
     only with its own som_map and params.
+
+    The f_R interval.  interval is [lo, hi], made (-inf, inf) with every
+    engine, and each decision partition_som makes through the engine
+    narrows it: a quadtree test whole > parts, a merge test
+    cost(a | b) < cost(a) + cost(b), and a join that join_rejected settles.
+    Let x = ln(R' / R) for an engine of the same map and widths whose range
+    is R' (an at() of the same column).  Only the range prior depends on R,
+    by once_j per occupied block and each_j per further occupied cell, so a
+    decision's g = whole - parts (a join: the union against its two sides)
+    is g + s x there in real arithmetic, with s = c (k - 1), k the occupied
+    blocks on the parts' side (2 for a join), c = -M under per_block and
+    +M under per_pe.  The interval keeps the x on which every decision's
+    g + s x has the sign of its outcome by more than a margin, and shrinks
+    to [0, 0], the point itself, when a decision is within the margin of a
+    tie at x = 0; so partition_som through an engine whose x lies strictly
+    inside it makes the same decisions and returns the same partition.  A
+    decision whose g and s are both exactly 0 (an empty side, a quadtree
+    node with at most one occupied child) compares two equal floats at
+    every R and constrains nothing.
+
+    The margin is 1e-9 (|whole| + |parts|) + 1e-5 M N (_margin), N the
+    map's occupied cells.  The engine refuses every width whose 1/sigma^2
+    is 0 or not finite, so |ln sigma| < 355, and |ln y| < 745 for every
+    positive finite double y; so at every R a block's prior,
+    sum ln sigma and ln(S)/2 are, per attribute and occupied cell, below
+    745.1, 355 and 355.5, below C = 1456 M in all.  A block's resids thus
+    sum to at most its cost plus C per occupied cell, and with n <= N the
+    whole's occupied cells, the magnitudes of all the terms of a
+    decision's costs, at this R or any other, sum to at most |whole| +
+    |parts| + 4 n C.  Each cost is a correctly rounded sum (fsum) of a few
+    single roundings per attribute, the log of the rounded R_j included,
+    so at either point it lies within 2^-48 (those magnitudes + n C) of its
+    real value; with the one rounding of the parts' sum, the x the sweep
+    computes (a rounded ratio and its log: |x| < 710 and |s| <= M n) and
+    the division that places an end, the two points' computed decisions
+    stay within about 2^-46 (|whole| + |parts| + 5 n C) of g + s x, over
+    10^4 times below the margin.  A join that join_rejected settles puts
+    its own scale for |whole| + |parts|, which bounds them up to a factor
+    of 2 and its delta's error to (M + 100) 2^-53 scale, so the margin
+    covers it for any M below about 10^6.
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
@@ -362,6 +402,8 @@ class BlockCosts:
         self._terms: dict[int, tuple] = {0: (0, [], [], [], [])}
         self._set_range(params)
         self._table = self._cell_table()
+        # the interval's margin, less its part in the decision's costs (see above)
+        self._margin = 1e-5 * params.n_attributes * max(1, self._occupied.bit_count())
         if params.n_scale_rule is unit_scale:
             self._columns = None
         else:
@@ -374,20 +416,25 @@ class BlockCosts:
         """Take params' range setting.  Per attribute, a block pays once_j
         when it opens and each_j for every further occupied cell:
         ln(R_j) and ln(pi)/2 under per_block, 0 and ln(R_j) + ln(pi)/2
-        under per_pe."""
+        under per_pe.  The interval starts unbounded, and _slope is c, the
+        interval's slope per occupied block (see above)."""
         self.params = params
         self._costs: dict[int, float] = {0: 0.0}     # occupied cells -> cost
         self._join = None                            # join_rejected's constants
+        self.interval = [-math.inf, math.inf]
         log_R = np.log(params.R).tolist()
         half_log_pi = 0.5 * math.log(math.pi)
         if params.range_exponent == "per_block":
             self._once, self._each = log_R, [half_log_pi] * len(log_R)
+            self._slope = -len(log_R)
         else:
             self._once, self._each = [0.0] * len(log_R), [v + half_log_pi for v in log_R]
+            self._slope = len(log_R)
 
     def at(self, f_R: float) -> "BlockCosts":
         """This engine at params.scaled(f_R=f_R), one stability-sweep point:
-        a new engine that shares the cached width terms."""
+        a new engine that shares the cached width terms, with its own
+        interval."""
         engine = copy.copy(self)
         engine._set_range(self.params.scaled(f_R=f_R))
         return engine
@@ -552,7 +599,9 @@ class BlockCosts:
         about 10^7; joins nearer a tie go to the exact comparison.  So does
         any non-finite value (a comparison with NaN, or with an infinite
         scale, is False, so a union whose width scale overflows is costed,
-        and refused) and an H that underflows to 0.
+        and refused) and an H that underflows to 0.  A join rejected by
+        delta narrows interval (see the class docstring): delta moves with
+        the union's prior like the exact change, by c per unit of x.
         """
         a &= self._occupied
         b &= self._occupied
@@ -587,7 +636,17 @@ class BlockCosts:
             delta -= loss * (gaps + resid)
             scale += (loss * resid
                       + 4.0 * n * len(top) * math.log(union_scale / width_scale(p, 1)))
-        return delta > 1e-7 * scale
+        if not delta > 1e-7 * scale:
+            return False
+        margin, s, interval = 1e-9 * scale + self._margin, self._slope, self.interval
+        end = (margin - delta) / s
+        if delta <= margin:
+            interval[0] = interval[1] = 0.0
+        elif s > 0 and end > interval[0]:
+            interval[0] = end
+        elif s < 0 and end < interval[1]:
+            interval[1] = end
+        return True
 
     def _join_constants(self) -> tuple:
         """join_rejected's sum and size of the q_j, its per-cell size, and

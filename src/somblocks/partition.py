@@ -67,9 +67,13 @@ class Partition:
     @classmethod
     def from_masks(cls, masks, rows: int, cols: int, cost: float = math.nan) -> "Partition":
         """The partition whose blocks are these row-major cell masks, which
-        must tile the grid; blocks are numbered by their lowest cell."""
+        must tile the grid, else PartitionError; blocks are numbered by
+        their lowest cell.  Connectivity is not checked (validate_partition
+        does)."""
         _require_grid(rows=rows, cols=cols)
-        masks = sorted(masks, key=lambda mask: mask & -mask)
+        masks = _grid_masks(masks, rows, cols)
+        _require_tiling(masks, rows * cols)
+        masks.sort(key=lambda mask: mask & -mask)
         return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
 
     @classmethod
@@ -92,6 +96,33 @@ def _require_grid(**sizes) -> None:
     """Refuse a grid size that is not an integer of at least 1, naming it."""
     require(PartitionError, is_integer, "an integer", **sizes)
     require(PartitionError, lambda v: v >= 1, "at least 1", **sizes)
+
+
+def _grid_masks(masks, rows: int, cols: int) -> list[int]:
+    """The masks as ints, refusing one that is not a positive integer or has
+    a cell outside the rows x cols grid by a PartitionError naming it."""
+    ints, grid = [], (1 << (rows * cols)) - 1
+    for i, mask in enumerate(masks):
+        if not is_integer(mask):
+            raise PartitionError(f"block {i} must be an integer mask, got {reprlib.repr(mask)}")
+        mask = int(mask)
+        if not 0 < mask <= grid:
+            raise PartitionError(f"block {i} must be a positive mask, got {mask}" if mask <= 0
+                                 else f"block {i} has a cell outside the {rows}x{cols} grid")
+        ints.append(mask)
+    return ints
+
+
+def _require_tiling(masks: list[int], n: int) -> None:
+    """Refuse positive masks that overlap, naming the later block, or that
+    leave a cell of the n-cell grid uncovered."""
+    covered = 0
+    for i, mask in enumerate(masks):
+        if covered & mask:
+            raise PartitionError(f"block {i} overlaps an earlier block")
+        covered |= mask
+    if covered != (1 << n) - 1:
+        raise PartitionError("blocks leave cells of the grid uncovered")
 
 
 def validate_partition(partition: Partition) -> None:
@@ -190,12 +221,41 @@ def quadtree_split(costs: BlockCosts) -> list[int]:
 
     A rectangle is split iff its one-block cost strictly exceeds the summed
     one-block costs of its quadrants; single cells are leaves.  Returns the
-    leaves as row-major cell masks.  The masks and their quadrants are built
-    once per grid shape (_quadtree) and walked here, so every call costs the
-    same masks in the same order.
+    leaves as row-major cell masks, in depth-first order.  The masks and
+    their quadrants are built once per grid shape (_quadtree) and walked
+    here, so every call costs the same masks in the same order.  Each test
+    narrows costs.interval (BlockCosts: the f_R interval).
     """
+    cost, occupied, slope, extra = costs.cost, costs._occupied, costs._slope, costs._margin
+    interval = costs.interval
     leaves: list[int] = []
-    _split(_quadtree(costs.som_map.rows, costs.som_map.cols), costs.cost, leaves)
+    stack = [_quadtree(costs.som_map.rows, costs.som_map.cols)]
+    while stack:
+        mask, children = stack.pop()
+        if not children:
+            leaves.append(mask)
+            continue
+        whole, sides, k = cost(mask), [], 0     # k: the children with an occupied cell
+        for child, _ in children:
+            sides.append(cost(child))
+            if child & occupied:
+                k += 1
+        parts = math.fsum(sides)
+        split = whole > parts
+        if k > 1:
+            g, s = (whole - parts, slope * (k - 1)) if split else (parts - whole, slope * (1 - k))
+            margin = 1e-9 * (abs(whole) + abs(parts)) + extra
+            end = (margin - g) / s
+            if g <= margin:
+                interval[0] = interval[1] = 0.0
+            elif s > 0 and end > interval[0]:
+                interval[0] = end
+            elif s < 0 and end < interval[1]:
+                interval[1] = end
+        if split:
+            stack.extend(reversed(children))
+        else:
+            leaves.append(mask)
     return leaves
 
 
@@ -213,18 +273,6 @@ def _tree_node(bounds: tuple, cols: int) -> tuple:
     return _region_mask(bounds, cols), tuple(_tree_node(part, cols) for part in _subdivide(bounds))
 
 
-def _split(node: tuple, cost, leaves: list[int]) -> None:
-    mask, children = node
-    if children:
-        whole = cost(mask)
-        parts = math.fsum(cost(child[0]) for child in children)
-        if whole > parts:
-            for child in children:
-                _split(child, cost, leaves)
-            return
-    leaves.append(mask)
-
-
 def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
     """Greedy pairwise merging of a tiling of costs' map by connected blocks.
 
@@ -240,27 +288,21 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
     first later block that starts right of the column just past its own
     last one: no block from there on can touch it.  A join that
     BlockCosts.join_rejected settles (an empty side, or a certain loss) is
-    not costed; both skip only what the plain scan would not merge.
+    not costed; both skip only what the plain scan would not merge.  Each
+    costed join narrows costs.interval (BlockCosts: the f_R interval).
     """
     if not isinstance(masks, (list, tuple)):
         raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
     rows, cols = costs.som_map.rows, costs.som_map.cols
-    n = rows * cols
+    masks = _grid_masks(masks, rows, cols)
     inner = _inner_cells(rows, cols)
-    grid, row = (1 << n) - 1, (1 << cols) - 1
+    grid, row = (1 << (rows * cols)) - 1, (1 << cols) - 1
 
     # (order key (first column, first row), one past the last column, cell
     # mask, mask of the cells edge-adjacent to the block); a union's key is the
     # componentwise minimum of the two keys and its column end the larger end.
     blocks = []
     for i, mask in enumerate(masks):
-        if not is_integer(mask):
-            raise PartitionError(f"block {i} must be an integer mask, got {reprlib.repr(mask)}")
-        mask = int(mask)
-        if mask <= 0:
-            raise PartitionError(f"block {i} must be a positive mask, got {mask}")
-        if mask >> n:
-            raise PartitionError(f"block {i} has a cell outside the {rows}x{cols} grid")
         r0 = ((mask & -mask).bit_length() - 1) // cols
         r1 = (mask.bit_length() - 1) // cols + 1
         spread = 0                                  # the block's columns
@@ -274,15 +316,10 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         near = (mask << cols | mask >> cols
                 | (mask & inner) << 1 | (mask >> 1) & inner) & grid
         blocks.append(((c0, r0), c1, mask, near))
-    covered = 0
-    for i, (_, _, mask, _) in enumerate(blocks):
-        if covered & mask:
-            raise PartitionError(f"block {i} overlaps an earlier block")
-        covered |= mask
-    if covered != grid:
-        raise PartitionError("blocks leave cells of the grid uncovered")
+    _require_tiling(masks, rows * cols)
 
     cost, rejected = costs.cost, costs.join_rejected
+    slope, extra, interval = costs._slope, costs._margin, costs.interval
     changed = True
     while changed:
         changed = False
@@ -296,8 +333,20 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
                 other_key, other_c1, other, other_near = blocks[j]
                 if other_key[0] > c1:
                     break
-                if (live[j] and near & other and not rejected(mask, other)
-                        and cost(mask | other) < cost(mask) + cost(other)):
+                if not (live[j] and near & other) or rejected(mask, other):
+                    continue
+                whole, parts = cost(mask | other), cost(mask) + cost(other)
+                joined = whole < parts
+                g, s = (parts - whole, -slope) if joined else (whole - parts, slope)
+                margin = 1e-9 * (abs(whole) + abs(parts)) + extra
+                end = (margin - g) / s
+                if g <= margin:
+                    interval[0] = interval[1] = 0.0
+                elif s > 0 and end > interval[0]:
+                    interval[0] = end
+                elif s < 0 and end < interval[1]:
+                    interval[1] = end
+                if joined:
                     key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
                     c1, mask, near = max(c1, other_c1), mask | other, near | other_near
                     live[j] = False

@@ -14,6 +14,16 @@ column, bit for bit, since f_sigma enters the cost only through the widths.
 Its block costs, and so its partitions, are those of the first such column,
 so the sweep partitions only that one and copies its partitions to the
 rest.  Every column's parameters are still built and checked.
+
+Within a column the sweep takes the f_R points in ascending order.  Each
+partitioned point's engine ends with BlockCosts.interval: the x = ln(f_R'
+/ f_R) on which every decision of its split and merge keeps its outcome by
+more than the rounding margin argued there (1e-9 of the decision's two
+costs plus 1e-5 nats per occupied cell and attribute).  A point that
+lies strictly inside the interval of the last partitioned point takes that
+point's Partition instead of a run, so its signature and K are those of a
+run.  The Partition's cost is the partitioned point's, which no output of
+sweep holds.
 """
 
 import math
@@ -98,9 +108,10 @@ class StabilityMap:
 
 def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     """Partition the map at every (f_R, f_sigma) grid point; a column whose
-    widths all sit at the floor copies the first such column (see above).
-    A CostError from a column's block costs names its f_sigma and the base
-    sigma_const in front."""
+    widths all sit at the floor copies the first such column, and a point
+    inside the f_R interval of the last partitioned point of its column
+    takes that point's partition (see above).  A CostError from a column's
+    block costs names its f_sigma and the base sigma_const in front."""
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
@@ -115,12 +126,17 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
                 continue
             floor_column = j
         # f_R moves only the range prior, so one column's cached width terms
-        # serve every f_R in it.
+        # serve every f_R in it, and a point strictly inside the last
+        # partitioned point's interval takes its partition.
         try:
             costs = BlockCosts(som_map, column)
-            for i, f_R in enumerate(spec.f_R_grid):
-                point = costs.at(float(f_R))
-                points[i][j] = partition_som(som_map, point.params, point)
+            partition = None        # the last partitioned point's, at f_last
+            for i, f_R in enumerate(spec.f_R_grid.tolist()):
+                point = costs.at(f_R)
+                if partition is None or not lo < math.log(f_R / f_last) < hi:
+                    partition = partition_som(som_map, point.params, point)
+                    f_last, (lo, hi) = f_R, point.interval
+                points[i][j] = partition
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error

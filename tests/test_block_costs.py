@@ -458,3 +458,40 @@ def test_no_cost_setting_is_inert(fixture_map, iris_params, name):
     blocks = [1 << k for k in range(n_cells)] + [(1 << n_cells) - 1]
     before, after = BlockCosts(fixture_map, iris_params), BlockCosts(fixture_map, changed)
     assert any(before.cost(b) != after.cost(b) for b in blocks)
+
+
+def test_an_engine_from_at_starts_with_an_unbounded_interval():
+    m = make_map([[0.0, 5.0], [0.2, 5.1]], s=0.5)
+    costs = BlockCosts(m, sb.CostParams(R=[10.0], sigma_floor=[0.1]))
+    assert costs.interval == [-math.inf, math.inf]
+    sb.partition_som(m, costs.params, costs)
+    assert costs.interval != [-math.inf, math.inf]         # its decisions narrowed it
+    assert costs.at(3.0).interval == [-math.inf, math.inf]
+    assert costs.at(1.0).interval is not costs.interval
+
+
+@pytest.mark.parametrize("step", ["split", "merge"])
+@pytest.mark.parametrize("exponent, R", [("per_block", 10.0), ("per_pe", 0.1)])
+def test_an_exact_tie_with_a_nonzero_slope_shrinks_the_interval_to_the_point(exponent, R, step):
+    # costs set by hand on a 1x2 map: the pair against its two cells, 1 + 2.
+    # The cells are close and R makes a join's prior change negative, so
+    # join_rejected leaves the join to these costs.
+    m = make_map([[0.0, 0.1]], s=1.0)
+
+    def decide(pair):
+        costs = BlockCosts(m, sb.CostParams(R=[R], sigma_floor=[0.1], range_exponent=exponent))
+        costs.cost = {0b01: 1.0, 0b10: 2.0, 0b11: pair}.__getitem__
+        if step == "split":
+            assert sb.quadtree_split(costs) == ([0b01, 0b10] if pair > 3.0 else [0b11])
+        else:
+            assert sb.merge_regions([0b01, 0b10], costs).n_blocks == (1 if pair < 3.0 else 2)
+        return costs.interval
+
+    # the pair costs 0.5 more than its cells: g + s x, with s = -1 under
+    # per_block and +1 under per_pe, reaches the tie at x = 0.5 or -0.5
+    lo, hi = decide(3.5)
+    if exponent == "per_block":
+        assert lo == -math.inf and hi == pytest.approx(0.5, abs=1e-4) and hi < 0.5
+    else:
+        assert hi == math.inf and lo == pytest.approx(-0.5, abs=1e-4) and lo > -0.5
+    assert decide(3.0) == [0.0, 0.0]

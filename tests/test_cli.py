@@ -271,6 +271,16 @@ def test_sweep_output_matches_the_committed_golden(tmp_path):
     assert out.read_bytes() == Path(fixture_path("iris_stability_seed2.csv")).read_bytes()
 
 
+def test_per_pe_sweep_matches_its_golden(tmp_path):
+    # per_pe splits the map into more blocks as f_R grows, up to one per
+    # cell: the setting where most points reuse the partition before them
+    out = tmp_path / "stability.csv"
+    assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
+                   "--range-exponent", "per_pe", "--out", str(out)) == 0
+    assert out.read_bytes() == Path(
+        fixture_path("iris_stability_seed2_per_pe.csv")).read_bytes()
+
+
 def test_sqrt_width_sweep_and_partition_match_their_goldens(tmp_path):
     # under the sqrt rule each block of several cells takes its own widths
     # at its size; no column of this sweep has every width at the floor, so

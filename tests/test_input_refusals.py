@@ -16,7 +16,7 @@ import pytest
 import somblocks as sb
 from somblocks.bayes_cost import unit_scale
 from somblocks.data_model import DataError
-from somblocks.partition import PartitionError
+from somblocks.partition import PartitionError, validate_partition
 from somblocks.som import SomError
 
 from conftest import make_map, map_cells, plain_params
@@ -164,6 +164,29 @@ def test_enumeration_refuses_a_bad_grid_size_by_name(rows, cols, message):
 def test_from_masks_refuses_a_bad_grid_size_by_name(rows, cols, message):
     with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
         sb.Partition.from_masks([0b1], rows, cols)
+
+
+@pytest.mark.parametrize("masks, message", [
+    ([1, 1, 2], "block 1 overlaps an earlier block"),
+    ([3, 1], "block 1 overlaps an earlier block"),
+    ([1], "blocks leave cells of the grid uncovered"),
+    ([], "blocks leave cells of the grid uncovered"),
+    ([0], "block 0 must be a positive mask, got 0"),
+    ([-1], "block 0 must be a positive mask, got -1"),
+    ([0b100], "block 0 has a cell outside the 1x2 grid"),
+    ([1, 2.0], "block 1 must be an integer mask, got 2.0"),
+    ([True, 2], "block 0 must be an integer mask, got True"),
+])
+def test_from_masks_refuses_masks_that_do_not_tile_the_grid(masks, message):
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        sb.Partition.from_masks(masks, 1, 2)
+
+
+def test_from_masks_takes_a_tiling_in_any_order_and_leaves_connectivity_to_validation():
+    p = sb.Partition.from_masks([np.int64(0b010), 0b101], 1, 3)
+    assert p.block_of.tolist() == [[0, 1, 0]] and p.n_blocks == 2
+    with pytest.raises(PartitionError, match="^block 0 is not edge-connected$"):
+        validate_partition(p)
 
 
 @pytest.mark.parametrize("r, c, message", [

@@ -241,8 +241,8 @@ def test_sweep_with_floor_columns_matches_fresh_partitions(seed, rule, exponent,
     assert_matches_fresh_partitions(m, spec, sb.sweep(m, spec))
 
 
-@pytest.mark.parametrize("rule, std", [("unit", 0.5), ("sqrt", 0.25)])
-def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std):
+@pytest.mark.parametrize("rule, std, partitions", [("unit", 0.5, 5), ("sqrt", 0.25, 6)])
+def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std, partitions):
     # four occupied cells, so the largest scale at f_sigma = 1 is 1 (unit)
     # or sqrt(4) = 2 (sqrt), and the last cell's scaled std is 0.5, the
     # floor, exactly
@@ -254,7 +254,9 @@ def test_a_width_equal_to_its_floor_is_at_the_floor(monkeypatch, rule, std):
     spec = sb.SweepSpec(base=base, f_R_grid=np.logspace(-1, 1, 3),
                         f_sigma_grid=np.array([0.5, 1.0, 2.0]))
     stability, calls = counted_sweep(monkeypatch, m, spec)
-    assert calls == 6           # the column at 1.0 copies the one at 0.5
+    # the column at 1.0 copies the one at 0.5; under unit one f_R point of
+    # the two partitioned columns lies inside the interval of the point before
+    assert calls == partitions
     assert_matches_fresh_partitions(m, spec, stability)
 
 
@@ -271,12 +273,62 @@ def test_widths_at_floor_answers_false_when_the_scale_overflows(s):
         sb.sweep(m, sb.SweepSpec(base=base, f_R_grid=[1.0], f_sigma_grid=[1.0, 10.0]))
 
 
+# 5 of 13 columns copied (104 points left) or none at the floor (169); all
+# but 36 or 78 of those lie strictly inside the f_R interval of the point
+# partitioned before them
 @pytest.mark.parametrize("options, partitions", [
-    ({}, 104),                                                   # 5 of 13 columns copied
-    ({"n_scale_rule": sqrt_scale, "sigma_const": 12.0}, 169),    # no column at the floor
+    ({}, 36),
+    ({"n_scale_rule": sqrt_scale, "sigma_const": 12.0}, 78),
 ])
 def test_sweep_partitions_each_width_setting_once(monkeypatch, fixture_map, iris, options,
                                                   partitions):
     base = sb.params_from_summary(sb.summarize(iris), **options)
     _, calls = counted_sweep(monkeypatch, fixture_map, sb.SweepSpec(base=base))
     assert calls == partitions
+
+
+def test_points_inside_an_interval_match_fresh_partitions(monkeypatch):
+    # derandomized: one seeded stream of random maps with empty cells, under
+    # both width rules and both exponents, on f_R grids of 3 to 25 points.
+    # Every point's signature, K, equal and stable_region must be those of
+    # a plain partition_som there, and some points must have been reused,
+    # among them points of per_pe columns that are all singletons.
+    calls = []
+    partition_som = sensitivity.partition_som
+    monkeypatch.setattr(sensitivity, "partition_som",
+                        lambda *args: calls.append(1) or partition_som(*args))
+    rng = np.random.default_rng(34)
+    reused = singleton_reused = 0
+    for case in range(48):
+        rule, exponent = sorted(N_SCALE_RULES)[case % 2], RANGE_EXPONENTS[case // 2 % 2]
+        M = int(rng.integers(1, 4))
+        m = random_map(rng, M=M, empty_prob=0.3)
+        base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                             sigma_const=float(rng.uniform(0.5, 4.0)),
+                             n_scale_rule=N_SCALE_RULES[rule], range_exponent=exponent)
+        spec = sb.SweepSpec(base=base,
+                            f_R_grid=sb.default_grid(int(rng.choice([3, 5, 9, 13, 25])),
+                                                     float(rng.uniform(0.5, 3.0))),
+                            f_sigma_grid=sb.default_grid(3, 0.5))
+        calls.clear()
+        stability = sb.sweep(m, spec)
+        fresh = [[sb.partition_som(m, base.scaled(f_R=float(f_R), f_sigma=float(f_sigma)))
+                  for f_sigma in spec.f_sigma_grid] for f_R in spec.f_R_grid]
+        signatures = [[p.signature() for p in row] for row in fresh]
+        reference = signatures[len(spec.f_R_grid) // 2][1]
+        expected = sb.StabilityMap(
+            f_R_grid=spec.f_R_grid, f_sigma_grid=spec.f_sigma_grid, signatures=signatures,
+            n_blocks=np.array([[p.n_blocks for p in row] for row in fresh]),
+            equal=np.array([[s == reference for s in row] for row in signatures]),
+            reference=reference)
+        assert stability.signatures == expected.signatures
+        assert np.array_equal(stability.n_blocks, expected.n_blocks)
+        assert np.array_equal(stability.equal, expected.equal)
+        assert sb.stable_region(stability) == sb.stable_region(expected)
+        at_floor = sum(widths_at_floor(m, base.scaled(f_sigma=float(f)))
+                       for f in spec.f_sigma_grid)
+        partitioned = len(spec.f_R_grid) * (3 - max(0, at_floor - 1))
+        reused += partitioned - len(calls)
+        if exponent == "per_pe" and (expected.n_blocks == m.rows * m.cols).all():
+            singleton_reused += partitioned - len(calls)
+    assert reused > 0 and singleton_reused > 0

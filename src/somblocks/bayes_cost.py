@@ -352,42 +352,42 @@ class BlockCosts:
     only with its own som_map and params.
 
     The f_R interval.  interval is [lo, hi], made (-inf, inf) with every
-    engine, and each decision partition_som makes through the engine
-    narrows it: a quadtree test whole > parts, a merge test
-    cost(a | b) < cost(a) + cost(b), and a join that join_rejected settles.
-    Let x = ln(R' / R) for an engine of the same map and widths whose range
-    is R' (an at() of the same column).  Only the range prior depends on R,
-    by once_j per occupied block and each_j per further occupied cell, so a
-    decision's g = whole - parts (a join: the union against its two sides)
-    is g + s x there in real arithmetic, with s = c (k - 1), k the occupied
-    blocks on the parts' side (2 for a join), c = -M under per_block and
-    +M under per_pe.  The interval keeps the x on which every decision's
-    g + s x has the sign of its outcome by more than a margin, and shrinks
-    to [0, 0], the point itself, when a decision is within the margin of a
-    tie at x = 0; so partition_som through an engine whose x lies strictly
-    inside it makes the same decisions and returns the same partition.  A
-    decision whose g and s are both exactly 0 (an empty side, a quadtree
-    node with at most one occupied child) compares two equal floats at
-    every R and constrains nothing.
+    engine and narrowed, in _narrow, by every decision partition_som makes
+    through the engine: each quadtree and merge test (lowers) and each join
+    that join_rejected settles.  Let x = ln(R' / R) for an engine of the
+    same map and widths whose range is R' (an at() of the same column).
+    Only the range prior depends on R, by once_j per occupied block and
+    each_j per further occupied cell, so the winning side's lead g (old
+    blocks against new; a tie keeps old) is g + s x there in real
+    arithmetic, with s = c (winner's k - loser's k), k a side's occupied
+    blocks, c = -M under per_block and +M under per_pe.  The interval
+    keeps the x on which every decision's g + s x exceeds a margin, and
+    shrinks to [0, 0], the point itself, when a decision is within the
+    margin of a tie at x = 0; so partition_som through an engine whose x
+    lies strictly inside it makes the same decisions and returns the same
+    partition.  An s of 0 constrains nothing: partition_som makes one only
+    where both sides hold the same occupied cells in one block (a quadtree
+    node with at most one occupied child), equal floats at every R.
 
-    The margin is 1e-9 (|whole| + |parts|) + 1e-5 M N (_margin), N the
-    map's occupied cells.  The engine refuses every width whose 1/sigma^2
-    is 0 or not finite, so |ln sigma| < 355, and |ln y| < 745 for every
-    positive finite double y; so at every R a block's prior,
-    sum ln sigma and ln(S)/2 are, per attribute and occupied cell, below
-    745.1, 355 and 355.5, below C = 1456 M in all.  A block's resids thus
+    The margin is 1e-9 (|old| + |new|) + 1e-5 M N (_margin), with |old|
+    and |new| the sides' summed costs and N the map's occupied cells.  The
+    engine refuses every width whose 1/sigma^2 is 0 or not finite, so
+    |ln sigma| < 355, and |ln y| < 745 for every positive finite double y;
+    so at every R a block's prior, sum ln sigma and ln(S)/2 are, per
+    attribute and occupied cell, below 745.1, 355 and 355.5, below
+    C = 1456 M in all.  A block's resids thus
     sum to at most its cost plus C per occupied cell, and with n <= N the
-    whole's occupied cells, the magnitudes of all the terms of a
-    decision's costs, at this R or any other, sum to at most |whole| +
-    |parts| + 4 n C.  Each cost is a correctly rounded sum (fsum) of a few
+    occupied cells a decision covers, the magnitudes of all the terms of
+    its costs, at this R or any other, sum to at most |old| + |new| +
+    4 n C.  Each cost is a correctly rounded sum (fsum) of a few
     single roundings per attribute, the log of the rounded R_j included,
     so at either point it lies within 2^-48 (those magnitudes + n C) of its
-    real value; with the one rounding of the parts' sum, the x the sweep
+    real value; with the one rounding of each side's sum, the x the sweep
     computes (a rounded ratio and its log: |x| < 710 and |s| <= M n) and
     the division that places an end, the two points' computed decisions
-    stay within about 2^-46 (|whole| + |parts| + 5 n C) of g + s x, over
+    stay within about 2^-46 (|old| + |new| + 5 n C) of g + s x, over
     10^4 times below the margin.  A join that join_rejected settles puts
-    its own scale for |whole| + |parts|, which bounds them up to a factor
+    its own scale for |old| + |new|, which bounds them up to a factor
     of 2 and its delta's error to (M + 100) 2^-53 scale, so the margin
     covers it for any M below about 10^6.
     """
@@ -600,8 +600,8 @@ class BlockCosts:
         any non-finite value (a comparison with NaN, or with an infinite
         scale, is False, so a union whose width scale overflows is costed,
         and refused) and an H that underflows to 0.  A join rejected by
-        delta narrows interval (see the class docstring): delta moves with
-        the union's prior like the exact change, by c per unit of x.
+        delta narrows interval (_narrow): delta moves with the union's
+        prior like the exact change, by c per unit of x.
         """
         a &= self._occupied
         b &= self._occupied
@@ -638,15 +638,36 @@ class BlockCosts:
                       + 4.0 * n * len(top) * math.log(union_scale / width_scale(p, 1)))
         if not delta > 1e-7 * scale:
             return False
-        margin, s, interval = 1e-9 * scale + self._margin, self._slope, self.interval
-        end = (margin - delta) / s
-        if delta <= margin:
-            interval[0] = interval[1] = 0.0
-        elif s > 0 and end > interval[0]:
-            interval[0] = end
-        elif s < 0 and end < interval[1]:
-            interval[1] = end
+        self._narrow(delta, self._slope, scale)
         return True
+
+    def lowers(self, old: Sequence[int], new: Sequence[int]) -> bool:
+        """True when the blocks new, covering the cells of old, cost strictly
+        less by fsum; a tie keeps old.  Narrows interval (class docstring)."""
+        cost, occupied, k = self.cost, self._occupied, 0
+        before, after = math.fsum(map(cost, old)), math.fsum(map(cost, new))
+        for mask in new:                # k: new's occupied blocks less old's
+            k += mask & occupied != 0
+        for mask in old:
+            k -= mask & occupied != 0
+        lower = after < before
+        g, k = (before - after, k) if lower else (after - before, -k)
+        self._narrow(g, self._slope * k, abs(before) + abs(after))
+        return lower
+
+    def _narrow(self, g: float, s: float, scale: float) -> None:
+        """Keep in interval the x at which a decision won by g + s x exceeds
+        the margin 1e-9 scale + _margin, or only x = 0 if g does not; an s
+        of 0 constrains nothing (class docstring)."""
+        if not s:
+            return
+        margin, interval = 1e-9 * scale + self._margin, self.interval
+        if g <= margin:
+            interval[:] = 0.0, 0.0
+        elif s > 0:
+            interval[0] = max(interval[0], (margin - g) / s)
+        else:
+            interval[1] = min(interval[1], (margin - g) / s)
 
     def _join_constants(self) -> tuple:
         """join_rejected's sum and size of the q_j, its per-cell size, and

@@ -73,7 +73,12 @@ class Partition:
         _require_grid(rows=rows, cols=cols)
         masks = _grid_masks(masks, rows, cols)
         _require_tiling(masks, rows * cols)
-        masks.sort(key=lambda mask: mask & -mask)
+        return cls._tiled(masks, rows, cols, cost)
+
+    @classmethod
+    def _tiled(cls, masks, rows: int, cols: int, cost: float) -> "Partition":
+        """from_masks without its checks, for int masks that tile the grid."""
+        masks = sorted(masks, key=lambda mask: mask & -mask)
         return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
 
     @classmethod
@@ -86,7 +91,7 @@ class Partition:
             masks = _label_masks(labels.ravel().tolist()).values()
         except TypeError as e:
             raise PartitionError(f"labels must hold hashable values, got {e}") from None
-        return cls.from_masks(masks, *labels.shape, cost=cost)
+        return cls._tiled(masks, *labels.shape, cost=cost)
 
     def signature(self) -> tuple:
         return tuple(self.block_of.ravel().tolist())
@@ -224,35 +229,14 @@ def quadtree_split(costs: BlockCosts) -> list[int]:
     leaves as row-major cell masks, in depth-first order.  The masks and
     their quadrants are built once per grid shape (_quadtree) and walked
     here, so every call costs the same masks in the same order.  Each test
-    narrows costs.interval (BlockCosts: the f_R interval).
+    is costs.lowers((rectangle,), quadrants) (BlockCosts: the f_R range).
     """
-    cost, occupied, slope, extra = costs.cost, costs._occupied, costs._slope, costs._margin
-    interval = costs.interval
+    lowers = costs.lowers
     leaves: list[int] = []
     stack = [_quadtree(costs.som_map.rows, costs.som_map.cols)]
     while stack:
-        mask, children = stack.pop()
-        if not children:
-            leaves.append(mask)
-            continue
-        whole, sides, k = cost(mask), [], 0     # k: the children with an occupied cell
-        for child, _ in children:
-            sides.append(cost(child))
-            if child & occupied:
-                k += 1
-        parts = math.fsum(sides)
-        split = whole > parts
-        if k > 1:
-            g, s = (whole - parts, slope * (k - 1)) if split else (parts - whole, slope * (1 - k))
-            margin = 1e-9 * (abs(whole) + abs(parts)) + extra
-            end = (margin - g) / s
-            if g <= margin:
-                interval[0] = interval[1] = 0.0
-            elif s > 0 and end > interval[0]:
-                interval[0] = end
-            elif s < 0 and end < interval[1]:
-                interval[1] = end
-        if split:
+        mask, parts, children = stack.pop()
+        if children and lowers((mask,), parts):
             stack.extend(reversed(children))
         else:
             leaves.append(mask)
@@ -263,14 +247,15 @@ def quadtree_split(costs: BlockCosts) -> list[int]:
 def _quadtree(rows: int, cols: int) -> tuple:
     """Root of the rows x cols grid's quadtree.
 
-    A node is (row-major mask, child nodes in _subdivide order); a single
-    cell has no children.
+    A node is (row-major mask, its children's masks, child nodes), the
+    children in _subdivide order; a single cell has no children.
     """
     return _tree_node((0, rows, 0, cols), cols)
 
 
 def _tree_node(bounds: tuple, cols: int) -> tuple:
-    return _region_mask(bounds, cols), tuple(_tree_node(part, cols) for part in _subdivide(bounds))
+    children = tuple(_tree_node(part, cols) for part in _subdivide(bounds))
+    return _region_mask(bounds, cols), tuple(child[0] for child in children), children
 
 
 def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
@@ -289,7 +274,7 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
     last one: no block from there on can touch it.  A join that
     BlockCosts.join_rejected settles (an empty side, or a certain loss) is
     not costed; both skip only what the plain scan would not merge.  Each
-    costed join narrows costs.interval (BlockCosts: the f_R interval).
+    costed join is costs.lowers((a, b), (a | b,)) (BlockCosts: the f_R range).
     """
     if not isinstance(masks, (list, tuple)):
         raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
@@ -318,8 +303,7 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         blocks.append(((c0, r0), c1, mask, near))
     _require_tiling(masks, rows * cols)
 
-    cost, rejected = costs.cost, costs.join_rejected
-    slope, extra, interval = costs._slope, costs._margin, costs.interval
+    rejected, lowers = costs.join_rejected, costs.lowers
     changed = True
     while changed:
         changed = False
@@ -335,18 +319,7 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
                     break
                 if not (live[j] and near & other) or rejected(mask, other):
                     continue
-                whole, parts = cost(mask | other), cost(mask) + cost(other)
-                joined = whole < parts
-                g, s = (parts - whole, -slope) if joined else (whole - parts, slope)
-                margin = 1e-9 * (abs(whole) + abs(parts)) + extra
-                end = (margin - g) / s
-                if g <= margin:
-                    interval[0] = interval[1] = 0.0
-                elif s > 0 and end > interval[0]:
-                    interval[0] = end
-                elif s < 0 and end < interval[1]:
-                    interval[1] = end
-                if joined:
+                if lowers((mask, other), (mask | other,)):
                     key = (min(key[0], other_key[0]), min(key[1], other_key[1]))
                     c1, mask, near = max(c1, other_c1), mask | other, near | other_near
                     live[j] = False
@@ -355,8 +328,8 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         blocks = [block for block, alive in zip(blocks, live) if alive]
 
     masks = [mask for _, _, mask, _ in blocks]
-    total = math.fsum(cost(mask) for mask in masks)     # in merge order
-    return Partition.from_masks(masks, rows, cols, total)
+    total = math.fsum(costs.cost(mask) for mask in masks)     # in merge order
+    return Partition._tiled(masks, rows, cols, total)
 
 
 def partition_som(som_map: SomMap, params: CostParams,
@@ -509,7 +482,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
             return None if partial + rest[k + 1] > state["limit"] else partial
 
         _walk_partitions(rows, cols, visit, grow)
-    return Partition.from_masks(state["parts"], rows, cols, state["cost"])
+    return Partition._tiled(state["parts"], rows, cols, state["cost"])
 
 
 PARTITION_FORMAT_VERSION = 1

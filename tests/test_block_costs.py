@@ -14,7 +14,7 @@ import somblocks as sb
 from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
                                   block_stat, width_scale)
 
-from conftest import make_map, map_cells, random_map
+from conftest import fixture_path, make_map, map_cells, random_map
 
 def exact(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -495,3 +495,23 @@ def test_an_exact_tie_with_a_nonzero_slope_shrinks_the_interval_to_the_point(exp
     else:
         assert hi == math.inf and lo == pytest.approx(-0.5, abs=1e-4) and lo > -0.5
     assert decide(3.0) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("seed, setting, interval", [
+    (1, {}, [-0.8680977536762071, 1.070265800080537]),
+    (1, {"range_exponent": "per_pe"}, [-2.3781297268762716, math.inf]),
+    (1, {"n_scale_rule": sb.bayes_cost.sqrt_scale, "sigma_const": 12.0},
+     [-0.005352799784538754, 0.007634395608996182]),
+    (2, {}, [-0.8512228750282828, 2.8347122210249087]),
+    (2, {"range_exponent": "per_pe"}, [-2.5565291641464714, math.inf]),
+    (2, {"n_scale_rule": sb.bayes_cost.sqrt_scale, "sigma_const": 12.0},
+     [-0.05876174193354402, 0.01898389336903027]),
+])
+def test_the_golden_maps_certify_these_interval_bits(iris, seed, setting, interval):
+    # the CLI's settings: the default, --range-exponent per_pe, and
+    # --n-scale sqrt --sigma-const 12
+    m = sb.load_map(fixture_path(f"iris_map_seed{seed}.json"))
+    params = sb.params_from_summary(sb.summarize(iris), **setting)
+    costs = BlockCosts(m, params)
+    sb.partition_som(m, params, costs)
+    assert costs.interval == interval

@@ -319,12 +319,17 @@ def test_partition_som_uniform_map_is_one_block():
     validate_partition(p)
 
 
-def test_partition_som_single_occupied_cell():
+@pytest.mark.parametrize("exponent", ["per_block", "per_pe"])
+def test_partition_som_single_occupied_cell(exponent):
     m = make_map([[None, None], [None, 3.0]], s=0.2)
-    params = plain_params(R=10.0)
-    p = sb.partition_som(m, params)
+    params = plain_params(R=10.0, exponent=exponent)
+    costs = sb.BlockCosts(m, params)
+    p = sb.partition_som(m, params, costs)
     assert p.n_blocks == 1
-    assert p.cost == pytest.approx(math.log(10.0))
+    # one cell pays the prior once under per_block, for no further cell under per_pe
+    assert p.cost == pytest.approx(math.log(10.0) if exponent == "per_block" else 0.0)
+    # no decision changes the count of occupied blocks, so none bounds f_R
+    assert costs.interval == [-math.inf, math.inf]
 
 
 def test_fixture_map_partitions_into_three_blocks(fixture_map, iris_params):

@@ -65,19 +65,10 @@ class Partition:
         )
 
     @classmethod
-    def from_masks(cls, masks, rows: int, cols: int, cost: float = math.nan) -> "Partition":
-        """The partition whose blocks are these row-major cell masks, which
-        must tile the grid, else PartitionError; blocks are numbered by
-        their lowest cell.  Connectivity is not checked (validate_partition
-        does)."""
-        _require_grid(rows=rows, cols=cols)
-        masks = _grid_masks(masks, rows, cols)
-        _require_tiling(masks, rows * cols)
-        return cls._tiled(masks, rows, cols, cost)
-
-    @classmethod
     def _tiled(cls, masks, rows: int, cols: int, cost: float) -> "Partition":
-        """from_masks without its checks, for int masks that tile the grid."""
+        """The partition whose blocks are these row-major cell masks: ints
+        that tile the grid, in any order, and are not checked here.  Blocks
+        are numbered by their lowest cell."""
         masks = sorted(masks, key=lambda mask: mask & -mask)
         return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
 

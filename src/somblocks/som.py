@@ -176,9 +176,7 @@ class SomMap:
             raise SomError(f"cell {np.argmax(stds.min(axis=1) < 0)}: std has a negative value")
         counts = np.array([pe.n for pe in pes], dtype=np.intp)
         n = int(counts.sum())
-        ids = np.fromiter(_member_ids(pes, n), np.intp, n)
-        owner = np.empty(n, dtype=np.intp)
-        owner[ids] = np.repeat(np.arange(len(pes)), counts)
+        ids, owner = _member_ids(pes, n)
         for name, table in (("weights", weights), ("means", means), ("stds", stds),
                             ("counts", counts), ("member_ids", ids), ("assignment", owner)):
             table.flags.writeable = False
@@ -233,8 +231,9 @@ class SomMap:
         )
 
 
-def _member_ids(pes, n: int) -> list:
-    """The n member ids of the cells, stacked in cell order.
+def _member_ids(pes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n member ids of the cells, stacked in cell order, and the cell
+    of each id, as np.intp arrays.
 
     Checks them in one pass and raises SomError naming the first id, in cell
     order, that is not an integer (a bool is none) in 0..n-1 or repeats an
@@ -251,7 +250,7 @@ def _member_ids(pes, n: int) -> list:
                 raise SomError(f"cell {k}: member id {i} is also in cell {owner[i]}")
             owner[i] = k
         ids += pe.member_ids
-    return ids
+    return np.fromiter(ids, np.intp, n), np.array(owner, dtype=np.intp)
 
 
 def _initial_weights(rng: np.random.Generator, dataset: Dataset, n_pes: int) -> np.ndarray:

@@ -45,14 +45,14 @@ def test_partition_outputs_are_byte_identical(tmp_path):
 def test_train_defaults_are_somconfigs(iris):
     # the golden was written by train with only --rows/--cols/--seed
     trained = map_to_json(sb.train(iris, sb.SomConfig(rows=5, cols=5, seed=1)))
-    assert trained == Path(fixture_path("iris_map_seed1.json")).read_text()
+    assert trained == Path(fixture_path("iris_map_seed1.json")).read_text(encoding="utf-8")
 
 
 def test_partition_defaults_are_the_librarys(tmp_path, iris, fixture_map):
     out = tmp_path / "p.json"
     assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"),
                    "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     params = sb.params_from_summary(sb.summarize(iris))
     p = sb.partition_som(fixture_map, params)
     assert doc["block_of"] == p.block_of.ravel().tolist()
@@ -65,7 +65,7 @@ def test_sweep_defaults_are_default_grids(tmp_path):
     assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
                    "--out", str(out)) == 0
     factors = [tuple(map(float, line.split(",")[:2]))
-               for line in out.read_text().splitlines()[3:]]
+               for line in out.read_text(encoding="utf-8").splitlines()[3:]]
     grid = sb.default_grid().tolist()
     assert factors == [(f_R, f_sigma) for f_R in grid for f_sigma in grid]
     assert len(factors) == 169
@@ -86,7 +86,7 @@ def test_missing_map_file_is_an_error(tmp_path, capsys):
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rows = 4\nseed = 9\n# comment\nsigma_const = 2.5\n")
+    cfg.write_text("rows = 4\nseed = 9\n# comment\nsigma_const = 2.5\n", encoding="utf-8")
     parsed = parse_config_file(cfg)
     assert parsed == {"rows": "4", "seed": "9", "sigma_const": "2.5"}
 
@@ -114,14 +114,14 @@ def test_config_file_skips_a_byte_order_mark(tmp_path):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key = 1\n")
+    cfg.write_text("not_a_key = 1\n", encoding="utf-8")
     with pytest.raises(sb.cli.CliError):
         parse_config_file(cfg)
 
 
 def test_config_file_line_without_an_equals_sign_is_refused(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("# settings\nrows 5\n")
+    cfg.write_text("# settings\nrows 5\n", encoding="utf-8")
     with pytest.raises(sb.cli.CliError, match=f"^{re.escape(str(cfg))}:2: expected key = value$"):
         parse_config_file(cfg)
 
@@ -153,11 +153,11 @@ PARTITION_SETTINGS = ("data", "label_col", "range_rule", "range_exponent", "sigm
 
 def test_partition_provenance_holds_its_own_settings(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma_const = 2.5\nf_R = 3\n")
+    cfg.write_text("sigma_const = 2.5\nf_R = 3\n", encoding="utf-8")
     out = tmp_path / "p.json"
     assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(out),
                    "--config", str(cfg), "--f-R", "2", "--range-exponent", "per_pe") == 0
-    provenance = json.loads(out.read_text())["provenance"]
+    provenance = json.loads(out.read_text(encoding="utf-8"))["provenance"]
     expected = {key: DEFAULTS[key] for key in PARTITION_SETTINGS}
     expected.update(sigma_const=2.5, f_R=2.0, range_exponent="per_pe")
     assert provenance["config"] == expected
@@ -166,7 +166,7 @@ def test_partition_provenance_holds_its_own_settings(tmp_path):
 
 def test_a_shared_config_leaves_other_commands_settings_out(tmp_path):
     cfg = tmp_path / "chain.cfg"
-    cfg.write_text("epochs = 7\nthreshold = 0.9\n")
+    cfg.write_text("epochs = 7\nthreshold = 0.9\n", encoding="utf-8")
     outs = []
     for name, extra in (("plain.json", []), ("shared.json", ["--config", str(cfg)])):
         out = tmp_path / name
@@ -179,11 +179,11 @@ def test_a_shared_config_leaves_other_commands_settings_out(tmp_path):
 
 def test_baseline_provenance_holds_only_the_threshold(tmp_path):
     cfg = tmp_path / "chain.cfg"
-    cfg.write_text("threshold = 0.7\nf_R = 3\nseed = 5\n")
+    cfg.write_text("threshold = 0.7\nf_R = 3\nseed = 5\n", encoding="utf-8")
     out = tmp_path / "bp.json"
     assert run_cli("baseline", "--map", fixture_path("iris_map_seed2.json"), "--config", str(cfg),
                    "--out", str(out), "--boundaries-out", str(tmp_path / "b.csv")) == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["provenance"]["config"] == {"threshold": 0.7}
     assert doc["params"] == {"threshold": 0.7}
 
@@ -191,7 +191,7 @@ def test_baseline_provenance_holds_only_the_threshold(tmp_path):
 def test_sweep_ignores_a_configured_f_R(tmp_path):
     # sweep scales R by its own f_R grid, so it declares no f_R
     cfg = tmp_path / "chain.cfg"
-    cfg.write_text("f_R = 3\n")
+    cfg.write_text("f_R = 3\n", encoding="utf-8")
     outs = []
     for name, extra in (("plain.csv", []), ("shared.csv", ["--config", str(cfg)])):
         out = tmp_path / name
@@ -208,9 +208,9 @@ def test_baseline_command_writes_partition_and_boundaries(tmp_path):
                  "--threshold", "0.55", "--out", str(out),
                  "--boundaries-out", str(bout))
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["params"] == {"threshold": 0.55}
-    lines = bout.read_text().splitlines()
+    lines = bout.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("#")
     assert lines[2] == "r,c,orientation,strength"
     # 5x5 grid: 5*4 horizontal + 4*5 vertical edges
@@ -232,7 +232,7 @@ def test_evaluate_command_text_and_json(tmp_path, capsys):
                  "--partition", str(part), "--label-col", "class",
                  "--format", "json", "--out", str(out))
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert 0.80 <= doc["p_o"] <= 0.95
     assert set(doc) >= {"block_labels", "confusion", "kappa", "p_e", "p_o"}
 
@@ -242,8 +242,9 @@ def test_evaluate_requires_labels(tmp_path, capsys):
     run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
     # numeric-only copy of the data, no label column available
     data = tmp_path / "plain.csv"
-    with open(sb.iris_path()) as f:
-        data.write_text("\n".join(",".join(l.strip().split(",")[:4]) for l in f) + "\n")
+    with open(sb.iris_path(), encoding="utf-8") as f:
+        data.write_text("\n".join(",".join(l.strip().split(",")[:4]) for l in f) + "\n",
+                        encoding="utf-8")
     rc = run_cli("evaluate", "--map", fixture_path("iris_map_seed2.json"),
                  "--partition", str(part), "--data", str(data), "--label-col", "")
     assert rc == 1
@@ -255,7 +256,7 @@ def test_sweep_command_writes_csv(tmp_path):
     rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
                  "--sweep-points", "5", "--sweep-decades", "0.5", "--out", str(out))
     assert rc == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     header = lines[2]
     assert header == "f_R,f_sigma,equal_to_reference,signature_hash,n_blocks"
     rows = [l.split(",") for l in lines[3:]]
@@ -296,7 +297,7 @@ def test_sqrt_width_sweep_and_partition_match_their_goldens(tmp_path):
         fixture_path("iris_stability_seed2_sqrt12.csv")).read_bytes()
     out = tmp_path / "p.json"
     assert run_cli("partition", *sqrt12, "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text(encoding="utf-8"))
     assert (doc["K"], doc["cost"].hex()) == (8, (200.74096324624486).hex())
 
 
@@ -305,7 +306,7 @@ def test_sweep_command_with_one_point(tmp_path):
     rc = run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"),
                  "--sweep-points", "1", "--out", str(out))
     assert rc == 0
-    rows = out.read_text().splitlines()[3:]
+    rows = out.read_text(encoding="utf-8").splitlines()[3:]
     assert [r.split(",")[:3] for r in rows] == [["1.0", "1.0", "true"]]
 
 
@@ -405,7 +406,7 @@ def test_bad_values_name_the_setting(tmp_path, capsys, flag, value, message):
     assert capsys.readouterr().err == f"somblocks: error: {message}\n"
     # the same value from a config file gets the same message
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n", encoding="utf-8")
     rc = run_cli("train", "--out", str(out), "--config", str(cfg))
     assert rc == 1
     assert capsys.readouterr().err == f"somblocks: error: {message}\n"
@@ -427,7 +428,7 @@ def test_train_refuses_non_finite_conscience(tmp_path, capsys, flag, value, mess
 
 def test_train_refuses_values_its_sums_could_overflow(tmp_path, capsys):
     data, out = tmp_path / "huge.csv", tmp_path / "never.json"
-    data.write_text("a,b,class\n1e200,-1e200,x\n-1e200,1e200,y\n0,1e200,x\n")
+    data.write_text("a,b,class\n1e200,-1e200,x\n-1e200,1e200,y\n0,1e200,x\n", encoding="utf-8")
     assert run_cli("train", "--data", str(data), "--out", str(out)) == 1
     bound = math.sqrt(np.finfo(float).max / (8 * 3))
     assert capsys.readouterr().err == (f"somblocks: error: attribute 'a' has a value beyond "
@@ -449,10 +450,10 @@ def test_train_refuses_schedule_fractions_outside_0_1(tmp_path, capsys, schedule
 
 
 def test_partition_refuses_a_map_with_a_non_integer_grid_size(tmp_path, capsys):
-    doc = json.loads(Path(fixture_path("iris_map_seed2.json")).read_text())
+    doc = json.loads(Path(fixture_path("iris_map_seed2.json")).read_text(encoding="utf-8"))
     doc["rows"] = 5.0
     path = tmp_path / "map.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     rc = run_cli("partition", "--map", str(path), "--out", str(tmp_path / "p.json"))
     assert rc == 1
     assert capsys.readouterr().err == (f"somblocks: error: {path}: rows must be an integer, "
@@ -476,13 +477,13 @@ def test_an_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, k
     part = tmp_path / "p.json"
     run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
     source = {"map": Path(fixture_path("iris_map_seed2.json")), "partition": part}[kind]
-    doc = json.loads(source.read_text())
+    doc = json.loads(source.read_text(encoding="utf-8"))
     node = doc
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = 10**400
     path = tmp_path / f"edited_{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     if kind == "map":
         rc = run_cli("partition", "--map", str(path), "--out", str(tmp_path / "q.json"))
@@ -499,9 +500,9 @@ def test_an_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, k
 def test_evaluate_refuses_non_integer_block_ids(tmp_path, capsys):
     part = tmp_path / "p.json"
     run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
-    doc = json.loads(part.read_text())
+    doc = json.loads(part.read_text(encoding="utf-8"))
     doc["block_of"] = [b + 0.4 for b in doc["block_of"]]
-    part.write_text(json.dumps(doc))
+    part.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     rc = run_cli("evaluate", "--map", fixture_path("iris_map_seed2.json"),
                  "--partition", str(part))
@@ -528,7 +529,7 @@ def test_render_vertical_split_draws_one_boundary():
 def test_render_fixture_golden(fixture_map, iris, iris_params):
     p = sb.partition_som(fixture_map, iris_params)
     text = render_map(fixture_map, p, iris.labels)
-    assert text == Path(fixture_path("iris_render_seed2.txt")).read_text()
+    assert text == Path(fixture_path("iris_render_seed2.txt")).read_text(encoding="utf-8")
 
 
 def test_partition_render_writes_render_maps_text(tmp_path, fixture_map, iris, iris_params):
@@ -536,7 +537,7 @@ def test_partition_render_writes_render_maps_text(tmp_path, fixture_map, iris, i
     assert run_cli("partition", "--map", fixture_path("iris_map_seed2.json"),
                    "--out", str(tmp_path / "p.json"), "--render", str(out)) == 0
     p = sb.partition_som(fixture_map, iris_params)
-    assert out.read_text() == render_map(fixture_map, p, iris.labels)
+    assert out.read_text(encoding="utf-8") == render_map(fixture_map, p, iris.labels)
 
 
 def test_render_is_written_as_utf8_under_an_ascii_locale(tmp_path):
@@ -546,7 +547,8 @@ def test_render_is_written_as_utf8_under_an_ascii_locale(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "somblocks.cli", "partition",
                            "--map", fixture_path("iris_map_seed2.json"),
                            "--out", str(tmp_path / "p.json"), "--render", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", env=env,
+                          timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert out.read_bytes() == Path(fixture_path("iris_render_seed2.txt")).read_bytes()
 
@@ -560,7 +562,8 @@ def test_version_flag(capsys):
 def test_module_entry_point_runs_without_warnings():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sb.__file__)))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "somblocks.cli",
-                           "--version"], capture_output=True, text=True, env=env, timeout=60)
+                           "--version"], capture_output=True, text=True, encoding="utf-8",
+                          env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == f"somblocks {sb.__version__}\n"
@@ -572,9 +575,9 @@ def test_map_and_data_attribute_counts_must_agree(tmp_path, capsys, command):
     run_cli("partition", "--map", fixture_path("iris_map_seed2.json"), "--out", str(part))
     # two attributes and the class column: the 4-attribute map cannot use it
     data = tmp_path / "two.csv"
-    with open(sb.iris_path()) as f:
+    with open(sb.iris_path(), encoding="utf-8") as f:
         rows = [l.strip().split(",") for l in f if l.strip()]
-    data.write_text("\n".join(",".join(r[:2] + r[4:]) for r in rows) + "\n")
+    data.write_text("\n".join(",".join(r[:2] + r[4:]) for r in rows) + "\n", encoding="utf-8")
     capsys.readouterr()
     extra = {"partition": ["--out", str(tmp_path / "q.json")],
              "evaluate": ["--partition", str(part)],

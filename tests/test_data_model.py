@@ -21,9 +21,9 @@ def test_iris_shape_and_classes(iris):
 def test_iris_without_label_column(iris, tmp_path):
     # numeric columns only; no label column requested
     p = tmp_path / "iris_nolabel.csv"
-    with open(sb.iris_path()) as f:
+    with open(sb.iris_path(), encoding="utf-8") as f:
         lines = [",".join(line.strip().split(",")[:4]) for line in f]
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ds = sb.load_csv(p)
     assert ds.labels is None
     assert ds.samples.shape == (150, 4)
@@ -33,8 +33,8 @@ def test_iris_without_label_column(iris, tmp_path):
 def test_blank_lines_are_skipped(tmp_path):
     rows = ["a,b,class", "1.0,2.0,x", "3.0,4.0,y"]
     plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
-    plain.write_text("\n".join(rows) + "\n")
-    spaced.write_text("\n\n".join(rows) + "\n\n")
+    plain.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    spaced.write_text("\n\n".join(rows) + "\n\n", encoding="utf-8")
     want, got = sb.load_csv(plain, "class"), sb.load_csv(spaced, "class")
     assert np.array_equal(got.samples, want.samples)
     assert (got.labels, got.attribute_names) == (want.labels, want.attribute_names)
@@ -42,21 +42,21 @@ def test_blank_lines_are_skipped(tmp_path):
 
 def test_header_only_file_is_zero_rows(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("a,b,c\n")
+    p.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(DataError, match="zero data rows"):
         sb.load_csv(p)
 
 
 def test_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("")
+    p.write_text("", encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(p))}: empty file$"):
         sb.load_csv(p)
 
 
 def test_row_of_the_wrong_width(tmp_path):
     p = tmp_path / "short.csv"
-    p.write_text("a,b\n1.0,2.0\n3.0\n")
+    p.write_text("a,b\n1.0,2.0\n3.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: expected 2 fields, got 1$"):
         sb.load_csv(p)
 
@@ -68,7 +68,7 @@ def test_missing_file():
 
 def test_non_numeric_cell(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("a,b\n1.0,oops\n")
+    p.write_text("a,b\n1.0,oops\n", encoding="utf-8")
     with pytest.raises(DataError, match="non-numeric"):
         sb.load_csv(p)
 
@@ -76,14 +76,14 @@ def test_non_numeric_cell(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_cell_is_refused_where_it_is_parsed(tmp_path, cell):
     p = tmp_path / "bad.csv"
-    p.write_text(f"a,b\n1.0,2.0\n1.0,{cell}\n")
+    p.write_text(f"a,b\n1.0,2.0\n1.0,{cell}\n", encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: non-finite value '{cell}'$"):
         sb.load_csv(p)
 
 
 def test_label_column_absent(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("a,b\n1.0,2.0\n")
+    p.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="label column"):
         sb.load_csv(p, "class")
 
@@ -119,7 +119,7 @@ UNCLOSED = "a quote in the record that starts on this line is never closed"
 ])
 def test_quoting_is_strict_and_a_record_is_named_by_its_first_line(tmp_path, text, refusal):
     p = tmp_path / "quote.csv"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{refusal}')}$"):
         sb.load_csv(p)
 
@@ -127,7 +127,7 @@ def test_quoting_is_strict_and_a_record_is_named_by_its_first_line(tmp_path, tex
 @pytest.mark.parametrize("text", ["class\nx\ny\n", "\n1.0\n"])
 def test_a_header_without_an_attribute_column_is_refused_by_path(tmp_path, text):
     p = tmp_path / "labels.csv"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(p))}: no attribute column in header$"):
         sb.load_csv(p, "class" if text.startswith("class") else None)
 
@@ -137,7 +137,7 @@ def test_summarize_iris_extremes(iris):
     # published per-attribute maxima / brute-force minima of the same file
     brute_min = None
     brute_max = None
-    with open(sb.iris_path()) as f:
+    with open(sb.iris_path(), encoding="utf-8") as f:
         next(f)
         for line in f:
             vals = np.array([float(v) for v in line.strip().split(",")[:4]])
@@ -225,12 +225,12 @@ def test_encode_labels_sorted_order():
 
 def old_artifact(tmp_path):
     target = tmp_path / "artifact.json"
-    target.write_text("old contents\n")
+    target.write_text("old contents\n", encoding="utf-8")
     return target
 
 
 def assert_untouched(tmp_path, target):
-    assert target.read_text() == "old contents\n"
+    assert target.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
@@ -256,7 +256,7 @@ def test_failed_save_map_keeps_the_old_file(tmp_path, monkeypatch):
 
 def test_write_onto_a_directory_leaves_no_temp_file(tmp_path):
     (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "keep").write_text("")
+    (tmp_path / "out" / "keep").write_text("", encoding="utf-8")
     with pytest.raises(OSError):
         write_text_atomic(tmp_path / "out", "text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -49,7 +49,7 @@ def _edits(node, path=()):
 
 
 def _docs():
-    with open(fixture_path("iris_map_seed2.json")) as f:
+    with open(fixture_path("iris_map_seed2.json"), encoding="utf-8") as f:
         text = f.read()
     m = sb.load_map(fixture_path("iris_map_seed2.json"))
     params = sb.params_from_summary(sb.summarize(sb.load_csv(sb.iris_path(), "class")))
@@ -76,7 +76,7 @@ def test_one_edit_loads_or_is_refused_by_name(tmp_path_factory, edit):
     else:
         node[where[-1]] = value
     path = tmp_path_factory.getbasetemp() / f"edited_{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     load, error = LOAD[kind]
     try:
         load(path)

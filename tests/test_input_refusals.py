@@ -16,7 +16,7 @@ import pytest
 import somblocks as sb
 from somblocks.bayes_cost import unit_scale
 from somblocks.data_model import DataError
-from somblocks.partition import PartitionError, validate_partition
+from somblocks.partition import PartitionError
 from somblocks.som import SomError
 
 from conftest import make_map, map_cells, plain_params
@@ -59,10 +59,9 @@ ENTRIES = {
     "Partition": (sb.Partition, dict(block_of=np.array([[0, 0], [1, 1]]), n_blocks=2, cost=1.5)),
     "Partition.from_labels": (sb.Partition.from_labels, dict(labels=[[5, 5], [2, 2]], cost=1.5)),
 }
-# enumerate_connected_partitions and Partition.from_masks take grid sizes too,
-# but stay out of the table: 10**400 is a valid integer there, which would
-# start an exponential walk or allocate an oversized array.  Their refusals
-# are tested by exact message below.
+# enumerate_connected_partitions takes grid sizes too, but stays out of the
+# table: 10**400 is a valid integer there, which would start an exponential
+# walk.  Its refusals are tested by exact message below.
 ARGUMENTS = [(entry, argument) for entry, (_, valid) in ENTRIES.items() for argument in valid]
 HOSTILE = {"'a'": "a", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
            "10**400": 10**400, "-1": -1, "0": 0, "[[1.0]]": [[1.0]], "[]": [],
@@ -153,40 +152,6 @@ def test_cell_limit_must_be_an_integer(cell_limit):
 def test_enumeration_refuses_a_bad_grid_size_by_name(rows, cols, message):
     with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
         sb.enumerate_connected_partitions(rows, cols)
-
-
-@pytest.mark.parametrize("rows, cols, message", [
-    (True, 1, "rows must be an integer, got True"),
-    (0, 1, "rows must be at least 1, got 0"),
-    (-1, 1, "rows must be at least 1, got -1"),
-    (1, "1", "cols must be an integer, got '1'"),
-])
-def test_from_masks_refuses_a_bad_grid_size_by_name(rows, cols, message):
-    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
-        sb.Partition.from_masks([0b1], rows, cols)
-
-
-@pytest.mark.parametrize("masks, message", [
-    ([1, 1, 2], "block 1 overlaps an earlier block"),
-    ([3, 1], "block 1 overlaps an earlier block"),
-    ([1], "blocks leave cells of the grid uncovered"),
-    ([], "blocks leave cells of the grid uncovered"),
-    ([0], "block 0 must be a positive mask, got 0"),
-    ([-1], "block 0 must be a positive mask, got -1"),
-    ([0b100], "block 0 has a cell outside the 1x2 grid"),
-    ([1, 2.0], "block 1 must be an integer mask, got 2.0"),
-    ([True, 2], "block 0 must be an integer mask, got True"),
-])
-def test_from_masks_refuses_masks_that_do_not_tile_the_grid(masks, message):
-    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
-        sb.Partition.from_masks(masks, 1, 2)
-
-
-def test_from_masks_takes_a_tiling_in_any_order_and_leaves_connectivity_to_validation():
-    p = sb.Partition.from_masks([np.int64(0b010), 0b101], 1, 3)
-    assert p.block_of.tolist() == [[0, 1, 0]] and p.n_blocks == 2
-    with pytest.raises(PartitionError, match="^block 0 is not edge-connected$"):
-        validate_partition(p)
 
 
 @pytest.mark.parametrize("r, c, message", [

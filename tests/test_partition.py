@@ -283,7 +283,10 @@ def test_merge_rejects_bad_tilings():
     cases = [
         ([0b0101], gap),
         ([0b0101, 0b1000], gap),
+        ([], gap),
         ([0b1111, 0b0010], "block 1 overlaps an earlier block"),
+        ([0b0001, 0b0001, 0b0010], "block 1 overlaps an earlier block"),
+        ([0b0011, 0b0001], "block 1 overlaps an earlier block"),
         ([0b1111, 1 << 4], "block 1 has a cell outside the 2x2 grid"),
         ([0b0011, 0b111100], "block 1 has a cell outside the 2x2 grid"),
         ([1 << 9, 0b1111], "block 0 has a cell outside the 2x2 grid"),
@@ -291,6 +294,8 @@ def test_merge_rejects_bad_tilings():
         ([0b1111, 0b0001, 1 << 4], "block 2 has a cell outside the 2x2 grid"),
         ([True, 0b1110], "block 0 must be an integer mask, got True"),
         ([0b0011, 12.0], "block 1 must be an integer mask, got 12.0"),
+        ([0b0001, 2.0], "block 1 must be an integer mask, got 2.0"),
+        ([0], "block 0 must be a positive mask, got 0"),
         ([0b1111, 0], "block 1 must be a positive mask, got 0"),
         ([-1, 0b1111], "block 0 must be a positive mask, got -1"),
         ([0b1001, 0b0010, 0b0100], "block 0 is not edge-connected"),
@@ -497,23 +502,28 @@ def _reference_exhaustive(som_map, params):
        seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), empty=st.floats(0.0, 0.3),
        spread=st.floats(0.01, 3.0), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
        rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)),
-       f_R=st.floats(0.1, 10.0), f_sigma=st.floats(0.2, 5.0))
+       f_R=st.floats(0.1, 10.0), f_sigma=st.floats(0.2, 5.0),
+       floor=st.sampled_from([1e-9, 0.3, 1.5, 3.0]))
 @example(shape=(3, 4), seed=1, M=2, empty=0.1, spread=2.0, exponent="per_block", rule="unit",
-         f_R=1.0, f_sigma=1.0)
+         f_R=1.0, f_sigma=1.0, floor=1e-9)
 @example(shape=(3, 4), seed=2, M=1, empty=0.0, spread=0.5, exponent="per_pe", rule="unit",
-         f_R=0.3, f_sigma=2.0)
+         f_R=0.3, f_sigma=2.0, floor=1e-9)
 @example(shape=(3, 4), seed=3, M=3, empty=0.3, spread=1.0, exponent="per_block", rule="sqrt",
-         f_R=8.0, f_sigma=0.5)
+         f_R=8.0, f_sigma=0.5, floor=1e-9)
 @example(shape=(2, 5), seed=4, M=2, empty=0.2, spread=0.05, exponent="per_block", rule="unit",
-         f_R=0.1, f_sigma=1.5)
+         f_R=0.1, f_sigma=1.5, floor=1e-9)
 @example(shape=(2, 5), seed=5, M=1, empty=0.0, spread=3.0, exponent="per_pe", rule="sqrt",
-         f_R=10.0, f_sigma=0.8)
+         f_R=10.0, f_sigma=0.8, floor=1e-9)
 @example(shape=(4, 3), seed=6, M=2, empty=0.1, spread=1.0, exponent="per_block", rule="unit",
-         f_R=1.0, f_sigma=1.0)
+         f_R=1.0, f_sigma=1.0, floor=1e-9)
 @example(shape=(2, 6), seed=7, M=2, empty=0.1, spread=1.5, exponent="per_pe", rule="unit",
-         f_R=0.5, f_sigma=1.0)
+         f_R=0.5, f_sigma=1.0, floor=1e-9)
+# floors above 1 give empty cells a positive ln sigma: a bound that charged
+# them for it would cut the cheapest partition (K=3) and return a K=2 one
+@example(shape=(3, 3), seed=6, M=2, empty=0.4, spread=1.0, exponent="per_block", rule="unit",
+         f_R=1.0, f_sigma=1.0, floor=1.5)
 def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, exponent, rule,
-                                                f_R, f_sigma):
+                                                f_R, f_sigma, floor):
     # spread sets how far cell means scatter against cell stds of 0.1-0.8:
     # small spreads make joins nearly free, where a loose bound would cut
     rng = np.random.default_rng(seed)
@@ -522,7 +532,7 @@ def test_bounded_oracle_matches_the_plain_walk(shape, seed, M, empty, spread, ex
     grid = [[None if (r or c) and rng.random() < empty else means[r, c] for c in range(cols)]
             for r in range(rows)]
     m = make_map(grid, n_members=3, stds=rng.uniform(0.1, 0.8, (rows, cols, M)).tolist())
-    params = sb.CostParams(R=rng.uniform(2.0, 40.0, M), sigma_floor=np.full(M, 1e-9),
+    params = sb.CostParams(R=rng.uniform(2.0, 40.0, M), sigma_floor=np.full(M, floor),
                            n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
                            range_exponent=exponent).scaled(f_R=f_R, f_sigma=f_sigma)
     best = sb.exhaustive_partition(m, params, cell_limit=12)
@@ -549,6 +559,27 @@ def test_oracle_runs_no_heuristic_and_no_relabeling(monkeypatch):
                 want = _reference_exhaustive(m, params)
                 assert best == want, (shape, rule, exponent)
                 assert best.cost.hex() == want.cost.hex()
+
+
+def test_the_bounded_oracle_visits_a_small_share_of_the_partitions(monkeypatch):
+    # A bound that never tightens still returns the right answers, so only
+    # the count of completed partitions shows that the walk is cut.
+    visits = []
+
+    def counted(rows, cols, visit, *grow):
+        def counting(labels, parts):
+            visits.append(1)
+            visit(labels, parts)
+        _walk_partitions(rows, cols, counting, *grow)
+
+    monkeypatch.setattr("somblocks.partition._walk_partitions", counted)
+    for shape, total in (((3, 3), 1434), ((3, 4), 27780)):
+        m = random_map(np.random.default_rng(3), *shape, M=2)
+        for exponent in sb.bayes_cost.RANGE_EXPONENTS:
+            visits.clear()
+            sb.exhaustive_partition(m, plain_params(M=2, R=10.0, floor=0.3, exponent=exponent),
+                                    cell_limit=12)
+            assert 0 < len(visits) < total / 10, (shape, exponent)
 
 
 def synthetic_families(rng):
@@ -622,7 +653,7 @@ def test_partition_file_round_trip(tmp_path):
     q = load_partition(path)
     assert q == p
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(PartitionError):
         load_partition(bad)
 
@@ -731,9 +762,9 @@ ORDER_RULE = "block ids must be 0..K-1 numbered by first occurrence in row-major
 def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, message):
     path = tmp_path / "p.json"
     save_partition(Partition.from_labels(np.array([[0, 0, 1], [2, 2, 1]])), path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     doc[field] = value
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(PartitionError) as refused:
         load_partition(path)
     assert str(refused.value) == f"{path}: {message}"
@@ -748,9 +779,9 @@ def test_load_partition_refuses_non_integer_fields(tmp_path, field, value, messa
 def test_load_partition_names_the_key_it_refuses(tmp_path, edit, message):
     path = tmp_path / "p.json"
     save_partition(Partition.from_labels(np.array([[0, 0, 1], [2, 2, 1]])), path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(PartitionError, match=f"^{re.escape(str(path))}: {message}"):
         load_partition(path)
 

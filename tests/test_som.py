@@ -339,7 +339,7 @@ def test_load_refuses_a_cell_key_set_other_than_the_fields(tmp_path, edit, messa
 
 
 def _fixture_text(name):
-    with open(fixture_path(name)) as f:
+    with open(fixture_path(name), encoding="utf-8") as f:
         return f.read()
 
 
@@ -411,7 +411,7 @@ def test_a_map_is_unequal_to_anything_else(fixture_map):
 
 def test_load_rejects_truncated_file(tmp_path):
     dst = tmp_path / "trunc.json"
-    dst.write_text(_fixture_text("iris_map_seed2.json")[:500])
+    dst.write_text(_fixture_text("iris_map_seed2.json")[:500], encoding="utf-8")
     with pytest.raises(SomError, match="malformed"):
         sb.load_map(dst)
 
@@ -433,7 +433,7 @@ def test_load_rejects_version_mismatch(tmp_path):
     doc = _fixture_doc()
     doc["format_version"] = 999
     p = tmp_path / "v.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SomError, match="version"):
         sb.load_map(p)
 
@@ -501,7 +501,7 @@ def _broken_map(tmp_path, edit):
     doc = _fixture_doc()
     edit(doc)
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -596,7 +596,7 @@ def test_load_rejects_inconsistent_cells(tmp_path, edit, message):
 @CELL_FAULTS
 def test_map_built_in_memory_rejects_inconsistent_cells(tmp_path, edit, message):
     path = _broken_map(tmp_path, edit)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     pes = tuple(PeStats(r=rec["r"], c=rec["c"], weight=np.array(rec["weight"]),
                         member_ids=tuple(rec["member_ids"]), n=rec["n"],
                         mean=None if rec["mean"] is None else np.array(rec["mean"]),

@@ -31,11 +31,11 @@ def test_passes():
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     # Under filterwarnings = ["error"], a warning raised while hypothesis
     # reports a failure would abort the run before the next test.
-    (tmp_path / "test_two.py").write_text(TWO_TESTS)
+    (tmp_path / "test_two.py").write_text(TWO_TESTS, encoding="utf-8")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", PYPROJECT,
          "--rootdir", str(tmp_path), "test_two.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
 
@@ -53,7 +53,7 @@ def test_every_third_party_module_the_tests_import_is_declared():
     local = {name[:-3] for name in files} | {"somblocks"}
     imported = set()
     for name in files:
-        with open(os.path.join(TESTS, name)) as f:
+        with open(os.path.join(TESTS, name), encoding="utf-8") as f:
             tree = ast.parse(f.read(), name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

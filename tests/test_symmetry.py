@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
@@ -91,3 +91,71 @@ def test_the_partition_does_not_depend_on_the_order_of_the_attributes(golden, ir
     got = sb.partition_som(_rebuilt(golden, cells, order), permuted)
     assert got == want
     assert got.cost.hex() == want.cost.hex()
+
+
+def _moved(som_map: SomMap, j: int, scale: float = 1.0, shift: float = 0.0) -> SomMap:
+    """som_map with attribute j of every cell's weight and mean taken to
+    scale * v + shift, and of its std to scale * v."""
+    def moved(vector, offset):
+        if vector is None:
+            return None
+        vector = vector.copy()
+        vector[j] = vector[j] * scale + offset
+        return vector
+
+    return dataclasses.replace(som_map, pes=tuple(
+        dataclasses.replace(pe, weight=moved(pe.weight, shift), mean=moved(pe.mean, shift),
+                            std=moved(pe.std, 0.0))
+        for pe in map_cells(som_map)))
+
+
+def _draw(seed: int, rule: str, exponent: str) -> tuple[SomMap, sb.CostParams, int]:
+    """A random 2-6 x 2-6 map of 1-3 attributes, params for it and one attribute."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, rows=int(rng.integers(2, 7)), cols=int(rng.integers(2, 7)), M=M,
+                   empty_prob=0.2)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent)
+    return m, params, int(rng.integers(M))
+
+
+def _same_partition(m: SomMap, params, moved: SomMap, moved_params) -> None:
+    """Assert partition_som splits both the same way, unless some decision
+    of either run lay within its rounding margin (its interval is [0, 0])."""
+    runs = []
+    for som_map, p in ((m, params), (moved, moved_params)):
+        costs = sb.BlockCosts(som_map, p)
+        runs.append((sb.partition_som(som_map, p, costs).signature(), costs.interval))
+    assume(all(interval != [0.0, 0.0] for _, interval in runs))
+    assert runs[0][0] == runs[1][0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(RULES),
+       power=st.sampled_from([-10, -5, -2, -1, 1, 2, 5, 10]))
+def test_a_change_of_unit_leaves_the_partition_alone(seed, rule, power):
+    # Under per_block, scaling an attribute's means, stds, floor and R by a
+    # moves ln R and ln(S)/2 of every block by ln a and -ln a, and ln sigma by
+    # ln a per occupied cell, so every partition's cost by the same amount.
+    # A power of 2 scales exactly.
+    m, params, j = _draw(seed, rule, "per_block")
+    a = 2.0 ** power
+    R, floor = params.R.copy(), params.sigma_floor.copy()
+    R[j] *= a
+    floor[j] *= a
+    _same_partition(m, params, _moved(m, j, scale=a),
+                    dataclasses.replace(params, R=R, sigma_floor=floor))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(RULES),
+       exponent=st.sampled_from(EXPONENTS), shift=st.sampled_from([-40.0, -1.5, 0.25, 3.0, 100.0]))
+def test_a_change_of_origin_leaves_the_partition_alone(seed, rule, exponent, shift):
+    # Shifting an attribute's means moves no width and no mean's distance from
+    # the block's weighted mean; R and the floors stay, as a span-based range
+    # rule (two_span) keeps them.
+    m, params, j = _draw(seed, rule, exponent)
+    _same_partition(m, params, _moved(m, j, shift=shift), params)

@@ -16,7 +16,7 @@ import pytest
 import somblocks as sb
 from somblocks.bayes_cost import unit_scale
 from somblocks.data_model import DataError
-from somblocks.partition import PartitionError
+from somblocks.partition import PartitionError, validate_partition
 from somblocks.som import SomError
 
 from conftest import make_map, map_cells, plain_params
@@ -148,10 +148,37 @@ def test_cell_limit_must_be_an_integer(cell_limit):
     (-1, 2, "rows must be at least 1, got -1"),
     (0, 3, "rows must be at least 1, got 0"),
     (2, 0, "cols must be at least 1, got 0"),
+    (1, "1", "cols must be an integer, got '1'"),
 ])
 def test_enumeration_refuses_a_bad_grid_size_by_name(rows, cols, message):
     with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
         sb.enumerate_connected_partitions(rows, cols)
+
+
+@pytest.mark.parametrize("masks, message", [
+    ([1, 1, 2], "block 1 overlaps an earlier block"),
+    ([3, 1], "block 1 overlaps an earlier block"),
+    ([1], "blocks leave cells of the grid uncovered"),
+    ([], "blocks leave cells of the grid uncovered"),
+    ([0], "block 0 must be a positive mask, got 0"),
+    ([-1], "block 0 must be a positive mask, got -1"),
+    ([0b100], "block 0 has a cell outside the 1x2 grid"),
+    ([1, 2.0], "block 1 must be an integer mask, got 2.0"),
+    ([True, 2], "block 0 must be an integer mask, got True"),
+])
+def test_merge_refuses_masks_that_do_not_tile_the_grid(masks, message):
+    costs = sb.BlockCosts(make_map([[0.0, 1.0]]), PARAMS)
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        sb.merge_regions(masks, costs)
+
+
+def test_tiled_takes_a_tiling_in_any_order_and_leaves_connectivity_to_validation():
+    # the one builder of the library's partitions checks nothing: its int
+    # masks are numbered by their lowest cell, whatever order they come in
+    p = sb.Partition._tiled([0b010, 0b101], 1, 3, math.nan)
+    assert p.block_of.tolist() == [[0, 1, 0]] and p.n_blocks == 2
+    with pytest.raises(PartitionError, match="^block 0 is not edge-connected$"):
+        validate_partition(p)
 
 
 @pytest.mark.parametrize("r, c, message", [

@@ -21,6 +21,7 @@ extra blocks in opposite directions.
 
 import copy
 import math
+import operator
 import reprlib
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
@@ -404,8 +405,11 @@ class BlockCosts:
         self._table = self._cell_table()
         # the interval's margin, less its part in the decision's costs (see above)
         self._margin = 1e-5 * params.n_attributes * max(1, self._occupied.bit_count())
+        # join_rejected's largest |ln sigma| and |mean| per attribute
+        self._top = np.abs(self._table[:, 2 * params.n_attributes:]).max(axis=0).tolist()
         if params.n_scale_rule is unit_scale:
             self._columns = None
+            self._table_columns = self._table.T.tolist()
         else:
             # per attribute: floor, its log, and every cell's std and mean
             floors = params.sigma_floor.tolist()
@@ -435,7 +439,8 @@ class BlockCosts:
         """This engine at params.scaled(f_R=f_R), one stability-sweep point:
         a new engine that shares the cached width terms, with its own
         interval."""
-        engine = copy.copy(self)
+        engine = object.__new__(type(self))
+        engine.__dict__.update(self.__dict__)
         engine._set_range(self.params.scaled(f_R=f_R))
         return engine
 
@@ -509,7 +514,10 @@ class BlockCosts:
         if hit is None:
             cells = _mask_cells(occupied)
             if self._columns is None:
-                columns = self._table[cells].T.tolist()
+                # the empty and one-cell blocks are cached from the start, so a
+                # miss has two or more cells and itemgetter returns tuples
+                take = operator.itemgetter(*cells)
+                columns = [take(column) for column in self._table_columns]
             else:
                 columns = self._own_columns(cells)
             # Most blocks have a few cells, where numpy's per-call overhead
@@ -679,8 +687,7 @@ class BlockCosts:
         cached terms, its resid; join_rejected adds the growth of ln sigma
         with block size.
         """
-        m = self.params.n_attributes
-        top = np.abs(self._table[:, 2 * m:]).max(axis=0).tolist()
+        m, top = self.params.n_attributes, self._top
         log_R = np.log(self.params.R).tolist()
         log_pi = math.log(math.pi)
         q = [each - once for once, each in zip(self._once, self._each)]

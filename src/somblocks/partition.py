@@ -66,11 +66,15 @@ class Partition:
 
     @classmethod
     def _tiled(cls, masks, rows: int, cols: int, cost: float) -> "Partition":
-        """The partition whose blocks are these row-major cell masks: ints
-        that tile the grid, in any order, and are not checked here.  Blocks
-        are numbered by their lowest cell."""
+        """The partition whose blocks are these row-major cell masks, ints that
+        tile the grid in any order, at a float cost: none is checked here (no
+        __post_init__).  Blocks are numbered by their lowest cell."""
         masks = sorted(masks, key=lambda mask: mask & -mask)
-        return cls(block_of=_label_grid(masks, rows, cols), n_blocks=len(masks), cost=cost)
+        block_of = _label_grid(masks, rows, cols)
+        block_of.flags.writeable = False
+        partition = object.__new__(cls)
+        partition.__dict__.update(block_of=block_of, n_blocks=len(masks), cost=cost)
+        return partition
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, cost: float = math.nan) -> "Partition":
@@ -82,7 +86,7 @@ class Partition:
             masks = _label_masks(labels.ravel().tolist()).values()
         except TypeError as e:
             raise PartitionError(f"labels must hold hashable values, got {e}") from None
-        return cls._tiled(masks, *labels.shape, cost=cost)
+        return cls(**vars(cls._tiled(masks, *labels.shape, cost=cost)))   # checks the cost
 
     def signature(self) -> tuple:
         return tuple(self.block_of.ravel().tolist())
@@ -131,7 +135,7 @@ def validate_partition(partition: Partition) -> None:
     rows, cols = partition.block_of.shape
     inner = _inner_cells(rows, cols)
     for b, mask in sorted(masks.items()):      # by block id, so the error names it
-        if not _connected(mask, inner, cols):
+        if mask & (mask - 1) and not _connected(mask, inner, cols):
             raise PartitionError(f"block {b} is not edge-connected")
 
 
@@ -189,11 +193,12 @@ def _label_masks(labels) -> dict:
 
 
 def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) array giving each cell the index of its mask, -1 for none."""
-    labels = np.full(rows * cols, -1)
+    """(rows, cols) int array giving each cell the index of its mask, -1 for none."""
+    labels = [-1] * (rows * cols)
     for b, mask in enumerate(masks):
-        labels[_mask_cells(mask)] = b
-    return labels.reshape(rows, cols)
+        for k in _mask_cells(mask):
+            labels[k] = b
+    return np.array(labels).reshape(rows, cols)
 
 
 def _subdivide(bounds: tuple) -> list[tuple]:
@@ -222,15 +227,20 @@ def quadtree_split(costs: BlockCosts) -> list[int]:
     here, so every call costs the same masks in the same order.  Each test
     is costs.lowers((rectangle,), quadrants) (BlockCosts: the f_R range).
     """
+    return [mask for _, _, mask, _ in _split(costs)]
+
+
+def _split(costs: BlockCosts) -> list[tuple]:
+    """quadtree_split's leaves as the merge records (_merge) _quadtree made."""
     lowers = costs.lowers
-    leaves: list[int] = []
+    leaves: list[tuple] = []
     stack = [_quadtree(costs.som_map.rows, costs.som_map.cols)]
     while stack:
-        mask, parts, children = stack.pop()
-        if children and lowers((mask,), parts):
+        block, parts, children = stack.pop()
+        if children and lowers((block[2],), parts):
             stack.extend(reversed(children))
         else:
-            leaves.append(mask)
+            leaves.append(block)
     return leaves
 
 
@@ -238,15 +248,22 @@ def quadtree_split(costs: BlockCosts) -> list[int]:
 def _quadtree(rows: int, cols: int) -> tuple:
     """Root of the rows x cols grid's quadtree.
 
-    A node is (row-major mask, its children's masks, child nodes), the
-    children in _subdivide order; a single cell has no children.
+    A node is (its rectangle's merge record (_merge), its children's masks,
+    child nodes), the children in _subdivide order; a single cell has none.
     """
-    return _tree_node((0, rows, 0, cols), cols)
+    return _tree_node((0, rows, 0, cols), cols, _inner_cells(rows, cols), (1 << rows * cols) - 1)
 
 
-def _tree_node(bounds: tuple, cols: int) -> tuple:
-    children = tuple(_tree_node(part, cols) for part in _subdivide(bounds))
-    return _region_mask(bounds, cols), tuple(child[0] for child in children), children
+def _tree_node(bounds: tuple, cols: int, inner: int, grid: int) -> tuple:
+    children = tuple(_tree_node(part, cols, inner, grid) for part in _subdivide(bounds))
+    mask = _region_mask(bounds, cols)
+    block = ((bounds[2], bounds[0]), bounds[3], mask, _near(mask, cols, inner, grid))
+    return block, tuple(child[0][2] for child in children), children
+
+
+def _near(mask: int, cols: int, inner: int, grid: int) -> int:
+    """Mask of the cells edge-adjacent to the block mask (inner: _inner_cells)."""
+    return (mask << cols | mask >> cols | (mask & inner) << 1 | (mask >> 1) & inner) & grid
 
 
 def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
@@ -271,12 +288,7 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
     rows, cols = costs.som_map.rows, costs.som_map.cols
     masks = _grid_masks(masks, rows, cols)
-    inner = _inner_cells(rows, cols)
-    grid, row = (1 << (rows * cols)) - 1, (1 << cols) - 1
-
-    # (order key (first column, first row), one past the last column, cell
-    # mask, mask of the cells edge-adjacent to the block); a union's key is the
-    # componentwise minimum of the two keys and its column end the larger end.
+    inner, grid, row = _inner_cells(rows, cols), (1 << rows * cols) - 1, (1 << cols) - 1
     blocks = []
     for i, mask in enumerate(masks):
         r0 = ((mask & -mask).bit_length() - 1) // cols
@@ -289,11 +301,16 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         # a block that fills its bounding box is a rectangle, so connected
         if mask.bit_count() != (r1 - r0) * (c1 - c0) and not _connected(mask, inner, cols):
             raise PartitionError(f"block {i} is not edge-connected")
-        near = (mask << cols | mask >> cols
-                | (mask & inner) << 1 | (mask >> 1) & inner) & grid
-        blocks.append(((c0, r0), c1, mask, near))
+        blocks.append(((c0, r0), c1, mask, _near(mask, cols, inner, grid)))
     _require_tiling(masks, rows * cols)
+    return _merge(blocks, costs)
 
+
+def _merge(blocks: list[tuple], costs: BlockCosts) -> Partition:
+    """merge_regions' passes over unchecked merge records of a tiling of costs'
+    map: (order key (first column, first row), one past the last column, cell
+    mask, mask of the cells edge-adjacent to it).  A union's key is the
+    componentwise minimum of the two keys and its column end the larger end."""
     rejected, lowers = costs.join_rejected, costs.lowers
     changed = True
     while changed:
@@ -320,7 +337,7 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
 
     masks = [mask for _, _, mask, _ in blocks]
     total = math.fsum(costs.cost(mask) for mask in masks)     # in merge order
-    return Partition._tiled(masks, rows, cols, total)
+    return Partition._tiled(masks, costs.som_map.rows, costs.som_map.cols, total)
 
 
 def partition_som(som_map: SomMap, params: CostParams,
@@ -329,12 +346,13 @@ def partition_som(som_map: SomMap, params: CostParams,
 
     The split and the merge share one BlockCosts; costs, when given, must be
     the engine built for this very map and these params, such as a sweep
-    point's BlockCosts.at(f_R), else CostError.
+    point's BlockCosts.at(f_R), else CostError.  The split's leaves go to
+    the merge unchecked: merge_regions' checks are for its callers' masks.
     """
     costs = BlockCosts(som_map, params) if costs is None else costs
     if not (isinstance(costs, BlockCosts) and costs.som_map is som_map and costs.params is params):
         raise CostError("costs must be the BlockCosts of this map and these params")
-    return merge_regions(quadtree_split(costs), costs)
+    return _merge(_split(costs), costs)
 
 
 def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: acc) -> None:

@@ -42,6 +42,22 @@ def test_partition_outputs_are_byte_identical(tmp_path):
     assert doc["rows"] == doc["cols"] == 5
 
 
+@pytest.mark.parametrize("seed, flags, K, cost, block_of", [
+    (1, (), 3, "0x1.301f8ee79f78cp+6", [0, 0, 0, 1, 1] * 3 + [2] * 10),
+    (2, (), 3, "0x1.4d51539c213c6p+6", [0] * 15 + [1, 1, 1, 2, 2] * 2),
+    (1, ("--range-exponent", "per_pe"), 23, "0x1.072a83d68b123p-96",
+     [0, 1, 2, 3, 4, 5, 6, 2, 3, *range(7, 23)]),
+    (2, ("--range-exponent", "per_pe"), 25, "0x1.4c7feb8886e2bp-97", list(range(25))),
+])
+def test_the_golden_maps_partition_into_these_blocks(tmp_path, seed, flags, K, cost, block_of):
+    # the per_pe costs are near 0 after cancellation, so a reordered sum shows
+    out = tmp_path / "p.json"
+    assert run_cli("partition", "--map", fixture_path(f"iris_map_seed{seed}.json"), *flags,
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert (doc["K"], doc["cost"].hex(), doc["block_of"]) == (K, cost, block_of)
+
+
 def test_train_defaults_are_somconfigs(iris):
     # the golden was written by train with only --rows/--cols/--seed
     trained = map_to_json(sb.train(iris, sb.SomConfig(rows=5, cols=5, seed=1)))

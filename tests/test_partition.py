@@ -196,6 +196,46 @@ def test_merge_matches_the_plain_scan(seed, exponent, rule, f_R, f_sigma, start)
     assert sb.merge_regions(tiling, costs) == _reference_merge(tiling, m, params)
 
 
+def test_a_merged_blocks_key_takes_the_first_row_of_either_side():
+    # Costs set by hand on a 4x3 grid, and every join costed.  The first pass
+    # joins blocks that start in column 0; the union's key must take their
+    # smaller first row, which orders the next pass.  With the larger row the
+    # merge ends at 0 0 0 / 1 0 0 / 1 0 0 / 1 1 1, cost 2.
+    m = make_map([[0.0] * 3] * 4)
+    costs = BlockCosts(m, plain_params())
+    costs.cost = {1: 1, 2: 7, 3: 4, 72: 4, 73: 6, 180: 8, 183: 1, 256: 2, 439: 1, 511: 6,
+                  512: 2, 584: 6, 3072: 2, 3255: 7, 3584: 0, 3656: 1, 4023: 0,
+                  4095: 7}.__getitem__
+    costs.join_rejected = lambda a, b: False
+    tiling = list(_label_masks([0, 1, 2, 3, 2, 2, 3, 2, 4, 5, 6, 6]).values())
+    p = sb.merge_regions(tiling, costs)
+    assert (p.signature(), p.cost) == ((0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 4.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.sampled_from(sb.bayes_cost.RANGE_EXPONENTS),
+       rule=st.sampled_from(sorted(sb.bayes_cost.N_SCALE_RULES)), f_R=st.floats(0.1, 20.0))
+def test_partition_som_matches_the_checked_split_and_merge(seed, exponent, rule, f_R):
+    # partition_som hands the split's leaves to the merge unchecked; the
+    # public steps, on a second fresh engine, check them and decide the same
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.25)
+    params = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=rng.uniform(0.02, 0.6, M),
+                           sigma_const=float(rng.uniform(0.5, 4.0)),
+                           n_scale_rule=sb.bayes_cost.N_SCALE_RULES[rule],
+                           range_exponent=exponent).scaled(f_R=f_R)
+    own, public = BlockCosts(m, params), BlockCosts(m, params)
+    p = sb.partition_som(m, params, own)
+    q = sb.merge_regions(sb.quadtree_split(public), public)
+    assert (p.signature(), p.n_blocks, p.cost.hex()) == (q.signature(), q.n_blocks, q.cost.hex())
+    assert [end.hex() for end in own.interval] == [end.hex() for end in public.interval]
+    assert type(p.n_blocks) is int and type(p.cost) is float
+    assert p.block_of.dtype.kind == "i" and not p.block_of.flags.writeable
+    assert np.array_equal(Partition.from_labels(p.block_of).block_of, p.block_of)
+    validate_partition(p)
+
+
 @pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1), (3, 10)])
 @pytest.mark.parametrize("start", ["quadtree", "singletons"])
 @pytest.mark.parametrize("exponent", sb.bayes_cost.RANGE_EXPONENTS)
@@ -812,6 +852,14 @@ def test_validate_partition_rejects_disconnected():
     p = Partition(block_of=np.array([[0, 1], [1, 0]]), n_blocks=2)
     with pytest.raises(PartitionError, match="edge-connected"):
         validate_partition(p)
+
+
+def test_validate_partition_names_a_disconnected_block_among_one_cell_blocks():
+    # a one-cell block is connected without a flood; the others are flooded
+    p = Partition(block_of=np.array([[0, 1, 2, 1, 3]]), n_blocks=4)
+    with pytest.raises(PartitionError, match="^block 1 is not edge-connected$"):
+        validate_partition(p)
+    validate_partition(Partition(block_of=np.array([[0, 1], [2, 3]]), n_blocks=4))
 
 
 def test_validate_partition_refuses_a_block_of_that_is_not_a_2d_integer_array(fixture_map,

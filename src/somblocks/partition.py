@@ -384,22 +384,16 @@ def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: 
         live[k] = (live[k - 1] | 1 << k) & ~sum(1 << j for j in closes[k])
     labels = [0] * n
     parts: list[int] = []
-
-    def sealed(k: int) -> bool:
-        # every piece of a closed cell's block holds a live cell, or is the
-        # whole block
-        for j in closes[k]:
-            mask = parts[labels[j]]
-            seed = mask & live[k] or mask & -mask
-            if flood(seed, mask & mask >> 1 & inner, mask & mask >> cols, cols) != mask:
-                return False
-        return True
+    # seals[k][block]: whether placing k leaves the closed block sealed, that
+    # is every piece of it holds a live cell or is the whole block; the test
+    # reads only live[k], so it is flooded once per walk
+    seals: list[dict] = [{} for _ in range(n)]
 
     def rec(k: int, acc) -> None:
         if k == n:
             visit(labels, parts)
             return
-        bit, alive, opened = 1 << k, live[k - 1], len(parts)
+        bit, alive, opened, kept, seen = 1 << k, live[k - 1], len(parts), live[k], seals[k]
         for p in range(opened + 1):
             if p == opened:
                 parts.append(0)             # a new part, tried after every live one
@@ -408,7 +402,16 @@ def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: 
             mask = parts[p]
             labels[k] = p
             parts[p] = mask | bit
-            if sealed(k):
+            for j in closes[k]:
+                block = parts[labels[j]]
+                sealed = seen.get(block)
+                if sealed is None:
+                    seed = block & kept or block & -block
+                    sealed = seen[block] = flood(
+                        seed, block & block >> 1 & inner, block & block >> cols, cols) == block
+                if not sealed:
+                    break
+            else:
                 below = grow(acc, k, mask, mask | bit)
                 if below is not None:
                     rec(k + 1, below)

@@ -14,7 +14,7 @@ from somblocks.bayes_cost import BlockCosts, _mask_cells
 from somblocks.partition import (Partition, PartitionError, _inner_cells, _label_grid,
                                  _label_masks, _quadtree, _region_mask, _subdivide,
                                  _walk_partitions, component_labels,
-                                 enumerate_connected_partitions, load_partition,
+                                 enumerate_connected_partitions, flood, load_partition,
                                  partition_to_json, save_partition, validate_partition)
 
 from conftest import make_map, map_cells, plain_params, random_map
@@ -467,6 +467,23 @@ def test_walk_cuts_a_stranded_piece_when_it_closes(shape):
 
     _walk_partitions(*shape, lambda labels, parts: visits.__setitem__(0, visits[0] + 1), grow)
     assert grows[0] < 2 * visits[0]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (2, 6)], ids="{0[0]}x{0[1]}".format)
+def test_walk_floods_each_closed_block_once(monkeypatch, shape):
+    # The seal test depends only on the cell placed and the closed block, so
+    # the walk floods each such pair once: 435, 2,631 and 1,961 floods for
+    # the 1,434, 27,780 and 17,316 partitions here, where flooding at every
+    # placement took 6,438, 137,162 and 92,471.
+    floods, visits = [0], [0]
+
+    def counted(*args):
+        floods[0] += 1
+        return flood(*args)
+
+    monkeypatch.setattr("somblocks.partition.flood", counted)
+    _walk_partitions(*shape, lambda labels, parts: visits.__setitem__(0, visits[0] + 1))
+    assert 0 < 3 * floods[0] < visits[0]
 
 
 def _connected_labelings(rows: int, cols: int) -> list[tuple]:

@@ -9,7 +9,6 @@ presentation order) flows from one 64-bit seed through numpy's PCG64
 generator, so a (dataset, config) pair fully determines the result.
 """
 
-import functools
 import json
 import math
 import reprlib
@@ -296,29 +295,41 @@ def initialize(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
-def _neighborhoods(weights: np.ndarray, cols: int, hw: int, laid_out) -> list[tuple]:
-    """Per winner (row-major): its neighborhood, the square of half-width hw
-    clamped at the grid edges, as a view of the (P, M) weights; a step buffer
-    of that view's shape, one per shape; and the samples laid out to match,
-    laid_out(width) being each sample tiled width times.
+def _neighborhoods(weights: np.ndarray, cols: int, hw: int, chunk: np.ndarray) -> list[tuple]:
+    """Per winner (row-major): the stretch of the (P, M) weights its update
+    computes, a step buffer of the stretch's length, the mask its update
+    writes through, and per slot of the (chunk, P, M) copy buffer the
+    sample laid out along the stretch: the first len(stretch) floats of
+    that slot's copy, which repeats the sample once per cell.
 
-    At half-width 0 the view is the winner's own (M,) weight row.  Wider, it
-    is the (rows', width*M) slice of the weights seen as (rows, cols*M), so
-    every update works on a contiguous row or a 2-D slice, never a 3-D box.
+    At half-width 0 the stretch is the winner's own (M,) weight row, all
+    written.  Wider, it is the contiguous run of the whole grid rows that
+    the square of half-width hw, clamped at the grid edges, spans; the mask
+    holds the square's columns, or is True where the square holds whole
+    rows (numpy writes faster unmasked).  Step buffers and sample views are
+    shared per band height, masks per band height and span of columns.
     """
-    if hw == 0:
-        return [(row, np.empty_like(row), laid_out(1)) for row in weights]
     n_pes, m = weights.shape
-    rows = n_pes // cols
-    grid = weights.reshape(rows, cols * m)          # a view: slices update weights
-    steps, hoods = {}, []
+    flat_copies = chunk.reshape(len(chunk), -1)     # one (P*M,) row per slot
+    if hw == 0:
+        xs = list(flat_copies[:, :m])
+        return [(row, np.empty_like(row), True, xs) for row in weights]
+    rows, width = n_pes // cols, cols * m       # width: the floats of a grid row
+    flat = weights.reshape(-1)                  # a view: stretches update weights
+    bands, masks, hoods = {}, {}, []
     for r in range(rows):
         r0, r1 = max(r - hw, 0), min(r + hw + 1, rows)
+        h = r1 - r0
+        if h not in bands:
+            bands[h] = np.empty(h * width), list(flat_copies[:, :h * width])
+        step, xs = bands[h]
         for c in range(cols):
             c0, c1 = max(c - hw, 0), min(c + hw + 1, cols)
-            box = grid[r0:r1, c0 * m:c1 * m]
-            step = steps.setdefault(box.shape, np.empty(box.shape))
-            hoods.append((box, step, laid_out(c1 - c0)))
+            if (h, c0, c1) not in masks:
+                square = np.zeros((h, cols, m), dtype=bool)
+                square[:, c0:c1] = True
+                masks[h, c0, c1] = square.reshape(-1) if c1 - c0 < cols else True
+            hoods.append((flat[r0 * width:r1 * width], step, masks[h, c0, c1], xs))
     return hoods
 
 
@@ -360,10 +371,6 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
     freq = np.full(n_pes, 1.0 / n_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
 
-    @functools.cache            # once per box width and training run
-    def laid_out(width):
-        return list(np.tile(samples, (1, width)))
-
     # Every step writes into these buffers instead of allocating temporaries.
     # Each element goes through the IEEE operations of the plain expression in
     # the comment beside it, up to beta * -f == -(beta * f), f + -y == f - y
@@ -371,8 +378,12 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
     # The distance subtracts from the weights a (P, M) copy of the sample, one
     # row per cell, as numpy subtracts two same-shape arrays faster than it
     # broadcasts one; the copies are made a chunk of presentations at a time.
-    # The row sum stays numpy's over each contiguous (M,) row: it sums 8 or
-    # more attributes pairwise, which a sum over another layout does not.
+    # The update reads its sample from a prefix of the same copy and works on
+    # contiguous whole grid rows: it computes the step for every cell there
+    # but writes only where the neighborhood mask is set, so a cell outside
+    # the square keeps its bits, the sign of a zero included.  The row sum
+    # stays numpy's over each contiguous (M,) row: it sums 8 or more
+    # attributes pairwise, which a sum over another layout does not.
     chunk = np.empty((_chunk_rows(n, n_pes * m), n_pes, m))
     copies = list(chunk)        # one view per presentation, refilled per chunk
     cell_rows = chunk.reshape(-1, m)
@@ -393,12 +404,12 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
                       / max(config.epochs - 1, 1))
         if config.half_width_at(epoch) != hw:          # once per schedule phase
             hw = config.half_width_at(epoch)
-            hoods = _neighborhoods(weights, config.cols, hw, laid_out)
+            hoods = _neighborhoods(weights, config.cols, hw, chunk)
         order = rng.permutation(n).tolist()
         for start in range(0, n, len(copies)):
             ids = order[start:start + len(copies)]
             cell_rows[:len(ids) * n_pes] = np.repeat(samples[ids], n_pes, axis=0)
-            for idx, x_all in zip(ids, copies):
+            for slot, x_all in enumerate(copies[:len(ids)]):
                 subtract(weights, x_all, out=diff)      # d2 = ((weights - x) ** 2)
                 square(diff, out=diff)                  #      .sum(axis=1)
                 add_reduce(diff, 1, out=d2)
@@ -410,10 +421,10 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
                 multiply(beta_, freq, out=decay)        # freq += beta * (-freq)
                 subtract(freq, decay, out=freq)
                 freq[winner] += beta
-                box, step, tiled = hoods[winner]        # box += lr * (x - box)
-                subtract(tiled[idx], box, out=step)
+                box, step, mask, xs = hoods[winner]     # box += lr * (x - box)
+                subtract(xs[slot], box, out=step)
                 multiply(lr, step, out=step)
-                add(box, step, out=box)
+                add(box, step, out=box, where=mask)     # writes the square only
     return weights, freq
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import re
@@ -197,6 +198,16 @@ def _fixed_case(rows, cols, schedule, gamma=1.0, n=9, m=3, epochs=4):
     return sb.Dataset(samples=samples, labels=None, attribute_names=names), config, som._CHUNK_BYTES
 
 
+# Every sample's first attribute is -0.0, and so is the first weight of
+# each cell initialized from one; a cell outside the winner's square must
+# keep that sign, which adding a zero step would turn to +0.0.
+_SIGNED_ZEROS = (
+    sb.Dataset(samples=np.array([[-0.0, 0.0], [-0.0, 0.5], [-0.0, 1.0]]), labels=None,
+               attribute_names=["a0", "a1"]),
+    sb.SomConfig(rows=1, cols=12, epochs=2, neighborhood_schedule=((0.0, 1),),
+                 conscience_beta=0.0, seed=3),
+    som._CHUNK_BYTES)
+
 # Samples of 9 attributes on a 6x7 map fill a chunk of the real budget with
 # this many presentations.
 _CHUNK = som._chunk_rows(10**9, 6 * 7 * 9)
@@ -213,6 +224,7 @@ _CHUNK = som._chunk_rows(10**9, 6 * 7 * 9)
 @example(case=_fixed_case(6, 7, ((0.0, 1), (0.5, 0)), n=_CHUNK, m=9, epochs=2))
 @example(case=_fixed_case(6, 7, ((0.0, 1), (0.5, 0)), n=_CHUNK + 1, m=9, epochs=2))
 @example(case=_fixed_case(2, 2, ((0.0, 1),), n=3, m=som._CHUNK_BYTES // 32 + 1, epochs=2))
+@example(case=_SIGNED_ZEROS)
 def test_train_matches_reference_loop_bit_for_bit(case):
     dataset, config, budget = case
     with mock.patch.object(som, "_CHUNK_BYTES", budget):
@@ -220,6 +232,15 @@ def test_train_matches_reference_loop_bit_for_bit(case):
     ref_weights, ref_freq = _reference_train(dataset, config)
     assert weights.tobytes() == ref_weights.tobytes()
     assert freq.tobytes() == ref_freq.tobytes()
+
+
+def test_train_keeps_the_bits_of_a_wide_map(iris):
+    """The 10x10 Iris map that the sweep benchmarks train, whose update
+    stretches hold 10 cells a row, keeps the bits the 2-D slice update gave
+    it: the sha256 of its weights, then its conscience frequencies."""
+    weights, freq = _train_weights(iris, sb.SomConfig(rows=10, cols=10, seed=2))
+    digest = hashlib.sha256(weights.tobytes() + freq.tobytes()).hexdigest()
+    assert digest == "48cf6b66847ce8301fb20d92924e4b2b174e94ee7bc458165e06c9afd14c875e"
 
 
 @pytest.mark.parametrize("row_floats", [1, 6 * 7 * 9, som._CHUNK_BYTES // 8,

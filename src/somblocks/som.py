@@ -137,14 +137,14 @@ class SomMap:
         if len(pes) != self.rows * self.cols:
             raise SomError(f"{len(pes)} cells do not tile the "
                            f"{self.rows}x{self.cols} grid")
-        shape = float_array(SomError, "cell 0: weight", pes[0].weight, 1).shape
+        shape = _vector(pes[0].weight, "cell 0: weight").shape
         zeros = np.zeros(shape)
         weights, means, stds = [], [], []
         for k, pe in enumerate(pes):
             if not (is_integer(pe.r) and is_integer(pe.c)) or (pe.r, pe.c) != divmod(k, self.cols):
                 raise SomError(f"cell {k}: r/c ({pe.r!r}, {pe.c!r}) do not match its "
                                f"position {divmod(k, self.cols)}")
-            weight = float_array(SomError, f"cell {k}: weight", pe.weight, 1)
+            weight = _vector(pe.weight, f"cell {k}: weight")
             if weight.shape != shape:
                 raise SomError(f"cell {k}: weight has shape {weight.shape}, expected {shape}")
             if not is_integer(pe.n) or pe.n < 0:
@@ -160,13 +160,13 @@ class SomMap:
                 if pe.n == 0 and value is not None:
                     raise SomError(f"cell {k}: {name} must be null for an empty cell")
                 if value is not None:
-                    value = float_array(SomError, f"cell {k}: {name}", value, 1)
+                    value = _vector(value, f"cell {k}: {name}")
                 got = None if value is None else value.shape
                 if pe.n > 0 and got != shape:
                     raise SomError(f"cell {k}: {name} has shape {got}, "
                                    f"expected the weight's {shape}")
                 table.append(value if pe.n else zeros)
-        weights, means, stds = (np.array(table) for table in (weights, means, stds))
+        weights, means, stds = (np.array(table, dtype=float) for table in (weights, means, stds))
         for name, table in (("weight", weights), ("mean", means), ("std", stds)):
             if not np.isfinite(table).all():
                 cell = np.argmin(np.isfinite(table).all(axis=1))
@@ -230,6 +230,15 @@ class SomMap:
         )
 
 
+def _vector(value, name: str):
+    """A cell's vector for the stack, its one float copy: float_array's or, for
+    a non-empty 1-D integer or float ndarray, the array itself."""
+    if (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
+            and value.ndim == 1 and value.size):
+        return value
+    return float_array(SomError, name, value, 1)
+
+
 def _member_ids(pes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n member ids of the cells, stacked in cell order, and the cell
     of each id, as np.intp arrays.
@@ -269,8 +278,9 @@ def _initial_weights(rng: np.random.Generator, dataset: Dataset, n_pes: int) -> 
 def _stats_from_weights(dataset: Dataset, config: SomConfig, weights: np.ndarray) -> SomMap:
     """Assign every sample to its unbiased nearest cell and build PeStats."""
     samples = dataset.samples
-    d2 = ((samples[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)     # ties: lowest row-major cell index
+    rows = _chunk_rows(len(samples), weights.size)      # samples per (rows, P, M) temporary
+    nearest = np.concatenate([((samples[i:i + rows, None] - weights) ** 2).sum(axis=2).argmin(1)
+                              for i in range(0, len(samples), rows)])  # ties: lowest cell index
     pes = []
     for p in range(config.rows * config.cols):
         ids = tuple(int(i) for i in np.nonzero(nearest == p)[0])
@@ -295,41 +305,38 @@ def initialize(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
-def _neighborhoods(weights: np.ndarray, cols: int, hw: int, chunk: np.ndarray) -> list[tuple]:
+def _neighborhoods(weights: np.ndarray, diff: np.ndarray, cols: int, hw: int) -> list[tuple]:
     """Per winner (row-major): the stretch of the (P, M) weights its update
     computes, a step buffer of the stretch's length, the mask its update
-    writes through, and per slot of the (chunk, P, M) copy buffer the
-    sample laid out along the stretch: the first len(stretch) floats of
-    that slot's copy, which repeats the sample once per cell.
+    writes through, and the same stretch of the (P, M) buffer diff, where
+    training leaves x - w for the update to read.
 
     At half-width 0 the stretch is the winner's own (M,) weight row, all
     written.  Wider, it is the contiguous run of the whole grid rows that
     the square of half-width hw, clamped at the grid edges, spans; the mask
     holds the square's columns, or is True where the square holds whole
-    rows (numpy writes faster unmasked).  Step buffers and sample views are
-    shared per band height, masks per band height and span of columns.
+    rows (numpy writes faster unmasked).  Step buffers are shared per band
+    height, masks per band height and span of columns.
     """
     n_pes, m = weights.shape
-    flat_copies = chunk.reshape(len(chunk), -1)     # one (P*M,) row per slot
     if hw == 0:
-        xs = list(flat_copies[:, :m])
-        return [(row, np.empty_like(row), True, xs) for row in weights]
+        return [(row, np.empty_like(row), True, d) for row, d in zip(weights, diff)]
     rows, width = n_pes // cols, cols * m       # width: the floats of a grid row
-    flat = weights.reshape(-1)                  # a view: stretches update weights
+    flat, flat_diff = weights.reshape(-1), diff.reshape(-1)     # views: stretches update weights
     bands, masks, hoods = {}, {}, []
     for r in range(rows):
         r0, r1 = max(r - hw, 0), min(r + hw + 1, rows)
         h = r1 - r0
         if h not in bands:
-            bands[h] = np.empty(h * width), list(flat_copies[:, :h * width])
-        step, xs = bands[h]
+            bands[h] = np.empty(h * width)
         for c in range(cols):
             c0, c1 = max(c - hw, 0), min(c + hw + 1, cols)
             if (h, c0, c1) not in masks:
                 square = np.zeros((h, cols, m), dtype=bool)
                 square[:, c0:c1] = True
                 masks[h, c0, c1] = square.reshape(-1) if c1 - c0 < cols else True
-            hoods.append((flat[r0 * width:r1 * width], step, masks[h, c0, c1], xs))
+            stretch = slice(r0 * width, r1 * width)
+            hoods.append((flat[stretch], bands[h], masks[h, c0, c1], flat_diff[stretch]))
     return hoods
 
 
@@ -348,14 +355,13 @@ def train(dataset: Dataset, config: SomConfig) -> SomMap:
     return _stats_from_weights(dataset, config, weights)
 
 
-# The size of the buffer _train_weights copies a chunk of samples out into,
-# one copy per cell; a chunk holds at least one presentation whatever its size.
+# The bytes of _train_weights' chunk of per-cell sample copies and of each
+# nearest-cell temporary; a chunk holds at least one sample whatever its size.
 _CHUNK_BYTES = 1 << 18
 
 
 def _chunk_rows(n: int, row_floats: int) -> int:
-    """How many of an epoch's n presentations one chunk copies out, each a
-    row of row_floats float64s: as many as _CHUNK_BYTES holds, at least one."""
+    """How many of n rows of row_floats float64s _CHUNK_BYTES holds, at least one."""
     return max(1, min(n, _CHUNK_BYTES // (8 * row_floats)))
 
 
@@ -371,31 +377,31 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
     freq = np.full(n_pes, 1.0 / n_pes)
     beta, gamma = config.conscience_beta, config.conscience_gamma
 
-    # Every step writes into these buffers instead of allocating temporaries.
-    # Each element goes through the IEEE operations of the plain expression in
-    # the comment beside it, up to beta * -f == -(beta * f), f + -y == f - y
-    # and 1.0 * b == b, so the weights and frequencies keep that one's bits.
-    # The distance subtracts from the weights a (P, M) copy of the sample, one
-    # row per cell, as numpy subtracts two same-shape arrays faster than it
-    # broadcasts one; the copies are made a chunk of presentations at a time.
-    # The update reads its sample from a prefix of the same copy and works on
-    # contiguous whole grid rows: it computes the step for every cell there
-    # but writes only where the neighborhood mask is set, so a cell outside
-    # the square keeps its bits, the sign of a zero included.  The row sum
-    # stays numpy's over each contiguous (M,) row: it sums 8 or more
-    # attributes pairwise, which a sum over another layout does not.
+    # Every step writes into these buffers instead of allocating temporaries,
+    # through the IEEE operations of the plain expression beside it, up to
+    # beta * -f == -(beta * f), f + -y == f - y, 1.0 * b == b and
+    # (x - w)**2 == (w - x)**2, so the weights and frequencies keep its bits.
+    # The distance subtracts the weights from a (P, M) copy of the sample, one
+    # row per cell (faster than broadcasting one), made a chunk of presentations
+    # at a time, and squares into sq: diff keeps x - w, the update's x - box
+    # (negating w - x would give -0.0 where x == w).  The update computes whole
+    # grid rows and writes only under the neighborhood mask, so a cell outside
+    # the square keeps its bits, a zero's sign included.  The row sum stays
+    # numpy's over each contiguous (M,) row: it sums 8 or more attributes
+    # pairwise, which a sum over another layout does not.
     chunk = np.empty((_chunk_rows(n, n_pes * m), n_pes, m))
     copies = list(chunk)        # one view per presentation, refilled per chunk
     cell_rows = chunk.reshape(-1, m)
     diff = np.empty((n_pes, m))
+    sq = np.empty((n_pes, m))
     d2 = np.empty(n_pes)
     bias = np.empty(n_pes)
     decay = np.empty(n_pes)
-    # Ufuncs take a scalar faster as a 0-d array than as a Python float; the
-    # scalar add freq[winner] += beta takes the float faster.
+    # Ufuncs take a scalar faster as a 0-d array than as a Python float, and
+    # out positionally; the scalar add freq[winner] += beta takes the float.
     inv_pes, beta_, gamma_ = (np.array(v) for v in (1.0 / n_pes, beta, gamma))
-    subtract, multiply, add, square, add_reduce = (np.subtract, np.multiply, np.add, np.square,
-                                                   np.add.reduce)
+    subtract, multiply, add, square, add_reduce, putmask = (np.subtract, np.multiply, np.add,
+                                                            np.square, np.add.reduce, np.putmask)
     argmin = d2.argmin
     hw, hoods = None, None
 
@@ -404,27 +410,30 @@ def _train_weights(dataset: Dataset, config: SomConfig) -> tuple[np.ndarray, np.
                       / max(config.epochs - 1, 1))
         if config.half_width_at(epoch) != hw:          # once per schedule phase
             hw = config.half_width_at(epoch)
-            hoods = _neighborhoods(weights, config.cols, hw, chunk)
+            hoods = _neighborhoods(weights, diff, config.cols, hw)
         order = rng.permutation(n).tolist()
         for start in range(0, n, len(copies)):
             ids = order[start:start + len(copies)]
             cell_rows[:len(ids) * n_pes] = np.repeat(samples[ids], n_pes, axis=0)
-            for slot, x_all in enumerate(copies[:len(ids)]):
-                subtract(weights, x_all, out=diff)      # d2 = ((weights - x) ** 2)
-                square(diff, out=diff)                  #      .sum(axis=1)
-                add_reduce(diff, 1, out=d2)
-                subtract(inv_pes, freq, out=bias)       # d2 - gamma * (1/P - freq)
+            for x_all in copies[:len(ids)]:
+                subtract(x_all, weights, diff)          # d2 = ((x - weights) ** 2)
+                square(diff, sq)                        #      .sum(axis=1)
+                add_reduce(sq, 1, None, d2)
+                subtract(inv_pes, freq, bias)           # d2 - gamma * (1/P - freq)
                 if gamma != 1.0:
-                    multiply(gamma_, bias, out=bias)
-                subtract(d2, bias, out=d2)
+                    multiply(gamma_, bias, bias)
+                subtract(d2, bias, d2)
                 winner = argmin()
-                multiply(beta_, freq, out=decay)        # freq += beta * (-freq)
-                subtract(freq, decay, out=freq)
+                multiply(beta_, freq, decay)            # freq += beta * (-freq)
+                subtract(freq, decay, freq)
                 freq[winner] += beta
-                box, step, mask, xs = hoods[winner]     # box += lr * (x - box)
-                subtract(xs[slot], box, out=step)
-                multiply(lr, step, out=step)
-                add(box, step, out=box, where=mask)     # writes the square only
+                box, step, mask, x_box = hoods[winner]  # box += lr * (x - box)
+                multiply(lr, x_box, step)
+                if mask is True:
+                    add(box, step, box)
+                else:                                   # writes the square only
+                    add(box, step, step)
+                    putmask(box, mask, step)
     return weights, freq
 
 

@@ -253,6 +253,57 @@ def test_chunk_stays_within_its_byte_budget_and_holds_a_sample(row_floats):
     assert som._chunk_rows(5, row_floats) == min(rows, 5)
 
 
+def _tied_case():
+    """Rounded samples of 9 attributes, so that cells tie for nearest."""
+    samples = np.round(np.random.default_rng(8).normal(0.0, 1.5, size=(57, 9)))
+    dataset = sb.Dataset(samples=samples, labels=None, attribute_names=[f"a{j}" for j in range(9)])
+    return dataset, sb.SomConfig(rows=4, cols=6, epochs=5, seed=8)
+
+
+@pytest.mark.parametrize("case", ["iris 5x5", "tied 4x6"])
+def test_nearest_cells_a_sample_at_a_time_match_the_real_budget(iris, case):
+    if case == "iris 5x5":
+        dataset, config = iris, sb.SomConfig(rows=5, cols=5, seed=1)
+    else:
+        dataset, config = _tied_case()
+    full = sb.train(dataset, config)
+    assert som._chunk_rows(dataset.n_samples, full.weights.size) == dataset.n_samples
+    with mock.patch.object(som, "_CHUNK_BYTES", 1):
+        one_by_one = sb.train(dataset, config)
+    assert one_by_one == full
+    assert map_to_json(one_by_one) == map_to_json(full)
+
+
+def _cells(view, base):
+    """The cells of the (P, M) base array that a flat view of it spans."""
+    start = (view.ctypes.data - base.ctypes.data) // base.itemsize
+    return np.arange(start, start + view.size) // base.shape[1]
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 12), (5, 5), (6, 7), (2, 40)])
+@pytest.mark.parametrize("hw", [0, 1, 2, 3])
+def test_each_update_reads_x_minus_w_on_the_cells_it_writes(rows, cols, hw):
+    m = 3
+    weights, diff = np.zeros((rows * cols, m)), np.zeros((rows * cols, m))
+    hoods = som._neighborhoods(weights, diff, cols, hw)
+    assert len(hoods) == rows * cols
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    for winner, (box, step, mask, x_box) in enumerate(hoods):
+        wr, wc = divmod(winner, cols)
+        square = (abs(r - wr) <= hw) & (abs(c - wc) <= hw)
+        assert np.shares_memory(box, weights) and np.shares_memory(x_box, diff)
+        cells = _cells(box, weights)
+        assert _cells(x_box, diff).tolist() == cells.tolist() and x_box.shape == box.shape
+        held = abs(r - wr) <= hw if hw else np.arange(rows * cols) == winner
+        assert cells.tolist() == np.repeat(np.flatnonzero(held), m).tolist()
+        assert step.shape == box.shape
+        assert not (np.shares_memory(step, weights) or np.shares_memory(step, diff))
+        if square[cells].all():
+            assert mask is True
+        else:
+            assert mask.dtype == bool and mask.tolist() == square[cells].tolist()
+
+
 def _trainable_bound(n, m):
     return math.sqrt(np.finfo(float).max / (8 * max(n, m)))
 
@@ -405,6 +456,20 @@ def test_map_keeps_none_of_its_input_records():
     gc.collect()
     assert probe() is None
     assert rebuilt == m and not hasattr(rebuilt, "pes")
+
+
+def test_map_stacks_array_cells_into_float_tables_of_its_own():
+    m = make_map([[0.0, 1.0], [None, 3.0]], s=2.0)
+    pes = [dataclasses.replace(pe, weight=pe.weight.astype(np.int64),
+                               mean=None if pe.mean is None else pe.mean.astype(np.int32),
+                               std=None if pe.std is None else pe.std.copy())
+           for pe in map_cells(m)]
+    rebuilt = sb.SomMap(rows=m.rows, cols=m.cols, pes=tuple(pes), config=m.config)
+    assert rebuilt == m and map_to_json(rebuilt) == map_to_json(m)
+    for name in ("weights", "means", "stds"):
+        assert getattr(rebuilt, name).dtype == np.float64
+    pes[0].std[0] = 5.0                 # the caller's arrays stay the caller's
+    assert pes[0].std.flags.writeable and rebuilt.stds[0, 0] == 2.0
 
 
 def _round_trips(m):

@@ -23,6 +23,7 @@ import copy
 import math
 import operator
 import reprlib
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
@@ -333,7 +334,7 @@ class BlockCosts:
     Both caches are made with the empty block in them (n = 0, cost 0), and
     the width terms with every occupied cell as a block of one.
 
-    The engine builds one per-cell table when it is made: the columns
+    The engine's width state (_build) holds one per-cell table: the columns
     [w, w * mean, ln sigma, mean] of every cell as a block of one, with
     w = 1/sigma^2.  Its ln sigma column takes math.log once per attribute
     for the widths at the floor (often most of them: empty cells and cells
@@ -347,10 +348,17 @@ class BlockCosts:
     finite, is refused with a CostError.  The range prior is added last, per
     attribute once_j for the block and each_j for every further occupied
     cell (_set_range), and the terms are summed in block_cost's order, so
-    cost(mask) equals block_cost_for_pes of the same cells bit for bit.  The
-    width terms do not depend on R, so at(f_R) hands out the engine of
-    params.scaled(f_R=f_R) that shares them; partition_som takes an engine
-    only with its own som_map and params.
+    cost(mask) equals block_cost_for_pes of the same cells bit for bit.
+
+    Shared width state (_build).  The table and the width terms depend only
+    on the map and the cells' widths.  at(f_R) hands its engine this
+    engine's width state.  A new engine takes the width state of the last
+    engine that built one (_last) when its map is that very object and its
+    widths have the same bits in blocks of every size (_same_widths), as
+    for the oracle then partition_som on one map and params.  The record
+    keeps one width state alive until another is built: after a 5x5
+    oracle, about 8,600 width terms.
+    partition_som takes an engine only with its own som_map and params.
 
     The f_R interval.  interval is [lo, hi], made (-inf, inf) with every
     engine and narrowed, in _narrow, by every decision partition_som makes
@@ -368,7 +376,14 @@ class BlockCosts:
     lies strictly inside it makes the same decisions and returns the same
     partition.  An s of 0 constrains nothing: partition_som makes one only
     where both sides hold the same occupied cells in one block (a quadtree
-    node with at most one occupied child), equal floats at every R.
+    node with at most one occupied child), equal floats at every R.  Each
+    end that moves keeps the decision that moved it last in decided_by:
+    (old, new, g, s, scale), with lowers' old and new, or join_rejected's
+    ((a, b), (a | b,)) on the blocks' occupied cells.  The end is then
+    0.0 if g <= 1e-9 scale + _margin and else (1e-9 scale + _margin - g) / s.
+    join_rejected leaves to lowers only the unions this engine has costed,
+    so the interval follows from this engine's decisions alone, whatever
+    engines that share its width state cached before.
 
     The margin is 1e-9 (|old| + |new|) + 1e-5 M N (_margin), with |old|
     and |new| the sides' summed costs and N the map's occupied cells.  The
@@ -394,38 +409,36 @@ class BlockCosts:
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
+        global _last
         if som_map.n_attributes != params.n_attributes:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
                             f"cost params have {params.n_attributes}")
-        self.som_map = som_map
-        self._occupied = _bits(som_map.counts > 0)
-        # occupied cells -> (n, and per attribute: width terms, S, X, resid)
-        self._terms: dict[int, tuple] = {0: (0, [], [], [], [])}
         self._set_range(params)
-        self._table = self._cell_table()
-        # the interval's margin, less its part in the decision's costs (see above)
-        self._margin = 1e-5 * params.n_attributes * max(1, self._occupied.bit_count())
-        # join_rejected's largest |ln sigma| and |mean| per attribute
-        self._top = np.abs(self._table[:, 2 * params.n_attributes:]).max(axis=0).tolist()
-        if params.n_scale_rule is unit_scale:
-            self._columns = None
-            self._table_columns = self._table.T.tolist()
+        last = _last
+        if last is not None and last[0] is som_map and _same_widths(som_map, last[1], params):
+            self._take(last[2])
         else:
-            # per attribute: floor, its log, and every cell's std and mean
-            floors = params.sigma_floor.tolist()
-            self._columns = list(zip(floors, map(math.log, floors),
-                                     som_map.stds.T.tolist(), som_map.means.T.tolist()))
+            self._take(self._build(som_map))
+            _last = som_map, params, self._widths
+
+    def _take(self, widths: "_Widths") -> None:
+        """Share this width state; its fields become this engine's attributes."""
+        self._widths = widths
+        (self.som_map, self._occupied, self._table, self._table_columns, self._columns,
+         self._top, self._margin, self._terms) = widths
 
     def _set_range(self, params: CostParams) -> None:
         """Take params' range setting.  Per attribute, a block pays once_j
         when it opens and each_j for every further occupied cell:
         ln(R_j) and ln(pi)/2 under per_block, 0 and ln(R_j) + ln(pi)/2
         under per_pe.  The interval starts unbounded, and _slope is c, the
-        interval's slope per occupied block (see above)."""
+        interval's slope per occupied block (see above); decided_by holds
+        no decision yet."""
         self.params = params
         self._costs: dict[int, float] = {0: 0.0}     # occupied cells -> cost
         self._join = None                            # join_rejected's constants
         self.interval = [-math.inf, math.inf]
+        self.decided_by: list[tuple | None] = [None, None]
         log_R = np.log(params.R).tolist()
         half_log_pi = 0.5 * math.log(math.pi)
         if params.range_exponent == "per_block":
@@ -440,7 +453,7 @@ class BlockCosts:
         a new engine that shares the cached width terms, with its own
         interval."""
         engine = object.__new__(type(self))
-        engine.__dict__.update(self.__dict__)
+        engine._take(self._widths)
         engine._set_range(self.params.scaled(f_R=f_R))
         return engine
 
@@ -449,10 +462,11 @@ class BlockCosts:
                         f"sigma_const={self.params.sigma_const!r} "
                         f"(width scale {scale!r} for blocks of {n} cells)")
 
-    def _cell_table(self) -> np.ndarray:
-        """Per-cell columns [w, w * mean, ln sigma, mean], each M wide, of
-        every cell as a block of one; w = 1 / sigma^2.  Also enters every
-        occupied cell's one-cell block in _terms.
+    def _build(self, som_map: "SomMap") -> "_Widths":
+        """som_map's width state at these params' widths.  Its table holds the
+        columns [w, w * mean, ln sigma, mean], each M wide, of every cell as a
+        block of one; w = 1 / sigma^2.  Its width terms start with the empty
+        block and every occupied cell's one-cell block.
 
         ln sigma is math.log of each width, taken once per attribute for the
         widths at that attribute's floor (_logs).  The one-cell entries are
@@ -462,23 +476,36 @@ class BlockCosts:
         Raises CostError when some w is 0 or not finite, which finite but
         extreme width settings can cause.
         """
-        p = self.params
+        p, m = self.params, self.params.n_attributes
         scale = width_scale(p, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            sigmas = np.maximum(p.sigma_floor, scale * self.som_map.stds)
+            sigmas = np.maximum(p.sigma_floor, scale * som_map.stds)
             w = 1.0 / sigmas**2
         if not np.all((w > 0.0) & np.isfinite(w)):
             self._refuse_widths(scale, 1)
-        means = self.som_map.means
+        means = som_map.means
         table = np.hstack([w, w * means, _logs(sigmas, p.sigma_floor), means])
-        cells = np.flatnonzero(self.som_map.counts > 0)
+        cells = np.flatnonzero(som_map.counts > 0)
         w, w_means, log_sigmas, means = np.hsplit(table[cells], 4)
         X = (w_means + 0.0) / w
         resid = w * ((means - X) * (means - X))
         terms = log_sigmas + 0.5 * _logs(w, 1.0 / p.sigma_floor**2) + resid
-        self._terms.update({1 << k: (1, t, S, x, r) for k, t, S, x, r in zip(
-            cells.tolist(), terms.tolist(), w.tolist(), X.tolist(), resid.tolist())})
-        return table
+        # occupied cells -> (n, and per attribute: width terms, S, X, resid)
+        cache = {1 << k: (1, t, S, x, r) for k, t, S, x, r in zip(
+            cells.tolist(), terms.tolist(), w.tolist(), X.tolist(), resid.tolist())}
+        cache[0] = (0, [], [], [], [])
+        columns = None
+        if p.n_scale_rule is not unit_scale:
+            # per attribute: floor, its log, and every cell's std and mean
+            floors = p.sigma_floor.tolist()
+            columns = list(zip(floors, map(math.log, floors),
+                               som_map.stds.T.tolist(), som_map.means.T.tolist()))
+        occupied = _bits(som_map.counts > 0)
+        # join_rejected's largest |ln sigma| and |mean| per attribute, and the
+        # interval's margin less its part in the decision's costs (see above)
+        return _Widths(som_map, occupied, table, table.T.tolist() if columns is None else None,
+                       columns, np.abs(table[:, 2 * m:]).max(axis=0).tolist(),
+                       1e-5 * m * max(1, occupied.bit_count()), cache)
 
     def _own_columns(self, cells: list[int]) -> list[list[float]]:
         """The table's columns [w, w * mean, ln sigma, mean], each M wide, on
@@ -570,8 +597,9 @@ class BlockCosts:
         a and b are disjoint blocks.  If either has no occupied cell, the
         union's cost is the other block's, bit for bit, so the comparison is
         False.  Otherwise the answer comes from the two blocks' cached S, X
-        and resid, under either width rule, and only while the union is not
-        cached (its exact cost is cheap then).  Let N = n_a + n_b and
+        and resid, under either width rule, and only while this engine has
+        not costed the union (its exact cost is cheap then; width terms
+        that another engine cached do not count: class docstring).  Let N = n_a + n_b and
         rho = width_scale(N) / width_scale(min(n_a, n_b)), which is 1 under
         unit_scale.  A cell's width in the union is at least its width in
         its own block and at most rho times it.  Widening widths never
@@ -615,7 +643,7 @@ class BlockCosts:
         b &= self._occupied
         if not (a and b):
             return True
-        if a | b in self._terms:
+        if a | b in self._costs:
             return False
         if self._join is None:
             self._join = self._join_constants()
@@ -646,7 +674,7 @@ class BlockCosts:
                       + 4.0 * n * len(top) * math.log(union_scale / width_scale(p, 1)))
         if not delta > 1e-7 * scale:
             return False
-        self._narrow(delta, self._slope, scale)
+        self._narrow(delta, self._slope, scale, (a, b), (a | b,))
         return True
 
     def lowers(self, old: Sequence[int], new: Sequence[int]) -> bool:
@@ -660,22 +688,27 @@ class BlockCosts:
             k -= mask & occupied != 0
         lower = after < before
         g, k = (before - after, k) if lower else (after - before, -k)
-        self._narrow(g, self._slope * k, abs(before) + abs(after))
+        self._narrow(g, self._slope * k, abs(before) + abs(after), old, new)
         return lower
 
-    def _narrow(self, g: float, s: float, scale: float) -> None:
+    def _narrow(self, g: float, s: float, scale: float, old: Sequence[int],
+                new: Sequence[int]) -> None:
         """Keep in interval the x at which a decision won by g + s x exceeds
         the margin 1e-9 scale + _margin, or only x = 0 if g does not; an s
-        of 0 constrains nothing (class docstring)."""
+        of 0 constrains nothing (class docstring).  An end that moves keeps
+        the decision, (old, new, g, s, scale), in decided_by."""
         if not s:
             return
         margin, interval = 1e-9 * scale + self._margin, self.interval
         if g <= margin:
-            interval[:] = 0.0, 0.0
-        elif s > 0:
-            interval[0] = max(interval[0], (margin - g) / s)
+            ends = (0, 0.0), (1, 0.0)
         else:
-            interval[1] = min(interval[1], (margin - g) / s)
+            ends = ((0 if s > 0 else 1, (margin - g) / s),)
+        for end, x in ends:
+            # interval holds 0, so an end moves only toward it
+            if x > interval[0] if end == 0 else x < interval[1]:
+                interval[end] = x
+                self.decided_by[end] = old, new, g, s, scale
 
     def _join_constants(self) -> tuple:
         """join_rejected's sum and size of the q_j, its per-cell size, and
@@ -694,6 +727,20 @@ class BlockCosts:
         cell_size = math.fsum(abs(v) + log_pi + 4.0 * (lam + 1.0)
                               for v, lam in zip(log_R, top[:m]))
         return math.fsum(q), math.fsum(map(abs, q)), cell_size, top[m:]
+
+
+# What a BlockCosts engine keeps that does not depend on R (BlockCosts._build)
+_Widths = namedtuple("_Widths", "som_map occupied table table_columns columns top margin terms")
+# (som_map, params, widths) of the last engine BlockCosts built widths for
+_last: tuple | None = None
+
+
+def _same_widths(som_map: "SomMap", a: CostParams, b: CostParams) -> bool:
+    """Whether a and b give som_map's cells the same width bits in blocks of
+    every size: one rule and floor, and one sigma_const or all at the floor."""
+    return (a.n_scale_rule is b.n_scale_rule and np.array_equal(a.sigma_floor, b.sigma_floor)
+            and (a.sigma_const == b.sigma_const
+                 or widths_at_floor(som_map, b) and widths_at_floor(som_map, a)))
 
 
 def partition_cost(partition: "Partition", som_map: "SomMap", params: CostParams) -> float:

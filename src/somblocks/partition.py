@@ -346,7 +346,11 @@ def partition_som(som_map: SomMap, params: CostParams,
 
     The split and the merge share one BlockCosts; costs, when given, must be
     the engine built for this very map and these params, such as a sweep
-    point's BlockCosts.at(f_R), else CostError.  The split's leaves go to
+    point's BlockCosts.at(f_R), else CostError.  Without costs the engine is
+    BlockCosts(som_map, params), which takes the width terms of the last
+    engine built when that one has this very map and the same widths, as
+    after exhaustive_partition(som_map, params) (BlockCosts: shared width
+    state).  The split's leaves go to
     the merge unchecked: merge_regions' checks are for its callers' masks.
     """
     costs = BlockCosts(som_map, params) if costs is None else costs

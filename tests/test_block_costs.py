@@ -2,17 +2,21 @@
 for bit, so partitions built through it make the same decisions."""
 
 import dataclasses
+import functools
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
+from somblocks import bayes_cost
 from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
-                                  block_stat, width_scale)
+                                  block_stat, widths_at_floor, width_scale)
+from somblocks.som import SomMap
 
 from conftest import fixture_path, make_map, map_cells, random_map
 
@@ -515,3 +519,129 @@ def test_the_golden_maps_certify_these_interval_bits(iris, seed, setting, interv
     costs = BlockCosts(m, params)
     sb.partition_som(m, params, costs)
     assert costs.interval == interval
+
+
+CLI_SETTINGS = [{}, {"range_exponent": "per_pe"},
+                {"n_scale_rule": sb.bayes_cost.sqrt_scale, "sigma_const": 12.0}]
+
+
+@pytest.mark.parametrize("setting", CLI_SETTINGS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_each_interval_end_keeps_the_decision_that_moved_it(iris, seed, setting):
+    m = sb.load_map(fixture_path(f"iris_map_seed{seed}.json"))
+    params = sb.params_from_summary(sb.summarize(iris), **setting)
+    costs = BlockCosts(m, params)
+    sb.partition_som(m, params, costs)
+    occupied = costs._occupied
+
+    def k(blocks):          # a side's occupied blocks
+        return sum(block & occupied != 0 for block in blocks)
+
+    for end, decision in zip(costs.interval, costs.decided_by):
+        if decision is None:            # an end no decision moved
+            assert math.isinf(end)
+            continue
+        old, new, g, s, scale = decision
+        margin = 1e-9 * scale + costs._margin
+        assert (0.0 if g <= margin else (margin - g) / s).hex() == end.hex()
+        # both sides cover the same occupied cells, and s is c times the
+        # winning side's occupied blocks less the losing side's
+        assert (functools.reduce(operator.or_, old) & occupied
+                == functools.reduce(operator.or_, new) & occupied)
+        new_wins = math.fsum(map(costs.cost, new)) < math.fsum(map(costs.cost, old))
+        assert s == costs._slope * (k(new) - k(old) if new_wins else k(old) - k(new))
+
+
+def equal_copy(m):
+    """A map equal to m in every value, but another object."""
+    return SomMap(rows=m.rows, cols=m.cols, pes=tuple(map_cells(m)), config=m.config)
+
+
+@exact(200)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS),
+       earlier=st.sampled_from(["range", "exponent", "sigma_const", "floor", "rule", "copy"]),
+       f_sigma=st.sampled_from([1e-6, 0.01, 1.0, 5.0]), factor=st.sampled_from([1e-6, 0.5, 2.0]))
+@example(seed=1, rule="sqrt", exponent="per_block", earlier="sigma_const", f_sigma=1e-6,
+         factor=1e-6)           # every width at the floor under both
+def test_an_engine_takes_the_last_engines_width_state_only_at_the_same_widths(
+        seed, rule, exponent, earlier, f_sigma, factor):
+    rng, m, base = random_case(seed, rule, exponent)
+    params = base.scaled(f_sigma=f_sigma)
+    other_rule = N_SCALE_RULES["unit" if rule == "sqrt" else "sqrt"]
+    other_exponent = RANGE_EXPONENTS[1 - RANGE_EXPONENTS.index(exponent)]
+    first_map, first_params = {
+        "range": (m, params.scaled(f_R=factor)),
+        "exponent": (m, dataclasses.replace(params, range_exponent=other_exponent)),
+        "sigma_const": (m, params.scaled(f_sigma=factor)),
+        "floor": (m, dataclasses.replace(params, sigma_floor=factor * params.sigma_floor)),
+        "rule": (m, dataclasses.replace(params, n_scale_rule=other_rule)),
+        "copy": (equal_copy(m), params),
+    }[earlier]
+    shares = {"range": True, "exponent": True, "floor": False, "rule": False, "copy": False,
+              "sigma_const": widths_at_floor(m, params) and widths_at_floor(m, first_params)}
+    n_cells = m.rows * m.cols
+    masks = [(1 << n_cells) - 1] + [1 << k for k in range(n_cells)]
+    for _ in range(20):
+        masks.append(sum(1 << int(k) for k in np.flatnonzero(rng.random(n_cells) < 0.5)))
+    first = BlockCosts(first_map, first_params)
+    for mask in masks[::2]:
+        first.cost(mask)
+    later = BlockCosts(m, params)
+    assert (later._terms is first._terms) == shares[earlier]
+    for engine, som_map, p in ((later, m, params), (first, first_map, first_params)):
+        for mask in masks:
+            assert (engine.cost(mask).hex()
+                    == sb.block_cost_for_pes(cells_of(som_map, mask), p).hex())
+
+
+@exact(100)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), f_R=factors)
+def test_an_engines_interval_follows_from_its_own_decisions(seed, rule, exponent, f_R):
+    # width terms cached by the oracle, or by the f_R point before, change
+    # neither the decisions nor the interval an engine leaves
+    rng, _, params = random_case(seed, rule, exponent)
+    m = random_map(rng, rows=3, cols=3, M=params.n_attributes, empty_prob=0.2)
+
+    def run(costs):
+        p = sb.partition_som(costs.som_map, costs.params, costs)
+        return p.signature(), p.cost.hex(), costs.interval, costs.decided_by
+
+    expected = [run(BlockCosts(equal_copy(m), params.scaled(f_R=f))) for f in (1.0, f_R)]
+    sb.exhaustive_partition(m, params)
+    costs = BlockCosts(m, params)
+    assert [run(costs), run(costs.at(f_R))] == expected
+
+
+@pytest.mark.parametrize("exponent", RANGE_EXPONENTS)
+@pytest.mark.parametrize("rule", sorted(N_SCALE_RULES))
+def test_the_oracle_then_the_heuristic_compute_no_width_term_twice(monkeypatch, rule, exponent):
+    rng, _, params = random_case(7, rule, exponent)
+    m = random_map(rng, rows=3, cols=3, M=params.n_attributes, empty_prob=0.2)
+    expected = sb.partition_som(equal_copy(m), params)
+    built, computed = [], []     # width states built, blocks' width terms computed
+    build, mask_cells = BlockCosts._build, bayes_cost._mask_cells
+    monkeypatch.setattr(BlockCosts, "_build",
+                        lambda self, som_map: built.append(1) or build(self, som_map))
+    monkeypatch.setattr(bayes_cost, "_mask_cells",
+                        lambda mask: computed.append(mask) or mask_cells(mask))
+    sb.exhaustive_partition(m, params)
+    by_oracle = len(computed)
+    p = sb.partition_som(m, params)
+    assert built == [1] and by_oracle > 0
+    assert len(set(computed)) == len(computed)
+    assert (p.signature(), p.cost.hex()) == (expected.signature(), expected.cost.hex())
+
+
+def test_an_attribute_set_on_one_engine_stays_on_that_engine():
+    m = make_map([[0.0, 5.0], [0.2, None]], s=0.5)
+    params = sb.CostParams(R=[10.0], sigma_floor=[0.1])
+    costs = BlockCosts(m, params)
+    costs.cost = lambda mask: 0.0
+    costs._terms = {}
+    for other in (costs.at(2.0), BlockCosts(m, params)):
+        assert other._widths is costs._widths           # one width state
+        assert other._terms is costs._widths.terms
+        assert other.cost(0b0011).hex() == sb.block_cost_for_pes(
+            cells_of(m, 0b0011), other.params).hex()

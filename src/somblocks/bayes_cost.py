@@ -355,9 +355,14 @@ class BlockCosts:
     engine's width state.  A new engine takes the width state of the last
     engine that built one (_last) when its map is that very object and its
     widths have the same bits in blocks of every size (_same_widths), as
-    for the oracle then partition_som on one map and params.  The record
-    keeps one width state alive until another is built: after a 5x5
-    oracle, about 8,600 width terms.
+    for the oracle then partition_som on one map and params, or for
+    partition_som(m, base) then sweep(m, ...): the sweep makes its
+    reference column's engine before any other column's and its first
+    floor column also shares, so on either 5x5 golden the pair builds 8
+    width states (13 under sqrt_scale at sigma_const 12) for the default
+    13x13 grid, as many as the sweep alone.  The record keeps one width
+    state alive until another is built: after a 5x5 oracle, about 8,600
+    width terms.
     partition_som takes an engine only with its own som_map and params.
 
     The f_R interval.  interval is [lo, hi], made (-inf, inf) with every

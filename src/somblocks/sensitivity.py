@@ -15,6 +15,15 @@ Its block costs, and so its partitions, are those of the first such column,
 so the sweep partitions only that one and copies its partitions to the
 rest.  Every column's parameters are still built and checked.
 
+Engines of one map object and one set of widths share their width state
+through a one-entry record (see BlockCosts).  So the reference column
+(f_sigma = 1), when it is partitioned, gets its engine before the other
+columns and takes the state of a partition_som(som_map, base) run just
+before, as the first floor column does: on either 5x5 golden the pair
+builds 8 width states for the default 13x13 grid (13 under sqrt_scale at
+sigma_const 12), as many as the sweep alone.  Refusals still come in
+ascending f_sigma.
+
 Within a column the sweep takes the f_R points in ascending order.  Each
 partitioned point's engine ends with BlockCosts.interval: the x = ln(f_R'
 / f_R) on which every decision of its split and merge keeps its outcome by
@@ -110,15 +119,31 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     """Partition the map at every (f_R, f_sigma) grid point; a column whose
     widths all sit at the floor copies the first such column, and a point
     inside the f_R interval of the last partitioned point of its column
-    takes that point's partition (see above).  A CostError from a column's
-    block costs names its f_sigma and the base sigma_const in front."""
+    takes that point's partition (see above).  The reference column's
+    engine is made first, so it shares the width state of a partition_som
+    (som_map, spec.base) just before.  A CostError from a column's block
+    costs names its f_sigma and the base sigma_const in front, the
+    smallest such f_sigma when several columns are refused."""
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
     points = [[None] * n_s for _ in range(n_r)]     # [i][j] -> that point's Partition
     floor_column = None
+    # The reference column's engine comes first, while the width record may
+    # still hold the caller's partition_som(som_map, spec.base); it is made
+    # only for a column that is partitioned, and a refusal waits its turn.
+    early = None
+    try:
+        column = spec.base.scaled(f_sigma=float(spec.f_sigma_grid[j_ref]))
+        if j_ref == 0 or not widths_at_floor(som_map, column):
+            early = column, BlockCosts(som_map, column)
+    except CostError:
+        pass
     for j, f_sigma in enumerate(spec.f_sigma_grid):
-        column = spec.base.scaled(f_sigma=float(f_sigma))
+        if j == j_ref and early is not None:
+            (column, costs), early = early, None
+        else:
+            column, costs = spec.base.scaled(f_sigma=float(f_sigma)), None
         if widths_at_floor(som_map, column):
             if floor_column is not None:
                 for row in points:
@@ -129,7 +154,8 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
         # serve every f_R in it, and a point strictly inside the last
         # partitioned point's interval takes its partition.
         try:
-            costs = BlockCosts(som_map, column)
+            if costs is None:
+                costs = BlockCosts(som_map, column)
             partition = None        # the last partitioned point's, at f_last
             for i, f_R in enumerate(spec.f_R_grid.tolist()):
                 point = costs.at(f_R)

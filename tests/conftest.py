@@ -66,6 +66,11 @@ def map_cells(m: SomMap) -> list[PeStats]:
     return [m.pe(r, c) for r in range(m.rows) for c in range(m.cols)]
 
 
+def equal_copy(m: SomMap) -> SomMap:
+    """A map equal to m in every value, but another object."""
+    return SomMap(rows=m.rows, cols=m.cols, pes=tuple(map_cells(m)), config=m.config)
+
+
 def make_pe(mean, s, n=5, r=0, c=0) -> PeStats:
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
     return PeStats(r=r, c=c, weight=mu.copy(), member_ids=tuple(range(n)), n=n,

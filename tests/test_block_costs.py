@@ -16,9 +16,8 @@ import somblocks as sb
 from somblocks import bayes_cost
 from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
                                   block_stat, widths_at_floor, width_scale)
-from somblocks.som import SomMap
 
-from conftest import fixture_path, make_map, map_cells, random_map
+from conftest import equal_copy, fixture_path, make_map, map_cells, random_map
 
 def exact(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -550,11 +549,6 @@ def test_each_interval_end_keeps_the_decision_that_moved_it(iris, seed, setting)
                 == functools.reduce(operator.or_, new) & occupied)
         new_wins = math.fsum(map(costs.cost, new)) < math.fsum(map(costs.cost, old))
         assert s == costs._slope * (k(new) - k(old) if new_wins else k(old) - k(new))
-
-
-def equal_copy(m):
-    """A map equal to m in every value, but another object."""
-    return SomMap(rows=m.rows, cols=m.cols, pes=tuple(map_cells(m)), config=m.config)
 
 
 @exact(200)

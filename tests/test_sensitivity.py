@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import somblocks as sb
 from somblocks import sensitivity
-from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, CostError, sqrt_scale,
-                                  width_scale, widths_at_floor)
+from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
+                                  sqrt_scale, width_scale, widths_at_floor)
 from somblocks.sensitivity import SweepError, _check_grid
 
-from conftest import make_map, plain_params, random_map
+from conftest import equal_copy, fixture_path, make_map, plain_params, random_map
 
 
 def test_default_grid_contains_one():
@@ -332,3 +332,93 @@ def test_points_inside_an_interval_match_fresh_partitions(monkeypatch):
         if exponent == "per_pe" and (expected.n_blocks == m.rows * m.cols).all():
             singleton_reused += partitioned - len(calls)
     assert reused > 0 and singleton_reused > 0
+
+
+def counted_builds(monkeypatch):
+    """The list that each width state BlockCosts builds appends to."""
+    built = []
+    build = BlockCosts._build
+    monkeypatch.setattr(BlockCosts, "_build",
+                        lambda self, som_map: built.append(1) or build(self, som_map))
+    return built
+
+
+# 5 of 13 columns at the floor (one state for the 6 floor columns) or none:
+# the sweep's reference column takes the state partition_som just built
+@pytest.mark.parametrize("options, states", [
+    ({}, 8),
+    ({"range_exponent": "per_pe"}, 8),
+    ({"n_scale_rule": sqrt_scale, "sigma_const": 12.0}, 13),
+])
+@pytest.mark.parametrize("golden", ["iris_map_seed1.json", "iris_map_seed2.json"])
+def test_a_sweep_after_partition_som_builds_no_width_state_twice(monkeypatch, iris, golden,
+                                                                 options, states):
+    base = sb.params_from_summary(sb.summarize(iris), **options)
+    spec = sb.SweepSpec(base=base)
+    golden_map = sb.load_map(fixture_path(golden))
+    built = counted_builds(monkeypatch)
+    alone = sb.sweep(equal_copy(golden_map), spec)
+    assert len(built) == states
+    built.clear()
+    m = equal_copy(golden_map)
+    sb.partition_som(m, base)
+    assert sb.sweep(m, spec).signatures == alone.signatures
+    assert len(built) == states
+
+
+# the reference column's widths above the floor; the reference as the first
+# floor column (j_ref == 0); the reference as a floor column that copies an
+# earlier one
+GRID_KINDS = {"above": (3.0, ([0.1, 1.0, 4.0], [0.6, 1.0, 4.0])),
+              "first floor": (0.5, ([1.0, 1.5], [1.0, 4.0])),
+              "copied floor": (0.5, ([0.3, 1.0, 1.5], [0.3, 1.0, 5.0]))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), kind=st.sampled_from(sorted(GRID_KINDS)))
+def test_a_sweep_after_partition_som_matches_a_sweep_alone(seed, rule, exponent, kind):
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.3)
+    floor = rng.uniform(0.02, 0.6, M)
+    n = int(np.count_nonzero(m.counts))
+    with np.errstate(divide="ignore"):      # empty cells have std 0
+        floor_const = float(np.min(floor / m.stds)) / N_SCALE_RULES[rule](n)
+    factor, grids = GRID_KINDS[kind]
+    base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
+                         sigma_const=factor * floor_const, n_scale_rule=N_SCALE_RULES[rule],
+                         range_exponent=exponent)
+    spec = sb.SweepSpec(base=base, f_sigma_grid=grids[int(rng.integers(2))],
+                        f_R_grid=sb.default_grid(int(rng.choice([3, 5, 9])),
+                                                 float(rng.uniform(0.5, 2.0))))
+    j_ref = _check_grid(spec.f_sigma_grid)
+    assert widths_at_floor(m, base) == (kind != "above")
+    assert (j_ref == 0) == (kind == "first floor")
+    alone = sb.sweep(equal_copy(m), spec)
+    sb.partition_som(m, base)
+    after = sb.sweep(m, spec)
+    assert after.signatures == alone.signatures
+    assert np.array_equal(after.n_blocks, alone.n_blocks)
+    assert np.array_equal(after.equal, alone.equal)
+    assert after.reference == alone.reference
+
+
+# the reference column's engine is made before the loop, but its refusal
+# waits for the columns below it, as the sweep command's does
+@pytest.mark.parametrize("grid, named", [
+    (None, 0.03162277660168379),        # the default grid: every column refused
+    ([1e-200, 1e-2, 1.0, 10.0], 0.01),
+    ([1e-200, 1e-8, 1.0, 10.0], 1.0),   # the columns below partition
+])
+@pytest.mark.parametrize("rule", sorted(N_SCALE_RULES))
+def test_sweep_names_the_smallest_column_whose_widths_are_refused(fixture_map, iris, rule,
+                                                                  grid, named):
+    sigma_const = 1e307 if grid is None else 1e160
+    base = sb.params_from_summary(sb.summarize(iris), sigma_const=sigma_const,
+                                  n_scale_rule=N_SCALE_RULES[rule])
+    spec = sb.SweepSpec(base=base, f_R_grid=[1.0] if grid else sb.default_grid(),
+                        f_sigma_grid=grid or sb.default_grid())
+    prefix = f"f_sigma={named!r}, sigma_const={sigma_const!r}: cell widths must keep 1/sigma"
+    with pytest.raises(CostError, match=f"^{re.escape(prefix)}"):
+        sb.sweep(fixture_map, spec)

@@ -516,7 +516,7 @@ class BlockCosts:
         """The table's columns [w, w * mean, ln sigma, mean], each M wide, on
         these cells at the width scale of a block of all of them (sqrt_scale).
 
-        The float operations are _cell_table's (the larger of floor and
+        The float operations are _build's (the larger of floor and
         scale * std, either one's bits when they are equal), so the values
         are the bits of a table built at that scale.  The floor is positive
         and 1/floor^2 finite, so w is refused only when it is 0; a scale that

@@ -256,14 +256,20 @@ def _quadtree(rows: int, cols: int) -> tuple:
 
 def _tree_node(bounds: tuple, cols: int, inner: int, grid: int) -> tuple:
     children = tuple(_tree_node(part, cols, inner, grid) for part in _subdivide(bounds))
-    mask = _region_mask(bounds, cols)
-    block = ((bounds[2], bounds[0]), bounds[3], mask, _near(mask, cols, inner, grid))
+    block = _merge_record(_region_mask(bounds, cols), cols, inner, grid)
     return block, tuple(child[0][2] for child in children), children
 
 
-def _near(mask: int, cols: int, inner: int, grid: int) -> int:
-    """Mask of the cells edge-adjacent to the block mask (inner: _inner_cells)."""
-    return (mask << cols | mask >> cols | (mask & inner) << 1 | (mask >> 1) & inner) & grid
+def _merge_record(mask: int, cols: int, inner: int, grid: int) -> tuple:
+    """The merge record (_merge) of a nonzero block mask (inner: _inner_cells,
+    grid: the mask of every cell)."""
+    r0 = ((mask & -mask).bit_length() - 1) // cols
+    spread = 0                                  # the OR of the block's rows
+    for shift in range(r0 * cols, mask.bit_length(), cols):
+        spread |= mask >> shift
+    spread &= (1 << cols) - 1
+    near = (mask << cols | mask >> cols | (mask & inner) << 1 | (mask >> 1) & inner) & grid
+    return ((spread & -spread).bit_length() - 1, r0), spread.bit_length(), mask, near
 
 
 def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
@@ -288,22 +294,12 @@ def merge_regions(masks: list[int], costs: BlockCosts) -> Partition:
         raise PartitionError(f"masks must be a list of cell masks, got {reprlib.repr(masks)}")
     rows, cols = costs.som_map.rows, costs.som_map.cols
     masks = _grid_masks(masks, rows, cols)
-    inner, grid, row = _inner_cells(rows, cols), (1 << rows * cols) - 1, (1 << cols) - 1
-    blocks = []
+    inner, grid = _inner_cells(rows, cols), (1 << rows * cols) - 1
     for i, mask in enumerate(masks):
-        r0 = ((mask & -mask).bit_length() - 1) // cols
-        r1 = (mask.bit_length() - 1) // cols + 1
-        spread = 0                                  # the block's columns
-        for r in range(r0, r1):
-            spread |= mask >> (r * cols)
-        spread &= row
-        c0, c1 = (spread & -spread).bit_length() - 1, spread.bit_length()
-        # a block that fills its bounding box is a rectangle, so connected
-        if mask.bit_count() != (r1 - r0) * (c1 - c0) and not _connected(mask, inner, cols):
+        if not _connected(mask, inner, cols):
             raise PartitionError(f"block {i} is not edge-connected")
-        blocks.append(((c0, r0), c1, mask, _near(mask, cols, inner, grid)))
     _require_tiling(masks, rows * cols)
-    return _merge(blocks, costs)
+    return _merge([_merge_record(mask, cols, inner, grid) for mask in masks], costs)
 
 
 def _merge(blocks: list[tuple], costs: BlockCosts) -> Partition:
@@ -350,8 +346,8 @@ def partition_som(som_map: SomMap, params: CostParams,
     BlockCosts(som_map, params), which takes the width terms of the last
     engine built when that one has this very map and the same widths, as
     after exhaustive_partition(som_map, params) (BlockCosts: shared width
-    state).  The split's leaves go to
-    the merge unchecked: merge_regions' checks are for its callers' masks.
+    state).  The split's leaves go to the merge unchecked: merge_regions'
+    checks are for its callers' masks.
     """
     costs = BlockCosts(som_map, params) if costs is None else costs
     if not (isinstance(costs, BlockCosts) and costs.som_map is som_map and costs.params is params):
@@ -370,10 +366,10 @@ def _walk_partitions(rows: int, cols: int, visit, grow=lambda acc, k, old, new: 
     a branch is cut once a closed cell's block has a piece with no live cell
     that is not the whole block, since nothing can join that piece again.
 
-    grow, when given, prunes further: each time cell k moves its part from
-    mask old to mask new (old is 0 for a new part), grow(acc, k, old, new)
-    returns the value acc takes in the branch below, or None to skip that
-    branch.  acc starts at 0.0; by default it passes down unchanged.
+    grow prunes further: each time cell k moves its part from mask old to
+    mask new (old is 0 for a new part), grow(acc, k, old, new) returns the
+    value acc takes in the branch below, or None to skip that branch.  acc
+    starts at 0.0; the default grow passes it down unchanged, cutting nothing.
     """
     n = rows * cols
     inner = _inner_cells(rows, cols)

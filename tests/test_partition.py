@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import somblocks as sb
 from somblocks.bayes_cost import BlockCosts, _mask_cells
 from somblocks.partition import (Partition, PartitionError, _inner_cells, _label_grid,
-                                 _label_masks, _quadtree, _region_mask, _subdivide,
-                                 _walk_partitions, component_labels,
+                                 _label_masks, _merge_record, _quadtree, _region_mask,
+                                 _subdivide, _walk_partitions, component_labels,
                                  enumerate_connected_partitions, flood, load_partition,
                                  partition_to_json, save_partition, validate_partition)
 
@@ -130,6 +130,41 @@ def test_merge_ignores_the_order_of_its_regions(seed, exponent):
             shuffled = [tiling[i] for i in rng.permutation(len(tiling))]
             # a fresh engine each time: no merge reads costs another one cached
             assert sb.merge_regions(shuffled, BlockCosts(m, params)) == expected   # cost included
+
+
+def _reference_record(mask, rows, cols):
+    """A block's merge record read from its list of cells: ((first column,
+    first row), one past the last column, mask, the cells next to one)."""
+    cells = [(k // cols, k % cols) for k in _mask_cells(mask)]
+    near = 0
+    for r, c in cells:
+        for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= r2 < rows and 0 <= c2 < cols:
+                near |= 1 << (r2 * cols + c2)
+    return ((min(c for _, c in cells), min(r for r, _ in cells)),
+            max(c for _, c in cells) + 1, mask, near)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_merge_record_is_read_from_the_blocks_cells(seed):
+    # any nonzero mask, connected or not, sparse or dense
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(v) for v in rng.integers(1, 9, 2))
+    cells = rng.random(rows * cols) < rng.uniform(0.0, 1.0)
+    cells[rng.integers(rows * cols)] = True
+    mask = sum(1 << k for k in np.flatnonzero(cells).tolist())
+    record = _merge_record(mask, cols, _inner_cells(rows, cols), (1 << rows * cols) - 1)
+    assert record == _reference_record(mask, rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (3, 4), (5, 5), (6, 9)])
+def test_every_quadtree_node_holds_its_rectangles_merge_record(rows, cols):
+    stack = [_quadtree(rows, cols)]
+    while stack:
+        block, _, children = stack.pop()
+        assert block == _reference_record(block[2], rows, cols)
+        stack.extend(children)
 
 
 def _reference_merge(masks, som_map, params):

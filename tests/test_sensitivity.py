@@ -1,3 +1,4 @@
+import gc
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import somblocks as sb
-from somblocks import sensitivity
+from somblocks import bayes_cost, sensitivity
 from somblocks.bayes_cost import (N_SCALE_RULES, RANGE_EXPONENTS, BlockCosts, CostError,
                                   sqrt_scale, width_scale, widths_at_floor)
 from somblocks.sensitivity import SweepError, _check_grid
@@ -364,6 +365,22 @@ def test_a_sweep_after_partition_som_builds_no_width_state_twice(monkeypatch, ir
     sb.partition_som(m, base)
     assert sb.sweep(m, spec).signatures == alone.signatures
     assert len(built) == states
+
+
+# the width record holds one width state, so once partition_som and a sweep
+# return, only the last of the states they built for the map is alive
+@pytest.mark.parametrize("options", [
+    {}, {"range_exponent": "per_pe"}, {"n_scale_rule": sqrt_scale, "sigma_const": 12.0},
+])
+@pytest.mark.parametrize("golden", ["iris_map_seed1.json", "iris_map_seed2.json"])
+def test_a_sweep_leaves_one_width_state_of_its_map_alive(iris, golden, options):
+    base = sb.params_from_summary(sb.summarize(iris), **options)
+    m = sb.load_map(fixture_path(golden))
+    sb.partition_som(m, base)
+    sb.sweep(m, sb.SweepSpec(base=base))
+    gc.collect()
+    alive = [o for o in gc.get_objects() if type(o) is bayes_cost._Widths and o.som_map is m]
+    assert len(alive) == 1
 
 
 # the reference column's widths above the floor; the reference as the first

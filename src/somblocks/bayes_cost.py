@@ -352,17 +352,21 @@ class BlockCosts:
 
     Shared width state (_build).  The table and the width terms depend only
     on the map and the cells' widths.  at(f_R) hands its engine this
-    engine's width state.  A new engine takes the width state of the last
-    engine that built one (_last) when its map is that very object and its
-    widths have the same bits in blocks of every size (_same_widths), as
-    for the oracle then partition_som on one map and params, or for
-    partition_som(m, base) then sweep(m, ...): the sweep makes its
-    reference column's engine before any other column's and its first
-    floor column also shares, so on either 5x5 golden the pair builds 8
-    width states (13 under sqrt_scale at sigma_const 12) for the default
-    13x13 grid, as many as the sweep alone.  The record keeps one width
-    state alive until another is built: after a 5x5 oracle, about 8,600
-    width terms.
+    engine's width state.  A new engine takes the width state the record
+    (_last) holds, the last one built unless one was handed back, when its
+    map is that very object and its widths have the same bits in blocks of
+    every size (_same_widths), as for the oracle then partition_som on one
+    map and params, or for partition_som(m, base) then sweep(m, ...): the
+    sweep makes its reference column's engine before any other column's
+    and its first floor column also shares, so on either 5x5 golden the
+    pair builds 8 width states (13 under sqrt_scale at sigma_const 12) for
+    the default 13x13 grid, as many as the sweep alone.  When its loop is
+    done the sweep hands the record back the reference column's width
+    state, the base's widths (_remember), so a partition_som(m, base)
+    after it, or one at base.scaled(f_R=...), builds no width state; after
+    the default sweep of either golden the two compute no width term
+    either.  The record keeps one width state alive until another is built
+    or handed back: after a 5x5 oracle, about 8,600 width terms.
     partition_som takes an engine only with its own som_map and params.
 
     The f_R interval.  interval is [lo, hi], made (-inf, inf) with every
@@ -414,7 +418,6 @@ class BlockCosts:
     """
 
     def __init__(self, som_map: "SomMap", params: CostParams):
-        global _last
         if som_map.n_attributes != params.n_attributes:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
                             f"cost params have {params.n_attributes}")
@@ -424,13 +427,18 @@ class BlockCosts:
             self._take(last[2])
         else:
             self._take(self._build(som_map))
-            _last = som_map, params, self._widths
+            self._remember()
 
     def _take(self, widths: "_Widths") -> None:
         """Share this width state; its fields become this engine's attributes."""
         self._widths = widths
         (self.som_map, self._occupied, self._table, self._table_columns, self._columns,
          self._top, self._margin, self._terms) = widths
+
+    def _remember(self) -> None:
+        """Make this engine's width state the one the record (_last) holds."""
+        global _last
+        _last = self.som_map, self.params, self._widths
 
     def _set_range(self, params: CostParams) -> None:
         """Take params' range setting.  Per attribute, a block pays once_j
@@ -736,7 +744,8 @@ class BlockCosts:
 
 # What a BlockCosts engine keeps that does not depend on R (BlockCosts._build)
 _Widths = namedtuple("_Widths", "som_map occupied table table_columns columns top margin terms")
-# (som_map, params, widths) of the last engine BlockCosts built widths for
+# (som_map, params, widths) of the engine that last built its width state or
+# was handed back to the record (BlockCosts._remember)
 _last: tuple | None = None
 
 

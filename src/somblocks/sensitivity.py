@@ -22,7 +22,12 @@ columns and takes the state of a partition_som(som_map, base) run just
 before, as the first floor column does: on either 5x5 golden the pair
 builds 8 width states for the default 13x13 grid (13 under sqrt_scale at
 sigma_const 12), as many as the sweep alone.  Refusals still come in
-ascending f_sigma.
+ascending f_sigma.  Once the loop is done the sweep hands the record back
+the width state of the reference column's partitions (BlockCosts._remember;
+the first floor column's when the reference copies it), so a
+partition_som(som_map, spec.base) or partition_som(som_map,
+spec.base.scaled(f_R=...)) after the sweep builds no width state, and
+the record still holds only one.
 
 Within a column the sweep takes the f_R points in ascending order.  Each
 partitioned point's engine ends with BlockCosts.interval: the x = ln(f_R'
@@ -121,7 +126,8 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     inside the f_R interval of the last partitioned point of its column
     takes that point's partition (see above).  The reference column's
     engine is made first, so it shares the width state of a partition_som
-    (som_map, spec.base) just before.  A CostError from a column's block
+    (som_map, spec.base) just before, and the record holds that width state
+    once the sweep returns.  A CostError from a column's block
     costs names its f_sigma and the base sigma_const in front, the
     smallest such f_sigma when several columns are refused."""
     i_ref = _check_grid(spec.f_R_grid)
@@ -166,6 +172,13 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error
+        if j <= j_ref:
+            # Widths grow with f_sigma (widths_at_floor): when the reference
+            # column is at the floor, so is every column before it, and all
+            # but the first are copies.  So the engine kept last is the one
+            # the reference column's partitions came from.
+            kept = costs
+    kept._remember()        # the base's widths, for a partition_som after the sweep
     signatures = [[p.signature() for p in row] for row in points]
     reference = signatures[i_ref][j_ref]
     n_blocks = np.array([[p.n_blocks for p in row] for row in points])

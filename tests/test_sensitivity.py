@@ -421,6 +421,95 @@ def test_a_sweep_after_partition_som_matches_a_sweep_alone(seed, rule, exponent,
     assert after.reference == alone.reference
 
 
+GOLDEN_OPTIONS = [{}, {"range_exponent": "per_pe"},
+                  {"n_scale_rule": sqrt_scale, "sigma_const": 12.0}]
+
+
+# the sweep hands the width record its reference column's state, so
+# partition_som at the base, or at another f_R, builds and computes nothing
+@pytest.mark.parametrize("options", GOLDEN_OPTIONS)
+@pytest.mark.parametrize("golden", ["iris_map_seed1.json", "iris_map_seed2.json"])
+def test_a_partition_after_a_sweep_reuses_the_base_widths(monkeypatch, iris, golden, options):
+    base = sb.params_from_summary(sb.summarize(iris), **options)
+    golden_map = sb.load_map(fixture_path(golden))
+    points = [base, base.scaled(f_R=2.0)]
+    expected = [sb.partition_som(equal_copy(golden_map), p) for p in points]
+    m = equal_copy(golden_map)
+    sb.partition_som(m, base)
+    sb.sweep(m, sb.SweepSpec(base=base))
+    built, computed = counted_builds(monkeypatch), []    # width states, blocks' width terms
+    mask_cells = bayes_cost._mask_cells
+    monkeypatch.setattr(bayes_cost, "_mask_cells",
+                        lambda mask: computed.append(mask) or mask_cells(mask))
+    got = [sb.partition_som(m, p) for p in points]
+    assert built == [] and computed == []
+    assert [(p.signature(), p.cost.hex()) for p in got] == [
+        (p.signature(), p.cost.hex()) for p in expected]
+
+
+def grid_kind_case(seed, rule, exponent, kind):
+    """A random map, base and sweep spec whose reference column is of this
+    GRID_KINDS kind."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    m = random_map(rng, M=M, empty_prob=0.3)
+    floor = rng.uniform(0.02, 0.6, M)
+    n = int(np.count_nonzero(m.counts))
+    with np.errstate(divide="ignore"):      # empty cells have std 0
+        floor_const = float(np.min(floor / m.stds)) / N_SCALE_RULES[rule](n)
+    factor, grids = GRID_KINDS[kind]
+    base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
+                         sigma_const=factor * floor_const, n_scale_rule=N_SCALE_RULES[rule],
+                         range_exponent=exponent)
+    spec = sb.SweepSpec(base=base, f_sigma_grid=grids[int(rng.integers(2))],
+                        f_R_grid=sb.default_grid(int(rng.choice([3, 5, 9])),
+                                                 float(rng.uniform(0.5, 2.0))))
+    return m, base, spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), kind=st.sampled_from(sorted(GRID_KINDS)))
+def test_a_sweep_leaves_the_width_state_of_its_base_alive(seed, rule, exponent, kind):
+    m, base, spec = grid_kind_case(seed, rule, exponent, kind)
+    alone = sb.sweep(equal_copy(m), spec)
+    sb.partition_som(m, base)
+    after = sb.sweep(m, spec)
+    gc.collect()
+    alive = [o for o in gc.get_objects() if type(o) is bayes_cost._Widths and o.som_map is m]
+    assert len(alive) == 1
+    assert BlockCosts(m, base)._terms is alive[0].terms
+    assert after.signatures == alone.signatures
+    assert np.array_equal(after.n_blocks, alone.n_blocks)
+    assert np.array_equal(after.equal, alone.equal)
+    assert after.reference == alone.reference
+
+
+# at most 3 width states of the map are alive at any build of partition_som
+# and a sweep, as before the sweep handed back its reference column's state:
+# the record's, the one just built and the reference column's engine's
+@pytest.mark.parametrize("options", GOLDEN_OPTIONS)
+@pytest.mark.parametrize("golden", ["iris_map_seed1.json", "iris_map_seed2.json"])
+def test_a_sweep_keeps_at_most_three_width_states_of_its_map_alive(monkeypatch, iris, golden,
+                                                                   options):
+    base = sb.params_from_summary(sb.summarize(iris), **options)
+    m = sb.load_map(fixture_path(golden))
+    alive = []      # after each build, the map's width states alive
+    build = BlockCosts._build
+
+    def counted(self, som_map):
+        widths = build(self, som_map)
+        gc.collect()
+        alive.append(sum(type(o) is bayes_cost._Widths and o.som_map is m
+                         for o in gc.get_objects()))
+        return widths
+
+    monkeypatch.setattr(BlockCosts, "_build", counted)
+    sb.partition_som(m, base)
+    sb.sweep(m, sb.SweepSpec(base=base))
+    assert alive and max(alive) <= 3
+
+
 # the reference column's engine is made before the loop, but its refusal
 # waits for the columns below it, as the sweep command's does
 @pytest.mark.parametrize("grid, named", [

@@ -347,7 +347,10 @@ class BlockCosts:
     or inf in the table or in a block, or a block's width scale that is not
     finite, is refused with a CostError.  The range prior is added last, per
     attribute once_j for the block and each_j for every further occupied
-    cell (_set_range), and the terms are summed in block_cost's order, so
+    cell (_set_range).  It depends only on the engine and the block size n,
+    so each engine builds it once per size, [once_j + (n - 1) each_j], at
+    its first block of n occupied cells (_priors), and a cost adds it to the
+    width terms attribute by attribute and sums in block_cost's order, so
     cost(mask) equals block_cost_for_pes of the same cells bit for bit.
 
     Shared width state (_build).  The table and the width terms depend only
@@ -449,6 +452,7 @@ class BlockCosts:
         no decision yet."""
         self.params = params
         self._costs: dict[int, float] = {0: 0.0}     # occupied cells -> cost
+        self._priors: dict[int, list[float]] = {}    # block size n -> range prior
         self._join = None                            # join_rejected's constants
         self.interval = [-math.inf, math.inf]
         self.decided_by: list[tuple | None] = [None, None]
@@ -599,9 +603,12 @@ class BlockCosts:
         occupied = mask & self._occupied
         hit = self._costs.get(occupied)
         if hit is None:
-            n, terms, _, _, _ = self._width_terms(occupied)
-            hit = self._costs[occupied] = math.fsum(
-                [once + (n - 1) * each + t for once, each, t in zip(self._once, self._each, terms)])
+            n, terms, _, _, _ = self._terms.get(occupied) or self._width_terms(occupied)
+            prior = self._priors.get(n)
+            if prior is None:
+                prior = self._priors[n] = [once + (n - 1) * each
+                                           for once, each in zip(self._once, self._each)]
+            hit = self._costs[occupied] = math.fsum(map(operator.add, prior, terms))
         return hit
 
     def join_rejected(self, a: int, b: int) -> bool:
@@ -661,8 +668,9 @@ class BlockCosts:
         if self._join is None:
             self._join = self._join_constants()
         q_sum, q_size, cell_size, top = self._join
-        n_a, terms_a, S_a, X_a, resid_a = self._width_terms(a)
-        n_b, terms_b, S_b, X_b, resid_b = self._width_terms(b)
+        entries = self._terms
+        n_a, terms_a, S_a, X_a, resid_a = entries.get(a) or self._width_terms(a)
+        n_b, terms_b, S_b, X_b, resid_b = entries.get(b) or self._width_terms(b)
         n = n_a + n_b
         delta, scale, gaps = q_sum, q_size + n * cell_size, 0.0
         for sa, sb, xa, xb, ta, tb, mu in zip(S_a, S_b, X_a, X_b, terms_a, terms_b, top):
@@ -713,15 +721,23 @@ class BlockCosts:
         if not s:
             return
         margin, interval = 1e-9 * scale + self._margin, self.interval
+        # interval holds 0, so an end moves only toward it
         if g <= margin:
-            ends = (0, 0.0), (1, 0.0)
+            if interval[0] < 0.0:
+                interval[0] = 0.0
+                self.decided_by[0] = old, new, g, s, scale
+            if interval[1] > 0.0:
+                interval[1] = 0.0
+                self.decided_by[1] = old, new, g, s, scale
         else:
-            ends = ((0 if s > 0 else 1, (margin - g) / s),)
-        for end, x in ends:
-            # interval holds 0, so an end moves only toward it
-            if x > interval[0] if end == 0 else x < interval[1]:
-                interval[end] = x
-                self.decided_by[end] = old, new, g, s, scale
+            x = (margin - g) / s
+            if s > 0:
+                if x > interval[0]:
+                    interval[0] = x
+                    self.decided_by[0] = old, new, g, s, scale
+            elif x < interval[1]:
+                interval[1] = x
+                self.decided_by[1] = old, new, g, s, scale
 
     def _join_constants(self) -> tuple:
         """join_rejected's sum and size of the q_j, its per-cell size, and

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_cost import BlockCosts, CostError, CostParams, _bits, _mask_cells
+from .bayes_cost import BlockCosts, CostError, CostParams, _bits
 from .data_model import is_integer, is_number, read_json_file, require, write_text_atomic
 from .som import SomMap
 
@@ -196,8 +196,10 @@ def _label_grid(masks, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) int array giving each cell the index of its mask, -1 for none."""
     labels = [-1] * (rows * cols)
     for b, mask in enumerate(masks):
-        for k in _mask_cells(mask):
-            labels[k] = b
+        while mask:
+            low = mask & -mask
+            labels[low.bit_length() - 1] = b
+            mask ^= low
     return np.array(labels).reshape(rows, cols)
 
 

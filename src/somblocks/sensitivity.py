@@ -88,8 +88,8 @@ class SweepSpec:
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
-    """Log-spaced factors over [10^-decades, 10^decades], centered on 1; one
-    point is the grid [1.0] whatever decades is."""
+    """Log-spaced factors over [10^-decades, 10^decades] whose centre is
+    exactly 1.0; one point is the grid [1.0] whatever decades is."""
     require(SweepError, is_integer, "an integer", points=points)
     if points < 1 or points % 2 == 0:
         raise SweepError("need an odd number of grid points so 1.0 is included")
@@ -101,6 +101,7 @@ def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
                          f"got {decades!r}")
     with np.errstate(over="ignore"):
         grid = np.logspace(-decades, decades, points)
+    grid[points // 2] = 1.0         # logspace may round 10**0 off 1
     if not math.isfinite(grid[-1]):
         raise SweepError(f"decades must be positive with 10**decades finite for {points} "
                          f"grid points, got {decades!r}")

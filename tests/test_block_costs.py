@@ -64,6 +64,29 @@ def test_engine_cost_equals_block_cost_for_pes(seed, rule, exponent, f_sigma, f_
 
 @exact(100)
 @given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), f_sigma=factors,
+       f_Rs=st.lists(factors, min_size=1, max_size=4))
+def test_every_block_size_costs_exactly_whichever_size_comes_first(seed, rule, exponent,
+                                                                   f_sigma, f_Rs):
+    # each engine builds a size's range prior at its first block of that
+    # size; two blocks of every size, in a shuffled order of sizes per engine
+    rng, m, base = random_case(seed, rule, exponent)
+    occupied = np.flatnonzero(m.counts > 0)
+    empty = np.flatnonzero(m.counts == 0)
+    column = BlockCosts(m, base.scaled(f_sigma=f_sigma))
+    for f_R in f_Rs:
+        params = base.scaled(f_R=f_R, f_sigma=f_sigma)
+        costs = column.at(f_R)
+        sizes = rng.permutation(np.repeat(np.arange(1, occupied.size + 1), 2))
+        for n in sizes.tolist():
+            cells = [*rng.choice(occupied, n, replace=False), *empty[rng.random(empty.size) < 0.5]]
+            mask = sum(1 << int(k) for k in cells)
+            assert costs.cost(mask).hex() == sb.block_cost_for_pes(cells_of(m, mask), params).hex()
+        assert sorted(costs._priors) == list(range(1, occupied.size + 1))
+
+
+@exact(100)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
        exponent=st.sampled_from(RANGE_EXPONENTS), f_R=factors, f_sigma=factors)
 def test_partition_cost_is_the_reference_sum(seed, rule, exponent, f_R, f_sigma):
     _, m, base = random_case(seed, rule, exponent)
@@ -498,6 +521,47 @@ def test_an_exact_tie_with_a_nonzero_slope_shrinks_the_interval_to_the_point(exp
     else:
         assert hi == math.inf and lo == pytest.approx(-0.5, abs=1e-4) and lo > -0.5
     assert decide(3.0) == [0.0, 0.0]
+
+
+def _reference_narrow(costs, g, s, scale, old, new):
+    """BlockCosts._narrow written as a loop over the ends a decision moves."""
+    if not s:
+        return
+    margin, interval = 1e-9 * scale + costs._margin, costs.interval
+    if g <= margin:
+        ends = (0, 0.0), (1, 0.0)
+    else:
+        ends = ((0 if s > 0 else 1, (margin - g) / s),)
+    for end, x in ends:
+        if x > interval[0] if end == 0 else x < interval[1]:
+            interval[end] = x
+            costs.decided_by[end] = old, new, g, s, scale
+
+
+@exact(200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_narrow_moves_the_ends_the_reference_loop_moves(seed):
+    rng = np.random.default_rng(seed)
+    m = make_map([[0.0, 5.0], [0.2, None]], s=0.5)
+    engine = BlockCosts(m, sb.CostParams(R=[10.0], sigma_floor=[0.1]))
+    reference = engine.at(1.0)
+    decisions = []
+    for k in range(int(rng.integers(1, 40))):
+        if decisions and rng.random() < 0.2:        # an earlier decision's g, s and scale
+            g, s, scale = decisions[int(rng.integers(len(decisions)))]
+        else:
+            scale = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1e6)]))
+            margin = 1e-9 * scale + engine._margin
+            g = float(rng.choice([0.0, margin, np.nextafter(margin, 0.0), np.nextafter(margin, 1.0),
+                                  -rng.uniform(0.0, 1.0), rng.uniform(margin, 10.0),
+                                  rng.uniform(margin, 1e4)]))
+            s = int(rng.integers(-6, 7))
+            decisions.append((g, s, scale))
+        old, new = (k,), (k, k)
+        engine._narrow(g, s, scale, old, new)
+        _reference_narrow(reference, g, s, scale, old, new)
+        assert [x.hex() for x in engine.interval] == [x.hex() for x in reference.interval]
+        assert engine.decided_by == reference.decided_by
 
 
 @pytest.mark.parametrize("seed, setting, interval", [

@@ -281,6 +281,15 @@ def test_sweep_command_writes_csv(tmp_path):
     assert center[0][2] == "true"
 
 
+def test_sweep_reference_row_is_at_factor_one(tmp_path):
+    # an 11-point grid over 1.7 decades is one whose logspace centre is not 1.0
+    out = tmp_path / "stability.csv"
+    assert run_cli("sweep", "--map", fixture_path("iris_map_seed2.json"), "--sweep-points", "11",
+                   "--sweep-decades", "1.7", "--out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert sum(line.startswith("1.0,1.0,true,") for line in lines) == 1
+
+
 @pytest.mark.parametrize("seed", [2, 1])
 def test_sweep_output_matches_the_committed_golden(tmp_path, seed):
     # seed 1's reference interval ends at a smaller f_R than seed 2's, so the

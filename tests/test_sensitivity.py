@@ -23,6 +23,16 @@ def test_default_grid_contains_one():
     assert 1.0 in g
 
 
+@pytest.mark.parametrize("points", range(1, 26, 2))
+def test_default_grid_centre_is_exactly_one(points):
+    # logspace rounds 10**0 to 0.9999999999999994 for (11, 1.7) and (21, 1.7)
+    for decades in [1.7, *np.linspace(0.05, 3.0, 60).tolist()]:
+        grid = sb.default_grid(points, decades)
+        assert grid[points // 2] == 1.0
+        assert np.all(np.diff(grid) > 0)
+        assert _check_grid(grid) == points // 2
+
+
 def test_grid_validation():
     with pytest.raises(SweepError):
         _check_grid(np.array([0.5, 0.4, 2.0]))

@@ -355,22 +355,23 @@ class BlockCosts:
 
     Shared width state (_build).  The table and the width terms depend only
     on the map and the cells' widths.  at(f_R) hands its engine this
-    engine's width state.  A new engine takes the width state the record
-    (_last) holds, the last one built unless one was handed back, when its
-    map is that very object and its widths have the same bits in blocks of
-    every size (_same_widths), as for the oracle then partition_som on one
-    map and params, or for partition_som(m, base) then sweep(m, ...): the
-    sweep makes its reference column's engine before any other column's
-    and its first floor column also shares, so on either 5x5 golden the
-    pair builds 8 width states (13 under sqrt_scale at sigma_const 12) for
-    the default 13x13 grid, as many as the sweep alone.  When its loop is
-    done the sweep hands the record back the reference column's width
-    state, the base's widths (_remember), so a partition_som(m, base)
-    after it, or one at base.scaled(f_R=...), builds no width state; after
-    the default sweep of either golden the two compute no width term
-    either.  The record keeps one width state alive until another is built
-    or handed back: after a 5x5 oracle, about 8,600 width terms.
-    partition_som takes an engine only with its own som_map and params.
+    engine's width state; BlockCosts(...) builds its own and never reads or
+    writes the one-entry width record.  _shared(som_map, params) takes the
+    record's width state when its map is that very object and its widths
+    have the same bits in blocks of every size (_same_widths), else builds
+    one, and leaves its engine's state there.  partition_som without costs,
+    exhaustive_partition and one column of the sweep (its reference, or the
+    first floor column when the reference copies it) go through _shared.
+    So the oracle then partition_som on one map and params, or
+    partition_som(m, base) then sweep(m, ...), share width states: on
+    either 5x5 golden the latter pair builds 8 (13 under sqrt_scale at
+    sigma_const 12) for the default 13x13 grid, as many as the sweep alone.
+    A partition_som(m, base), or one at base.scaled(f_R=...), after the
+    sweep builds no width state; after the default sweep of either golden
+    the two compute no width term either.  The record keeps one width state
+    alive until _shared builds another: after a 5x5 oracle, about 8,600
+    width terms.  partition_som takes an engine only with its own som_map
+    and params.
 
     The f_R interval.  interval is [lo, hi], made (-inf, inf) with every
     engine and narrowed, in _narrow, by every decision partition_som makes
@@ -425,23 +426,35 @@ class BlockCosts:
             raise CostError(f"map has {som_map.n_attributes} attributes, "
                             f"cost params have {params.n_attributes}")
         self._set_range(params)
+        self._take(self._build(som_map))
+
+    @classmethod
+    def _shared(cls, som_map: "SomMap", params: CostParams) -> "BlockCosts":
+        """An engine of som_map at params with the record's (_last) width
+        state when its map is som_map itself and _same_widths holds, else
+        its own; the record then holds the engine's width state."""
+        global _last
         last = _last
         if last is not None and last[0] is som_map and _same_widths(som_map, last[1], params):
-            self._take(last[2])
+            engine = cls._with(last[2], params)
         else:
-            self._take(self._build(som_map))
-            self._remember()
+            engine = cls(som_map, params)
+        _last = som_map, params, engine._widths
+        return engine
+
+    @classmethod
+    def _with(cls, widths: "_Widths", params: CostParams) -> "BlockCosts":
+        """An engine at params that shares this width state."""
+        engine = object.__new__(cls)
+        engine._take(widths)
+        engine._set_range(params)
+        return engine
 
     def _take(self, widths: "_Widths") -> None:
         """Share this width state; its fields become this engine's attributes."""
         self._widths = widths
         (self.som_map, self._occupied, self._table, self._table_columns, self._columns,
          self._top, self._margin, self._terms) = widths
-
-    def _remember(self) -> None:
-        """Make this engine's width state the one the record (_last) holds."""
-        global _last
-        _last = self.som_map, self.params, self._widths
 
     def _set_range(self, params: CostParams) -> None:
         """Take params' range setting.  Per attribute, a block pays once_j
@@ -469,10 +482,7 @@ class BlockCosts:
         """This engine at params.scaled(f_R=f_R), one stability-sweep point:
         a new engine that shares the cached width terms, with its own
         interval."""
-        engine = object.__new__(type(self))
-        engine._take(self._widths)
-        engine._set_range(self.params.scaled(f_R=f_R))
-        return engine
+        return self._with(self._widths, self.params.scaled(f_R=f_R))
 
     def _refuse_widths(self, scale: float, n: int) -> NoReturn:
         raise CostError(f"cell widths must keep 1/sigma**2 positive and finite, got "
@@ -760,8 +770,7 @@ class BlockCosts:
 
 # What a BlockCosts engine keeps that does not depend on R (BlockCosts._build)
 _Widths = namedtuple("_Widths", "som_map occupied table table_columns columns top margin terms")
-# (som_map, params, widths) of the engine that last built its width state or
-# was handed back to the record (BlockCosts._remember)
+# (som_map, params, widths) of the last engine BlockCosts._shared made
 _last: tuple | None = None
 
 

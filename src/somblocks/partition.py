@@ -345,13 +345,14 @@ def partition_som(som_map: SomMap, params: CostParams,
     The split and the merge share one BlockCosts; costs, when given, must be
     the engine built for this very map and these params, such as a sweep
     point's BlockCosts.at(f_R), else CostError.  Without costs the engine is
-    BlockCosts(som_map, params), which takes the width terms of the last
-    engine built when that one has this very map and the same widths, as
-    after exhaustive_partition(som_map, params) (BlockCosts: shared width
-    state).  The split's leaves go to the merge unchecked: merge_regions'
-    checks are for its callers' masks.
+    BlockCosts._shared(som_map, params), which goes through the width record
+    as exhaustive_partition and the sweep do, so it takes the width terms
+    they left for this very map at the same widths (BlockCosts: shared
+    width state); an engine from BlockCosts(...) never does.  The split's
+    leaves go to the merge unchecked: merge_regions' checks are for its
+    callers' masks.
     """
-    costs = BlockCosts(som_map, params) if costs is None else costs
+    costs = BlockCosts._shared(som_map, params) if costs is None else costs
     if not (isinstance(costs, BlockCosts) and costs.som_map is som_map and costs.params is params):
         raise CostError("costs must be the BlockCosts of this map and these params")
     return _merge(_split(costs), costs)
@@ -461,7 +462,7 @@ def exhaustive_partition(som_map: SomMap, params: CostParams, cell_limit: int = 
     if rows * cols > cell_limit:
         raise PartitionError(f"grid {rows}x{cols} exceeds cell_limit={cell_limit}")
 
-    costs = BlockCosts(som_map, params)
+    costs = BlockCosts._shared(som_map, params)
     mask_cost = costs.cost
     state = {"cost": math.inf, "parts": None, "limit": math.inf}
 

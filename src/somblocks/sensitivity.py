@@ -15,19 +15,17 @@ Its block costs, and so its partitions, are those of the first such column,
 so the sweep partitions only that one and copies its partitions to the
 rest.  Every column's parameters are still built and checked.
 
-Engines of one map object and one set of widths share their width state
-through a one-entry record (see BlockCosts).  So the reference column
-(f_sigma = 1), when it is partitioned, gets its engine before the other
-columns and takes the state of a partition_som(som_map, base) run just
-before, as the first floor column does: on either 5x5 golden the pair
-builds 8 width states for the default 13x13 grid (13 under sqrt_scale at
-sigma_const 12), as many as the sweep alone.  Refusals still come in
-ascending f_sigma.  Once the loop is done the sweep hands the record back
-the width state of the reference column's partitions (BlockCosts._remember;
-the first floor column's when the reference copies it), so a
-partition_som(som_map, spec.base) or partition_som(som_map,
-spec.base.scaled(f_R=...)) after the sweep builds no width state, and
-the record still holds only one.
+One column's engine goes through the width record (BlockCosts._shared):
+the reference column's (f_sigma = 1), or the first floor column's when
+the reference copies it.  Every other column's is BlockCosts(...), which
+never touches the record.  So the sweep takes the width state of a
+partition_som(som_map, base) run just before: on either 5x5 golden the
+pair builds 8 width states for the default 13x13 grid (13 under sqrt_scale
+at sigma_const 12), as many as the sweep alone.  It leaves the base's
+widths in the record, so a partition_som(som_map, spec.base) or
+partition_som(som_map, spec.base.scaled(f_R=...)) after it builds no width
+state.  Each column's engine is built in its turn, so refusals come in
+ascending f_sigma.
 
 Within a column the sweep takes the f_R points in ascending order.  Each
 partitioned point's engine ends with BlockCosts.interval: the x = ln(f_R'
@@ -83,8 +81,10 @@ class SweepSpec:
     def __post_init__(self):
         require(SweepError, lambda v: isinstance(v, CostParams), "a CostParams", base=self.base)
         for name in ("f_R_grid", "f_sigma_grid"):
-            object.__setattr__(self, name, float_array(SweepError, name, getattr(self, name), 1))
-            _check_grid(getattr(self, name), name)
+            grid = float_array(SweepError, name, getattr(self, name), 1).copy()
+            grid[_check_grid(grid, name)] = 1.0     # from within 1e-12 of it
+            grid.setflags(write=False)
+            object.__setattr__(self, name, grid)
 
 
 def default_grid(points: int = 13, decades: float = 1.5) -> np.ndarray:
@@ -125,32 +125,22 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
     """Partition the map at every (f_R, f_sigma) grid point; a column whose
     widths all sit at the floor copies the first such column, and a point
     inside the f_R interval of the last partitioned point of its column
-    takes that point's partition (see above).  The reference column's
-    engine is made first, so it shares the width state of a partition_som
-    (som_map, spec.base) just before, and the record holds that width state
-    once the sweep returns.  A CostError from a column's block
-    costs names its f_sigma and the base sigma_const in front, the
-    smallest such f_sigma when several columns are refused."""
+    takes that point's partition (see above).  The column that goes
+    through the width record (see above) shares the width state of a
+    partition_som(som_map, spec.base) just before and leaves its own there.
+    A CostError from a column's block costs names its f_sigma and the base
+    sigma_const in front, the smallest such f_sigma when several columns
+    are refused."""
     i_ref = _check_grid(spec.f_R_grid)
     j_ref = _check_grid(spec.f_sigma_grid)
     n_r, n_s = len(spec.f_R_grid), len(spec.f_sigma_grid)
     points = [[None] * n_s for _ in range(n_r)]     # [i][j] -> that point's Partition
     floor_column = None
-    # The reference column's engine comes first, while the width record may
-    # still hold the caller's partition_som(som_map, spec.base); it is made
-    # only for a column that is partitioned, and a refusal waits its turn.
-    early = None
-    try:
-        column = spec.base.scaled(f_sigma=float(spec.f_sigma_grid[j_ref]))
-        if j_ref == 0 or not widths_at_floor(som_map, column):
-            early = column, BlockCosts(som_map, column)
-    except CostError:
-        pass
+    # Widths grow with f_sigma (widths_at_floor): when the reference column
+    # is at the floor, so is column 0, and the reference copies it.
+    shared = 0 if widths_at_floor(som_map, spec.base) else j_ref
     for j, f_sigma in enumerate(spec.f_sigma_grid):
-        if j == j_ref and early is not None:
-            (column, costs), early = early, None
-        else:
-            column, costs = spec.base.scaled(f_sigma=float(f_sigma)), None
+        column = spec.base.scaled(f_sigma=float(f_sigma))
         if widths_at_floor(som_map, column):
             if floor_column is not None:
                 for row in points:
@@ -161,25 +151,17 @@ def sweep(som_map: SomMap, spec: SweepSpec) -> StabilityMap:
         # serve every f_R in it, and a point strictly inside the last
         # partitioned point's interval takes its partition.
         try:
-            if costs is None:
-                costs = BlockCosts(som_map, column)
-            partition = None        # the last partitioned point's, at f_last
+            costs = (BlockCosts._shared if j == shared else BlockCosts)(som_map, column)
+            partition = None        # the last partitioned point's, at f_run
             for i, f_R in enumerate(spec.f_R_grid.tolist()):
                 point = costs.at(f_R)
-                if partition is None or not lo < math.log(f_R / f_last) < hi:
+                if partition is None or not lo < math.log(f_R / f_run) < hi:
                     partition = partition_som(som_map, point.params, point)
-                    f_last, (lo, hi) = f_R, point.interval
+                    f_run, (lo, hi) = f_R, point.interval
                 points[i][j] = partition
         except CostError as error:
             raise CostError(f"f_sigma={float(f_sigma)!r}, sigma_const="
                             f"{spec.base.sigma_const!r}: {error}") from error
-        if j <= j_ref:
-            # Widths grow with f_sigma (widths_at_floor): when the reference
-            # column is at the floor, so is every column before it, and all
-            # but the first are copies.  So the engine kept last is the one
-            # the reference column's partitions came from.
-            kept = costs
-    kept._remember()        # the base's widths, for a partition_som after the sweep
     signatures = [[p.signature() for p in row] for row in points]
     reference = signatures[i_ref][j_ref]
     n_blocks = np.array([[p.n_blocks for p in row] for row in points])

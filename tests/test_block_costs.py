@@ -642,10 +642,10 @@ def test_an_engine_takes_the_last_engines_width_state_only_at_the_same_widths(
     masks = [(1 << n_cells) - 1] + [1 << k for k in range(n_cells)]
     for _ in range(20):
         masks.append(sum(1 << int(k) for k in np.flatnonzero(rng.random(n_cells) < 0.5)))
-    first = BlockCosts(first_map, first_params)
+    first = BlockCosts._shared(first_map, first_params)
     for mask in masks[::2]:
         first.cost(mask)
-    later = BlockCosts(m, params)
+    later = BlockCosts._shared(m, params)
     assert (later._terms is first._terms) == shares[earlier]
     for engine, som_map, p in ((later, m, params), (first, first_map, first_params)):
         for mask in masks:
@@ -668,7 +668,7 @@ def test_an_engines_interval_follows_from_its_own_decisions(seed, rule, exponent
 
     expected = [run(BlockCosts(equal_copy(m), params.scaled(f_R=f))) for f in (1.0, f_R)]
     sb.exhaustive_partition(m, params)
-    costs = BlockCosts(m, params)
+    costs = BlockCosts._shared(m, params)
     assert [run(costs), run(costs.at(f_R))] == expected
 
 
@@ -695,11 +695,27 @@ def test_the_oracle_then_the_heuristic_compute_no_width_term_twice(monkeypatch, 
 def test_an_attribute_set_on_one_engine_stays_on_that_engine():
     m = make_map([[0.0, 5.0], [0.2, None]], s=0.5)
     params = sb.CostParams(R=[10.0], sigma_floor=[0.1])
-    costs = BlockCosts(m, params)
+    costs = BlockCosts._shared(m, params)
     costs.cost = lambda mask: 0.0
     costs._terms = {}
-    for other in (costs.at(2.0), BlockCosts(m, params)):
+    for other in (costs.at(2.0), BlockCosts._shared(m, params)):
         assert other._widths is costs._widths           # one width state
         assert other._terms is costs._widths.terms
         assert other.cost(0b0011).hex() == sb.block_cost_for_pes(
             cells_of(m, 0b0011), other.params).hex()
+
+
+@pytest.mark.parametrize("exponent", RANGE_EXPONENTS)
+@pytest.mark.parametrize("rule", sorted(N_SCALE_RULES))
+def test_a_constructed_engine_builds_its_own_width_state(monkeypatch, rule, exponent):
+    rng, m, params = random_case(3, rule, exponent)
+    sb.partition_som(m, params)
+    record = bayes_cost._last
+    built = []
+    build = BlockCosts._build
+    monkeypatch.setattr(BlockCosts, "_build",
+                        lambda self, som_map: built.append(1) or build(self, som_map))
+    costs = BlockCosts(m, params)
+    assert built == [1]
+    assert costs._terms is not record[2].terms
+    assert bayes_cost._last is record

@@ -33,6 +33,17 @@ def test_default_grid_centre_is_exactly_one(points):
         assert _check_grid(grid) == points // 2
 
 
+def test_a_spec_puts_exactly_1_in_each_grid(fixture_map, iris_params):
+    grid = np.logspace(-1.7, 1.7, 11)         # its centre is 0.9999999999999994
+    spec = sb.SweepSpec(base=iris_params, f_R_grid=grid, f_sigma_grid=grid)
+    for got in (spec.f_R_grid, spec.f_sigma_grid):
+        assert got[5] == 1.0 and not got.flags.writeable
+        assert np.array_equal(np.delete(got, 5), np.delete(grid, 5))
+    assert grid[5] == 0.9999999999999994      # the caller's array is left as it was
+    expected = sb.partition_som(equal_copy(fixture_map), iris_params).signature()
+    assert sb.sweep(fixture_map, spec).reference == expected
+
+
 def test_grid_validation():
     with pytest.raises(SweepError):
         _check_grid(np.array([0.5, 0.4, 2.0]))
@@ -401,10 +412,9 @@ GRID_KINDS = {"above": (3.0, ([0.1, 1.0, 4.0], [0.6, 1.0, 4.0])),
               "copied floor": (0.5, ([0.3, 1.0, 1.5], [0.3, 1.0, 5.0]))}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
-       exponent=st.sampled_from(RANGE_EXPONENTS), kind=st.sampled_from(sorted(GRID_KINDS)))
-def test_a_sweep_after_partition_som_matches_a_sweep_alone(seed, rule, exponent, kind):
+def grid_kind_case(seed, rule, exponent, kind):
+    """A random map, base and sweep spec whose reference column is of this
+    GRID_KINDS kind."""
     rng = np.random.default_rng(seed)
     M = int(rng.integers(1, 4))
     m = random_map(rng, M=M, empty_prob=0.3)
@@ -419,6 +429,14 @@ def test_a_sweep_after_partition_som_matches_a_sweep_alone(seed, rule, exponent,
     spec = sb.SweepSpec(base=base, f_sigma_grid=grids[int(rng.integers(2))],
                         f_R_grid=sb.default_grid(int(rng.choice([3, 5, 9])),
                                                  float(rng.uniform(0.5, 2.0))))
+    return m, base, spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
+       exponent=st.sampled_from(RANGE_EXPONENTS), kind=st.sampled_from(sorted(GRID_KINDS)))
+def test_a_sweep_after_partition_som_matches_a_sweep_alone(seed, rule, exponent, kind):
+    m, base, spec = grid_kind_case(seed, rule, exponent, kind)
     j_ref = _check_grid(spec.f_sigma_grid)
     assert widths_at_floor(m, base) == (kind != "above")
     assert (j_ref == 0) == (kind == "first floor")
@@ -457,26 +475,6 @@ def test_a_partition_after_a_sweep_reuses_the_base_widths(monkeypatch, iris, gol
         (p.signature(), p.cost.hex()) for p in expected]
 
 
-def grid_kind_case(seed, rule, exponent, kind):
-    """A random map, base and sweep spec whose reference column is of this
-    GRID_KINDS kind."""
-    rng = np.random.default_rng(seed)
-    M = int(rng.integers(1, 4))
-    m = random_map(rng, M=M, empty_prob=0.3)
-    floor = rng.uniform(0.02, 0.6, M)
-    n = int(np.count_nonzero(m.counts))
-    with np.errstate(divide="ignore"):      # empty cells have std 0
-        floor_const = float(np.min(floor / m.stds)) / N_SCALE_RULES[rule](n)
-    factor, grids = GRID_KINDS[kind]
-    base = sb.CostParams(R=rng.uniform(1.0, 50.0, M), sigma_floor=floor,
-                         sigma_const=factor * floor_const, n_scale_rule=N_SCALE_RULES[rule],
-                         range_exponent=exponent)
-    spec = sb.SweepSpec(base=base, f_sigma_grid=grids[int(rng.integers(2))],
-                        f_R_grid=sb.default_grid(int(rng.choice([3, 5, 9])),
-                                                 float(rng.uniform(0.5, 2.0))))
-    return m, base, spec
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(sorted(N_SCALE_RULES)),
        exponent=st.sampled_from(RANGE_EXPONENTS), kind=st.sampled_from(sorted(GRID_KINDS)))
@@ -488,7 +486,7 @@ def test_a_sweep_leaves_the_width_state_of_its_base_alive(seed, rule, exponent, 
     gc.collect()
     alive = [o for o in gc.get_objects() if type(o) is bayes_cost._Widths and o.som_map is m]
     assert len(alive) == 1
-    assert BlockCosts(m, base)._terms is alive[0].terms
+    assert BlockCosts._shared(m, base)._terms is alive[0].terms
     assert after.signatures == alone.signatures
     assert np.array_equal(after.n_blocks, alone.n_blocks)
     assert np.array_equal(after.equal, alone.equal)
@@ -496,8 +494,9 @@ def test_a_sweep_leaves_the_width_state_of_its_base_alive(seed, rule, exponent, 
 
 
 # at most 3 width states of the map are alive at any build of partition_som
-# and a sweep, as before the sweep handed back its reference column's state:
-# the record's, the one just built and the reference column's engine's
+# and a sweep: the width record's (only partition_som and the sweep's one
+# BlockCosts._shared column write it; BlockCosts(...) never does), the one
+# just built and the previous column's engine's
 @pytest.mark.parametrize("options", GOLDEN_OPTIONS)
 @pytest.mark.parametrize("golden", ["iris_map_seed1.json", "iris_map_seed2.json"])
 def test_a_sweep_keeps_at_most_three_width_states_of_its_map_alive(monkeypatch, iris, golden,
@@ -520,8 +519,10 @@ def test_a_sweep_keeps_at_most_three_width_states_of_its_map_alive(monkeypatch, 
     assert alive and max(alive) <= 3
 
 
-# the reference column's engine is made before the loop, but its refusal
-# waits for the columns below it, as the sweep command's does
+# each column's engine is built in its turn, the one column that shares the
+# width record through BlockCosts._shared as well as the BlockCosts(...) of
+# every other column, which never shares it; so refusals come in ascending
+# f_sigma, as the sweep command's do
 @pytest.mark.parametrize("grid, named", [
     (None, 0.03162277660168379),        # the default grid: every column refused
     ([1e-200, 1e-2, 1.0, 10.0], 0.01),
